@@ -18,7 +18,7 @@ import (
 // Cooperative cancellation across every wsrt engine: a job cancelled
 // mid-run must abort with the context's error, must not poison the runtime
 // for a subsequent job, and its truncated trace must still satisfy every
-// invariant that survives truncation (internal/trace.CheckTruncated).
+// invariant that survives truncation (trace.Laws{Truncated: true}).
 //
 // Tascell and Serial are absent from the engine table for the runtime
 // test: Tascell does not observe Options.Ctx (own runtime, documented),
@@ -61,7 +61,7 @@ func TestCancelMidRunAllEngines(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 			}
-			if verr := rec.CheckTruncated(); verr != nil {
+			if verr := rec.CheckLaws(trace.Laws{Truncated: true}); verr != nil {
 				t.Fatalf("truncated trace (%d events):\n%v", rec.EventCount(), verr)
 			}
 
@@ -95,7 +95,7 @@ func TestCancelMidRunReal(t *testing.T) {
 	if _, err := h.Result(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pool job: err = %v, want context.Canceled", err)
 	}
-	if verr := rec.CheckTruncated(); verr != nil {
+	if verr := rec.CheckLaws(trace.Laws{Truncated: true}); verr != nil {
 		t.Fatalf("truncated pool trace (%d events):\n%v", rec.EventCount(), verr)
 	}
 

@@ -29,7 +29,7 @@ import (
 //     (trace.Recorder.Check);
 //   - aborted: a known abort class (injected panic, forced overflow,
 //     deadline, cancellation, pool shutdown) AND a truncation-clean trace
-//     (CheckTruncated).
+//     (trace.Laws{Truncated: true}).
 //
 // Wrong values, invariant violations, unknown panic classes, hangs and
 // leaked goroutines all fail the test. Seeds are pinned, and the Sim
@@ -100,7 +100,7 @@ func runChaos(e adaptivetc.Engine, p adaptivetc.Program, spec faults.Spec, worke
 	if !chaosAbortOK(runErr) {
 		return out, runErr
 	}
-	if cerr := rec.CheckTruncated(); cerr != nil {
+	if cerr := rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 		return out, cerr
 	}
 	return out, runErr
@@ -291,7 +291,7 @@ func TestChaosPoolCrossJobPanic(t *testing.T) {
 	if !errors.Is(runErr, wsrt.ErrJobPanicked) {
 		t.Fatalf("faulted SYNCHED job: got %v, want ErrJobPanicked", runErr)
 	}
-	if cerr := rec1.CheckTruncated(); cerr != nil {
+	if cerr := rec1.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 		t.Fatalf("panicked job left an invariant-violating trace: %v", cerr)
 	}
 	if got := pool.Quarantined(); got != 1 {
@@ -444,7 +444,7 @@ func TestChaosFirstSolution(t *testing.T) {
 		if runErr != nil && !chaosAbortOK(runErr) {
 			return res.Value, runErr
 		}
-		if cerr := rec.CheckTruncated(); cerr != nil {
+		if cerr := rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 			return res.Value, cerr
 		}
 		return res.Value, runErr

@@ -27,7 +27,7 @@
 // Verdicts per case: "completed" runs must produce the serial oracle's
 // value and an invariant-clean trace (trace.Recorder.Check); "aborted"
 // runs — injected panic, forced overflow, deadline — must surface a known
-// abort class and a truncation-clean trace (CheckTruncated); "rejected"
+// abort class and a truncation-clean trace (trace.Laws{Truncated: true}); "rejected"
 // submissions must surface ErrQueueFull. Anything else (wrong value,
 // invariant violation, unexpected panic class, leaked goroutines) fails
 // the process with exit status 1.
@@ -298,7 +298,7 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 		}
 	case knownAbort(runErr):
 		v.class = "aborted"
-		if cerr := rec.CheckTruncated(); cerr != nil {
+		if cerr := rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 			v.err = fmt.Errorf("invariant violation in aborted run (%v): %w", runErr, cerr)
 		}
 	default:
@@ -390,7 +390,7 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			}
 		case knownAbort(runErr):
 			v.class = "aborted"
-			if cerr := f.rec.CheckTruncated(); cerr != nil {
+			if cerr := f.rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 				v.err = fmt.Errorf("invariant violation in aborted job (%v): %w", runErr, cerr)
 			}
 		default:
@@ -575,8 +575,7 @@ func benchCluster(seed int64, orc *oracles, costs *clusterCosts) int {
 		if !forwarding {
 			// Gap and victim-load thresholds no backlog can reach: the
 			// nodes still gossip, but never shed or steal.
-			cfg.ForwardThreshold = 1 << 30
-			cfg.StealMinScore = 1 << 30
+			cfg.Policy = cluster.Policy{ForwardThreshold: 1 << 30, StealMinScore: 1 << 30}
 		}
 		rep, err := cluster.RunSim(cfg, jobs)
 		if err != nil {

@@ -119,8 +119,9 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer base URLs; non-empty joins the cluster tier")
 	nodeID := flag.String("node-id", "", "this node's advertised base URL (cluster mode; defaults from -addr)")
 	gossipInterval := flag.Duration("gossip-interval", 100*time.Millisecond, "cluster load-exchange interval")
-	forwardThreshold := flag.Int("forward-threshold", 4, "minimum load gap before forwarding queued jobs to a colder peer")
-	forwardBatch := flag.Int("forward-batch", 4, "max jobs moved per rebalance or steal")
+	policy := cluster.Policy{}.WithDefaults()
+	forwardThreshold := flag.Int("forward-threshold", policy.ForwardThreshold, "minimum load gap before forwarding queued jobs to a colder peer")
+	forwardBatch := flag.Int("forward-batch", policy.Batch, "max jobs moved per rebalance or steal")
 	storeDir := flag.String("store-dir", "", "persistent job-store directory; restarts on the same directory recover results, re-queue unstarted jobs, and restore the DSL program cache")
 	replay := flag.Bool("replay", false, "list every record in -store-dir and exit (no server)")
 	maxPrograms := flag.Int("max-programs", 0, "DSL compile cache entry cap (0 = default 256)")
@@ -160,9 +161,9 @@ func main() {
 	}
 
 	svc := serve.New(serve.Config{
-		Journal:      journal,
-		Recovered:    recovered,
-		ProgramCache: progstore.Config{MaxPrograms: *maxPrograms},
+		Journal:           journal,
+		Recovered:         recovered,
+		ProgramCache:      progstore.Config{MaxPrograms: *maxPrograms},
 		Workers:           *workers,
 		QueueCapacity:     *queue,
 		MaxConcurrentJobs: *maxJobs,
@@ -197,11 +198,10 @@ func main() {
 			}
 		}
 		node = cluster.NewNode(cluster.Config{
-			Self:             strings.TrimSuffix(self, "/"),
-			Peers:            peerList,
-			GossipInterval:   *gossipInterval,
-			ForwardThreshold: *forwardThreshold,
-			Batch:            *forwardBatch,
+			Self:           strings.TrimSuffix(self, "/"),
+			Peers:          peerList,
+			GossipInterval: *gossipInterval,
+			Policy:         cluster.Policy{ForwardThreshold: *forwardThreshold, Batch: *forwardBatch},
 		}, svc, nil)
 		cluster.Mount(mux, node)
 		node.Start()

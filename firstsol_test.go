@@ -173,7 +173,7 @@ func TestFirstSolutionWinnerCancelsSiblings(t *testing.T) {
 					t.Errorf("%s/%s seed=%d: %d root completions recorded, want exactly 1 (the winner's claim)",
 						eng.name, tc.name, seed, completions)
 				}
-				if verr := rec.CheckTruncated(); verr != nil {
+				if verr := rec.CheckLaws(trace.Laws{Truncated: true}); verr != nil {
 					t.Errorf("%s/%s seed=%d: losers' truncated logs violate invariants:\n%v",
 						eng.name, tc.name, seed, verr)
 				}

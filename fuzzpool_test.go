@@ -221,14 +221,14 @@ func FuzzPoolConcurrent(f *testing.F) {
 					if !j.verify(res.Value) {
 						t.Errorf("job %d: invalid first-solution witness %d", i, res.Value)
 					}
-					if cerr := j.rec.CheckTruncatedMultiplicity(multiplicity); cerr != nil {
+					if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true, K: multiplicity}); cerr != nil {
 						t.Errorf("job %d first-solution invariants: %v", i, cerr)
 					}
 				} else {
 					if res.Value != j.want {
 						t.Errorf("job %d: value %d, want %d", i, res.Value, j.want)
 					}
-					if cerr := j.rec.CheckMultiplicity(res.Value, j.want, multiplicity); cerr != nil {
+					if cerr := j.rec.CheckLaws(trace.Laws{Final: res.Value, Want: j.want, K: multiplicity}); cerr != nil {
 						t.Errorf("job %d invariants: %v", i, cerr)
 					}
 				}
@@ -239,7 +239,7 @@ func FuzzPoolConcurrent(f *testing.F) {
 				if errors.Is(err, wsrt.ErrJobPanicked) {
 					sawPanicked++
 				}
-				if cerr := j.rec.CheckTruncatedMultiplicity(multiplicity); cerr != nil {
+				if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true, K: multiplicity}); cerr != nil {
 					t.Errorf("job %d (failed with %v) truncated-trace invariants: %v", i, err, cerr)
 				}
 			}

@@ -1,26 +1,14 @@
-// The real-transport cluster node: three periodic loops (gossip pull,
-// hot-side rebalance, idle-side steal) plus the synchronous
-// forward-on-full hook installed into the service's Submit path.
-//
-// Decision rules (DESIGN.md §15):
-//
-//   - Forward (push) when this node is hot: LoadScore - coldest peer's
-//     score >= ForwardThreshold. The hot node sheds the *tail* of its
-//     backlog (serve.ExtractQueued takes reverse service order), at most
-//     Batch jobs per tick, and only to a peer it has a fresh load view of.
-//   - Steal (pull) when this node is idle: LoadScore == 0 and some peer's
-//     score >= StealMinScore. The thief asks; the victim extracts and
-//     forwards through the same path, so dedupe and accounting are shared.
-//   - Forward-on-full: a client submission that misses the local capacity
-//     bound goes to the least-loaded non-draining peer whose score is
-//     below this node's, before the client ever sees a 429.
+// The real-transport cluster node: two periodic loops (gossip pull, and
+// the decision tick that acts on decide.go's Decide) plus the synchronous
+// forward-on-full hook installed into the service's Submit path. Every
+// comparison of loads, thresholds and hop counts lives in decide.go; this
+// file gathers the inputs and carries out the action.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,20 +21,14 @@ import (
 type Config struct {
 	// Self is this node's advertised base URL (peers reach it there).
 	Self string
-	// Peers are the other nodes' base URLs.
+	// Peers are the other nodes' base URLs. Their order breaks load ties:
+	// the first listed of equally loaded peers is picked.
 	Peers []string
-	// GossipInterval paces the load-exchange, rebalance and steal loops.
-	// Zero means 100ms.
+	// GossipInterval paces the load-exchange and decision loops. Zero
+	// means 100ms.
 	GossipInterval time.Duration
-	// ForwardThreshold is the minimum load-score gap (self − coldest peer)
-	// before the rebalance loop sheds work. Zero means 4.
-	ForwardThreshold int
-	// Batch bounds jobs moved per rebalance tick or steal request. Zero
-	// means 4.
-	Batch int
-	// StealMinScore is the minimum victim score worth a steal request.
-	// Zero means 2.
-	StealMinScore int
+	// Policy is the decision rule set, the same value the Sim runs.
+	Policy
 	// RPCTimeout bounds job-placement calls (forward, steal). Zero means
 	// 1s. Deliberately independent of GossipInterval: gossip can run at
 	// millisecond cadence with stale views being harmless, but a
@@ -61,27 +43,6 @@ func (c Config) gossipInterval() time.Duration {
 	return c.GossipInterval
 }
 
-func (c Config) forwardThreshold() int {
-	if c.ForwardThreshold <= 0 {
-		return 4
-	}
-	return c.ForwardThreshold
-}
-
-func (c Config) batch() int {
-	if c.Batch <= 0 {
-		return 4
-	}
-	return c.Batch
-}
-
-func (c Config) stealMinScore() int {
-	if c.StealMinScore <= 0 {
-		return 2
-	}
-	return c.StealMinScore
-}
-
 func (c Config) rpcTimeout() time.Duration {
 	if c.RPCTimeout <= 0 {
 		return time.Second
@@ -89,10 +50,10 @@ func (c Config) rpcTimeout() time.Duration {
 	return c.RPCTimeout
 }
 
-// peerView is the last load report received from one peer.
+// peerView is the last load report received from one peer. ok is false
+// until the first report arrives and again whenever an exchange fails.
 type peerView struct {
 	report LoadReport
-	at     time.Time
 	ok     bool
 }
 
@@ -106,7 +67,7 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	mu    sync.Mutex
-	peers map[string]peerView
+	views []peerView // parallel to cfg.Peers
 
 	// Dedupe of inbound forwards: token → local job id, bounded FIFO.
 	dedupeMu  sync.Mutex
@@ -115,7 +76,7 @@ type Node struct {
 
 	gossipOK      atomic.Int64
 	gossipFail    atomic.Int64
-	rebalancedOut atomic.Int64 // jobs shed by the rebalance loop
+	rebalancedOut atomic.Int64 // jobs shed by the decision loop
 	stealRequests atomic.Int64 // steal requests this node sent
 	stealMoved    atomic.Int64 // jobs received through those requests
 	stealServed   atomic.Int64 // jobs shed when peers stole from us
@@ -128,28 +89,27 @@ func NewNode(cfg Config, svc *serve.Service, tr Transport) *Node {
 	if tr == nil {
 		tr = NewHTTPTransport(0)
 	}
-	n := &Node{
+	return &Node{
 		cfg:    cfg,
 		svc:    svc,
 		tr:     tr,
 		quit:   make(chan struct{}),
-		peers:  make(map[string]peerView, len(cfg.Peers)),
+		views:  make([]peerView, len(cfg.Peers)),
 		dedupe: make(map[string]string),
 	}
-	return n
 }
 
 // Service returns the node's service.
 func (n *Node) Service() *serve.Service { return n.svc }
 
-// Start installs the forward-on-full hook and launches the gossip,
-// rebalance and steal loops.
+// Start installs the forward-on-full hook and launches the gossip and
+// decision loops. Gossip keeps a goroutine of its own so that a peer slow
+// to answer a load pull cannot delay a decision.
 func (n *Node) Start() {
 	n.svc.SetForwarder(n.forwardOnFull)
-	n.wg.Add(3)
-	go n.gossipLoop()
-	go n.rebalanceLoop()
-	go n.stealLoop()
+	n.wg.Add(2)
+	go n.every(n.gossip)
+	go n.every(n.decide)
 }
 
 // Stop uninstalls the hook and stops the loops. In-flight remote watchers
@@ -160,10 +120,9 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// gossipLoop pulls every peer's load view each interval. Pull keeps the
-// protocol one-directional and trivially idempotent: a node that misses a
-// round just serves a slightly stale view.
-func (n *Node) gossipLoop() {
+// every runs step once per gossip interval until Stop. A step that
+// overruns just delays the next one (NewTicker drops ticks).
+func (n *Node) every(step func()) {
 	defer n.wg.Done()
 	tick := time.NewTicker(n.cfg.gossipInterval())
 	defer tick.Stop()
@@ -172,110 +131,68 @@ func (n *Node) gossipLoop() {
 		case <-n.quit:
 			return
 		case <-tick.C:
-		}
-		for _, peer := range n.cfg.Peers {
-			// rpcTimeout, not the gossip interval: at millisecond cadence on
-			// a saturated host a single slow round would mark a healthy peer
-			// unusable exactly when forward-on-full needs it. A tick that
-			// overruns just delays the next round (NewTicker drops ticks).
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.rpcTimeout())
-			r, err := n.tr.Load(ctx, peer)
-			cancel()
-			n.mu.Lock()
-			if err != nil {
-				n.gossipFail.Add(1)
-				// Keep the stale report but mark it unusable; a partitioned
-				// peer must not keep attracting forwards on old numbers.
-				v := n.peers[peer]
-				v.ok = false
-				n.peers[peer] = v
-			} else {
-				n.gossipOK.Add(1)
-				n.peers[peer] = peerView{report: r, at: time.Now(), ok: true}
-			}
-			n.mu.Unlock()
+			step()
 		}
 	}
 }
 
-// peerViews returns the usable peer reports, sorted by ascending score
-// with the peer URL as deterministic tie-break.
-func (n *Node) peerViews() []peerView {
+// rpcCtx bounds one peer call by the placement timeout.
+func (n *Node) rpcCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), n.cfg.rpcTimeout())
+}
+
+// gossip pulls every peer's load view. Pull keeps the protocol
+// one-directional and trivially idempotent: a node that misses a round
+// just serves a slightly stale view.
+func (n *Node) gossip() {
+	for i, peer := range n.cfg.Peers {
+		// rpcTimeout, not the gossip interval: at millisecond cadence on a
+		// saturated host a single slow round would mark a healthy peer
+		// unusable exactly when forward-on-full needs it.
+		ctx, cancel := n.rpcCtx()
+		r, err := n.tr.Load(ctx, peer)
+		cancel()
+		n.mu.Lock()
+		if err != nil {
+			n.gossipFail.Add(1)
+			// Keep the stale report but mark it unusable; a partitioned
+			// peer must not keep attracting forwards on old numbers.
+			n.views[i].ok = false
+		} else {
+			n.gossipOK.Add(1)
+			n.views[i] = peerView{report: r, ok: true}
+		}
+		n.mu.Unlock()
+	}
+}
+
+// usablePeers returns what the kernel may see, in Config.Peers order:
+// peers whose last load exchange succeeded and that are not draining.
+func (n *Node) usablePeers() []PeerLoad {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]peerView, 0, len(n.peers))
-	for _, v := range n.peers {
+	out := make([]PeerLoad, 0, len(n.views))
+	for i, v := range n.views {
 		if v.ok && !v.report.Draining {
-			out = append(out, v)
+			out = append(out, PeerLoad{Peer: i, Load: v.report.Score})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].report.Score != out[j].report.Score {
-			return out[i].report.Score < out[j].report.Score
-		}
-		return out[i].report.Node < out[j].report.Node
-	})
 	return out
 }
 
-// rebalanceLoop sheds queued work while this node is hot relative to the
-// coldest peer.
-func (n *Node) rebalanceLoop() {
-	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.gossipInterval())
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-tick.C:
-		}
-		views := n.peerViews()
-		if len(views) == 0 {
-			continue
-		}
-		cold := views[0]
-		gap := n.svc.LoadScore() - cold.report.Score
-		if gap < n.cfg.forwardThreshold() {
-			continue
-		}
-		// Shed at most half the gap: moving more would just invert it.
-		shed := gap / 2
-		if b := n.cfg.batch(); shed > b {
-			shed = b
-		}
-		for _, rj := range n.svc.ExtractQueued(shed) {
-			if n.forwardRemoteJob(rj, cold.report.Node) {
-				n.rebalancedOut.Add(1)
-			}
-		}
+// decide is one decision tick: ask the kernel, carry out what it says.
+func (n *Node) decide() {
+	act, ok := Decide(n.svc.LoadScore(), n.svc.Ready(), n.usablePeers(), n.cfg.Policy)
+	if !ok {
+		return
 	}
-}
-
-// stealLoop pulls work while this node is idle and some peer is backed up.
-func (n *Node) stealLoop() {
-	defer n.wg.Done()
-	tick := time.NewTicker(n.cfg.gossipInterval())
-	defer tick.Stop()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-tick.C:
-		}
-		if n.svc.LoadScore() > 0 || !n.svc.Ready() {
-			continue
-		}
-		views := n.peerViews()
-		if len(views) == 0 {
-			continue
-		}
-		hot := views[len(views)-1]
-		if hot.report.Score < n.cfg.stealMinScore() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.rpcTimeout())
-		reply, err := n.tr.Steal(ctx, hot.report.Node, StealRequest{Thief: n.cfg.Self, Max: n.cfg.batch()})
+	peer := n.cfg.Peers[act.Peer]
+	switch act.Kind {
+	case Shed:
+		n.rebalancedOut.Add(int64(n.shed(act.N, peer)))
+	case Steal:
+		ctx, cancel := n.rpcCtx()
+		reply, err := n.tr.Steal(ctx, peer, StealRequest{Thief: n.cfg.Self, Max: act.N})
 		cancel()
 		n.stealRequests.Add(1)
 		if err == nil {
@@ -284,17 +201,24 @@ func (n *Node) stealLoop() {
 	}
 }
 
+// shed forwards up to max jobs from the queue tail to peer, leaving jobs
+// at their hop limit queued, and returns how many were placed.
+func (n *Node) shed(max int, peer string) (moved int) {
+	for _, rj := range n.svc.ExtractQueued(max, n.cfg.Policy.MayHop) {
+		if n.forwardRemoteJob(rj, peer) {
+			moved++
+		}
+	}
+	return moved
+}
+
 // forwardOnFull is the hook Submit calls on a capacity miss: place the
 // request on the least-loaded peer that is measurably colder than us.
 func (n *Node) forwardOnFull(req serve.Request) (*serve.Forwarded, error) {
-	self := n.svc.LoadScore()
-	for _, v := range n.peerViews() {
-		if v.report.Score >= self {
-			break // sorted ascending: nobody colder remains
-		}
-		peer := v.report.Node
-		fr := ForwardRequest{Req: req, Origin: n.cfg.Self, Token: newToken(n.cfg.Self)}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.rpcTimeout())
+	for _, v := range Colder(n.svc.LoadScore(), n.usablePeers()) {
+		peer := n.cfg.Peers[v.Peer]
+		fr := ForwardRequest{Req: req, Origin: n.cfg.Self, Token: newToken(n.cfg.Self), Hops: 1}
+		ctx, cancel := n.rpcCtx()
 		reply, err := n.tr.Forward(ctx, peer, fr)
 		cancel()
 		if err != nil {
@@ -321,8 +245,9 @@ func (n *Node) forwardRemoteJob(rj *serve.RemoteJob, peer string) bool {
 		Req:    rj.Request(),
 		Origin: n.cfg.Self,
 		Token:  n.cfg.Self + "/" + rj.ID(),
+		Hops:   rj.Hops() + 1,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.rpcTimeout())
+	ctx, cancel := n.rpcCtx()
 	reply, err := n.tr.Forward(ctx, peer, fr)
 	cancel()
 	if err != nil {
@@ -408,7 +333,7 @@ func (n *Node) acceptForward(fr ForwardRequest) (ForwardReply, error) {
 		return ForwardReply{JobID: id, Dup: true}, nil
 	}
 	n.dedupeMu.Unlock()
-	job, err := n.svc.SubmitForwarded(fr.Req, fr.Origin)
+	job, err := n.svc.SubmitForwarded(fr.Req, fr.Origin, fr.Hops)
 	if err != nil {
 		return ForwardReply{}, err
 	}
@@ -427,16 +352,7 @@ func (n *Node) acceptForward(fr ForwardRequest) (ForwardReply, error) {
 // serveSteal is the victim-side steal handler: extract and forward to the
 // thief through the normal forwarding path.
 func (n *Node) serveSteal(req StealRequest) StealReply {
-	max := req.Max
-	if b := n.cfg.batch(); max <= 0 || max > b {
-		max = b
-	}
-	moved := 0
-	for _, rj := range n.svc.ExtractQueued(max) {
-		if n.forwardRemoteJob(rj, req.Thief) {
-			moved++
-		}
-	}
+	moved := n.shed(n.cfg.Policy.StealGrant(req.Max, n.svc.Queued()), req.Thief)
 	n.stealServed.Add(int64(moved))
 	return StealReply{Moved: moved}
 }
@@ -480,10 +396,10 @@ func (n *Node) Snapshot() Stats {
 		ForwardFailed: n.forwardFailed.Load(),
 	}
 	n.mu.Lock()
-	if len(n.peers) > 0 {
-		st.Peers = make(map[string]any, len(n.peers))
-		for url, v := range n.peers {
-			st.Peers[url] = map[string]any{"score": v.report.Score, "ok": v.ok}
+	if len(n.views) > 0 {
+		st.Peers = make(map[string]any, len(n.views))
+		for i, v := range n.views {
+			st.Peers[n.cfg.Peers[i]] = map[string]any{"score": v.report.Score, "ok": v.ok}
 		}
 	}
 	n.mu.Unlock()

@@ -1,11 +1,18 @@
-// End-to-end test of the real cluster tier: two in-process serve services
-// wired through the HTTP/JSON transport over httptest servers — the same
-// path `adaptivetc-serve -peers` runs, minus the TCP listener setup.
+// Tests of the real cluster tier. End to end: two in-process serve
+// services wired through the HTTP/JSON transport over httptest servers —
+// the same path `adaptivetc-serve -peers` runs, minus the TCP listener
+// setup. Tick by tick: the same pair on an in-memory Transport, with
+// gossip and decide driven by hand.
 package cluster
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,13 +86,13 @@ func TestTwoNodeForwarding(t *testing.T) {
 			{Workers: 1, QueueCapacity: 4},
 			{Workers: 2, QueueCapacity: 32},
 		},
-		Config{GossipInterval: 5 * time.Millisecond, ForwardThreshold: 2, Batch: 4})
+		Config{GossipInterval: 5 * time.Millisecond, Policy: Policy{ForwardThreshold: 2, Batch: 4}})
 	a, b := nodes[0], nodes[1]
 
 	// Wait for the first gossip exchange: forward-on-full needs a load
 	// view of B before it can route around a full backlog.
 	viewDeadline := time.Now().Add(5 * time.Second)
-	for len(a.node.peerViews()) == 0 {
+	for len(a.node.usablePeers()) == 0 {
 		if time.Now().After(viewDeadline) {
 			t.Fatalf("node A never learned node B's load")
 		}
@@ -144,4 +151,194 @@ func TestClusterStatsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("stats returned %d", resp.StatusCode)
 	}
+}
+
+// memNet is the in-memory Transport that proto.go promises: a call lands
+// directly on the target Node's handler, in the caller's goroutine, and
+// every placement call is logged. With it a test drives gossip and decide
+// ticks by hand, so what a node does with a decision is observable
+// without sockets, tickers or sleeps.
+type memNet struct {
+	mu    sync.Mutex
+	nodes map[string]*Node
+	muxes map[string]*http.ServeMux
+	log   []string
+}
+
+type memTransport struct {
+	net  *memNet
+	from string
+}
+
+func (m *memNet) record(format string, args ...any) {
+	m.mu.Lock()
+	m.log = append(m.log, fmt.Sprintf(format, args...))
+	m.mu.Unlock()
+}
+
+func (m *memNet) calls() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]string(nil), m.log...)
+}
+
+func (t memTransport) Load(_ context.Context, peer string) (LoadReport, error) {
+	return t.net.nodes[peer].loadReport(), nil
+}
+
+func (t memTransport) Forward(_ context.Context, peer string, fr ForwardRequest) (ForwardReply, error) {
+	t.net.record("forward %s->%s %s hops=%d", t.from, peer, fr.Token, fr.Hops)
+	return t.net.nodes[peer].acceptForward(fr)
+}
+
+func (t memTransport) Steal(_ context.Context, peer string, sr StealRequest) (StealReply, error) {
+	t.net.record("steal %s->%s max=%d", sr.Thief, peer, sr.Max)
+	return t.net.nodes[peer].serveSteal(sr), nil
+}
+
+func (t memTransport) Status(_ context.Context, peer, jobID string) (serve.JobStatus, error) {
+	var st serve.JobStatus
+	rec := httptest.NewRecorder()
+	t.net.muxes[peer].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+jobID, nil))
+	if rec.Code != http.StatusOK {
+		return st, fmt.Errorf("status %s on %s: %d", jobID, peer, rec.Code)
+	}
+	return st, json.NewDecoder(rec.Body).Decode(&st)
+}
+
+func (t memTransport) Cancel(_ context.Context, peer, jobID string) error {
+	t.net.nodes[peer].svc.Cancel(jobID)
+	return nil
+}
+
+// hotPair builds nodes "a" and "b" on a memNet, loops not started. Node a
+// is hot: its one worker is pinned by a blocker, one job is staged behind
+// it, and its queue holds, head to tail, a pad job (the pump may hold the
+// head for a moment, so no assertion leans on it), two local jobs, a
+// forwarded-in job one hop short of the limit and two at the limit — the
+// tail being exactly where the next shed looks first. Node b is idle. The
+// returned tokens are what a forward of each movable job carries, in shed
+// order.
+func hotPair(t *testing.T) (a, b *Node, net *memNet, atLimit []string, movable []string) {
+	t.Helper()
+	net = &memNet{nodes: map[string]*Node{}, muxes: map[string]*http.ServeMux{}}
+	pol := Policy{Batch: 3}
+	mk := func(self, peer string, workers int) *Node {
+		svc := serve.New(serve.Config{Workers: workers, QueueCapacity: 32})
+		t.Cleanup(svc.Close)
+		n := NewNode(Config{Self: self, Peers: []string{peer}, Policy: pol}, svc, memTransport{net: net, from: self})
+		net.nodes[self], net.muxes[self] = n, serve.NewMux(svc)
+		return n
+	}
+	a, b = mk("a", "b", 1), mk("b", "a", 2)
+
+	submit := func(prog string, n int) string {
+		j, err := a.svc.Submit(serve.Request{Program: prog, N: n, TimeoutMS: 30000})
+		if err != nil {
+			t.Fatalf("submit %s: %v", prog, err)
+		}
+		return j.ID
+	}
+	blocker := submit("nqueens-array", 12)
+	t.Cleanup(func() { a.svc.Cancel(blocker) })
+	for j, _ := a.svc.Get(blocker); ; time.Sleep(time.Millisecond) {
+		if st, _, _ := j.Snapshot(); st == serve.StateRunning {
+			break
+		}
+	}
+	submit("fib", 10) // staged
+	for a.svc.Queued() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	submit("fib", 10) // pad
+	local1, local2 := submit("fib", 11), submit("fib", 12)
+	inbound := func(token string, hops int) string {
+		reply, err := a.acceptForward(ForwardRequest{
+			Req: serve.Request{Program: "fib", N: 13, TimeoutMS: 30000}, Origin: "c", Token: token, Hops: hops,
+		})
+		if err != nil {
+			t.Fatalf("inbound %s: %v", token, err)
+		}
+		return reply.JobID
+	}
+	near := inbound("c/near", 2)
+	atLimit = []string{inbound("c/limit-1", 3), inbound("c/limit-2", 3)}
+	movable = []string{
+		"forward a->b a/" + near + " hops=3",
+		"forward a->b a/" + local2 + " hops=1",
+		"forward a->b a/" + local1 + " hops=1",
+	}
+	return a, b, net, atLimit, movable
+}
+
+// TestNodeActsOnDecide drives the pair by hand and requires that each node
+// issue exactly the action Decide returns for its inputs, and that neither
+// shed path — rebalance on the hot node, steal service for the idle one —
+// moves a job that has used up its hops. At the parent commit the hop
+// count did not exist on the real node: the at-limit jobs, sitting at the
+// tail, were the first to be re-shed.
+func TestNodeActsOnDecide(t *testing.T) {
+	stillQueued := func(t *testing.T, a *Node, ids []string) {
+		t.Helper()
+		for _, id := range ids {
+			j, _ := a.svc.Get(id)
+			if st, _, _ := j.Snapshot(); st != serve.StateQueued {
+				t.Errorf("job %s at its hop limit is %s, want still queued on a", id, st)
+			}
+		}
+	}
+
+	t.Run("hot node sheds", func(t *testing.T) {
+		a, _, net, atLimit, movable := hotPair(t)
+		a.gossip()
+		want, _ := Decide(a.svc.LoadScore(), a.svc.Ready(), a.usablePeers(), a.cfg.Policy)
+		if want != (Action{Kind: Shed, Peer: 0, N: 3}) {
+			t.Fatalf("setup: Decide = %+v, want a shed of 3 to peer 0", want)
+		}
+		a.decide()
+		if got := net.calls(); !reflect.DeepEqual(got, movable) {
+			t.Errorf("calls = %q\nwant  %q", got, movable)
+		}
+		if got := a.Snapshot().RebalancedOut; got != int64(want.N) {
+			t.Errorf("rebalanced_out = %d, want %d", got, want.N)
+		}
+		stillQueued(t, a, atLimit)
+	})
+
+	t.Run("idle node steals", func(t *testing.T) {
+		a, b, net, atLimit, movable := hotPair(t)
+		b.gossip()
+		want, _ := Decide(b.svc.LoadScore(), b.svc.Ready(), b.usablePeers(), b.cfg.Policy)
+		if want != (Action{Kind: Steal, Peer: 0, N: 3}) {
+			t.Fatalf("setup: Decide = %+v, want a steal of 3 from peer 0", want)
+		}
+		b.decide()
+		// One request, answered by the victim forwarding through its own
+		// shed path.
+		if got, w := net.calls(), append([]string{"steal b->a max=3"}, movable...); !reflect.DeepEqual(got, w) {
+			t.Errorf("calls = %q\nwant  %q", got, w)
+		}
+		if sa, sb := a.Snapshot(), b.Snapshot(); sa.StealServed != 3 || sb.StealRequests != 1 || sb.StealMoved != 3 {
+			t.Errorf("steal_served=%d steal_requests=%d steal_moved=%d, want 3/1/3", sa.StealServed, sb.StealRequests, sb.StealMoved)
+		}
+		stillQueued(t, a, atLimit)
+	})
+
+	t.Run("no action, no call", func(t *testing.T) {
+		a, b, net, _, _ := hotPair(t)
+		// b drains: idle, a hot peer in view, and still it must not steal;
+		// a sees b draining and has nobody to shed to.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := b.svc.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		a.gossip()
+		b.gossip()
+		a.decide()
+		b.decide()
+		if got := net.calls(); len(got) != 0 {
+			t.Errorf("calls = %q, want none", got)
+		}
+	})
 }

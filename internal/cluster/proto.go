@@ -54,6 +54,10 @@ type ForwardRequest struct {
 	// local job id), so a retried or duplicated forward of the same job
 	// resolves to the same remote job instead of running twice.
 	Token string `json:"token"`
+	// Hops counts this forward and every earlier one of the same job, so
+	// the receiver can apply Policy.MayHop before shedding it onward. A
+	// sender that predates the field reads as zero: a job never forwarded.
+	Hops int `json:"hops,omitempty"`
 }
 
 // ForwardReply acknowledges an accepted forward.
@@ -81,10 +85,10 @@ type StealReply struct {
 }
 
 // Transport is the node-to-node wire. Implementations: the HTTP/JSON
-// transport (NewHTTPTransport) for real processes, and test fakes. The
-// deterministic Sim model does not implement Transport — it cannot: a
-// synchronous call interface forces goroutines, and determinism on one
-// core needs a single event loop (see sim.go).
+// transport (NewHTTPTransport) for real processes, and the in-memory fake
+// of node_test.go. The deterministic Sim model does not implement
+// Transport — it cannot: a synchronous call interface forces goroutines,
+// and determinism on one core needs a single event loop (see sim.go).
 type Transport interface {
 	// Load fetches peer's current load view.
 	Load(ctx context.Context, peer string) (LoadReport, error)

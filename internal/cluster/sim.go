@@ -53,17 +53,8 @@ type SimConfig struct {
 	// requeueing the job locally. Zero means 4× (base latency + jitter) +
 	// gossip interval.
 	AckTimeoutNS int64
-	// ForwardThreshold is the minimum load gap before shedding. Zero
-	// means 4.
-	ForwardThreshold int
-	// Batch bounds jobs moved per decision. Zero means 4.
-	Batch int
-	// StealMinScore is the minimum victim load worth stealing from. Zero
-	// means 2.
-	StealMinScore int
-	// MaxHops bounds how many times one job may be forwarded (ping-pong
-	// guard). Zero means 3.
-	MaxHops int
+	// Policy is the decision rule set, the same value a real Node runs.
+	Policy
 	// Faults, when non-nil, injects network faults: Link streams for
 	// drop/delay/duplicate keyed src*Nodes+dst, Partitioner streams probed
 	// once per node per gossip tick. Process-level roles are ignored here.
@@ -188,8 +179,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*simEvent)) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -261,6 +252,11 @@ type sim struct {
 	links  []*faults.Injector // per directed link, nil when no message faults
 	parts  []*faults.Injector // per node, nil when no partition faults
 
+	// Scratch for onTick, reused across ticks: one node's usable peers, and
+	// every node's decision of the current tick.
+	peers []PeerLoad
+	acts  []Action
+
 	total     int // jobs offered
 	completed int // distinct first completions
 	tokenSeq  int
@@ -286,19 +282,6 @@ func RunSim(cfg SimConfig, jobs []SimJob) (*SimReport, error) {
 	if cfg.AckTimeoutNS <= 0 {
 		cfg.AckTimeoutNS = 4*(cfg.BaseLatencyNS+cfg.JitterNS) + cfg.GossipEveryNS
 	}
-	if cfg.ForwardThreshold <= 0 {
-		cfg.ForwardThreshold = 4
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 4
-	}
-	if cfg.StealMinScore <= 0 {
-		cfg.StealMinScore = 2
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 3
-	}
-
 	s := &sim{cfg: cfg, total: len(jobs)}
 	s.report.Values = make(map[int]int64, len(jobs))
 	s.report.SojournNS = make(map[int]int64, len(jobs))
@@ -315,6 +298,8 @@ func RunSim(cfg SimConfig, jobs []SimJob) (*SimReport, error) {
 			s.nodes[i].known[j] = -1
 		}
 	}
+	s.peers = make([]PeerLoad, 0, nn)
+	s.acts = make([]Action, nn)
 	s.jitter = make([]*rng, nn*nn)
 	s.links = make([]*faults.Injector, nn*nn)
 	s.parts = make([]*faults.Injector, nn)
@@ -493,8 +478,8 @@ func (s *sim) onComplete(node int) {
 }
 
 // onTick is the global decision tick: probe injected partitions, exchange
-// load, rebalance hot→cold, steal cold←hot. Nodes act in id order, which
-// fixes the draw order and keeps the run deterministic.
+// load, then act on each node's Decide. Nodes act in id order, which fixes
+// the draw order and keeps the run deterministic.
 func (s *sim) onTick() {
 	for _, n := range s.nodes {
 		if in := s.parts[n.id]; in != nil {
@@ -514,49 +499,30 @@ func (s *sim) onTick() {
 		}
 	}
 	s.log("gossip", -1, -1, -1)
-	// Rebalance: hot nodes shed queue-tail jobs to the coldest known peer.
+	// Decide: one kernel call per node over the peers it has a load view
+	// of. A decision reads only the node's own load and views, and a shed
+	// touches only the shedder's queue, so deciding for every node before
+	// any steal goes out is the same as deciding in turn. All sheds are
+	// sent before all steals, each in id order — the draw order the
+	// recorded logs were made with.
 	for _, n := range s.nodes {
-		cold, coldLoad := -1, -1
+		peers := s.peers[:0]
 		for p, l := range n.known {
-			if p == n.id || l < 0 {
-				continue
-			}
-			if coldLoad < 0 || l < coldLoad {
-				cold, coldLoad = p, l
+			if p != n.id && l >= 0 {
+				peers = append(peers, PeerLoad{Peer: p, Load: l})
 			}
 		}
-		if cold < 0 {
-			continue
+		act, _ := Decide(n.load(), true, peers, s.cfg.Policy)
+		s.acts[n.id] = act
+		if act.Kind == Shed {
+			s.shed(n, act.Peer, act.N)
 		}
-		gap := n.load() - coldLoad
-		if gap < s.cfg.ForwardThreshold {
-			continue
-		}
-		shed := gap / 2
-		if shed > s.cfg.Batch {
-			shed = s.cfg.Batch
-		}
-		s.shed(n, cold, shed)
 	}
-	// Steal: idle nodes ask the hottest known peer to forward work.
 	for _, n := range s.nodes {
-		if n.load() != 0 {
-			continue
+		if act := s.acts[n.id]; act.Kind == Steal {
+			s.log("steal", n.id, -1, act.Peer)
+			s.send(&simMsg{kind: mSteal, from: n.id, to: act.Peer, thief: n.id, max: act.N})
 		}
-		hot, hotLoad := -1, -1
-		for p, l := range n.known {
-			if p == n.id {
-				continue
-			}
-			if l > hotLoad {
-				hot, hotLoad = p, l
-			}
-		}
-		if hot < 0 || hotLoad < s.cfg.StealMinScore {
-			continue
-		}
-		s.log("steal", n.id, -1, hot)
-		s.send(&simMsg{kind: mSteal, from: n.id, to: hot, thief: n.id, max: s.cfg.Batch})
 	}
 	// Keep ticking while any work is outstanding anywhere.
 	if s.completed < s.total {
@@ -569,7 +535,7 @@ func (s *sim) onTick() {
 func (s *sim) shed(n *simNode, peer, max int) {
 	for i := 0; i < max && len(n.queue) > 0; i++ {
 		j := n.queue[len(n.queue)-1]
-		if j.hops >= s.cfg.MaxHops {
+		if !s.cfg.Policy.MayHop(j.hops) {
 			return
 		}
 		n.queue = n.queue[:len(n.queue)-1]
@@ -613,11 +579,7 @@ func (s *sim) onDeliver(m *simMsg) {
 			s.log("ack", m.to, p.job.ID, m.from)
 		}
 	case mSteal:
-		served := len(n.queue)
-		if served > m.max {
-			served = m.max
-		}
-		if served > 0 {
+		if served := s.cfg.Policy.StealGrant(m.max, len(n.queue)); served > 0 {
 			n.stats.StealsServed++
 			s.shed(n, m.thief, served)
 		}

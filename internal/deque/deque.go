@@ -490,6 +490,22 @@ func (d *Deque) Reset() {
 	d.mu.Unlock()
 }
 
+// growLocked doubles the buffer, re-homing the live window [H, T) so every
+// logical index keeps addressing its entry. The growing variants call it
+// from the owner's Push with the owner lock held, which excludes thieves;
+// the owner cannot race itself.
+func (d *Deque) growLocked() {
+	oldCap := d.cap
+	newCap := oldCap * 2
+	newBuf := makeBuf(int(newCap))
+	h, t := d.h.Load(), d.t.Load()
+	for i := h; i < t; i++ {
+		newBuf[i%newCap].Store(d.buf[i%oldCap].Load())
+	}
+	d.buf = newBuf
+	d.cap = newCap
+}
+
 func (d *Deque) failLocked() {
 	n := d.stolenNum.Add(1)
 	if n > d.maxStolenNum {

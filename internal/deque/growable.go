@@ -3,16 +3,17 @@ package deque
 // Growable is a THE-protocol deque whose buffer doubles instead of
 // overflowing — the remedy the paper's related-work section points at
 // (Chase & Lev's dynamic circular deque [6]; Michael et al.'s growable
-// deques [15]). The protocol is unchanged: growth happens on the owner's
-// Push while holding the owner lock, which excludes thieves (they steal
-// under the same lock) and cannot race the owner's own pops (same thread).
+// deques [15]). The protocol is unchanged, so everything but Push is the
+// embedded Deque's: growth happens on the owner's Push while holding the
+// owner lock, which excludes thieves (they steal under the same lock) and
+// cannot race the owner's own pops (same thread).
 //
 // AdaptiveTC itself is "less prone to overflow" because it pushes so few
 // tasks; Growable exists so the baselines can run workloads whose spawn
 // depth exceeds any fixed capacity, and for the ablation bench comparing
 // the two (BenchmarkAblationGrowableDeque).
 type Growable struct {
-	d *Deque
+	*Deque
 }
 
 // NewGrowable returns a growable deque with the given initial capacity.
@@ -20,75 +21,20 @@ func NewGrowable(initial, maxStolenNum int) *Growable {
 	if initial < 8 {
 		initial = 8
 	}
-	return &Growable{d: New(initial, maxStolenNum)}
+	return &Growable{New(initial, maxStolenNum)}
 }
-
-// Cap returns the current capacity.
-func (g *Growable) Cap() int { return g.d.Cap() }
-
-// Size returns the owner-visible entry count.
-func (g *Growable) Size() int { return g.d.Size() }
-
-// MaxDepth returns the owner-observed high-water mark.
-func (g *Growable) MaxDepth() int64 { return g.d.maxDepth }
-
-// NeedTask reports the starvation flag.
-func (g *Growable) NeedTask() bool { return g.d.NeedTask() }
-
-// SetNeedTask overrides the flag.
-func (g *Growable) SetNeedTask(v bool) { g.d.SetNeedTask(v) }
-
-// StolenNum returns the failed-steal counter.
-func (g *Growable) StolenNum() int64 { return g.d.StolenNum() }
-
-// SetTrace installs the thief-side transition observer.
-func (g *Growable) SetTrace(fn TraceFn) { g.d.SetTrace(fn) }
-
-// SetFailSteal installs the fault-injection gate of the steal path.
-func (g *Growable) SetFailSteal(fn func() bool) { g.d.SetFailSteal(fn) }
 
 // Push appends e, doubling the buffer when full. It never reports
 // overflow.
 func (g *Growable) Push(e Entry) bool {
-	if g.d.Push(e) {
+	if g.Deque.Push(e) {
 		return true
 	}
-	g.grow()
-	if !g.d.Push(e) {
+	g.mu.Lock()
+	g.growLocked()
+	g.mu.Unlock()
+	if !g.Deque.Push(e) {
 		panic("deque: push failed immediately after growth")
 	}
 	return true
 }
-
-// grow doubles the buffer under the owner lock, re-homing the live window
-// [H, T) so every logical index keeps addressing its entry.
-func (g *Growable) grow() {
-	d := g.d
-	d.mu.Lock()
-	oldCap := d.cap
-	newCap := oldCap * 2
-	newBuf := makeBuf(int(newCap))
-	h, t := d.h.Load(), d.t.Load()
-	for i := h; i < t; i++ {
-		newBuf[i%newCap].Store(d.buf[i%oldCap].Load())
-	}
-	d.buf = newBuf
-	d.cap = newCap
-	d.mu.Unlock()
-}
-
-// Reset empties the deque and clears the starvation signal and high-water
-// mark (see Deque.Reset). The grown buffer is kept.
-func (g *Growable) Reset() { g.d.Reset() }
-
-// Pop removes the tail entry (owner only).
-func (g *Growable) Pop() (Entry, bool) { return g.d.Pop() }
-
-// PopSpecial removes the owner's special marker, reporting child theft.
-func (g *Growable) PopSpecial() bool { return g.d.PopSpecial() }
-
-// Steal takes from the head on behalf of a thief.
-func (g *Growable) Steal() (Entry, bool) { return g.d.Steal() }
-
-// StealN takes up to len(dst) head entries under one critical section.
-func (g *Growable) StealN(dst []Entry) int { return g.d.StealN(dst) }

@@ -2,8 +2,8 @@ package deque
 
 // Relaxed is the lock-reduced variant of the THE deque, after Castañeda &
 // Piña's observation that the owner-path synchronisation cost is not
-// fundamental. The thief side is untouched — Steal/StealN delegate to the
-// wrapped Deque, keeping the lock-ordered claim protocol, the StealAware
+// fundamental. The thief side is untouched — Steal/StealN are the embedded
+// Deque's, keeping the lock-ordered claim protocol, the StealAware
 // notification ordering and the starvation FSM exactly as they are — but
 // the owner's Push and Pop are fence-light:
 //
@@ -24,15 +24,15 @@ package deque
 // plus one load per Pop, against the THE deque's four and three. Nothing
 // here admits multiplicity: ownership of every entry is still linearised by
 // the claim protocol, so the variant targets k = 1 under the
-// multiplicity-tolerant checker (trace.CheckMultiplicity) that guards it —
+// multiplicity-tolerant checker (trace.Laws.K) that guards it —
 // the checker's k ≥ 2 allowance is headroom for genuinely fence-free
 // descendants, not a licence this implementation uses.
 //
 // The buffer doubles on overflow like Growable (growth happens on the
 // owner's Push under the owner lock); Push never reports overflow.
 type Relaxed struct {
-	d      *Deque
-	bottom int64 // owner's cached T; equals d.t between owner operations
+	*Deque
+	bottom int64 // owner's cached T; equals Deque.t between owner operations
 	hCache int64 // owner's monotone lower bound of H (at-rest reads only)
 }
 
@@ -42,38 +42,8 @@ func NewRelaxed(initial, maxStolenNum int) *Relaxed {
 	if initial < 8 {
 		initial = 8
 	}
-	return &Relaxed{d: New(initial, maxStolenNum)}
+	return &Relaxed{Deque: New(initial, maxStolenNum)}
 }
-
-// Cap returns the current capacity.
-func (r *Relaxed) Cap() int { return r.d.Cap() }
-
-// Size returns the owner-visible entry count.
-func (r *Relaxed) Size() int { return r.d.Size() }
-
-// MaxDepth returns the owner-observed high-water mark.
-func (r *Relaxed) MaxDepth() int64 { return r.d.maxDepth }
-
-// NeedTask reports the starvation flag.
-func (r *Relaxed) NeedTask() bool { return r.d.NeedTask() }
-
-// SetNeedTask overrides the flag.
-func (r *Relaxed) SetNeedTask(v bool) { r.d.SetNeedTask(v) }
-
-// StolenNum returns the failed-steal counter.
-func (r *Relaxed) StolenNum() int64 { return r.d.StolenNum() }
-
-// SetTrace installs the thief-side transition observer.
-func (r *Relaxed) SetTrace(fn TraceFn) { r.d.SetTrace(fn) }
-
-// SetFailSteal installs the fault-injection gate of the steal path.
-func (r *Relaxed) SetFailSteal(fn func() bool) { r.d.SetFailSteal(fn) }
-
-// Steal takes from the head on behalf of a thief (THE ordering, unchanged).
-func (r *Relaxed) Steal() (Entry, bool) { return r.d.Steal() }
-
-// StealN takes up to len(dst) head entries under one critical section.
-func (r *Relaxed) StealN(dst []Entry) int { return r.d.StealN(dst) }
 
 // Push appends e at the tail. Only the owner may call it. The fast path is
 // two atomic stores (slot, T) and no atomic loads: capacity and the depth
@@ -83,13 +53,13 @@ func (r *Relaxed) StealN(dst []Entry) int { return r.d.StealN(dst) }
 // of Push slack the claim windows rely on). It never reports overflow: a
 // full buffer doubles, as in Growable.
 func (r *Relaxed) Push(e Entry) bool {
-	d := r.d
+	d := r.Deque
 	b := r.bottom
 	if b-r.hCache >= d.cap-2 {
 		d.mu.Lock()
 		r.hCache = d.h.Load() // at rest: no thief claim is in flight
 		if b-r.hCache >= d.cap-2 {
-			r.growLocked()
+			d.growLocked()
 		}
 		d.mu.Unlock()
 	}
@@ -116,28 +86,12 @@ func (r *Relaxed) Push(e Entry) bool {
 	return true
 }
 
-// growLocked doubles the buffer, re-homing the live window [H, T). The
-// caller holds the owner lock, which excludes thieves; the owner cannot
-// race itself.
-func (r *Relaxed) growLocked() {
-	d := r.d
-	oldCap := d.cap
-	newCap := oldCap * 2
-	newBuf := makeBuf(int(newCap))
-	h, t := d.h.Load(), d.t.Load()
-	for i := h; i < t; i++ {
-		newBuf[i%newCap].Store(d.buf[i%oldCap].Load())
-	}
-	d.buf = newBuf
-	d.cap = newCap
-}
-
 // Pop removes and returns the tail entry. Only the owner may call it. The
 // fast path is one atomic store (T, the protocol's MEMBAR) and one atomic
 // load (H); the conflict window falls back to the owner lock exactly as
 // Deque.Pop does, re-normalising to empty on failure.
 func (r *Relaxed) Pop() (Entry, bool) {
-	d := r.d
+	d := r.Deque
 	b := r.bottom - 1
 	d.t.Store(b) // the MEMBAR: publish the claim before consulting H
 	r.bottom = b
@@ -170,7 +124,7 @@ func (r *Relaxed) Pop() (Entry, bool) {
 // Deque.PopSpecial). Re-normalising H = T moves H downward, so the cached
 // bound is re-anchored to keep it a true lower bound.
 func (r *Relaxed) PopSpecial() (stolen bool) {
-	d := r.d
+	d := r.Deque
 	d.mu.Lock()
 	t := d.t.Load() - 1
 	d.t.Store(t)
@@ -188,7 +142,7 @@ func (r *Relaxed) PopSpecial() (stolen bool) {
 // Reset empties the deque and clears the starvation signal and high-water
 // mark (see Deque.Reset). The grown buffer is kept.
 func (r *Relaxed) Reset() {
-	r.d.Reset()
+	r.Deque.Reset()
 	r.bottom = 0
 	r.hCache = 0
 }

@@ -164,7 +164,7 @@ type Options struct {
 	// (after Castañeda & Piña's relaxed work-stealing queues). Implies a
 	// growable buffer; takes precedence over GrowableDeque. Runs using it
 	// should be checked with the multiplicity-tolerant invariant checker
-	// (trace.CheckMultiplicity) rather than the strict one.
+	// (trace.Laws.K) rather than the strict one.
 	RelaxedDeque bool
 	// StealPolicy names the victim-selection/steal-amount strategy of the
 	// thief loop: "random" (default), "steal-half", "richest-first" or

@@ -293,51 +293,52 @@ func (q *wfq) pop() (it *admItem, ok bool) {
 	return best.pop(), true
 }
 
-// popBack removes the item that would be served last: the tail of a tenant
-// FIFO in the lowest-priority class with queued work. The cluster tier
-// extracts here — shedding the work that would wait longest keeps a
-// forward from stealing an interactive job out from under its SLO.
-func (c *wfqClass) popBack() *admItem {
+// popBack removes the movable item that would be served last: scanning
+// tenant FIFOs from the back of the ring, the item nearest a FIFO's tail
+// that movable accepts. The cluster tier extracts here — shedding the work
+// that would wait longest keeps a forward from stealing an interactive job
+// out from under its SLO.
+func (c *wfqClass) popBack(movable func(*admItem) bool) *admItem {
 	for i := len(c.rr) - 1; i >= 0; i-- {
 		t := c.rr[i]
-		if len(t.items) == 0 {
-			continue
-		}
-		it := t.items[len(t.items)-1]
-		t.items = t.items[:len(t.items)-1]
-		c.size--
-		if len(t.items) == 0 {
-			delete(c.tens, t.name)
-			c.rr = append(c.rr[:i], c.rr[i+1:]...)
-			if len(c.rr) == 0 {
-				c.rrNext = 0
-			} else {
-				c.rrNext %= len(c.rr)
+		for k := len(t.items) - 1; k >= 0; k-- {
+			it := t.items[k]
+			if !movable(it) {
+				continue
 			}
+			t.items = append(t.items[:k], t.items[k+1:]...)
+			c.size--
+			if len(t.items) == 0 {
+				delete(c.tens, t.name)
+				c.rr = append(c.rr[:i], c.rr[i+1:]...)
+				if len(c.rr) == 0 {
+					c.rrNext = 0
+				} else {
+					c.rrNext %= len(c.rr)
+				}
+			}
+			return it
 		}
-		return it
 	}
 	return nil
 }
 
-// extractBack removes up to max items in reverse service order (lowest
-// class first, tenant-FIFO tails first). It never blocks; an empty queue
-// returns nil.
-func (q *wfq) extractBack(max int) []*admItem {
+// extractBack removes up to max movable items in reverse service order
+// (lowest class first, tenant-FIFO tails first). It never blocks; a queue
+// with nothing movable returns nil.
+func (q *wfq) extractBack(max int, movable func(*admItem) bool) []*admItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out []*admItem
-	for len(out) < max && q.size > 0 {
-		for i := len(priorityOrder) - 1; i >= 0; i-- {
-			c := q.classes[priorityOrder[i]]
-			if c.size == 0 {
-				continue
-			}
-			if it := c.popBack(); it != nil {
-				q.size--
-				out = append(out, it)
+	for i := len(priorityOrder) - 1; i >= 0 && len(out) < max; i-- {
+		c := q.classes[priorityOrder[i]]
+		for len(out) < max {
+			it := c.popBack(movable)
+			if it == nil {
 				break
 			}
+			q.size--
+			out = append(out, it)
 		}
 	}
 	return out

@@ -143,6 +143,9 @@ type RemoteJob struct {
 // ID returns the job's local id.
 func (r *RemoteJob) ID() string { return r.it.job.ID }
 
+// Hops returns how many forwards the job already has behind it.
+func (r *RemoteJob) Hops() int { return r.it.job.hops }
+
 // Request returns the submission to replay on the peer — still a plain
 // JobSpec-shaped request, tenant and priority included, which is what
 // makes forwarding a serialize-and-resubmit rather than a migration.
@@ -178,15 +181,22 @@ func (r *RemoteJob) Placed(node, remoteID string, wait func(ctx context.Context)
 	s.wakePump()
 }
 
+// Queued is the number of jobs ExtractQueued could reach right now: the
+// weighted-fair queue's depth, without the staged and running jobs that
+// LoadScore also counts.
+func (s *Service) Queued() int { return s.q.depth() }
+
 // ExtractQueued removes up to max queued, not-yet-admitted jobs for
 // forwarding, in reverse service order (the work that would wait longest
-// leaves first). Jobs already cancelled are retired on the spot and do not
-// count. Running jobs are never touched — there is no mid-run migration.
-func (s *Service) ExtractQueued(max int) []*RemoteJob {
+// leaves first). mayHop is the cluster's hop guard: a job whose forward
+// count it refuses stays queued and is passed over. Jobs already cancelled
+// are retired on the spot and do not count. Running jobs are never touched
+// — there is no mid-run migration.
+func (s *Service) ExtractQueued(max int, mayHop func(hops int) bool) []*RemoteJob {
 	if max <= 0 {
 		return nil
 	}
-	items := s.q.extractBack(max)
+	items := s.q.extractBack(max, func(it *admItem) bool { return mayHop(it.job.hops) })
 	out := make([]*RemoteJob, 0, len(items))
 	for _, it := range items {
 		if ctx := it.spec.Ctx; ctx != nil && ctx.Err() != nil {
@@ -203,14 +213,15 @@ func (s *Service) ExtractQueued(max int) []*RemoteJob {
 // and quota — both were charged at the originating node — and it never
 // re-forwards: a full backlog is refused with wsrt.ErrQueueFull, counted
 // in forward_rejected (not the client-visible rejected counter; the origin
-// owns the client's 429). origin records which peer sent the job.
-func (s *Service) SubmitForwarded(req Request, origin string) (*Job, error) {
+// owns the client's 429). origin records which peer sent the job, hops how
+// many forwards it has behind it including this one.
+func (s *Service) SubmitForwarded(req Request, origin string, hops int) (*Job, error) {
 	it, err := s.buildJob(req)
 	if err != nil {
 		return nil, err
 	}
 	job := it.job
-	job.origin = origin
+	job.origin, job.hops = origin, hops
 	ts := s.tenant(job.tenant)
 	cls := s.classes[job.prio]
 

@@ -110,7 +110,7 @@ func TestSubmitForwardedAccounting(t *testing.T) {
 	t.Cleanup(full.Close)
 	blocker := fillService(t, full)
 
-	_, err := full.SubmitForwarded(Request{Program: "fib", N: 10}, "http://origin-a")
+	_, err := full.SubmitForwarded(Request{Program: "fib", N: 10}, "http://origin-a", 1)
 	if !errors.Is(err, wsrt.ErrQueueFull) {
 		t.Fatalf("full peer: got %v, want ErrQueueFull", err)
 	}
@@ -123,7 +123,7 @@ func TestSubmitForwardedAccounting(t *testing.T) {
 
 	idle := New(Config{Workers: 2, QueueCapacity: 8})
 	t.Cleanup(idle.Close)
-	j, err := idle.SubmitForwarded(Request{Program: "fib", N: 10, Tenant: "t1", Priority: "interactive"}, "http://origin-a")
+	j, err := idle.SubmitForwarded(Request{Program: "fib", N: 10, Tenant: "t1", Priority: "interactive"}, "http://origin-a", 1)
 	if err != nil {
 		t.Fatalf("idle peer: %v", err)
 	}
@@ -137,9 +137,9 @@ func TestSubmitForwardedAccounting(t *testing.T) {
 }
 
 // TestExtractQueuedOrderAndLifecycle extracts queued jobs for rebalancing:
-// reverse service order (background tail before interactive), Requeue
-// restores the job for local completion, Placed hands it to a fake peer
-// whose result settles the local record.
+// reverse service order (background tail before interactive) passing over
+// a job at its hop limit, Requeue restores the job for local completion,
+// Placed hands it to a fake peer whose result settles the local record.
 func TestExtractQueuedOrderAndLifecycle(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCapacity: 8})
 	t.Cleanup(s.Close)
@@ -158,7 +158,15 @@ func TestExtractQueuedOrderAndLifecycle(t *testing.T) {
 		t.Fatalf("background: %v", err)
 	}
 
-	got := s.ExtractQueued(1)
+	// A forwarded-in job at the hop limit sits at the very tail — the first
+	// thing extraction would take — and must be passed over every time.
+	atLimit, err := s.SubmitForwarded(Request{Program: "fib", N: 11, Priority: "background", TimeoutMS: 30000}, "http://origin-a", 3)
+	if err != nil {
+		t.Fatalf("forwarded-in: %v", err)
+	}
+	mayHop := func(hops int) bool { return hops < 3 }
+
+	got := s.ExtractQueued(1, mayHop)
 	if len(got) != 1 || got[0].ID() != bg.ID {
 		t.Fatalf("ExtractQueued(1) took %v, want the background job %s", got, bg.ID)
 	}
@@ -169,7 +177,7 @@ func TestExtractQueuedOrderAndLifecycle(t *testing.T) {
 	// Requeue: the job must still complete locally once the worker frees.
 	got[0].Requeue()
 	// Placed: the interactive job goes to a fake peer.
-	got = s.ExtractQueued(2)
+	got = s.ExtractQueued(3, mayHop)
 	var placed *RemoteJob
 	for _, rj := range got {
 		if rj.ID() == inter.ID {
@@ -193,6 +201,7 @@ func TestExtractQueuedOrderAndLifecycle(t *testing.T) {
 		t.Fatalf("cancel blocker")
 	}
 	waitForState(t, bg, StateDone)
+	waitForState(t, atLimit, StateDone)
 	if m := s.Snapshot(); m.ForwardedOut != 1 || m.ForwardedNow != 0 {
 		t.Fatalf("forwarded_out=%d forwarded_now=%d, want 1/0", m.ForwardedOut, m.ForwardedNow)
 	}

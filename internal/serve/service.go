@@ -105,13 +105,14 @@ type Job struct {
 	done   chan struct{}
 
 	origin   string // peer node that forwarded the job here, if any
+	hops     int    // forwards behind the job so far; 0 for a local submission
 	firstSol bool   // resolved first-solution mode (registry or request)
 
 	mu         sync.Mutex
 	state      State
 	res        sched.Result
 	err        error
-	violations error // invariant verdict from check mode, nil if clean
+	violations error  // invariant verdict from check mode, nil if clean
 	remoteNode string // peer the job was forwarded to, if any
 	remoteID   string // the job's id on that peer
 }
@@ -179,9 +180,9 @@ type Config struct {
 	// ignored here.
 	Options sched.Options
 	// Check attaches a trace recorder to every job and verifies the
-	// scheduler invariants on completion (Check for completed jobs,
-	// CheckTruncated for cancelled/failed ones). Costs memory and time per
-	// job; meant for smoke tests and canary deployments.
+	// scheduler invariants on completion (the strict trace.Laws for
+	// completed jobs, Truncated for cancelled/failed ones). Costs memory
+	// and time per job; meant for smoke tests and canary deployments.
 	Check bool
 	// RetainJobs bounds how many terminal job records are kept for
 	// GET /jobs/{id}; zero means 1024. Oldest terminal records are evicted
@@ -767,26 +768,21 @@ func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err 
 
 	var viol error
 	if rec != nil {
-		// A relaxed-deque pool is audited under bounded multiplicity: the
-		// lock-reduced owner path is allowed (by construction, never
-		// observed) to hand an entry to up to 2 consumers, so the strict
-		// exactly-once ceilings would mislabel it.
-		k := 1
+		// No external oracle at serve time: the run's value stands in for
+		// it, so this checks internal consistency (conservation, deposit
+		// accounting, completion uniqueness), not correctness against a
+		// serial run. Aborted jobs — and completed first-solution jobs,
+		// whose losing workers are cancelled mid-tree by design — are
+		// audited under the truncation laws instead.
+		laws := trace.Laws{Final: res.Value, Want: res.Value, Truncated: state != StateDone || job.firstSol}
 		if s.cfg.Options.RelaxedDeque {
-			k = 2
+			// Bounded multiplicity: the lock-reduced owner path is allowed
+			// (by construction, never observed) to hand an entry to up to
+			// 2 consumers, so the strict exactly-once ceilings would
+			// mislabel it.
+			laws.K = 2
 		}
-		if state == StateDone && !job.firstSol {
-			// No external oracle at serve time: the run's value stands in
-			// for it, so this checks internal consistency (conservation,
-			// deposit accounting, completion uniqueness), not correctness
-			// against a serial run.
-			viol = rec.CheckMultiplicity(res.Value, res.Value, k)
-		} else {
-			// Aborted jobs — and completed first-solution jobs, whose losing
-			// workers are cancelled mid-tree by design — are audited under
-			// the truncation laws instead.
-			viol = rec.CheckTruncatedMultiplicity(k)
-		}
+		viol = rec.CheckLaws(laws)
 		s.checked.Add(1)
 		if viol != nil {
 			s.violations.Add(1)

@@ -30,10 +30,9 @@
 //	                  value matches the reported result, and the result
 //	                  matches the serial oracle.
 //
-// Two orthogonal relaxations compose with the catalogue. Truncation
-// (CheckTruncated) drops the "at least once" floors — an aborted run may
-// abandon pushed tasks, owed deposits and suspended frames. Bounded
-// multiplicity (CheckMultiplicity, CheckTruncatedMultiplicity) raises the
+// Two orthogonal relaxations compose with the catalogue, both fields of
+// Laws. Truncated drops the "at least once" floors — an aborted run may
+// abandon pushed tasks, owed deposits and suspended frames. K raises the
 // "at most once" ceilings to k — a relaxed deque may hand the same entry to
 // up to k consumers, so every exactly-once law becomes at-least-once,
 // at-most-k-times. Neither relaxation ever forgives lost work, unowed
@@ -71,9 +70,7 @@ type taskState struct {
 // otherwise produce one violation per task.
 const maxViolations = 20
 
-// replay is the accumulated event history of one run, shared by the
-// complete-run checker (Check) and the truncated-run checker
-// (CheckTruncated).
+// replay is the accumulated event history of one run.
 type replay struct {
 	tasks        map[uint64]*taskState
 	completions  int
@@ -188,81 +185,53 @@ func (r *Recorder) violationError(violations []error) error {
 	return fmt.Errorf("trace: %d invariant violation(s):\n%w", len(violations), errors.Join(violations...))
 }
 
-// Check replays the recorded run and returns an error describing every
-// violated invariant (capped), or nil if the run upheld all of them.
-// finalValue is the run's reported result; wantValue is the serial oracle.
+// Laws selects which form of the catalogue a run is held to. The zero
+// relaxations — K ≤ 1, Truncated false — are the strict laws of a run that
+// finished on a THE deque.
+type Laws struct {
+	// Final is the run's reported result and Want the serial oracle's.
+	// Both are ignored when Truncated: an aborted run reports no value.
+	Final, Want int64
+	// K is the bounded-multiplicity allowance: every "exactly once" law
+	// relaxes to "at least once, at most K times", the shape a relaxed
+	// deque (Castañeda & Piña) is allowed to bend the protocol into.
+	// K < 1 means 1. What K relaxes: spawn-unique (a re-extracted frame
+	// re-runs its spawn), conservation (a push may be consumed up to K
+	// times), deposit-owed (each duplicated steal duplicates its credit's
+	// deposit), suspend-once, single-completion and the special-marker
+	// PopSpecial matching. What K does NOT relax: consumption without a
+	// push, payment without a debt, markers leaving through the steal or
+	// ordinary-pop path, the per-deque need_task FSM replay and
+	// steal-symmetry — losing work or corrupting the starvation signal is
+	// a violation at any multiplicity.
+	K int
+	// Truncated holds the trace of an aborted run — cancelled, timed out,
+	// failed, or a first-solution search whose losers were unwound — to
+	// the laws that survive truncation. An abort unwinds workers at
+	// arbitrary poll points, so the equalities relax to inequalities: a
+	// pushed task may never be consumed (it was drained by the pool's
+	// deque reset, which is untraced), an owed deposit may never be paid,
+	// a suspended frame may never be finalised, and the run root completes
+	// at most once. What must still hold exactly: task identities are
+	// unique, nothing is consumed that was not pushed, nothing is paid
+	// that was not owed, special markers never leave through the ordinary
+	// path, and the steal/need_task bookkeeping stays consistent event by
+	// event (aborts happen only at poll points, never between a deque
+	// transition and its worker-side record).
+	Truncated bool
+}
+
+// Check holds a finished run to the strict laws: CheckLaws with no
+// relaxation. finalValue is the run's reported result; wantValue is the
+// serial oracle.
 func (r *Recorder) Check(finalValue, wantValue int64) error {
-	return r.CheckMultiplicity(finalValue, wantValue, 1)
+	return r.CheckLaws(Laws{Final: finalValue, Want: wantValue})
 }
 
-// CheckMultiplicity is Check with a bounded-multiplicity allowance: every
-// "exactly once" law relaxes to "at least once, at most k times", the shape
-// a relaxed deque (Castañeda & Piña) is allowed to bend the protocol into.
-// k = 1 is exactly Check. What k relaxes: spawn-unique (a re-extracted
-// frame re-runs its spawn), conservation (a push may be consumed up to k
-// times), deposit-owed (each duplicated steal duplicates its credit's
-// deposit), suspend-once, single-completion and the special-marker
-// PopSpecial matching. What k does NOT relax: consumption without a push,
-// payment without a debt, markers leaving through the steal or ordinary-pop
-// path, the per-deque need_task FSM replay and steal-symmetry — losing work
-// or corrupting the starvation signal is a violation at any multiplicity.
-func (r *Recorder) CheckMultiplicity(finalValue, wantValue int64, k int) error {
-	if k < 1 {
-		k = 1
-	}
-	var violations []error
-	addf := func(format string, args ...any) {
-		if len(violations) < maxViolations {
-			violations = append(violations, fmt.Errorf(format, args...))
-		}
-	}
-
-	if finalValue != wantValue {
-		addf("single-completion: run value %d != serial value %d", finalValue, wantValue)
-	}
-
-	rp := r.replayWorkers()
-
-	if rp.completions < 1 || rp.completions > k {
-		addf("single-completion: %d root completions recorded, want 1..%d", rp.completions, k)
-	}
-	for _, v := range rp.completed {
-		if v != finalValue {
-			addf("single-completion: completion event carries %d, run reported %d", v, finalValue)
-		}
-	}
-	if rp.rootDeposits > k {
-		addf("single-completion: %d deposits to the run root, want at most %d", rp.rootDeposits, k)
-	}
-
-	r.checkTasks(rp, addf, k, false)
-	r.checkDeques(rp, addf)
-	return r.violationError(violations)
-}
-
-// CheckTruncated replays the trace of an aborted run — cancelled, timed
-// out, or failed — against the laws that survive truncation. An abort
-// unwinds workers at arbitrary poll points, so the equalities of Check
-// relax to inequalities: a pushed task may never be consumed (it was
-// drained by the pool's deque reset, which is untraced), an owed deposit
-// may never be paid, a suspended frame may never be finalised, and the run
-// root completes at most once. What must still hold exactly: task
-// identities are unique, nothing is consumed that was not pushed, nothing
-// is paid that was not owed, special markers never leave through the
-// ordinary path, and the steal/need_task bookkeeping stays consistent
-// event by event (aborts happen only at poll points, never between a deque
-// transition and its worker-side record).
-func (r *Recorder) CheckTruncated() error {
-	return r.CheckTruncatedMultiplicity(1)
-}
-
-// CheckTruncatedMultiplicity is CheckTruncated with the bounded-multiplicity
-// allowance of CheckMultiplicity: upper bounds scale by k, the "at least
-// once" floors are dropped by truncation as usual.
-func (r *Recorder) CheckTruncatedMultiplicity(k int) error {
-	if k < 1 {
-		k = 1
-	}
+// CheckLaws replays the recorded run and returns an error describing every
+// violated invariant (capped), or nil if the run upheld all of l.
+func (r *Recorder) CheckLaws(l Laws) error {
+	k := max(l.K, 1)
 	var violations []error
 	addf := func(format string, args ...any) {
 		if len(violations) < maxViolations {
@@ -272,6 +241,21 @@ func (r *Recorder) CheckTruncatedMultiplicity(k int) error {
 
 	rp := r.replayWorkers()
 
+	// The floors truncation drops: a value, and at least one completion
+	// carrying it.
+	if !l.Truncated {
+		if l.Final != l.Want {
+			addf("single-completion: run value %d != serial value %d", l.Final, l.Want)
+		}
+		if rp.completions < 1 {
+			addf("single-completion: no root completion recorded, want 1..%d", k)
+		}
+		for _, v := range rp.completed {
+			if v != l.Final {
+				addf("single-completion: completion event carries %d, run reported %d", v, l.Final)
+			}
+		}
+	}
 	if rp.completions > k {
 		addf("single-completion: %d root completions recorded, want at most %d", rp.completions, k)
 	}
@@ -279,14 +263,14 @@ func (r *Recorder) CheckTruncatedMultiplicity(k int) error {
 		addf("single-completion: %d deposits to the run root, want at most %d", rp.rootDeposits, k)
 	}
 
-	r.checkTasks(rp, addf, k, true)
+	r.checkTasks(rp, addf, k, l.Truncated)
 	r.checkDeques(rp, addf)
 	return r.violationError(violations)
 }
 
-// checkTasks replays the per-task laws shared by the complete and truncated
-// checkers. k is the multiplicity allowance; truncated drops the "at least
-// once" floors (an aborted run may abandon work at any point).
+// checkTasks replays the per-task laws. k is the multiplicity allowance;
+// truncated drops the "at least once" floors (an aborted run may abandon
+// work at any point).
 func (r *Recorder) checkTasks(rp *replay, addf func(string, ...any), k int, truncated bool) {
 	for seq, t := range rp.tasks {
 		name := FormatSeq(seq)

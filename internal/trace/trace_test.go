@@ -201,52 +201,77 @@ func duplicateSteal(r *Recorder, t1 uint64) {
 	w1.Add(72, OpDeposit, t1, 3, 0)
 }
 
-func TestCheckMultiplicityToleratesBoundedDuplication(t *testing.T) {
-	r, t1 := cleanRun(2)
-	defer r.Release()
-	duplicateSteal(r, t1)
-	// The strict checker must reject the duplicated consumption...
-	err := r.Check(10, 10)
-	if err == nil {
-		t.Fatal("strict checker accepted a twice-consumed push")
+// TestCheckLaws runs one trace shape per row against a choice of Laws.
+// want names the law the verdict must cite; empty means the run passes.
+func TestCheckLaws(t *testing.T) {
+	times := func(n int) func(*Recorder, uint64) {
+		return func(r *Recorder, t1 uint64) {
+			for i := 0; i < n; i++ {
+				duplicateSteal(r, t1)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "conservation") {
-		t.Fatalf("strict verdict does not name conservation:\n%v", err)
+	abandonedPush := func(r *Recorder, t1 uint64) {
+		duplicateSteal(r, t1)
+		r.WorkerLog(0).Add(80, OpPush, t1, 0, 0)
 	}
-	// ...k = 2 must absorb it: consumed twice, suspended twice, deposited
-	// per credit, all within the multiplicity bound.
-	if err := r.CheckMultiplicity(10, 10, 2); err != nil {
-		t.Fatalf("k=2 checker rejected bounded duplication: %v", err)
+	lostPush := func(r *Recorder, t1 uint64) {
+		r.WorkerLog(0).Add(80, OpPush, t1, 0, 0)
 	}
-	// A third consumption exceeds k = 2.
-	duplicateSteal(r, t1)
-	if err := r.CheckMultiplicity(10, 10, 2); err == nil {
-		t.Fatal("k=2 checker accepted a thrice-consumed push")
+	strict := Laws{Final: 10, Want: 10}
+	k := func(k int) Laws { return Laws{Final: 10, Want: 10, K: k} }
+	cases := []struct {
+		name string
+		seed func(*Recorder, uint64)
+		laws Laws
+		want string
+	}{
+		{"clean run, strict", times(0), strict, ""},
+		{"clean run, k=1 is strict", times(0), k(1), ""},
+		// The strict laws reject the duplicated consumption...
+		{"twice consumed, strict", times(1), strict, "conservation"},
+		// ...k = 2 absorbs it: consumed twice, suspended twice, deposited
+		// per credit, all within the multiplicity bound.
+		{"twice consumed, k=2", times(1), k(2), ""},
+		// k below 1 clamps to 1 instead of vacuously passing everything.
+		{"twice consumed, k=0 clamps to strict", times(1), k(0), "conservation"},
+		{"thrice consumed, k=2", times(2), k(2), "conservation"},
+		{"thrice consumed, k=3", times(2), k(3), ""},
+		// Truncation keeps the duplication ceiling...
+		{"twice consumed, truncated strict", times(1), Laws{Truncated: true}, "conservation"},
+		{"twice consumed, truncated k=2", times(1), Laws{Truncated: true, K: 2}, ""},
+		// ...and drops the floors even under multiplicity: an abandoned
+		// push (never consumed) plus the duplication is fine at k=2. The
+		// same push is lost work for a run that claims to have finished.
+		{"abandoned push, truncated k=2", abandonedPush, Laws{Truncated: true, K: 2}, ""},
+		{"abandoned push, truncated strict", lostPush, Laws{Truncated: true}, ""},
+		{"abandoned push, finished", lostPush, strict, "conservation"},
+		// A truncated run reports no value: Final and Want are not compared.
+		{"truncated ignores the value", times(0), Laws{Final: 1, Want: 2, Truncated: true}, ""},
+		{"finished compares the value", times(0), Laws{Final: 10, Want: 11}, "single-completion"},
 	}
-	if err := r.CheckMultiplicity(10, 10, 3); err != nil {
-		t.Fatalf("k=3 checker rejected triple consumption: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, t1 := cleanRun(2)
+			defer r.Release()
+			c.seed(r, t1)
+			err := r.CheckLaws(c.laws)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("%+v rejected the run: %v", c.laws, err)
+			case c.want != "" && err == nil:
+				t.Fatalf("%+v accepted a run violating %s", c.laws, c.want)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("verdict does not name %s:\n%v", c.want, err)
+			}
+		})
 	}
 }
 
-func TestCheckMultiplicityK1IsCheck(t *testing.T) {
-	r, _ := cleanRun(2)
-	defer r.Release()
-	if err := r.CheckMultiplicity(10, 10, 1); err != nil {
-		t.Fatalf("k=1 rejected the clean run: %v", err)
-	}
-	// k below 1 clamps to 1 instead of vacuously passing everything.
-	r2, t1 := cleanRun(2)
-	defer r2.Release()
-	duplicateSteal(r2, t1)
-	if err := r2.CheckMultiplicity(10, 10, 0); err == nil {
-		t.Fatal("k=0 did not clamp to the strict checker")
-	}
-}
-
-// TestCheckMultiplicityHardLaws pins what no k may forgive: consumption
-// without a push, deposits nobody owed, and a worker/deque steal count
-// mismatch.
-func TestCheckMultiplicityHardLaws(t *testing.T) {
+// TestCheckLawsHardLaws pins what no k may forgive: consumption without a
+// push, deposits nobody owed, and a worker/deque steal count mismatch.
+func TestCheckLawsHardLaws(t *testing.T) {
+	k4 := Laws{Final: 10, Want: 10, K: 4}
 	t.Run("steal without push", func(t *testing.T) {
 		r, _ := cleanRun(2)
 		defer r.Release()
@@ -256,7 +281,7 @@ func TestCheckMultiplicityHardLaws(t *testing.T) {
 		r.DequeHook(0)(deque.TraceStealOK, 0, false)
 		w1.Add(61, OpSteal, s, 0, int64(s))
 		w1.Add(62, OpDeposit, s, 0, 0) // balance the credit: only conservation trips
-		err := r.CheckMultiplicity(10, 10, 4)
+		err := r.CheckLaws(k4)
 		if err == nil || !strings.Contains(err.Error(), "conservation") {
 			t.Fatalf("k=4 forgave consumption without a push: %v", err)
 		}
@@ -272,7 +297,7 @@ func TestCheckMultiplicityHardLaws(t *testing.T) {
 		w0.Add(61, OpPush, s, 0, 0)
 		w0.Add(62, OpPop, s, 0, 0)
 		r.WorkerLog(1).Add(63, OpDeposit, s, 4, 0)
-		err := r.CheckMultiplicity(10, 10, 4)
+		err := r.CheckLaws(k4)
 		if err == nil || !strings.Contains(err.Error(), "deposit-owed") {
 			t.Fatalf("k=4 forgave an unowed deposit: %v", err)
 		}
@@ -281,31 +306,11 @@ func TestCheckMultiplicityHardLaws(t *testing.T) {
 		r, _ := cleanRun(2)
 		defer r.Release()
 		r.WorkerLog(1).Add(60, OpStealFail, 0, 0, 0)
-		err := r.CheckMultiplicity(10, 10, 4)
+		err := r.CheckLaws(k4)
 		if err == nil || !strings.Contains(err.Error(), "steal-symmetry") {
 			t.Fatalf("k=4 forgave a steal-symmetry break: %v", err)
 		}
 	})
-}
-
-func TestCheckTruncatedMultiplicity(t *testing.T) {
-	r, t1 := cleanRun(2)
-	defer r.Release()
-	duplicateSteal(r, t1)
-	// Truncated + strict still rejects the duplication ceiling...
-	if err := r.CheckTruncated(); err == nil {
-		t.Fatal("truncated strict checker accepted a twice-consumed push")
-	}
-	// ...truncated + k=2 absorbs it.
-	if err := r.CheckTruncatedMultiplicity(2); err != nil {
-		t.Fatalf("truncated k=2 rejected bounded duplication: %v", err)
-	}
-	// Truncation drops the floors even under multiplicity: an abandoned
-	// push (never consumed) plus the duplication is still fine at k=2.
-	r.WorkerLog(0).Add(80, OpPush, t1, 0, 0)
-	if err := r.CheckTruncatedMultiplicity(2); err != nil {
-		t.Fatalf("truncated k=2 rejected an abandoned push: %v", err)
-	}
 }
 
 // chromeDoc mirrors the trace_event JSON object format.

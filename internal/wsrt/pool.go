@@ -137,7 +137,7 @@ type JobSpec struct {
 	// FirstSolution runs the job with first-solution-wins semantics (see
 	// sched.Options.FirstSolution): the first nonzero terminal value becomes
 	// the result, siblings are cancelled cooperatively. Done jobs should be
-	// invariant-checked with trace.CheckTruncatedMultiplicity — the losers'
+	// invariant-checked with trace.Laws{Truncated: true} — the losers'
 	// deposit cascades are truncated by design.
 	FirstSolution bool
 }
@@ -232,8 +232,8 @@ type Pool struct {
 	mu     sync.Mutex // guards Submit/Close handshake
 	closed bool
 
-	liveMu sync.Mutex            // guards live
-	live   map[*poolJob][]int    // running jobs' shards, for occupancy views
+	liveMu sync.Mutex         // guards live
+	live   map[*poolJob][]int // running jobs' shards, for occupancy views
 
 	inflight    atomic.Int64 // jobs submitted and not yet finished
 	running     atomic.Int64 // jobs currently occupying a shard
@@ -655,38 +655,15 @@ func (p *Pool) startJob(job *poolJob, shard []int) {
 		job.deques[li] = p.deques[gi]
 		job.workers[li] = p.workers[gi]
 	}
-	policyName := job.spec.StealPolicy
-	if policyName == "" {
-		policyName = p.opt.StealPolicy
+	opt := p.opt
+	opt.Profile, opt.Tracer, opt.Faults = job.spec.Profile, job.spec.Tracer, job.spec.Faults
+	opt.FirstSolution = opt.FirstSolution || job.spec.FirstSolution
+	if job.spec.StealPolicy != "" {
+		opt.StealPolicy = job.spec.StealPolicy
 	}
-	rt := &Runtime{
-		Prog:        job.spec.Prog,
-		Costs:       p.opt.CostsOrDefault(),
-		N:           width,
-		Deques:      job.deques,
-		Eng:         job.spec.Engine.NewExec(width, p.opt),
-		profile:     job.spec.Profile,
-		tracer:      job.spec.Tracer,
-		faults:      job.spec.Faults,
-		stop:        &sched.Stop{},
-		stealPolicy: StealPolicyByName(policyName),
-		stealSeed:   stealSeed(p.opt),
-
-		firstSolution: job.spec.FirstSolution || p.opt.FirstSolution,
-	}
+	rt := newRuntime(job.spec.Prog, job.spec.Engine.NewExec(width, p.opt), job.deques, opt)
 	if rt.tracer != nil {
-		rt.tracer.Init(width, int64(p.opt.MaxStolenNumOrDefault()))
 		rt.tracer.SetScope(fmt.Sprintf("%s/%s shard %v", job.name, job.spec.Prog.Name(), shard))
-		for li, d := range job.deques {
-			d.SetTrace(rt.tracer.DequeHook(li))
-		}
-	}
-	for li, d := range job.deques {
-		// Fault hooks are keyed by shard-local index, like trace hooks, so
-		// a plan's decisions do not depend on which shard hosts the job.
-		if hook := rt.faults.DequeHook(li); hook != nil {
-			d.SetFailSteal(hook)
-		}
 	}
 	job.release = sched.WatchContext(job.spec.Ctx, rt.stop)
 	if d := job.spec.Deadline; d > 0 {

@@ -738,42 +738,62 @@ func newDeque(opt sched.Options) deque.WorkDeque {
 	return deque.New(opt.DequeCapacityOrDefault(), opt.MaxStolenNumOrDefault())
 }
 
+// newRuntime builds one job's Runtime over deques, one per worker, and
+// installs the job's hooks on them. opt carries the job's own profile,
+// tracer, fault plan, steal policy and first-solution mode; the batch Run
+// passes its options through, a Pool overlays the JobSpec on its own.
+func newRuntime(prog sched.Program, eng Engine, deques []deque.WorkDeque, opt sched.Options) *Runtime {
+	rt := &Runtime{
+		Prog:        prog,
+		Costs:       opt.CostsOrDefault(),
+		N:           len(deques),
+		Deques:      deques,
+		Eng:         eng,
+		profile:     opt.Profile,
+		tracer:      opt.Tracer,
+		faults:      opt.Faults,
+		stop:        &sched.Stop{},
+		stealPolicy: StealPolicyByName(opt.StealPolicy),
+		stealSeed:   stealSeed(opt),
+
+		firstSolution: opt.FirstSolution,
+	}
+	if rt.tracer != nil {
+		rt.tracer.Init(rt.N, int64(opt.MaxStolenNumOrDefault()))
+	}
+	rt.installHooks(deques)
+	return rt
+}
+
+// installHooks points each deque's trace and fault hooks at this job.
+// Hooks are keyed by position in deques — under a Pool the shard-local
+// index — so what a recorder or a fault plan sees does not depend on which
+// shard hosts the job.
+func (rt *Runtime) installHooks(deques []deque.WorkDeque) {
+	for i, d := range deques {
+		if rt.tracer != nil {
+			d.SetTrace(rt.tracer.DequeHook(i))
+		}
+		if hook := rt.faults.DequeHook(i); hook != nil {
+			d.SetFailSteal(hook)
+		}
+	}
+}
+
 // Run executes prog under eng with the given options and engine name: the
 // batch entry point, building deques and workers for exactly one job and
 // tearing everything down afterwards. Resident serving goes through Pool.
 // Options.Ctx, when non-nil, cancels the run cooperatively.
 func Run(prog sched.Program, opt sched.Options, eng Engine, name string) (sched.Result, error) {
 	n := opt.WorkersOrDefault()
-	rt := &Runtime{
-		Prog:    prog,
-		Costs:   opt.CostsOrDefault(),
-		N:       n,
-		Deques:  make([]deque.WorkDeque, n),
-		Eng:     eng,
-		profile: opt.Profile,
-		tracer:  opt.Tracer,
-		faults:  opt.Faults,
-		stop:    &sched.Stop{},
-
-		firstSolution: opt.FirstSolution,
+	deques := make([]deque.WorkDeque, n)
+	for i := range deques {
+		deques[i] = newDeque(opt)
 	}
-	if rt.tracer != nil {
-		rt.tracer.Init(n, int64(opt.MaxStolenNumOrDefault()))
-	}
-	for i := range rt.Deques {
-		rt.Deques[i] = newDeque(opt)
-		if rt.tracer != nil {
-			rt.Deques[i].SetTrace(rt.tracer.DequeHook(i))
-		}
-		if hook := rt.faults.DequeHook(i); hook != nil {
-			rt.Deques[i].SetFailSteal(hook)
-		}
-	}
+	rt := newRuntime(prog, eng, deques, opt)
 	release := sched.WatchContext(opt.Ctx, rt.stop)
 	defer release()
 
-	rt.stealPolicy = StealPolicyByName(opt.StealPolicy)
-	rt.stealSeed = stealSeed(opt)
 	workers := make([]*Worker, n)
 	makespan := opt.PlatformOrDefault().Run(n, func(proc vtime.Proc) {
 		w := &Worker{ID: proc.ID(), Proc: proc, Deque: rt.Deques[proc.ID()], rt: rt}
