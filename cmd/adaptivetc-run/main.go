@@ -113,5 +113,6 @@ func main() {
 	if *profile {
 		fmt.Printf("time: worker=%dns work=%d copy=%d deque=%d poll=%d wait=%d steal=%d respond=%d\n",
 			st.WorkerTime, st.WorkTime, st.CopyTime, st.DequeTime, st.PollTime, st.WaitTime, st.StealTime, st.RespondTime)
+		fmt.Printf("idle: parks=%d wakes=%d (wall-clock runs only; nothing parks under Sim)\n", st.Parks, st.Wakes)
 	}
 }

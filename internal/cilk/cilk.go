@@ -125,10 +125,5 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 		sum += v
 	}
 	// sync
-	total, out := f.Sync(sum)
-	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
-		return 0, false
-	}
-	return total, true
+	return w.Sync(f, sum)
 }

@@ -21,13 +21,21 @@
 // The cutoff is ⌈log2 N⌉ for N workers. A thief that fails to steal bumps
 // the victim's stolen_num; past max_stolen_num (default 20) the victim's
 // need_task flag goes up, and a successful steal clears both — the
-// signalling of Figure 3(d)/(e), implemented inside internal/deque.
+// signalling of Figure 3(d)/(e), implemented inside internal/deque. On a
+// wall-clock platform a thief that has raised the flag on every victim and
+// still finds every deque empty parks until a push wakes it
+// (internal/wsrt/idle.go); the signalling is the same on every platform.
 //
 // Special tasks are never stolen and never suspended: at the sync point
-// their owner waits (sync_specialtask, a sleep-poll loop like the paper's
-// usleep(100) loop in Figure 3(c)) because the fake task whose state the
-// marker preserves lives on the owner's execution stack and could not be
-// resumed by anyone else.
+// their owner waits (sync_specialtask, wsrt.Worker.JoinSpecial: a sleep-poll
+// loop like the paper's usleep(100) loop in Figure 3(c)) because the fake
+// task whose state the marker preserves lives on the owner's execution stack
+// and could not be resumed by anyone else.
+//
+// A fake task must cost about a plain call (the paper's Table 2), so this
+// package never reads the clock: the need_task poll and the join wait go
+// through wsrt.Worker.PollNeedTask and JoinSpecial, which time themselves
+// only when Options.Profile asks for the phase breakdown.
 package core
 
 import (
@@ -128,12 +136,7 @@ func (x *exec) fastLoop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64
 		}
 		sum += v
 	}
-	total, out := f.Sync(sum)
-	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
-		return 0, false
-	}
-	return total, true
+	return w.Sync(f, sum)
 }
 
 // ---------------------------------------------------------------------------
@@ -148,13 +151,7 @@ func (x *exec) checkNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
 	}
 	// Poll the need_task flag once at entry — the _adpTC_need_task latch of
 	// Appendix C. Each recursive checkNode re-reads it at its own entry.
-	t0 := w.Proc.Now()
-	w.Proc.Advance(w.Costs().FlagPoll)
-	w.Stats.Polls++
-	needTask := w.Deque.NeedTask()
-	w.AddPoll(w.Proc.Now() - t0)
-
-	if !needTask {
+	if !w.PollNeedTask() {
 		var sum int64
 		n := prog.Moves(ws, depth)
 		for m := 0; m < n; m++ {
@@ -212,19 +209,7 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 		// sync_specialtask: the special task waits for its children — it
 		// cannot be suspended, because it preserves the state of a fake
 		// task living on this worker's execution stack.
-		t0 := w.Proc.Now()
-		for {
-			total, done := s.DrainedAfter(sum)
-			if done {
-				sum = total
-				break
-			}
-			// A cancelled job's outstanding deposits may never arrive; poll
-			// the stop flag so the wait cannot spin forever.
-			w.CheckCancel()
-			w.Proc.Sleep(w.Costs().WaitTick)
-		}
-		w.AddWait(w.Proc.Now() - t0)
+		sum = w.JoinSpecial(s, sum)
 	}
 	// The marker is out of the deque and every expected deposit has been
 	// drained (waited frames are never finalised by depositors), so the
@@ -276,12 +261,7 @@ func (x *exec) fast2Loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int6
 		}
 		sum += v
 	}
-	total, out := f.Sync(sum)
-	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
-		return 0, false
-	}
-	return total, true
+	return w.Sync(f, sum)
 }
 
 // ---------------------------------------------------------------------------

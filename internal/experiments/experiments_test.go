@@ -98,6 +98,7 @@ func TestFigure5Runs(t *testing.T) {
 			t.Errorf("figure 5 output missing %q", want)
 		}
 	}
+	checkGolden(t, "fig5_quick.golden", out)
 }
 
 func TestTable2Runs(t *testing.T) {
@@ -108,6 +109,7 @@ func TestTable2Runs(t *testing.T) {
 	if !strings.Contains(buf.String(), "serial") {
 		t.Error("table 2 output missing serial column")
 	}
+	checkGolden(t, "table2_quick.golden", buf.String())
 }
 
 func TestFigure6And7Run(t *testing.T) {

@@ -301,6 +301,12 @@ type Stats struct {
 	Polls           int64 // need_task / request polls
 	MaxDequeDepth   int64 // high-water mark over all deques
 
+	// Idle-path counters of wall-clock runs (always zero under Sim, where
+	// nothing parks): Parks counts the times a starved thief blocked its
+	// goroutine, Wakes the wake-ups busy workers sent from Push.
+	Parks int64
+	Wakes int64
+
 	// Per-phase time, populated when Options.Profile is set.
 	WorkTime    int64 // executing program nodes
 	CopyTime    int64 // workspace allocation + copying
@@ -332,6 +338,8 @@ func (s *Stats) Add(other Stats) {
 	if other.MaxDequeDepth > s.MaxDequeDepth {
 		s.MaxDequeDepth = other.MaxDequeDepth
 	}
+	s.Parks += other.Parks
+	s.Wakes += other.Wakes
 	s.WorkTime += other.WorkTime
 	s.CopyTime += other.CopyTime
 	s.DequeTime += other.DequeTime

@@ -2,13 +2,46 @@ package sched
 
 import "adaptivetc/internal/vtime"
 
-// ChargeNode advances proc by the modelled cost of visiting one node of p.
-func ChargeNode(p Program, ws Workspace, depth int, c *Costs, proc vtime.Proc) {
+// CosterOf resolves p's optional per-node cost hook; nil means p charges
+// only Costs.Node. Runtimes call it once per job and hand the result to
+// ChargeNode, so a node visit does not repeat the interface assertion.
+func CosterOf(p Program) Coster {
+	extra, _ := p.(Coster)
+	return extra
+}
+
+// ChargeNode advances proc by the modelled cost of visiting one node of the
+// program extra was resolved from (see CosterOf).
+func ChargeNode(extra Coster, ws Workspace, depth int, c *Costs, proc vtime.Proc) {
 	cost := c.Node
-	if extra, ok := p.(Coster); ok {
+	if extra != nil {
 		cost += extra.NodeCost(ws, depth)
 	}
 	proc.Advance(cost)
+}
+
+// seqEval is the per-call state of a sequential evaluation: everything the
+// recursion needs that does not change from node to node.
+type seqEval struct {
+	p     Program
+	extra Coster
+	c     *Costs
+	proc  vtime.Proc
+	st    *Stats
+	stop  *Stop
+}
+
+func newSeqEval(p Program, c *Costs, proc vtime.Proc, st *Stats, stop *Stop) seqEval {
+	return seqEval{p: p, extra: CosterOf(p), c: c, proc: proc, st: st, stop: stop}
+}
+
+// visit accounts one node: cancellation poll, counter, modelled cost and a
+// scheduling point, in that order.
+func (e *seqEval) visit(ws Workspace, depth int) {
+	e.stop.Check()
+	e.st.Nodes++
+	ChargeNode(e.extra, ws, depth, e.c, e.proc)
+	e.proc.Yield()
 }
 
 // EvalSequential evaluates the subtree rooted at ws with plain recursion and
@@ -25,21 +58,24 @@ func EvalSequential(p Program, ws Workspace, depth int, c *Costs, proc vtime.Pro
 // the poll charges no virtual cost, so traces and makespans of un-cancelled
 // runs are unchanged.
 func EvalSequentialStop(p Program, ws Workspace, depth int, c *Costs, proc vtime.Proc, st *Stats, stop *Stop) int64 {
-	stop.Check()
-	st.Nodes++
-	ChargeNode(p, ws, depth, c, proc)
-	proc.Yield()
+	e := newSeqEval(p, c, proc, st, stop)
+	return e.sum(ws, depth)
+}
+
+func (e *seqEval) sum(ws Workspace, depth int) int64 {
+	e.visit(ws, depth)
+	p := e.p
 	if v, term := p.Terminal(ws, depth); term {
 		return v
 	}
 	var sum int64
 	n := p.Moves(ws, depth)
 	for m := 0; m < n; m++ {
-		proc.Advance(c.Move)
+		e.proc.Advance(e.c.Move)
 		if !p.Apply(ws, depth, m) {
 			continue
 		}
-		sum += EvalSequentialStop(p, ws, depth+1, c, proc, st, stop)
+		sum += e.sum(ws, depth+1)
 		p.Undo(ws, depth, m)
 	}
 	return sum
@@ -53,20 +89,23 @@ func EvalSequentialStop(p Program, ws Workspace, depth int, c *Costs, proc vtime
 // Node and move costs are charged identically to EvalSequentialStop so
 // makespans stay comparable.
 func EvalFirstSolution(p Program, ws Workspace, depth int, c *Costs, proc vtime.Proc, st *Stats, stop *Stop) (value int64, found bool) {
-	stop.Check()
-	st.Nodes++
-	ChargeNode(p, ws, depth, c, proc)
-	proc.Yield()
+	e := newSeqEval(p, c, proc, st, stop)
+	return e.first(ws, depth)
+}
+
+func (e *seqEval) first(ws Workspace, depth int) (value int64, found bool) {
+	e.visit(ws, depth)
+	p := e.p
 	if v, term := p.Terminal(ws, depth); term {
 		return v, v != 0
 	}
 	n := p.Moves(ws, depth)
 	for m := 0; m < n; m++ {
-		proc.Advance(c.Move)
+		e.proc.Advance(e.c.Move)
 		if !p.Apply(ws, depth, m) {
 			continue
 		}
-		v, ok := EvalFirstSolution(p, ws, depth+1, c, proc, st, stop)
+		v, ok := e.first(ws, depth+1)
 		p.Undo(ws, depth, m)
 		if ok {
 			return v, true

@@ -200,6 +200,8 @@ type Metrics struct {
 	QuotaRejected       int64     `json:"quota_rejected"`
 	AdmissionRetries    int64     `json:"admission_retries"`
 	QuarantinedJobs     int64     `json:"quarantined_jobs"`
+	IdleParks           int64     `json:"idle_parks"` // times a starved thief blocked, over finished jobs
+	IdleWakes           int64     `json:"idle_wakes"` // wake-ups busy workers sent from Push
 	ThroughputPerSecond float64   `json:"throughput_per_second"`
 	P50LatencyMS        float64   `json:"p50_latency_ms"`
 	P99LatencyMS        float64   `json:"p99_latency_ms"`

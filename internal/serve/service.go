@@ -246,6 +246,8 @@ type Service struct {
 	retried     atomic.Int64
 	checked     atomic.Int64
 	violations  atomic.Int64
+	idleParks   atomic.Int64 // Σ Stats.Parks over finished jobs
+	idleWakes   atomic.Int64 // Σ Stats.Wakes over finished jobs
 	latencies   *latencyRing
 	hist        *histogram
 
@@ -723,6 +725,8 @@ func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err 
 	ts := s.tenant(job.tenant)
 	cls := s.classes[job.prio]
 	eng := s.engine(job.Req.Engine)
+	s.idleParks.Add(res.Stats.Parks)
+	s.idleWakes.Add(res.Stats.Wakes)
 
 	state := StateDone
 	switch {
@@ -908,6 +912,8 @@ func (s *Service) Snapshot() Metrics {
 		QuotaRejected:       s.quotaRej.Load(),
 		AdmissionRetries:    s.retried.Load(),
 		QuarantinedJobs:     s.pool.Quarantined(),
+		IdleParks:           s.idleParks.Load(),
+		IdleWakes:           s.idleWakes.Load(),
 		P50LatencyMS:        float64(p50) / 1e6,
 		P99LatencyMS:        float64(p99) / 1e6,
 		InvariantChecked:    s.checked.Load(),

@@ -199,10 +199,5 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 		}
 		// The child suspended (or detached): its total arrives by deposit.
 	}
-	total, out := f.Sync(sum)
-	if out == wsrt.SyncSuspended {
-		w.Suspend(f)
-		return 0, false
-	}
-	return total, true
+	return w.Sync(f, sum)
 }

@@ -56,6 +56,7 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	n := opt.WorkersOrDefault()
 	rt := &runtime{
 		prog:    p,
+		coster:  sched.CosterOf(p),
 		costs:   opt.CostsOrDefault(),
 		n:       n,
 		single:  e.single,
@@ -100,6 +101,7 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 
 type runtime struct {
 	prog    sched.Program
+	coster  sched.Coster // prog's per-node cost hook, resolved once; may be nil
 	costs   sched.Costs
 	n       int
 	single  bool // extract one iteration per request instead of half
@@ -182,7 +184,7 @@ func (tw *tworker) exec(ws sched.Workspace, depth int) int64 {
 	prog := tw.rt.prog
 	c := &tw.rt.costs
 	tw.stats.Nodes++
-	sched.ChargeNode(prog, ws, depth, c, tw.proc)
+	sched.ChargeNode(tw.rt.coster, ws, depth, c, tw.proc)
 	tw.proc.Yield()
 	tw.nodeTick()
 	if v, term := prog.Terminal(ws, depth); term {

@@ -220,6 +220,7 @@ type Pool struct {
 	deques   []deque.WorkDeque
 	workers  []*Worker
 	wake     []chan shardRun
+	idleWake []chan struct{} // per worker; a job's runtime borrows its first worker's
 	queue    chan *poolJob
 	finished chan *poolJob // finishers hand shards back to the dispatcher
 	quit     chan struct{}
@@ -269,6 +270,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		deques:   make([]deque.WorkDeque, n),
 		workers:  make([]*Worker, n),
 		wake:     make([]chan shardRun, n),
+		idleWake: make([]chan struct{}, n),
 		queue:    make(chan *poolJob, cfg.queueCapacityOrDefault()),
 		finished: make(chan *poolJob, maxJobs),
 		quit:     make(chan struct{}),
@@ -282,6 +284,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		p.deques[i] = newDeque(opt)
 		p.workers[i] = &Worker{ID: i, Proc: procs[i], Deque: p.deques[i]}
 		p.wake[i] = make(chan shardRun)
+		p.idleWake[i] = make(chan struct{}, n)
 	}
 	p.joined.Add(n + 1)
 	for i := 0; i < n; i++ {
@@ -662,6 +665,10 @@ func (p *Pool) startJob(job *poolJob, shard []int) {
 		opt.StealPolicy = job.spec.StealPolicy
 	}
 	rt := newRuntime(job.spec.Prog, job.spec.Engine.NewExec(width, p.opt), job.deques, opt)
+	// Shards are disjoint, so a shard's first worker names it uniquely among
+	// the running jobs; every parked thief has consumed its token by the time
+	// its job ends, so the channel comes back empty.
+	rt.wake = p.idleWake[shard[0]]
 	if rt.tracer != nil {
 		rt.tracer.SetScope(fmt.Sprintf("%s/%s shard %v", job.name, job.spec.Prog.Name(), shard))
 	}

@@ -3,8 +3,8 @@ package wsrt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
+	"time"
 
 	"adaptivetc/internal/deque"
 	"adaptivetc/internal/faults"
@@ -42,6 +42,7 @@ type Runtime struct {
 	Deques []deque.WorkDeque
 	Eng    Engine
 
+	coster  sched.Coster // Prog's per-node cost hook, resolved once; may be nil
 	profile bool
 	tracer  *trace.Recorder // nil unless Options.Tracer was set
 	faults  *faults.Plan    // nil unless fault injection was requested
@@ -62,6 +63,13 @@ type Runtime struct {
 	// set by whoever builds the runtime (Run, Pool.startJob).
 	stealPolicy StealPolicy
 	stealSeed   int64
+
+	// The idle path of wall-clock runtimes (idle.go). wake is lent by the
+	// runtime's host and buffers one token per worker, so a send never
+	// blocks. It is nil under Sim, where a blocked goroutine would stall
+	// virtual time: nothing parks there and sleepers stays zero.
+	sleepers atomic.Int32
+	wake     chan struct{}
 }
 
 // stealSeed normalises the run seed for thief-stream derivation, matching
@@ -94,6 +102,7 @@ func (rt *Runtime) fail(err error) {
 	rt.failure.CompareAndSwap(nil, &runError{err: err})
 	rt.done.Store(true)
 	rt.stop.Signal(err)
+	rt.wakeAll()
 }
 
 // complete records the run's root value and reports whether the completion
@@ -110,6 +119,7 @@ func (rt *Runtime) complete(v int64) bool {
 	}
 	rt.value.Store(v)
 	rt.done.Store(true)
+	rt.wakeAll()
 	return true
 }
 
@@ -130,6 +140,7 @@ func (rt *Runtime) claimSolution(w *Worker, v int64) bool {
 		w.tr.Add(w.Proc.Now(), trace.OpComplete, 0, v, 0)
 	}
 	rt.stop.Signal(sched.ErrSolutionFound)
+	rt.wakeAll()
 	return true
 }
 
@@ -209,6 +220,12 @@ type Worker struct {
 	// destination array of the StealN call itself.
 	intake   []*Frame
 	stealBuf [MaxStealBatch]deque.Entry
+
+	// idleFails counts consecutive failed steals and picks the idle phase
+	// (spin, yield, park); parkTimer bounds a park and is reused across
+	// parks and, on a pool worker, across jobs. See idle.go.
+	idleFails int
+	parkTimer *time.Timer
 }
 
 // Rt returns the worker's runtime.
@@ -247,7 +264,7 @@ func (w *Worker) BeginNode(ws sched.Workspace, depth int) {
 	}
 	w.rt.stop.Check()
 	w.Stats.Nodes++
-	sched.ChargeNode(w.rt.Prog, ws, depth, &w.rt.Costs, w.Proc)
+	sched.ChargeNode(w.rt.coster, ws, depth, &w.rt.Costs, w.Proc)
 	w.Proc.Yield()
 }
 
@@ -265,10 +282,40 @@ func (w *Worker) injectNode() {
 	}
 }
 
-// CheckCancel is the explicit cancellation poll point for engine wait loops
-// (the AdaptiveTC special-task join, which otherwise sleeps-and-polls until
-// deposits arrive that a cancelled job will never send).
-func (w *Worker) CheckCancel() { w.rt.stop.Check() }
+// PollNeedTask reads the worker's need_task flag — the check version's one
+// poll per fake task (the _adpTC_need_task latch of Appendix C) — charging
+// Costs.FlagPoll and counting the poll. Like every accounting site it reads
+// the clock only when the run is profiled.
+func (w *Worker) PollNeedTask() bool {
+	t0 := w.now()
+	w.Proc.Advance(w.rt.Costs.FlagPoll)
+	w.Stats.Polls++
+	need := w.Deque.NeedTask()
+	if w.rt.profile {
+		w.Stats.PollTime += w.Proc.Now() - t0
+	}
+	return need
+}
+
+// JoinSpecial is sync_specialtask: the owner of special task s waits, in
+// Costs.WaitTick sleeps like the paper's usleep loop, until every deposit s
+// expects has arrived, and returns s's total including localSum. The wait
+// polls the stop flag, because a stopped job's outstanding deposits may
+// never arrive.
+func (w *Worker) JoinSpecial(s *Frame, localSum int64) int64 {
+	t0 := w.now()
+	for {
+		total, done := s.DrainedAfter(localSum)
+		if done {
+			if w.rt.profile {
+				w.Stats.WaitTime += w.Proc.Now() - t0
+			}
+			return total
+		}
+		w.rt.stop.Check()
+		w.Proc.Sleep(w.rt.Costs.WaitTick)
+	}
+}
 
 // ChargeMove accounts one candidate move.
 func (w *Worker) ChargeMove() { w.Proc.Advance(w.rt.Costs.Move) }
@@ -340,6 +387,7 @@ func (w *Worker) FreeFrame(f *Frame) {
 // the run on overflow (the deque is a fixed-size array, as in Cilk).
 func (w *Worker) Push(f *Frame) {
 	t0 := w.now()
+	seq := f.seq // a thief may steal, finish, free and reuse f before Push returns
 	w.Proc.Advance(w.rt.Costs.Push)
 	if w.fi != nil && w.fi.ForceOverflow() {
 		panic(sched.Abort{Err: fmt.Errorf("%w (%w): worker %d, program %s",
@@ -350,9 +398,12 @@ func (w *Worker) Push(f *Frame) {
 			sched.ErrDequeOverflow, w.ID, w.Deque.Cap(), w.rt.Prog.Name())})
 	}
 	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpPush, f.seq, 0, 0)
+		w.tr.Add(w.Proc.Now(), trace.OpPush, seq, 0, 0)
 	}
 	w.addDeque(t0)
+	if w.rt.sleepers.Load() != 0 {
+		w.wakeSleeper()
+	}
 }
 
 // Pop pops the worker's own deque tail, accounting the cost.
@@ -509,13 +560,23 @@ func (w *Worker) CancelExpected(f *Frame) {
 	f.CancelExpected()
 }
 
-// Suspend accounts the final executor abandoning f at its sync point with
-// deposits outstanding (Frame.Sync returned SyncSuspended).
-func (w *Worker) Suspend(f *Frame) {
-	w.Stats.Suspends++
-	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpSuspend, f.seq, 0, 0)
+// Sync brings f's final executor to its synchronisation point with the
+// executor's partial sum. It returns (total, true) when nothing is
+// outstanding, and (0, false) when deposits are: the frame is then suspended
+// and belongs to its depositors (see Frame.Sync), and the suspension is
+// counted and traced here. The trace identity is read before the frame is
+// given up — the last depositor may finalise, free and reuse it at once.
+func (w *Worker) Sync(f *Frame, localSum int64) (int64, bool) {
+	seq := f.seq
+	total, out := f.Sync(localSum)
+	if out == SyncSuspended {
+		w.Stats.Suspends++
+		if w.tr != nil {
+			w.tr.Add(w.Proc.Now(), trace.OpSuspend, seq, 0, 0)
+		}
+		return 0, false
 	}
+	return total, true
 }
 
 func (w *Worker) now() int64 {
@@ -537,26 +598,15 @@ func (w *Worker) addCopy(t0 int64) {
 	}
 }
 
-// AddWait accounts join-wait time explicitly (special task sync).
-func (w *Worker) AddWait(d int64) {
-	if w.rt.profile {
-		w.Stats.WaitTime += d
-	}
-}
-
-// AddPoll accounts need_task polling.
-func (w *Worker) AddPoll(d int64) {
-	if w.rt.profile {
-		w.Stats.PollTime += d
-	}
-}
-
 // thiefLoop steals until the run completes. Each iteration polls the job's
 // stop flag, so an idle thief observes cancellation without waiting for a
 // task to abort under it. Victim order and steal amount come from the
 // worker's Thief (built from the job's StealPolicy); the intake buffer of a
 // previous batch steal drains first, one frame per iteration, so batched
 // work interleaves with the loop's poll points exactly like direct steals.
+// A failed steal costs Costs.Steal and one scheduling point on every
+// platform; on a wall-clock runtime the thief then backs off through
+// idleBackoff (spin, yield, park), which Sim never enters.
 func (w *Worker) thiefLoop() {
 	rt := w.rt
 	for !rt.done.Load() {
@@ -606,6 +656,7 @@ func (w *Worker) thiefLoop() {
 			w.Stats.StealTime += w.Proc.Now() - t0
 		}
 		if ok {
+			w.idleFails = 0
 			f := e.(*Frame)
 			w.noteStolen(f, victim)
 			w.resumeStolen(f)
@@ -614,12 +665,9 @@ func (w *Worker) thiefLoop() {
 			if w.tr != nil {
 				w.tr.Add(w.Proc.Now(), trace.OpStealFail, 0, int64(victim), 0)
 			}
-			// Yield the OS thread after a failed steal: an idle thief
-			// spinning on a Real platform with fewer cores than workers
-			// otherwise hogs its core until async preemption (~10ms),
-			// serialising everyone behind it. Virtual time is untouched, so
-			// Sim runs are unaffected beyond a few ns of wall time.
-			runtime.Gosched()
+			if rt.wake != nil {
+				w.idleBackoff()
+			}
 		}
 		w.Proc.Yield()
 	}
@@ -675,6 +723,7 @@ func (w *Worker) runJob(swallowPanics bool) {
 		w.intake[i] = nil
 	}
 	w.intake = w.intake[:0]
+	w.idleFails = 0
 	start := w.Proc.Now()
 	defer func() {
 		w.Stats.WorkerTime += w.Proc.Now() - start
@@ -749,6 +798,7 @@ func newRuntime(prog sched.Program, eng Engine, deques []deque.WorkDeque, opt sc
 		N:           len(deques),
 		Deques:      deques,
 		Eng:         eng,
+		coster:      sched.CosterOf(prog),
 		profile:     opt.Profile,
 		tracer:      opt.Tracer,
 		faults:      opt.Faults,
@@ -791,11 +841,15 @@ func Run(prog sched.Program, opt sched.Options, eng Engine, name string) (sched.
 		deques[i] = newDeque(opt)
 	}
 	rt := newRuntime(prog, eng, deques, opt)
+	plat := opt.PlatformOrDefault()
+	if _, ok := plat.(*vtime.Real); ok {
+		rt.wake = make(chan struct{}, n)
+	}
 	release := sched.WatchContext(opt.Ctx, rt.stop)
 	defer release()
 
 	workers := make([]*Worker, n)
-	makespan := opt.PlatformOrDefault().Run(n, func(proc vtime.Proc) {
+	makespan := plat.Run(n, func(proc vtime.Proc) {
 		w := &Worker{ID: proc.ID(), Proc: proc, Deque: rt.Deques[proc.ID()], rt: rt}
 		if rt.tracer != nil {
 			w.tr = rt.tracer.WorkerLog(w.ID)
