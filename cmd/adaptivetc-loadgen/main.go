@@ -2,8 +2,10 @@
 // either a closed-loop or an open-loop workload.
 //
 // Closed loop (-mode closed, the default): C submitter goroutines each
-// submit one job, poll it to completion, and immediately submit the next,
-// for a fixed duration. Simple, but the measured latency suffers from
+// submit one job, long-poll it to completion (?wait= on the submit and on
+// every status request, so the answer arrives when the job settles, not a
+// poll interval later), and immediately submit the next, for a fixed
+// duration. Simple, but the measured latency suffers from
 // coordinated omission: a slow server slows the submitters down, so the
 // worst periods receive the fewest samples.
 //
@@ -420,7 +422,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	client := &http.Client{Timeout: 30 * time.Second}
+	conns := *concurrency
+	if *mode == "open" {
+		conns = *maxOutstanding
+	}
+	client := newClient(conns)
 
 	var cnt counters
 	lat := newLatencySet()
@@ -703,17 +709,39 @@ type submitReq struct {
 	timeoutMS        int64
 }
 
-// runOne submits one job and polls it to a terminal state, returning the
-// start→terminal latency and the outcome. start is the intended arrival
-// time in open-loop mode (submit time in closed loop), so the latency
-// includes any delay the generator itself accumulated.
+// clientTimeout bounds one HTTP request; longPoll is the ?wait= every job
+// request carries, below clientTimeout so the server's answer at the bound
+// arrives before the client gives the request up.
+const (
+	clientTimeout = 30 * time.Second
+	longPoll      = "?wait=20s"
+)
+
+// newClient returns the load client: one connection per in-flight job, all
+// kept alive. A long-poll occupies its connection for as long as the job
+// runs, and net/http's default of two idle connections per host would have
+// every job beyond the second open a new TCP connection.
+func newClient(conns int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no total cap; the per-host one governs
+	tr.MaxIdleConnsPerHost = conns
+	tr.MaxConnsPerHost = conns
+	return &http.Client{Timeout: clientTimeout, Transport: tr}
+}
+
+// runOne submits one job and long-polls it to a terminal state, returning
+// the start→terminal latency and the outcome. start is the intended
+// arrival time in open-loop mode (submit time in closed loop), so the
+// latency includes any delay the generator itself accumulated.
 //
-// The poll loop treats every non-200 response as terminal: a 404 means
-// the server evicted the record (RetainJobs pressure) and the job's fate
-// is unknowable — before this check, an evicted job decoded into an empty
-// state and the loop spun at the poll interval forever. A poll deadline
-// (the job's own timeout plus a grace period) bounds the loop even
-// against a server that keeps answering 200 without ever settling.
+// The submit itself waits (POST /jobs?wait=), so a short job is answered
+// in that one round trip; a job still live at the bound is followed with
+// GET /jobs/{id}?wait=, one blocking request per bound and no sleep in
+// between. Every non-200 status response is terminal: a 404 means the
+// server evicted the record (RetainJobs pressure) and the job's fate is
+// unknowable. A poll deadline (the job's own timeout plus a grace period)
+// bounds the loop even against a server that keeps answering 200 without
+// ever settling.
 func runOne(client *http.Client, addr string, req submitReq, start time.Time, cnt *counters) (time.Duration, string) {
 	payload := map[string]any{
 		"engine": req.engine, "n": req.n,
@@ -727,7 +755,7 @@ func runOne(client *http.Client, addr string, req submitReq, start time.Time, cn
 		payload["program"] = req.program
 	}
 	body, _ := json.Marshal(payload)
-	httpReq, err := http.NewRequest("POST", addr+"/jobs", bytes.NewReader(body))
+	httpReq, err := http.NewRequest("POST", addr+"/jobs"+longPoll, bytes.NewReader(body))
 	if err != nil {
 		cnt.httpErrs.Add(1)
 		return 0, "error"
@@ -758,22 +786,6 @@ func runOne(client *http.Client, addr string, req submitReq, start time.Time, cn
 
 	pollDeadline := time.Now().Add(time.Duration(req.timeoutMS)*time.Millisecond + 10*time.Second)
 	for {
-		resp, err := client.Get(addr + "/jobs/" + st.ID)
-		if err != nil {
-			cnt.httpErrs.Add(1)
-			return 0, "error"
-		}
-		code := resp.StatusCode
-		decErr := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		switch {
-		case code == http.StatusNotFound:
-			cnt.lost.Add(1)
-			return 0, "lost"
-		case code != http.StatusOK || decErr != nil:
-			cnt.httpErrs.Add(1)
-			return 0, "error"
-		}
 		switch st.State {
 		case "done":
 			cnt.completed.Add(1)
@@ -795,6 +807,21 @@ func runOne(client *http.Client, addr string, req submitReq, start time.Time, cn
 			cnt.pollTimeouts.Add(1)
 			return 0, "poll-timeout"
 		}
-		time.Sleep(5 * time.Millisecond)
+		resp, err := client.Get(addr + "/jobs/" + st.ID + longPoll)
+		if err != nil {
+			cnt.httpErrs.Add(1)
+			return 0, "error"
+		}
+		code := resp.StatusCode
+		decErr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		switch {
+		case code == http.StatusNotFound:
+			cnt.lost.Add(1)
+			return 0, "lost"
+		case code != http.StatusOK || decErr != nil:
+			cnt.httpErrs.Add(1)
+			return 0, "error"
+		}
 	}
 }

@@ -162,6 +162,35 @@ func TestRunOnePollTerminalStatuses(t *testing.T) {
 	}
 }
 
+// TestRunOneLongPolls: every job request carries ?wait=; a submit the
+// server answers with the finished job is the whole op, and one it answers
+// with a live job is followed by exactly one status request.
+func TestRunOneLongPolls(t *testing.T) {
+	for postState, wantPolls := range map[string]int64{"done": 0, "running": 1} {
+		var polls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Query().Get("wait") == "" {
+				t.Errorf("%s %s carries no wait", r.Method, r.URL)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if r.Method == "POST" {
+				w.WriteHeader(http.StatusAccepted)
+				w.Write([]byte(`{"id":"j1","state":"` + postState + `"}`))
+				return
+			}
+			polls.Add(1)
+			w.Write([]byte(`{"id":"j1","state":"done"}`))
+		}))
+		var cnt counters
+		_, outcome := runOne(newClient(1), srv.URL, submitReq{program: "fib", timeoutMS: 1000}, time.Now(), &cnt)
+		srv.Close()
+		if outcome != "done" || cnt.completed.Load() != 1 || polls.Load() != wantPolls {
+			t.Errorf("submit answered %q: outcome=%q completed=%d status requests=%d, want done/1/%d",
+				postState, outcome, cnt.completed.Load(), polls.Load(), wantPolls)
+		}
+	}
+}
+
 // TestRunOnePollDeadline bounds the loop against a server that answers
 // 200 forever without the job ever settling.
 func TestRunOnePollDeadline(t *testing.T) {

@@ -25,6 +25,14 @@
 //	                   (X-Tenant header overrides the body's tenant)
 //	GET    /jobs/{id}  job status; value, stats and latency once terminal
 //	DELETE /jobs/{id}  cooperative cancellation
+//
+// Both job reads long-poll: POST /jobs?wait=2s and GET /jobs/{id}?wait=2s
+// hold the request until the job is terminal, the wait (at most 30s; longer
+// is clamped) has passed, or the client hangs up, then answer with the
+// usual status code and body — "state" says whether the job finished. A
+// short job is so submitted and collected in one round trip. No wait, or
+// wait=0, answers at once; a malformed wait is a 400.
+//
 //	POST   /programs   {"name":"mine","source":"param n = 8 ..."} — compile
 //	                   and cache a DSL program; returns its content hash,
 //	                   runnable via {"program_hash": ...} on POST /jobs
@@ -207,7 +215,11 @@ func main() {
 		node.Start()
 	}
 
-	server := &http.Server{Addr: *addr, Handler: mux}
+	// ReadHeaderTimeout drops clients that connect and never send a request.
+	// Deliberately no WriteTimeout: its clock starts when the request headers
+	// have been read, so it would cut off a ?wait= long-poll that is held, by
+	// design, for up to 30s before its first byte is written.
+	server := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- server.ListenAndServe() }()
 
@@ -239,13 +251,16 @@ func main() {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_ = server.Shutdown(ctx)
+	// Close before Shutdown: Close settles whatever the drain left live,
+	// which answers every long-poll still waiting on it, so Shutdown finds
+	// handlers that are finishing rather than ones held until their bound.
 	if node != nil {
 		node.Stop()
 	}
 	svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_ = server.Shutdown(ctx)
 
 	m := svc.Snapshot()
 	fmt.Printf("adaptivetc-serve: served %d jobs (%d completed, %d cancelled, %d failed, %d rejected, %d rate-limited, %d over-quota)\n",

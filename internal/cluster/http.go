@@ -79,6 +79,10 @@ func Mount(mux *http.ServeMux, n *Node) {
 // muxes.
 type HTTPTransport struct {
 	client *http.Client
+	// statusQuery is the ?wait= Status sends: half the client timeout, so
+	// the peer's answer at the bound still arrives before the client gives
+	// the call up as failed.
+	statusQuery string
 }
 
 // NewHTTPTransport builds the transport. timeout bounds each call (zero
@@ -87,7 +91,10 @@ func NewHTTPTransport(timeout time.Duration) *HTTPTransport {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	return &HTTPTransport{client: &http.Client{Timeout: timeout}}
+	return &HTTPTransport{
+		client:      &http.Client{Timeout: timeout},
+		statusQuery: "?wait=" + (timeout / 2).String(),
+	}
 }
 
 // getJSON/postJSON do one call and decode the reply into out.
@@ -153,10 +160,11 @@ func (t *HTTPTransport) Steal(ctx context.Context, peer string, sr StealRequest)
 	return r, err
 }
 
-// Status implements Transport.
+// Status implements Transport: a long-poll on the peer's job API, which
+// answers when the job settles or after half the client timeout.
 func (t *HTTPTransport) Status(ctx context.Context, peer, jobID string) (serve.JobStatus, error) {
 	var st serve.JobStatus
-	err := t.getJSON(ctx, peer+"/jobs/"+jobID, &st)
+	err := t.getJSON(ctx, peer+"/jobs/"+jobID+t.statusQuery, &st)
 	return st, err
 }
 

@@ -259,46 +259,54 @@ func (n *Node) forwardRemoteJob(rj *serve.RemoteJob, peer string) bool {
 	return true
 }
 
+// The lost-contact bound of a forwarded job's watcher: more than maxMisses
+// consecutive failed Status calls fail the job. retryGap is the pause
+// after each failed call, so the bound is seconds of a restarting or
+// partitioned peer, not microseconds of refused connections.
+const (
+	maxMisses = 100
+	retryGap  = 50 * time.Millisecond
+)
+
 // waitRemote returns the watcher the service runs for a forwarded job:
-// poll the peer until the job is terminal, with exponential poll backoff;
-// honour ctx by best-effort cancelling the remote job.
+// one blocking Status call per transport bound until the job is terminal,
+// pausing only after a call that failed; honour ctx by best-effort
+// cancelling the remote job.
 func (n *Node) waitRemote(peer, jobID string) func(ctx context.Context) (sched.Result, error) {
 	return func(ctx context.Context) (sched.Result, error) {
-		poll := 2 * time.Millisecond
-		const maxPoll = 250 * time.Millisecond
 		var misses int
 		for {
 			st, err := n.tr.Status(ctx, peer, jobID)
-			switch {
-			case err == nil:
-				misses = 0
+			if err == nil {
 				switch st.State {
 				case serve.StateDone, serve.StateFailed, serve.StateCancelled:
 					return resultFromStatus(st)
 				}
-			case ctx.Err() != nil:
+			}
+			if ctx.Err() != nil {
 				// The local job was cancelled (or the service is closing):
 				// tell the peer, then settle with the local cause.
 				cctx, cancel := context.WithTimeout(context.Background(), time.Second)
 				_ = n.tr.Cancel(cctx, peer, jobID)
 				cancel()
 				return sched.Result{}, context.Cause(ctx)
-			default:
-				// Transport error: the peer may be restarting or partitioned.
-				// A bounded number of consecutive misses fails the job with
-				// an explicit error instead of wedging the record forever.
-				misses++
-				if misses > 100 {
-					return sched.Result{}, fmt.Errorf("cluster: lost contact with %s polling job %s: %w", peer, jobID, err)
-				}
+			}
+			if err == nil {
+				// Still live when the transport's bound passed: ask again.
+				misses = 0
+				continue
+			}
+			// Transport error: the peer may be restarting or partitioned.
+			// A bounded number of consecutive misses fails the job with
+			// an explicit error instead of wedging the record forever.
+			misses++
+			if misses > maxMisses {
+				return sched.Result{}, fmt.Errorf("cluster: lost contact with %s polling job %s: %w", peer, jobID, err)
 			}
 			select {
 			case <-ctx.Done():
 				// Loop once more; the ctx.Err branch settles it.
-			case <-time.After(poll):
-			}
-			if poll < maxPoll {
-				poll *= 2
+			case <-time.After(retryGap):
 			}
 		}
 	}

@@ -8,11 +8,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,12 +160,30 @@ func TestClusterStatsEndpoint(t *testing.T) {
 // directly on the target Node's handler, in the caller's goroutine, and
 // every placement call is logged. With it a test drives gossip and decide
 // ticks by hand, so what a node does with a decision is observable
-// without sockets, tickers or sleeps.
+// without sockets, tickers or sleeps. Status and Cancel calls, which come
+// from watcher goroutines in no fixed order, are counted instead.
 type memNet struct {
 	mu    sync.Mutex
 	nodes map[string]*Node
 	muxes map[string]*http.ServeMux
 	log   []string
+
+	statusCalls atomic.Int64
+	cancelCalls atomic.Int64
+}
+
+func newMemNet() *memNet {
+	return &memNet{nodes: map[string]*Node{}, muxes: map[string]*http.ServeMux{}}
+}
+
+// add builds node self on the net, its loops not started.
+func (m *memNet) add(t *testing.T, self, peer string, workers int, pol Policy) *Node {
+	t.Helper()
+	svc := serve.New(serve.Config{Workers: workers, QueueCapacity: 32})
+	t.Cleanup(svc.Close)
+	n := NewNode(Config{Self: self, Peers: []string{peer}, Policy: pol}, svc, memTransport{net: m, from: self})
+	m.nodes[self], m.muxes[self] = n, serve.NewMux(svc)
+	return n
 }
 
 type memTransport struct {
@@ -196,10 +217,13 @@ func (t memTransport) Steal(_ context.Context, peer string, sr StealRequest) (St
 	return t.net.nodes[peer].serveSteal(sr), nil
 }
 
-func (t memTransport) Status(_ context.Context, peer, jobID string) (serve.JobStatus, error) {
+// Status long-polls the peer's mux as the HTTP transport does, ctx standing
+// in for the connection.
+func (t memTransport) Status(ctx context.Context, peer, jobID string) (serve.JobStatus, error) {
+	t.net.statusCalls.Add(1)
 	var st serve.JobStatus
 	rec := httptest.NewRecorder()
-	t.net.muxes[peer].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+jobID, nil))
+	t.net.muxes[peer].ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+jobID+"?wait=1s", nil).WithContext(ctx))
 	if rec.Code != http.StatusOK {
 		return st, fmt.Errorf("status %s on %s: %d", jobID, peer, rec.Code)
 	}
@@ -207,6 +231,7 @@ func (t memTransport) Status(_ context.Context, peer, jobID string) (serve.JobSt
 }
 
 func (t memTransport) Cancel(_ context.Context, peer, jobID string) error {
+	t.net.cancelCalls.Add(1)
 	t.net.nodes[peer].svc.Cancel(jobID)
 	return nil
 }
@@ -221,16 +246,9 @@ func (t memTransport) Cancel(_ context.Context, peer, jobID string) error {
 // order.
 func hotPair(t *testing.T) (a, b *Node, net *memNet, atLimit []string, movable []string) {
 	t.Helper()
-	net = &memNet{nodes: map[string]*Node{}, muxes: map[string]*http.ServeMux{}}
+	net = newMemNet()
 	pol := Policy{Batch: 3}
-	mk := func(self, peer string, workers int) *Node {
-		svc := serve.New(serve.Config{Workers: workers, QueueCapacity: 32})
-		t.Cleanup(svc.Close)
-		n := NewNode(Config{Self: self, Peers: []string{peer}, Policy: pol}, svc, memTransport{net: net, from: self})
-		net.nodes[self], net.muxes[self] = n, serve.NewMux(svc)
-		return n
-	}
-	a, b = mk("a", "b", 1), mk("b", "a", 2)
+	a, b = net.add(t, "a", "b", 1, pol), net.add(t, "b", "a", 2, pol)
 
 	submit := func(prog string, n int) string {
 		j, err := a.svc.Submit(serve.Request{Program: prog, N: n, TimeoutMS: 30000})
@@ -341,4 +359,118 @@ func TestNodeActsOnDecide(t *testing.T) {
 			t.Errorf("calls = %q, want none", got)
 		}
 	})
+}
+
+// forwardTo places req on a's peer through a's forward-on-full hook and
+// returns what a's service would adopt, watcher included.
+func forwardTo(t *testing.T, a *Node, req serve.Request) *serve.Forwarded {
+	t.Helper()
+	a.gossip()
+	// Colder wants a measurable gap: any load at all on a, none on b.
+	load, err := a.svc.Submit(serve.Request{Program: "nqueens-array", N: 15, TimeoutMS: 120000})
+	if err != nil {
+		t.Fatalf("load on a: %v", err)
+	}
+	t.Cleanup(func() { load.Cancel(serve.ErrCancelled) })
+	for a.svc.LoadScore() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	placed, err := a.forwardOnFull(req)
+	if err != nil {
+		t.Fatalf("forward: %v", err)
+	}
+	return placed
+}
+
+// TestWaitRemoteBlocksOnStatus: following a forwarded job to its end costs
+// one blocking Status call (two if the first raced the transport's bound),
+// where the poll ladder paid one per 2, 4, 8 ... 250 ms of the job's life.
+func TestWaitRemoteBlocksOnStatus(t *testing.T) {
+	net := newMemNet()
+	a, b := net.add(t, "a", "b", 1, Policy{}), net.add(t, "b", "a", 2, Policy{})
+	placed := forwardTo(t, a, serve.Request{Program: "nqueens-array", N: 11})
+	res, err := placed.Wait(context.Background())
+	if err != nil || res.Value != 2680 {
+		t.Fatalf("Wait = %+v, %v; want 11-queens' 2680 solutions", res, err)
+	}
+	if n := net.statusCalls.Load(); n < 1 || n > 2 {
+		t.Errorf("following one forwarded job took %d Status calls, want 1 or 2", n)
+	}
+	if n := net.cancelCalls.Load(); n != 0 {
+		t.Errorf("%d Cancel calls for a job that finished", n)
+	}
+	if m := b.svc.Snapshot(); m.ForwardedIn != 1 || m.Completed != 1 {
+		t.Errorf("peer forwarded_in=%d completed=%d, want 1/1", m.ForwardedIn, m.Completed)
+	}
+}
+
+// TestWaitRemoteCancel: cancelling the local job while its watcher blocks
+// in Status sends the peer exactly one Cancel and settles with the local
+// cause.
+func TestWaitRemoteCancel(t *testing.T) {
+	net := newMemNet()
+	a, b := net.add(t, "a", "b", 1, Policy{}), net.add(t, "b", "a", 2, Policy{})
+	placed := forwardTo(t, a, serve.Request{Program: "nqueens-array", N: 15, TimeoutMS: 120000})
+	remote, ok := b.svc.Get(placed.JobID)
+	if !ok {
+		t.Fatalf("peer has no job %s", placed.JobID)
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := placed.Wait(ctx)
+		done <- err
+	}()
+	for net.statusCalls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel(serve.ErrCancelled)
+	if err := <-done; !errors.Is(err, serve.ErrCancelled) {
+		t.Fatalf("Wait after cancel = %v, want the local cause", err)
+	}
+	if n := net.cancelCalls.Load(); n != 1 {
+		t.Errorf("%d remote Cancel calls, want exactly 1", n)
+	}
+	<-remote.Done()
+	if st, _, _ := remote.Snapshot(); st != serve.StateCancelled {
+		t.Errorf("remote job ended %s, want cancelled", st)
+	}
+}
+
+// deadTransport fails every Status call at once, as a peer whose port
+// refuses connections does.
+type deadTransport struct {
+	memTransport
+	calls atomic.Int64
+}
+
+func (d *deadTransport) Status(context.Context, string, string) (serve.JobStatus, error) {
+	d.calls.Add(1)
+	return serve.JobStatus{}, errors.New("connection refused")
+}
+
+// TestWaitRemoteLostContact: against a peer that refuses every call the
+// watcher gives up after maxMisses retries — seconds, because each failed
+// call is followed by a pause; without it the bound is microseconds and a
+// peer restart fails every job it held.
+func TestWaitRemoteLostContact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out maxMisses retry gaps")
+	}
+	tr := &deadTransport{}
+	svc := serve.New(serve.Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	n := NewNode(Config{Self: "a", Peers: []string{"b"}}, svc, tr)
+	t0 := time.Now()
+	_, err := n.waitRemote("b", "j9")(context.Background())
+	took := time.Since(t0)
+	if err == nil || !strings.Contains(err.Error(), "lost contact with b") {
+		t.Fatalf("Wait on a dead peer = %v, want a lost-contact error", err)
+	}
+	if got := tr.calls.Load(); got != maxMisses+1 {
+		t.Errorf("%d Status calls, want %d", got, maxMisses+1)
+	}
+	if took < time.Second || took > 60*time.Second {
+		t.Errorf("gave up after %v, want seconds", took)
+	}
 }

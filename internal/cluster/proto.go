@@ -96,7 +96,10 @@ type Transport interface {
 	Forward(ctx context.Context, peer string, req ForwardRequest) (ForwardReply, error)
 	// Steal asks peer to forward up to req.Max queued jobs to req.Thief.
 	Steal(ctx context.Context, peer string, req StealRequest) (StealReply, error)
-	// Status fetches a remote job's status (polled until terminal).
+	// Status fetches a remote job's status. A job still live holds the
+	// call until it settles, ctx ends, or a bound of the transport's own
+	// choosing passes; the origin's watcher calls again after a live
+	// answer, so a Status that never blocks makes that watcher spin.
 	Status(ctx context.Context, peer, jobID string) (serve.JobStatus, error)
 	// Cancel best-effort cancels a remote job.
 	Cancel(ctx context.Context, peer, jobID string) error

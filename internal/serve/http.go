@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -31,9 +33,9 @@ type JobStatus struct {
 	// Program for program_hash submissions).
 	ProgramHash string    `json:"program_hash,omitempty"`
 	Engine      string    `json:"engine"`
-	Tenant   string    `json:"tenant"`
-	Priority Priority  `json:"priority"`
-	Created  time.Time `json:"created"`
+	Tenant      string    `json:"tenant"`
+	Priority    Priority  `json:"priority"`
+	Created     time.Time `json:"created"`
 
 	// Cluster fields: Origin is the peer that forwarded the job here;
 	// ForwardedTo/RemoteID point at the peer a forwarded job went to.
@@ -67,10 +69,10 @@ func status(j *Job) JobStatus {
 		Program:     j.Req.Program,
 		ProgramHash: j.Req.ProgramHash,
 		Engine:      eng,
-		Tenant:   j.tenant,
-		Priority: j.prio,
-		Created:  j.Created,
-		Origin:   j.origin,
+		Tenant:      j.tenant,
+		Priority:    j.prio,
+		Created:     j.Created,
+		Origin:      j.origin,
 	}
 	j.mu.Lock()
 	out.ForwardedTo, out.RemoteID = j.remoteNode, j.remoteID
@@ -100,8 +102,9 @@ func status(j *Job) JobStatus {
 // NewMux returns the service's HTTP API:
 //
 //	POST   /jobs       submit (Request body; X-Tenant header overrides
-//	                   req.Tenant) → 202 JobStatus; 429 + Retry-After on a
-//	                   full queue, tenant rate limit, or tenant quota; 503
+//	                   req.Tenant) → 202 JobStatus; 400 on a malformed body
+//	                   or bytes after the JSON object; 429 + Retry-After on
+//	                   a full queue, tenant rate limit, or tenant quota; 503
 //	                   while draining or closed
 //	GET    /jobs/{id}  status and, once terminal, result → JobStatus
 //	DELETE /jobs/{id}  cancel → 202 JobStatus
@@ -109,6 +112,17 @@ func status(j *Job) JobStatus {
 //	GET    /catalog    available programs and engines
 //	GET    /healthz    liveness: 200 while the process serves HTTP
 //	GET    /readyz     readiness: 200 until Drain/Close, then 503
+//
+// Long-poll: POST /jobs and GET /jobs/{id} take ?wait=<duration> ("2s",
+// "500ms"). A job that is not yet terminal then holds the request until
+// the job settles, the wait (clamped to 30s) elapses, or the client
+// goes away — whichever is first — and the answer is the job's status at
+// that moment. Status codes do not change (POST 202, GET 200): the body's
+// "state" says whether the job finished. Without wait, or with wait=0, the
+// answer is immediate; a malformed or negative wait is a 400 and submits
+// nothing. Waiting does not hold the job: DELETE from another client wakes
+// the waiter with the cancelled status, and a waiter that disconnects
+// leaves the job running.
 //
 // Programs as data (the DSL compile cache):
 //
@@ -145,9 +159,23 @@ func NewMux(s *Service) *http.ServeMux {
 	}
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		wait, err := parseWait(r)
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		var req Request
+		dec := json.NewDecoder(r.Body)
+		if err := dec.Decode(&req); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		// Only io.EOF here means the object was the whole body. It also
+		// means the body has been read to its end, which is when net/http
+		// starts watching the connection: a client that hangs up mid-wait
+		// cancels r.Context() only after that.
+		if _, err := dec.Token(); err != io.EOF {
+			writeErr(w, http.StatusBadRequest, errors.New("serve: request body has data after the JSON object"))
 			return
 		}
 		if t := r.Header.Get("X-Tenant"); t != "" {
@@ -171,15 +199,22 @@ func NewMux(s *Service) *http.ServeMux {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		s.awaitJob(r, job, wait)
 		writeJSON(w, http.StatusAccepted, status(job))
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		job, ok := s.Get(r.PathValue("id"))
 		if !ok {
 			writeErr(w, http.StatusNotFound, errors.New("serve: no such job"))
 			return
 		}
+		s.awaitJob(r, job, wait)
 		writeJSON(w, http.StatusOK, status(job))
 	})
 
@@ -263,6 +298,54 @@ func NewMux(s *Service) *http.ServeMux {
 	})
 
 	return mux
+}
+
+// maxWait is the longest a ?wait= long-poll holds a request; longer asks
+// are clamped to it. It sits below the idle timeouts of common proxies and
+// of adaptivetc-loadgen's client, so a clamped wait still gets its answer.
+const maxWait = 30 * time.Second
+
+// parseWait reads the ?wait= long-poll bound: zero when absent, clamped to
+// maxWait, an error when it is not a non-negative duration.
+func parseWait(r *http.Request) (time.Duration, error) {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("serve: wait=%q is not a non-negative duration such as 2s or 500ms", v)
+	}
+	return min(d, maxWait), nil
+}
+
+// awaitJob is the long-poll step of POST /jobs and GET /jobs/{id}: hold
+// the request until job is terminal, wait has elapsed or the client has
+// gone. There is no shutdown case because none is needed: Drain returns
+// only once every job has settled and Close settles every job it finds
+// (queued ones through the pump, running ones through the pool, forwarded
+// ones through their watcher), and finalize closes Done for each — so a
+// waiter never outlives its job, and never outlives wait.
+func (s *Service) awaitJob(r *http.Request, job *Job, wait time.Duration) {
+	if wait <= 0 {
+		return
+	}
+	select {
+	case <-job.Done():
+		return
+	default:
+	}
+	s.longPoll.total.Add(1)
+	s.longPoll.waiting.Add(1)
+	defer s.longPoll.waiting.Add(-1)
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-job.Done():
+	case <-t.C:
+		s.longPoll.timeouts.Add(1)
+	case <-r.Context().Done():
+	}
 }
 
 // retryAfterSeconds renders a Retry-After header value: whole seconds,

@@ -170,6 +170,14 @@ func newTenantState(lim TenantLimits) *tenantState {
 	return ts
 }
 
+// longPollStats counts the requests ?wait= held open (awaitJob). A request
+// that found its job already terminal, or sent no wait, is not counted.
+type longPollStats struct {
+	waiting  atomic.Int64 // gauge: handlers blocked right now
+	total    atomic.Int64
+	timeouts atomic.Int64 // waits that ended at their bound, job still live
+}
+
 // Metrics is the service counter snapshot returned by GET /metrics.
 type Metrics struct {
 	Started             time.Time `json:"started"`
@@ -207,6 +215,9 @@ type Metrics struct {
 	P99LatencyMS        float64   `json:"p99_latency_ms"`
 	InvariantChecked    int64     `json:"invariant_checked"`
 	InvariantViolations int64     `json:"invariant_violations"`
+	LongPollWaiting     int64     `json:"long_poll_waiting"`  // ?wait= requests blocked right now
+	LongPolls           int64     `json:"long_polls"`         // requests that blocked at all
+	LongPollTimeouts    int64     `json:"long_poll_timeouts"` // of those, answered at the bound with the job still live
 
 	// Programs-as-data: DSL compile cache and persistent job store.
 	ProgramsCached    int            `json:"programs_cached"`

@@ -250,6 +250,7 @@ type Service struct {
 	idleWakes   atomic.Int64 // Σ Stats.Wakes over finished jobs
 	latencies   *latencyRing
 	hist        *histogram
+	longPoll    longPollStats
 
 	programs *progstore.Store // DSL compile cache (programs-as-data)
 	journal  *jobstore.Store  // nil when not persisting
@@ -918,6 +919,9 @@ func (s *Service) Snapshot() Metrics {
 		P99LatencyMS:        float64(p99) / 1e6,
 		InvariantChecked:    s.checked.Load(),
 		InvariantViolations: s.violations.Load(),
+		LongPollWaiting:     s.longPoll.waiting.Load(),
+		LongPolls:           s.longPoll.total.Load(),
+		LongPollTimeouts:    s.longPoll.timeouts.Load(),
 		LatencyHistogram:    s.hist.snapshot(),
 	}
 	ps := s.programs.Snapshot()
