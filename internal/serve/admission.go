@@ -187,9 +187,9 @@ func (c *wfqClass) push(it *admItem) {
 	c.size++
 }
 
-// pushFront returns an item to the head of its tenant's FIFO — the pump
-// uses it when the pool cannot take the job yet, so per-tenant FIFO order
-// survives the round trip.
+// pushFront returns an item to the head of its tenant's FIFO — a job an
+// extractor hands back (RemoteJob.Requeue) or an injected admission fault
+// bounced off the pool — so per-tenant FIFO order survives the round trip.
 func (c *wfqClass) pushFront(it *admItem) {
 	t := c.tenant(it.job.tenant)
 	t.items = append([]*admItem{it}, t.items...)
@@ -357,28 +357,4 @@ func (q *wfq) close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.nonEmpty.Broadcast()
-}
-
-// admissionBackoff is the pump's sleep before retrying a pool submission
-// that reported a full staging queue: base doubling per attempt, with the
-// shift clamped and the sleep capped. The clamp matters for correctness,
-// not just politeness — a user-supplied base shifted by an unbounded
-// attempt counter overflows time.Duration (shift ≥ 63 flips the sign) and
-// a negative sleep turns the back-off loop into a spin.
-func admissionBackoff(base time.Duration, attempt int) time.Duration {
-	const maxSleep = 100 * time.Millisecond
-	if base <= 0 {
-		base = 500 * time.Microsecond
-	}
-	if base >= maxSleep {
-		return maxSleep
-	}
-	if attempt > 20 {
-		attempt = 20
-	}
-	d := base << attempt
-	if d <= 0 || d > maxSleep {
-		return maxSleep
-	}
-	return d
 }

@@ -60,25 +60,18 @@ func (s *Service) LoadScore() int {
 // forwardOrReject handles Submit's capacity miss: try the forwarder, and
 // only if that fails surface the client's 429 — counted once, with this
 // node's own Retry-After.
-func (s *Service) forwardOrReject(it *admItem, ts *tenantState, cls *groupStat) (*Job, error) {
+func (s *Service) forwardOrReject(it *admItem) (*Job, error) {
 	job := it.job
+	rej := error(wsrt.ErrQueueFull)
 	if fw, _ := s.forwarder.Load().(forwarderBox); fw.fn != nil {
 		if placed, err := fw.fn(job.Req); err == nil {
-			if rec := it.spec.Tracer; rec != nil {
-				rec.Release() // the peer audits the run; the local recorder never sees it
-			}
-			return s.adoptForwarded(it, placed, ts, cls)
+			return s.adoptForwarded(it, placed)
 		}
-		s.rejected.Add(1)
-		ts.rejected.Add(1)
-		rej := &RejectionError{Tenant: job.tenant, Reason: "capacity", RetryAfter: time.Second, cause: wsrt.ErrQueueFull}
-		job.cancel(rej)
-		return nil, rej
+		rej = &RejectionError{Tenant: job.tenant, Reason: "capacity", RetryAfter: time.Second, cause: wsrt.ErrQueueFull}
 	}
-	s.rejected.Add(1)
-	ts.rejected.Add(1)
-	job.cancel(wsrt.ErrQueueFull)
-	return nil, wsrt.ErrQueueFull
+	job.ts.rejected.Add(1)
+	job.cancel(rej)
+	return nil, rej
 }
 
 // adoptForwarded registers a job the forwarder just placed on a peer: the
@@ -86,38 +79,38 @@ func (s *Service) forwardOrReject(it *admItem, ts *tenantState, cls *groupStat) 
 // remote watcher settles it when the peer finishes. The job holds no local
 // queue slot — that is the point of forwarding — but it does count toward
 // the tenant's in-flight quota, which was checked before the capacity miss.
-func (s *Service) adoptForwarded(it *admItem, placed *Forwarded, ts *tenantState, cls *groupStat) (*Job, error) {
+func (s *Service) adoptForwarded(it *admItem, placed *Forwarded) (*Job, error) {
 	job := it.job
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		job.cancel(wsrt.ErrPoolClosed)
 		return nil, wsrt.ErrPoolClosed
 	}
-	job.state = StateForwarded
-	job.remoteNode, job.remoteID = placed.Node, placed.JobID
 	s.jobs[job.ID] = job
+	s.followRemote(it, placed)
 	s.mu.Unlock()
 
-	s.inflight.Add(1)
-	ts.inflight.Add(1)
-	s.submitted.Add(1)
-	ts.submitted.Add(1)
-	cls.submitted.Add(1)
-	s.forwardedOut.Add(1)
-	s.forwardedNow.Add(1)
-	s.watchRemote(job, it.spec.Ctx, placed)
+	job.ts.submitted.Add(1)
+	job.cls.submitted.Add(1)
 	return job, nil
 }
 
-// watchRemote follows a forwarded job to its remote terminal state. The
-// wait context merges the job's own context with service shutdown, so
-// Close never blocks on a peer that stopped answering.
-func (s *Service) watchRemote(job *Job, jobCtx context.Context, placed *Forwarded) {
+// followRemote commits a forward: the job enters StateForwarded, naming the
+// peer and its id there, and a watcher follows it to its remote terminal
+// state. The wait context merges the job's own context with service
+// shutdown, so Close never blocks on a peer that stopped answering.
+func (s *Service) followRemote(it *admItem, placed *Forwarded) {
+	job := it.job
+	s.transition(job, StateForwarded, func() { job.remoteNode, job.remoteID = placed.Node, placed.JobID })
+	s.forwardedOut.Add(1)
+	if rec := it.spec.Tracer; rec != nil {
+		rec.Release() // the peer audits the run; the local recorder never sees it
+	}
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
-		wctx, stop := context.WithCancelCause(jobCtx)
+		wctx, stop := context.WithCancelCause(it.spec.Ctx)
 		go func() {
 			defer s.wg.Done()
 			select {
@@ -159,26 +152,10 @@ func (r *RemoteJob) Requeue() {
 }
 
 // Placed commits the forward: the peer at node accepted the job as
-// remoteID. The local queue slot is released (capacity frees up, the pump
-// may wake) and a remote watcher settles the record when the peer is done.
+// remoteID. The local queue slot is released (capacity frees up) and a
+// remote watcher settles the record when the peer is done.
 func (r *RemoteJob) Placed(node, remoteID string, wait func(ctx context.Context) (sched.Result, error)) {
-	s, job := r.s, r.it.job
-	job.mu.Lock()
-	job.state = StateForwarded
-	job.remoteNode, job.remoteID = node, remoteID
-	job.mu.Unlock()
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
-	s.waiting.Add(-1)
-	ts.queued.Add(-1)
-	cls.queued.Add(-1)
-	s.forwardedOut.Add(1)
-	s.forwardedNow.Add(1)
-	if rec := r.it.spec.Tracer; rec != nil {
-		rec.Release()
-	}
-	s.watchRemote(job, r.it.spec.Ctx, &Forwarded{Node: node, JobID: remoteID, Wait: wait})
-	s.wakePump()
+	r.s.followRemote(r.it, &Forwarded{Node: node, JobID: remoteID, Wait: wait})
 }
 
 // Queued is the number of jobs ExtractQueued could reach right now: the
@@ -216,45 +193,5 @@ func (s *Service) ExtractQueued(max int, mayHop func(hops int) bool) []*RemoteJo
 // owns the client's 429). origin records which peer sent the job, hops how
 // many forwards it has behind it including this one.
 func (s *Service) SubmitForwarded(req Request, origin string, hops int) (*Job, error) {
-	it, err := s.buildJob(req)
-	if err != nil {
-		return nil, err
-	}
-	job := it.job
-	job.origin, job.hops = origin, hops
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		job.cancel(wsrt.ErrPoolClosed)
-		return nil, wsrt.ErrPoolClosed
-	}
-	if s.draining.Load() {
-		s.mu.Unlock()
-		job.cancel(ErrDraining)
-		return nil, ErrDraining
-	}
-	if s.waiting.Load() >= int64(s.capacity) {
-		s.mu.Unlock()
-		s.forwardRej.Add(1)
-		job.cancel(wsrt.ErrQueueFull)
-		return nil, wsrt.ErrQueueFull
-	}
-	s.jobs[job.ID] = job
-	s.waiting.Add(1)
-	s.inflight.Add(1)
-	ts.inflight.Add(1)
-	ts.queued.Add(1)
-	cls.queued.Add(1)
-	s.mu.Unlock()
-
-	s.submitted.Add(1)
-	ts.submitted.Add(1)
-	cls.submitted.Add(1)
-	s.forwardedIn.Add(1)
-	s.journalSubmit(job)
-	s.q.push(it)
-	return job, nil
+	return s.admit(req, entry{from: fromPeer, origin: origin, hops: hops})
 }

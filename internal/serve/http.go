@@ -59,16 +59,12 @@ type JobStatus struct {
 // status renders j for the API.
 func status(j *Job) JobStatus {
 	st, res, err := j.Snapshot()
-	eng := j.Req.Engine
-	if eng == "" {
-		eng = "adaptivetc"
-	}
 	out := JobStatus{
 		ID:          j.ID,
 		State:       st,
 		Program:     j.Req.Program,
 		ProgramHash: j.Req.ProgramHash,
-		Engine:      eng,
+		Engine:      j.Req.engineName(),
 		Tenant:      j.tenant,
 		Priority:    j.prio,
 		Created:     j.Created,
@@ -77,8 +73,7 @@ func status(j *Job) JobStatus {
 	j.mu.Lock()
 	out.ForwardedTo, out.RemoteID = j.remoteNode, j.remoteID
 	j.mu.Unlock()
-	switch st {
-	case StateQueued, StateRunning, StateForwarded:
+	if phase[st] != terminal {
 		return out
 	}
 	if err != nil {

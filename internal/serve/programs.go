@@ -140,19 +140,28 @@ func (s *Service) recover(rec *jobstore.Recovery) {
 			s.materializeRecovered(j, req, State(j.State), nil)
 			s.recoveredTerminal.Add(1)
 		case j.Started:
-			s.materializeRecovered(j, req, StateFailed, ErrAbortedByRestart)
+			s.failRecovered(j.ID, req, ErrAbortedByRestart)
 			s.recoveredAborted.Add(1)
-			if s.journal != nil {
-				_ = s.journal.Append(&jobstore.Record{
-					T: jobstore.TDone, ID: j.ID, State: string(StateFailed),
-					Err: ErrAbortedByRestart.Error(),
-				})
-			}
 		default:
-			if s.resubmitRecovered(j.ID, req) {
+			if _, err := s.admit(req, entry{from: fromJournal, id: j.ID}); err != nil {
+				// Program gone from the registry, DSL hash unrecoverable:
+				// failed, not silently dropped.
+				s.failRecovered(j.ID, req, err)
+			} else {
 				s.recoveredRequeued.Add(1)
 			}
 		}
+	}
+}
+
+// failRecovered settles a journaled job that cannot be finished as failed,
+// and journals the verdict so that the next restart recovers it as terminal.
+func (s *Service) failRecovered(id string, req Request, err error) {
+	s.materializeRecovered(&jobstore.JobState{ID: id}, req, StateFailed, err)
+	if s.journal != nil {
+		_ = s.journal.Append(&jobstore.Record{
+			T: jobstore.TDone, ID: id, State: string(StateFailed), Err: err.Error(),
+		})
 	}
 }
 
@@ -176,55 +185,16 @@ func (s *Service) materializeRecovered(j *jobstore.JobState, req Request, state 
 		prio:    prio,
 		cancel:  func(error) {}, // terminal: nothing left to cancel
 		done:    make(chan struct{}),
-		state:   state,
 	}
-	job.res = sched.Result{Value: j.Value, Makespan: j.MakespanNS, Program: req.Program, Engine: req.Engine}
-	if errv != nil {
-		job.err = errv
-	} else if j.Err != "" {
-		job.err = errors.New(j.Err)
+	res := sched.Result{Value: j.Value, Makespan: j.MakespanNS, Program: req.Program, Engine: req.Engine}
+	if errv == nil && j.Err != "" {
+		errv = errors.New(j.Err)
 	}
+	s.transition(job, state, func() { job.res, job.err = res, errv })
+	// Through the same eviction as a job that ends here: a journal holding
+	// more terminal jobs than RetainJobs leaves only the newest resident.
+	s.retire(job)
 	close(job.done)
-	s.mu.Lock()
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.mu.Unlock()
-}
-
-// resubmitRecovered re-queues a journaled job that never started, with
-// its ID preserved. Admission control is deliberately bypassed: the job
-// was already admitted (and its submit journaled) before the crash;
-// bouncing it now off a quota would turn an acknowledged submission into
-// a silent loss. Build failures (program gone from the registry, DSL
-// hash unrecoverable) settle the job as failed instead.
-func (s *Service) resubmitRecovered(id string, req Request) bool {
-	it, err := s.buildJob(req)
-	if err != nil {
-		s.materializeRecovered(&jobstore.JobState{ID: id}, req, StateFailed, err)
-		if s.journal != nil {
-			_ = s.journal.Append(&jobstore.Record{
-				T: jobstore.TDone, ID: id, State: string(StateFailed), Err: err.Error(),
-			})
-		}
-		return false
-	}
-	job := it.job
-	job.ID = id // preserve the journaled identity; the minted one is discarded
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
-
-	s.mu.Lock()
-	s.jobs[job.ID] = job
-	s.waiting.Add(1)
-	s.inflight.Add(1)
-	ts.inflight.Add(1)
-	ts.queued.Add(1)
-	cls.queued.Add(1)
-	s.mu.Unlock()
-	// No journalSubmit: the original submit record is already in the log,
-	// and recovery folds duplicates first-submission-wins anyway.
-	s.q.push(it)
-	return true
 }
 
 // RecoveryStats is the restart-recovery summary exposed in Metrics.

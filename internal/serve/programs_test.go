@@ -426,3 +426,62 @@ func TestServeRecoveryUnrecoverableJob(t *testing.T) {
 		t.Fatalf("unrecoverable job: state=%s err=%v, want failed", st, err)
 	}
 }
+
+// TestServeRecoveryHonoursRetainJobs: a restart on a journal holding more
+// terminal jobs than RetainJobs keeps only the newest RetainJobs of them
+// pollable — from the first request on, not only once a new job happens to
+// finish and trims the rest.
+func TestServeRecoveryHonoursRetainJobs(t *testing.T) {
+	const retain, total = 20, 70
+	dir := t.TempDir()
+	js, _, err := jobstore.Open(dir, jobstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= total; i++ {
+		id := fmt.Sprintf("j%d", i)
+		for _, rec := range []*jobstore.Record{
+			{T: jobstore.TSubmit, ID: id, Req: json.RawMessage(`{"program":"fib","n":10}`)},
+			{T: jobstore.TDone, ID: id, State: string(StateDone), Value: 55},
+		} {
+			if err := js.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+	js2, rec, err := jobstore.Open(dir, jobstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, RetainJobs: retain, Journal: js2, Recovered: rec})
+	t.Cleanup(func() { s.Close(); js2.Close() })
+
+	pollable := 0
+	for i := 1; i <= total; i++ {
+		j, ok := s.Get(fmt.Sprintf("j%d", i))
+		if !ok {
+			continue
+		}
+		pollable++
+		if i <= total-retain {
+			t.Errorf("j%d is resident: eviction must drop the oldest records first", i)
+		}
+		select {
+		case <-j.Done():
+		default:
+			t.Errorf("recovered j%d is not Done", i)
+		}
+		if st, res, err := j.Snapshot(); st != StateDone || err != nil || res.Value != 55 {
+			t.Errorf("recovered j%d: state=%s value=%d err=%v, want done/55", i, st, res.Value, err)
+		}
+	}
+	if pollable != retain {
+		t.Fatalf("%d recovered jobs are pollable, want exactly RetainJobs=%d", pollable, retain)
+	}
+	if m := s.Snapshot(); m.Recovery == nil || m.Recovery.Terminal != total || m.InFlight != 0 || m.Submitted != 0 {
+		t.Fatalf("recovery=%+v in_flight=%d submitted=%d, want %d terminal and no work counted", m.Recovery, m.InFlight, m.Submitted, total)
+	}
+}

@@ -1,6 +1,6 @@
 // Tests for the QoS admission plane: weighted-fair ordering, tenant
-// quotas and rate limits, graceful drain, the percentile and backoff
-// fixes, and goroutine hygiene of the job lifecycle.
+// quotas and rate limits, graceful drain, the percentile fix, and
+// goroutine hygiene of the job lifecycle.
 package serve
 
 import (
@@ -73,7 +73,7 @@ func TestWeightedFairOrdering(t *testing.T) {
 	})
 	t.Cleanup(func() { delete(poolEngines, "qos-probe") })
 
-	s := New(Config{Workers: 1, QueueCapacity: 16, AdmissionBackoff: time.Millisecond})
+	s := New(Config{Workers: 1, QueueCapacity: 16})
 	t.Cleanup(s.Close)
 
 	// id 0: the blocker, holding the lone worker.
@@ -397,36 +397,6 @@ func TestPercentilesNearestRank(t *testing.T) {
 	}
 }
 
-// TestAdmissionBackoffClamp pins the S4 fix: the doubling backoff must
-// never overflow into a negative (spinning) sleep, whatever base and
-// attempt the caller supplies, and is capped at 100ms.
-func TestAdmissionBackoffClamp(t *testing.T) {
-	const cap = 100 * time.Millisecond
-	cases := []struct {
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{0, 0, 500 * time.Microsecond},                    // default base
-		{time.Millisecond, 3, 8 * time.Millisecond},       // plain doubling
-		{time.Millisecond, 30, cap},                       // attempt clamp then cap
-		{time.Second, 1, cap},                             // base at/over the cap
-		{time.Duration(1<<40) * time.Nanosecond, 62, cap}, // would overflow unclamped
-	}
-	for _, tc := range cases {
-		if got := admissionBackoff(tc.base, tc.attempt); got != tc.want {
-			t.Fatalf("admissionBackoff(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
-		}
-	}
-	for attempt := 0; attempt <= 200; attempt++ {
-		for _, base := range []time.Duration{0, 1, time.Microsecond, time.Millisecond, time.Hour} {
-			if d := admissionBackoff(base, attempt); d <= 0 || d > cap {
-				t.Fatalf("admissionBackoff(%v, %d) = %v out of (0, %v]", base, attempt, d, cap)
-			}
-		}
-	}
-}
-
 // TestTokenBucket pins refill arithmetic and the Retry-After hint.
 func TestTokenBucket(t *testing.T) {
 	b := newTokenBucket(TenantLimits{RatePerSec: 2, Burst: 1})
@@ -501,10 +471,11 @@ func TestMetricsBreakdowns(t *testing.T) {
 	}
 }
 
-// TestServeGoroutineHygiene is the S3 assertion: after a service that ran
-// completed, cancelled, and deadline-expired jobs is closed, every
-// goroutine it spawned — pump, watchers, and the job-start markers that
-// previously escaped the WaitGroup — is gone.
+// TestServeGoroutineHygiene: after a service that ran completed, cancelled
+// and deadline-expired jobs, had a job cancelled while it sat staged in the
+// pool's queue, and was closed with another one staged, every goroutine it
+// spawned — the pump, blocked on the staged job both times, and the
+// watchers — is gone.
 func TestServeGoroutineHygiene(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, QueueCapacity: 8, Check: true, Options: sched.Options{GrowableDeque: true}})
@@ -524,7 +495,56 @@ func TestServeGoroutineHygiene(t *testing.T) {
 	for _, j := range jobs {
 		<-j.Done()
 	}
-	s.Close()
+
+	// stageBehindBlocker leaves one job running on the whole pool and a
+	// second in the pool's one-slot queue, with the pump waiting on it.
+	stageBehindBlocker := func() (blocker, staged *Job) {
+		t.Helper()
+		blocker, err := s.Submit(Request{Program: "nqueens-array", N: 14, TimeoutMS: 600000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitForState(t, blocker, StateRunning)
+		staged, err = s.Submit(Request{Program: "fib", N: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the pump to stage the job", func() bool { return s.pool.QueueDepth() == 1 })
+		return blocker, staged
+	}
+
+	// Cancelled while staged: the pool settles it when the shard frees, and
+	// that releases the pump, which must then serve the next job.
+	blocker, staged := stageBehindBlocker()
+	staged.Cancel(ErrCancelled)
+	blocker.Cancel(ErrCancelled)
+	<-staged.Done()
+	if st, _, _ := staged.Snapshot(); st != StateCancelled {
+		t.Fatalf("job cancelled while staged ended %s, want cancelled", st)
+	}
+	next, err := s.Submit(Request{Program: "fib", N: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-next.Done()
+	if st, _, _ := next.Snapshot(); st != StateDone {
+		t.Fatalf("job after the cancelled staged one ended %s: the pump did not come back", st)
+	}
+
+	// Close with one job staged: the pool drains it, which releases the pump.
+	blocker, staged = stageBehindBlocker()
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	<-staged.Done()
+	if st, _, jerr := staged.Snapshot(); st != StateFailed || !errors.Is(jerr, wsrt.ErrPoolClosed) {
+		t.Fatalf("job staged at Close ended %s (%v), want failed with ErrPoolClosed", st, jerr)
+	}
+	blocker.Cancel(ErrCancelled) // Close lets a running job finish; do not make it the long way
+	<-closed
+
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= base+2 {

@@ -676,10 +676,9 @@ func TestServeAdmissionRetryTransient(t *testing.T) {
 		}
 	}
 	s := New(Config{
-		Workers:          1,
-		QueueCapacity:    4,
-		AdmissionBackoff: time.Millisecond,
-		Faults:           faults.New(spec),
+		Workers:       1,
+		QueueCapacity: 4,
+		Faults:        faults.New(spec),
 	})
 	t.Cleanup(s.Close)
 
@@ -705,10 +704,9 @@ func TestServeAdmissionRetryTransient(t *testing.T) {
 // rejection, and the pump survives to serve the next job.
 func TestServeAdmissionSustainedRejection(t *testing.T) {
 	s := New(Config{
-		Workers:          1,
-		QueueCapacity:    4,
-		AdmissionBackoff: time.Millisecond,
-		Faults:           faults.New(faults.Spec{Seed: 1, Reject: 1}),
+		Workers:       1,
+		QueueCapacity: 4,
+		Faults:        faults.New(faults.Spec{Seed: 1, Reject: 1}),
 	})
 	t.Cleanup(s.Close)
 

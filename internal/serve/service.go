@@ -99,9 +99,10 @@ type Job struct {
 
 	tenant string
 	prio   Priority
+	ts     *tenantState // the tenant's and the class's gauges and counters;
+	cls    *groupStat   // nil on a record recovered terminal, which moves none
 
 	cancel context.CancelCauseFunc
-	handle *wsrt.JobHandle // set by the pump once the pool accepts the job
 	done   chan struct{}
 
 	origin   string // peer node that forwarded the job here, if any
@@ -135,12 +136,6 @@ func (j *Job) Violations() error {
 	defer j.mu.Unlock()
 	return j.violations
 }
-
-// Tenant returns the tenant the job was attributed to.
-func (j *Job) Tenant() string { return j.tenant }
-
-// Priority returns the job's QoS class.
-func (j *Job) Priority() Priority { return j.prio }
 
 // Cancel requests cooperative cancellation of the job.
 func (j *Job) Cancel(cause error) { j.cancel(cause) }
@@ -188,13 +183,6 @@ type Config struct {
 	// GET /jobs/{id}; zero means 1024. Oldest terminal records are evicted
 	// first; live jobs are never evicted.
 	RetainJobs int
-	// AdmissionBackoff is the pump's initial sleep when the pool's staging
-	// queue is full (or fault injection pretends it is), doubling per
-	// consecutive refusal up to a 100ms cap. Zero means 500µs. The pump
-	// retries until the job is cancelled or the service closes — a full
-	// staging slot is flow control, not rejection; rejection happens at
-	// the QueueCapacity bound in Submit.
-	AdmissionBackoff time.Duration
 	// Faults, when non-nil, threads the fault plan through the service:
 	// pool-level admission/shard faults plus per-job worker and deque
 	// faults. Chaos soaks use it; production leaves it nil (free).
@@ -216,41 +204,33 @@ type Config struct {
 
 // Service is the resident job service.
 type Service struct {
-	cfg      Config
-	pool     *wsrt.Pool
-	capacity int
+	cfg  Config // defaults resolved by New
+	pool *wsrt.Pool
 
 	started time.Time
 	nextID  atomic.Int64
 
 	q    *wfq
-	quit chan struct{} // closed by Close; wakes the pump's backoff sleep
-	wake chan struct{} // capacity 1; nudges the pump when pool space frees
+	quit chan struct{} // closed by Close
+	idle chan struct{} // capacity 1; a token says inflight reached zero (Drain)
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // terminal job ids in completion order, for eviction
-	closed bool
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string // terminal job ids in completion order, for eviction
 
+	closed   atomic.Bool // set under mu, so admit's check-and-register is ordered against Close
 	draining atomic.Bool
 	waiting  atomic.Int64 // accepted, not yet running (WFQ + staged)
 	inflight atomic.Int64 // accepted, not yet terminal
 
-	submitted   atomic.Int64
-	completed   atomic.Int64
-	failed      atomic.Int64
-	cancelled   atomic.Int64
-	rejected    atomic.Int64
-	rateLimited atomic.Int64
-	quotaRej    atomic.Int64
-	retried     atomic.Int64
-	checked     atomic.Int64
-	violations  atomic.Int64
-	idleParks   atomic.Int64 // Σ Stats.Parks over finished jobs
-	idleWakes   atomic.Int64 // Σ Stats.Wakes over finished jobs
-	latencies   *latencyRing
-	hist        *histogram
-	longPoll    longPollStats
+	retried    atomic.Int64
+	checked    atomic.Int64
+	violations atomic.Int64
+	idleParks  atomic.Int64 // Σ Stats.Parks over finished jobs
+	idleWakes  atomic.Int64 // Σ Stats.Wakes over finished jobs
+	latencies  *latencyRing
+	hist       *histogram
+	longPoll   longPollStats
 
 	programs *progstore.Store // DSL compile cache (programs-as-data)
 	journal  *jobstore.Store  // nil when not persisting
@@ -272,7 +252,7 @@ type Service struct {
 	enginesMu sync.Mutex
 	engines   map[string]*groupStat
 
-	wg sync.WaitGroup // pump + job watcher goroutines (start markers included)
+	wg sync.WaitGroup // pump + job watcher goroutines
 }
 
 // New builds the service and starts its pool and admission pump.
@@ -280,13 +260,14 @@ func New(cfg Config) *Service {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
 	}
-	capacity := cfg.QueueCapacity
-	if capacity <= 0 {
-		capacity = 64
+	if cfg.SLOTargetMS <= 0 {
+		cfg.SLOTargetMS = 50
+	}
+	if cfg.QueueCapacity <= 0 {
+		cfg.QueueCapacity = 64
 	}
 	s := &Service{
-		cfg:      cfg,
-		capacity: capacity,
+		cfg: cfg,
 		pool: wsrt.NewPool(wsrt.PoolConfig{
 			Workers: cfg.Workers,
 			// One staging slot: every job that is not literally next waits
@@ -300,7 +281,7 @@ func New(cfg Config) *Service {
 		started:   time.Now(),
 		q:         newWFQ(),
 		quit:      make(chan struct{}),
-		wake:      make(chan struct{}, 1),
+		idle:      make(chan struct{}, 1),
 		jobs:      make(map[string]*Job),
 		latencies: newLatencyRing(4096),
 		hist:      newHistogram(),
@@ -327,20 +308,13 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Pool exposes the underlying pool (tests).
-func (s *Service) Pool() *wsrt.Pool { return s.pool }
-
 // adviseShard is the "slo" shard policy: while the interactive class's
 // live p99 exceeds the target, collapse to one claim — the widest shard
 // the allocator can form, draining each job fastest — and otherwise fall
 // back to the adaptive split (one claim per waiting job).
 func (s *Service) adviseShard(waiting, slots, free int) int {
-	target := s.cfg.SLOTargetMS
-	if target <= 0 {
-		target = 50
-	}
 	_, p99 := s.classes[PriorityInteractive].lat.percentiles()
-	if float64(p99)/1e6 > target {
+	if float64(p99)/1e6 > s.cfg.SLOTargetMS {
 		return 1
 	}
 	return waiting + 1
@@ -383,10 +357,19 @@ func (s *Service) tenant(name string) *tenantState {
 	return ts
 }
 
+// engineName resolves the request's engine: empty means defaultEngine.
+func (r Request) engineName() string {
+	if r.Engine == "" {
+		return defaultEngine
+	}
+	return r.Engine
+}
+
+const defaultEngine = "adaptivetc"
+
 // buildJob validates req, builds its program and engine, and constructs
-// the job record, its cancellation context and its admission item —
-// everything Submit and SubmitForwarded share before their admission
-// checks diverge.
+// the job record, its cancellation context and its admission item. The
+// record is in no lifecycle state yet; admit gives it one.
 func (s *Service) buildJob(req Request) (*admItem, error) {
 	var prog sched.Program
 	var firstSol bool
@@ -411,13 +394,9 @@ func (s *Service) buildJob(req Request) (*admItem, error) {
 		}
 		firstSol = registry.FirstSolution(req.Program)
 	}
-	engName := req.Engine
-	if engName == "" {
-		engName = "adaptivetc"
-	}
-	mk, ok := poolEngines[engName]
+	mk, ok := poolEngines[req.engineName()]
 	if !ok {
-		return nil, fmt.Errorf("serve: engine %q is not pool-capable (have %v)", engName, EngineNames())
+		return nil, fmt.Errorf("serve: engine %q is not pool-capable (have %v)", req.engineName(), EngineNames())
 	}
 	if !wsrt.ValidStealPolicy(req.StealPolicy) {
 		return nil, fmt.Errorf("serve: unknown steal policy %q (have %v)", req.StealPolicy, wsrt.StealPolicyNames())
@@ -448,10 +427,11 @@ func (s *Service) buildJob(req Request) (*admItem, error) {
 		Created:  time.Now(),
 		tenant:   tenant,
 		prio:     prio,
+		ts:       s.tenant(tenant),
+		cls:      s.classes[prio],
 		firstSol: firstSol,
 		cancel:   cancel,
 		done:     make(chan struct{}),
-		state:    StateQueued,
 	}
 	var rec *trace.Recorder
 	if s.cfg.Check {
@@ -496,62 +476,157 @@ func dslOverrides(req Request) map[string]int64 {
 // forwarder (see SetForwarder); only if no peer takes the job does the
 // client see the 429 — counted once, here, with this node's Retry-After.
 func (s *Service) Submit(req Request) (*Job, error) {
+	return s.admit(req, entry{from: fromClient})
+}
+
+// source is who vouches for a job on its way into the queue; it decides
+// which admission checks admit runs and which counters it moves.
+type source int
+
+const (
+	fromClient  source = iota // Submit: a client's own submission
+	fromPeer                  // SubmitForwarded: charged to its tenant at the originating node
+	fromJournal               // recovery: admitted, counted and journaled before the restart
+)
+
+// entry is everything that differs between the three ways into the queue.
+type entry struct {
+	from   source
+	id     string // fromJournal: the journaled id, kept in place of a minted one
+	origin string // fromPeer: the node that forwarded the job
+	hops   int    // fromPeer: forwards behind the job, this one included
+}
+
+// admit is the one way into the weighted-fair queue: build the job, run
+// the checks its source calls for, register the record, give it its first
+// lifecycle state, count it, journal it, queue it.
+func (s *Service) admit(req Request, e entry) (*Job, error) {
 	it, err := s.buildJob(req)
 	if err != nil {
 		return nil, err
 	}
 	job := it.job
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
+	job.origin, job.hops = e.origin, e.hops
+	if e.from == fromJournal {
+		job.ID = e.id
+	}
 
-	// Admission checks and the enqueue are one critical section, so the
-	// capacity and quota bounds cannot be overshot by concurrent submits.
+	// The checks and the enqueue are one critical section, so the capacity
+	// and quota bounds cannot be overshot by concurrent submits.
 	s.mu.Lock()
-	if s.closed {
+	if err := s.refusal(job, e.from); err != nil {
 		s.mu.Unlock()
-		job.cancel(wsrt.ErrPoolClosed)
-		return nil, wsrt.ErrPoolClosed
-	}
-	if s.draining.Load() {
-		s.mu.Unlock()
-		job.cancel(ErrDraining)
-		return nil, ErrDraining
-	}
-	if q := ts.limits.MaxInFlight; q > 0 && ts.inflight.Load() >= int64(q) {
-		s.mu.Unlock()
-		rej := &RejectionError{Tenant: job.tenant, Reason: "quota", RetryAfter: time.Second}
-		s.quotaRej.Add(1)
-		ts.quotaRejected.Add(1)
-		job.cancel(rej)
-		return nil, rej
-	}
-	if ok, retryAfter := ts.bucket.take(time.Now()); !ok {
-		s.mu.Unlock()
-		rej := &RejectionError{Tenant: job.tenant, Reason: "rate-limit", RetryAfter: retryAfter}
-		s.rateLimited.Add(1)
-		ts.rateLimited.Add(1)
-		job.cancel(rej)
-		return nil, rej
-	}
-	if s.waiting.Load() >= int64(s.capacity) {
-		s.mu.Unlock()
-		// Outside the lock: the forwarder does network I/O.
-		return s.forwardOrReject(it, ts, cls)
+		if e.from == fromClient && errors.Is(err, wsrt.ErrQueueFull) {
+			// Outside the lock: the forwarder does network I/O.
+			return s.forwardOrReject(it)
+		}
+		job.cancel(err)
+		return nil, err
 	}
 	s.jobs[job.ID] = job
-	s.waiting.Add(1)
-	s.inflight.Add(1)
-	ts.inflight.Add(1)
-	ts.queued.Add(1)
-	cls.queued.Add(1)
+	s.transition(job, StateQueued, nil)
 	s.mu.Unlock()
 
-	s.submitted.Add(1)
-	ts.submitted.Add(1)
-	cls.submitted.Add(1)
-	s.journalSubmit(job)
+	if e.from != fromJournal {
+		job.ts.submitted.Add(1)
+		job.cls.submitted.Add(1)
+		s.journalSubmit(job)
+	}
+	if e.from == fromPeer {
+		s.forwardedIn.Add(1)
+	}
 	s.q.push(it)
 	return job, nil
+}
+
+// refusal runs the admission checks from calls for and reports why the job
+// may not enter the queue, nil if it may. The caller holds s.mu.
+func (s *Service) refusal(job *Job, from source) error {
+	ts := job.ts
+	switch {
+	case from == fromJournal:
+		// The submission was acknowledged before the restart; turning it
+		// away now would make it a silent loss.
+		return nil
+	case s.closed.Load():
+		return wsrt.ErrPoolClosed
+	case s.draining.Load():
+		return ErrDraining
+	}
+	if from == fromClient {
+		// Quota before the bucket: an over-quota submission must not also
+		// burn a rate token.
+		if q := ts.limits.MaxInFlight; q > 0 && ts.inflight.Load() >= int64(q) {
+			ts.quotaRejected.Add(1)
+			return &RejectionError{Tenant: job.tenant, Reason: "quota", RetryAfter: time.Second}
+		}
+		if ok, retryAfter := ts.bucket.take(time.Now()); !ok {
+			ts.rateLimited.Add(1)
+			return &RejectionError{Tenant: job.tenant, Reason: "rate-limit", RetryAfter: retryAfter}
+		}
+	}
+	if s.waiting.Load() >= int64(s.cfg.QueueCapacity) {
+		if from == fromPeer {
+			// Not the client-visible rejected: the origin owns the 429.
+			s.forwardRej.Add(1)
+		}
+		return wsrt.ErrQueueFull
+	}
+	return nil
+}
+
+// phase orders the live states; every state not listed here is terminal,
+// the last phase. A job only ever moves to a later phase, and that one rule
+// settles the race between the pump marking a start and the watcher
+// finalizing the same job: whichever comes second finds nothing to do.
+var phase = map[State]int{
+	"":           -3, // built, not yet admitted
+	StateQueued:  -2,
+	StateRunning: -1, StateForwarded: -1, // placed on an executor, here or on a peer
+}
+
+const terminal = 0
+
+// transition is the job's one lifecycle step, and with count the only code
+// that moves a lifecycle gauge. Under job.mu it replaces the state with
+// next — running set for the fields that must change with it — unless the
+// job is already that far along, and counts the job into what next holds,
+// then out of what the displaced state held (in that order, so in_flight
+// never reads zero in between). It reports whether the job moved.
+func (s *Service) transition(job *Job, next State, set func()) bool {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	prev := job.state
+	if phase[next] <= phase[prev] {
+		return false
+	}
+	job.state = next
+	if set != nil {
+		set()
+	}
+	s.count(job, next, 1)
+	s.count(job, prev, -1)
+	return true
+}
+
+// count is the lifecycle table: the gauges a job in state st is counted
+// in, moved by d. A job not yet admitted, or terminal, is counted in none.
+func (s *Service) count(job *Job, st State, d int64) {
+	switch st {
+	case StateQueued:
+		s.waiting.Add(d)
+		job.ts.queued.Add(d)
+		job.cls.queued.Add(d)
+	case StateRunning:
+		job.ts.running.Add(d)
+		job.cls.running.Add(d)
+	case StateForwarded:
+		s.forwardedNow.Add(d)
+	default:
+		return
+	}
+	job.ts.inflight.Add(d)
+	s.inflight.Add(d)
 }
 
 // Get returns the job record for id.
@@ -572,78 +647,65 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
+// stagingRetryPause is how long the pump waits before it offers a job to
+// the pool again after an injected admission fault refused it.
+const stagingRetryPause = time.Millisecond
+
 // pump is the admission pump: the single consumer of the weighted-fair
-// queue. It stages jobs into the pool one at a time; a full staging slot
-// puts the job back at the head of its tenant queue and backs off, so a
-// higher-priority arrival can overtake while the pump waits.
+// queue. It stages one job into the pool's one-slot queue, then waits for
+// that job to leave the slot — started, or settled without starting
+// (cancelled where it stood, drained by Close) — before it pops the next.
+// The pool announces both on the job's handle, so the pump never finds the
+// slot full, and every job that is not literally next stays in the queue
+// where a later, more important arrival can still overtake it.
 func (s *Service) pump() {
 	defer s.wg.Done()
-	attempt := 0
 	for {
 		it, ok := s.q.pop()
 		if !ok {
 			return
 		}
-		job := it.job
 		if ctx := it.spec.Ctx; ctx != nil && ctx.Err() != nil {
 			// Cancelled while queued: never reaches the pool.
 			s.retireQueued(it, context.Cause(ctx))
-			attempt = 0
 			continue
 		}
-		if s.isClosed() {
+		if s.closed.Load() {
 			s.retireQueued(it, wsrt.ErrPoolClosed)
 			continue
 		}
 		h, err := s.pool.Submit(it.spec)
 		switch {
 		case err == nil:
-			attempt = 0
-			job.handle = h
-			// Two slots: the watcher and its start marker. The pump holds
-			// its own slot while adding, so the counter cannot be at zero
-			// concurrently with Close's Wait.
-			s.wg.Add(2)
-			go s.watch(it)
+			// The pump holds its own wg slot while adding the watcher's, so
+			// the counter cannot be at zero concurrently with Close's Wait.
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				res, err := h.Result()
+				s.finalize(it.job, it.spec.Tracer, res, err)
+			}()
+			select {
+			case <-h.Started():
+				if s.transition(it.job, StateRunning, nil) {
+					s.journalStart(it.job)
+				}
+			case <-h.Done():
+			}
 		case errors.Is(err, wsrt.ErrQueueFull):
-			// The staging slot is taken (or fault injection says so). Not a
-			// rejection — the job was accepted at Submit — so park it back
-			// at the head of its queue and wait for space.
+			// Only fault injection (faults.Spec.Reject) gets here. Not a
+			// rejection — the job was accepted at Submit — so it goes back
+			// to the head of its queue and is offered again after a pause.
 			s.q.pushFront(it)
 			s.retried.Add(1)
-			s.sleepOrWake(admissionBackoff(s.cfg.AdmissionBackoff, attempt))
-			attempt++
+			select {
+			case <-time.After(stagingRetryPause):
+			case <-s.quit:
+			}
 		default:
 			s.retireQueued(it, err)
-			attempt = 0
 		}
 	}
-}
-
-// sleepOrWake sleeps for d unless a finishing job (wake) or shutdown
-// (quit) interrupts.
-func (s *Service) sleepOrWake(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.wake:
-	case <-s.quit:
-	}
-}
-
-// wakePump nudges the pump out of its backoff sleep (non-blocking).
-func (s *Service) wakePump() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (s *Service) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // retireQueued finishes a job that never reached the pool (cancelled in
@@ -654,57 +716,8 @@ func (s *Service) retireQueued(it *admItem, err error) {
 	s.finalize(it.job, it.spec.Tracer, res, err)
 }
 
-// watch follows one pool-accepted job to its terminal state. The start
-// marker moves the job queued → running as soon as the pool picks it up;
-// it is wg-tracked like the watcher itself (its slot pre-added by the
-// pump), so Close cannot return while either still runs.
-func (s *Service) watch(it *admItem) {
-	defer s.wg.Done()
-	job := it.job
-	go func() {
-		defer s.wg.Done()
-		// Started is closed by the pool on job start; a job drained by
-		// Close never starts but does finish, which releases this marker.
-		select {
-		case <-job.handle.Started():
-			s.markRunning(job)
-		case <-job.handle.Done():
-		}
-	}()
-	res, err := job.handle.Result()
-	s.finalize(job, it.spec.Tracer, res, err)
-}
-
-// markRunning transitions a job queued → running and moves the gauges
-// with it. The job's state mutex orders it against finalize: whichever
-// runs first wins, and the loser sees the state it left behind.
-func (s *Service) markRunning(job *Job) {
-	job.mu.Lock()
-	moved := job.state == StateQueued
-	if moved {
-		job.state = StateRunning
-	}
-	job.mu.Unlock()
-	if !moved {
-		return
-	}
-	s.waiting.Add(-1)
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
-	ts.queued.Add(-1)
-	cls.queued.Add(-1)
-	ts.running.Add(1)
-	cls.running.Add(1)
-	s.journalStart(job)
-	// The job left the staging slot, so the pump can stage the next one.
-	s.wakePump()
-}
-
 // engine returns (creating if needed) the per-engine breakdown stats.
 func (s *Service) engine(name string) *groupStat {
-	if name == "" {
-		name = "adaptivetc"
-	}
 	s.enginesMu.Lock()
 	defer s.enginesMu.Unlock()
 	g := s.engines[name]
@@ -716,34 +729,31 @@ func (s *Service) engine(name string) *groupStat {
 }
 
 // finalize settles one job: classify the outcome, fold it into the
-// global and per-tenant/priority/engine metrics, run the invariant
-// checker in check mode, publish the terminal record, and release the
-// job's admission footprint. Every job passes through here exactly once,
-// whether it ran on the pool or died in the queue.
+// per-tenant/priority/engine metrics, run the invariant checker in check
+// mode, journal and then publish the terminal record (the terminal
+// transition releases the job's admission footprint). Every job passes
+// through here exactly once, whether it ran on the pool, on a peer, or
+// died in the queue.
 func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err error) {
 	job.cancel(nil) // release the context watcher and any deadline timer
 
-	ts := s.tenant(job.tenant)
-	cls := s.classes[job.prio]
-	eng := s.engine(job.Req.Engine)
+	ts, cls := job.ts, job.cls
+	eng := s.engine(job.Req.engineName())
 	s.idleParks.Add(res.Stats.Parks)
 	s.idleWakes.Add(res.Stats.Wakes)
 
 	state := StateDone
 	switch {
 	case err == nil:
-		s.completed.Add(1)
 		ts.completed.Add(1)
 		cls.completed.Add(1)
 		eng.completed.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrCancelled):
 		state = StateCancelled
-		s.cancelled.Add(1)
 		ts.cancelled.Add(1)
 		cls.cancelled.Add(1)
 	default:
 		state = StateFailed
-		s.failed.Add(1)
 		ts.failed.Add(1)
 		cls.failed.Add(1)
 	}
@@ -815,39 +825,21 @@ func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err 
 	// the result to survive a crash.
 	s.journalDone(job, state, res, err)
 
-	job.mu.Lock()
-	prev := job.state
-	job.state, job.res, job.err, job.violations = state, res, err, viol
-	job.mu.Unlock()
-	// Release the admission footprint according to how far the job got.
-	// The state mutex totally orders this against markRunning, so the
-	// waiting counter and the queued/running gauges settle exactly once.
-	// A forwarded job released its queue slot when it left for the peer
-	// (Placed / adoptForwarded); only its pending gauge remains.
-	switch prev {
-	case StateRunning:
-		ts.running.Add(-1)
-		cls.running.Add(-1)
-	case StateForwarded:
-		s.forwardedNow.Add(-1)
-	default:
-		s.waiting.Add(-1)
-		ts.queued.Add(-1)
-		cls.queued.Add(-1)
-	}
-	ts.inflight.Add(-1)
-	s.inflight.Add(-1)
+	s.transition(job, state, func() { job.res, job.err, job.violations = res, err, viol })
+	s.retire(job)
 	close(job.done)
-	s.retire(job.ID)
-	s.wakePump()
+	if s.inflight.Load() == 0 {
+		s.wakeDrain()
+	}
 }
 
-// retire records id as terminal and evicts the oldest terminal records
-// beyond the retention bound.
-func (s *Service) retire(id string) {
+// retire keeps a terminal job's record for GET /jobs/{id} and evicts the
+// oldest terminal records beyond the retention bound.
+func (s *Service) retire(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.order = append(s.order, id)
+	s.jobs[job.ID] = job // already there unless recovery is installing the record
+	s.order = append(s.order, job.ID)
 	for len(s.order) > s.cfg.RetainJobs {
 		evict := s.order[0]
 		s.order = s.order[1:]
@@ -858,7 +850,7 @@ func (s *Service) retire(id string) {
 // Ready reports whether the service accepts new jobs: true until Drain or
 // Close begins. GET /readyz renders it.
 func (s *Service) Ready() bool {
-	return !s.draining.Load() && !s.isClosed()
+	return !s.draining.Load() && !s.closed.Load()
 }
 
 // Drain gracefully winds the service down: new submissions are rejected
@@ -868,17 +860,23 @@ func (s *Service) Ready() bool {
 // drained — the expected follow-up is Close.
 func (s *Service) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if s.inflight.Load() == 0 {
-			return nil
-		}
+	for s.inflight.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-tick.C:
+		case <-s.idle:
 		}
+	}
+	s.wakeDrain() // pass the token on: another Drain may wait for the same zero
+	return nil
+}
+
+// wakeDrain leaves the token that says in_flight reached zero. A token
+// already there serves as well: Drain re-reads the gauge when it gets one.
+func (s *Service) wakeDrain() {
+	select {
+	case s.idle <- struct{}{}:
+	default:
 	}
 }
 
@@ -886,7 +884,6 @@ func (s *Service) Drain(ctx context.Context) error {
 func (s *Service) Snapshot() Metrics {
 	up := time.Since(s.started)
 	p50, p99 := s.latencies.percentiles()
-	completed := s.completed.Load()
 	m := Metrics{
 		Started:             s.started,
 		UptimeSeconds:       up.Seconds(),
@@ -896,7 +893,7 @@ func (s *Service) Snapshot() Metrics {
 		ShardPolicy:         string(s.pool.ShardPolicy()),
 		RunningJobs:         s.pool.RunningJobs(),
 		BusyWorkers:         s.pool.BusyWorkers(),
-		QueueCapacity:       s.capacity,
+		QueueCapacity:       s.cfg.QueueCapacity,
 		QueueDepth:          int(s.waiting.Load()),
 		ExternalQueueDepth:  s.q.depth(),
 		InFlight:            s.inflight.Load(),
@@ -904,13 +901,6 @@ func (s *Service) Snapshot() Metrics {
 		ForwardedIn:         s.forwardedIn.Load(),
 		ForwardRejected:     s.forwardRej.Load(),
 		ForwardedNow:        s.forwardedNow.Load(),
-		Submitted:           s.submitted.Load(),
-		Completed:           completed,
-		Failed:              s.failed.Load(),
-		Cancelled:           s.cancelled.Load(),
-		Rejected:            s.rejected.Load(),
-		RateLimited:         s.rateLimited.Load(),
-		QuotaRejected:       s.quotaRej.Load(),
 		AdmissionRetries:    s.retried.Load(),
 		QuarantinedJobs:     s.pool.Quarantined(),
 		IdleParks:           s.idleParks.Load(),
@@ -943,12 +933,6 @@ func (s *Service) Snapshot() Metrics {
 	}
 	if s.pool.ShardPolicy() == wsrt.ShardSLO {
 		m.SLOTargetMS = s.cfg.SLOTargetMS
-		if m.SLOTargetMS <= 0 {
-			m.SLOTargetMS = 50
-		}
-	}
-	if up > 0 {
-		m.ThroughputPerSecond = float64(completed) / up.Seconds()
 	}
 	if m.Workers > 0 {
 		m.WorkerOccupancy = float64(m.BusyWorkers) / float64(m.Workers)
@@ -965,13 +949,28 @@ func (s *Service) Snapshot() Metrics {
 	if len(s.tenants) > 0 {
 		m.Tenants = make(map[string]GroupMetrics, len(s.tenants))
 		for name, ts := range s.tenants {
-			m.Tenants[name] = ts.snapshot()
+			g := ts.snapshot()
+			m.Tenants[name] = g
+			// Every rejection is charged to exactly one tenant.
+			m.Rejected += g.Rejected
+			m.RateLimited += g.RateLimited
+			m.QuotaRejected += g.QuotaRejected
 		}
 	}
 	s.tenantsMu.Unlock()
 	m.Priorities = make(map[string]GroupMetrics, len(priorityOrder))
 	for _, p := range priorityOrder {
-		m.Priorities[string(p)] = s.classes[p].snapshot()
+		g := s.classes[p].snapshot()
+		m.Priorities[string(p)] = g
+		// Every job is in exactly one class, so the service-wide outcome
+		// counts are the class sums.
+		m.Submitted += g.Submitted
+		m.Completed += g.Completed
+		m.Failed += g.Failed
+		m.Cancelled += g.Cancelled
+	}
+	if up > 0 {
+		m.ThroughputPerSecond = float64(m.Completed) / up.Seconds()
 	}
 	s.enginesMu.Lock()
 	if len(s.engines) > 0 {
@@ -986,17 +985,15 @@ func (s *Service) Snapshot() Metrics {
 
 // Close shuts the service down: queued jobs are retired with
 // wsrt.ErrPoolClosed, in-flight work finishes or is drained by the pool,
-// every watcher (and start marker) completes, and further submissions
-// fail. For a graceful shutdown that finishes the backlog instead of
-// failing it, call Drain first.
+// every watcher completes, and further submissions fail. For a graceful
+// shutdown that finishes the backlog instead of failing it, call Drain first.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	already := s.closed.Swap(true)
+	s.mu.Unlock()
+	if already {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	close(s.quit)
 	s.q.close() // the pump drains the backlog, retiring every queued job
 	s.pool.Close()
