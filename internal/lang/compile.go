@@ -2,50 +2,25 @@ package lang
 
 import "fmt"
 
-// store holds the runtime values of ATC state: scalar slots and arrays.
-type store struct {
-	scalars []int64
-	arrays  [][]int64
-}
-
-func (s *store) clone() *store {
-	c := &store{
-		scalars: append([]int64(nil), s.scalars...),
-		arrays:  make([][]int64, len(s.arrays)),
-	}
-	for i, a := range s.arrays {
-		c.arrays[i] = append([]int64(nil), a...)
-	}
-	return c
-}
-
-func (s *store) copyFrom(o *store) {
-	copy(s.scalars, o.scalars)
-	for i := range s.arrays {
-		copy(s.arrays[i], o.arrays[i])
-	}
-}
-
-func (s *store) bytes() int {
-	n := 8 * len(s.scalars)
-	for _, a := range s.arrays {
-		n += 8 * len(a)
-	}
-	return n
-}
-
-// writeRec is one entry of the apply rollback log.
+// writeRec is one entry of the apply rollback log: a taskprivate cell and
+// the value it held. Shared cells never appear here — the compiler rejects
+// every write to shared state outside init, and init does not log.
 type writeRec struct {
-	shared bool
-	array  int // -1 for a scalar
-	slot   int
-	old    int64
+	cell int
+	old  int64
 }
 
-// env is the evaluation context of one workspace.
+// env is the evaluation context of one workspace. State is one flat
+// []int64 per store — every scalar and array at a fixed offset the compiler
+// resolved once (symbol.slot) — so cloning a workspace is one copy.
+//
+// An env lives inside its workspace and is reused by every call on it
+// (Program.envFor resets it in place), which is sound because a workspace
+// is taskprivate: exactly one worker evaluates on it at a time. locals and
+// log keep their capacity between calls; nothing here is ever cloned.
 type env struct {
-	ws     *store
-	shared *store
+	ws     []int64 // the taskprivate cells: the payload Clone copies
+	shared []int64 // Compiled.sharedProto; read-only outside init
 	depth  int64
 	m      int64
 	locals []int64 // for-loop variables, slot-indexed
@@ -82,7 +57,7 @@ const (
 
 type symbol struct {
 	kind symKind
-	slot int   // scalar/array index in its store
+	slot int   // offset of the scalar, or of the array's first cell, in its store
 	val  int64 // for params
 	size int   // for arrays
 }
@@ -92,9 +67,8 @@ type symbol struct {
 type Compiled struct {
 	name         string
 	syms         map[string]*symbol
-	scalarCount  int
-	arraySizes   []int
-	sharedProto  *store // built by init; referenced read-only by all runs
+	cells        int     // taskprivate cells per workspace
+	sharedProto  []int64 // built by init; referenced read-only by all runs
 	initStmts    execFn
 	terminalCond evalFn
 	terminalVal  evalFn
@@ -104,13 +78,11 @@ type Compiled struct {
 }
 
 type compiler struct {
-	syms        map[string]*symbol
-	scalarCount int
-	arraySizes  []int
-	inInit      bool
-	inApply     bool
-	locals      []string // lexical stack of for-loop variables
-	maxLocals   int
+	syms      map[string]*symbol
+	inInit    bool
+	inApply   bool
+	locals    []string // lexical stack of for-loop variables
+	maxLocals int
 }
 
 // MaxStateCells bounds the total declared state of one program — scalars
@@ -149,23 +121,20 @@ func Compile(name, src string, overrides map[string]int64) (*Compiled, error) {
 		}
 	}
 
-	// State declarations.
-	var sharedScalars int
-	var sharedSizes []int
-	var totalCells int64
+	// State declarations: each takes the next cells of its store.
+	var cells, sharedCells int
 	for _, sd := range f.states {
 		if _, dup := c.syms[sd.name]; dup || sd.name == "depth" || sd.name == "m" {
 			return nil, errf(sd.line, 1, "duplicate or reserved name %q", sd.name)
 		}
 		sym := &symbol{}
 		if sd.size == nil {
-			totalCells++
 			if sd.shared {
-				sym.kind, sym.slot = symSharedScalar, sharedScalars
-				sharedScalars++
+				sym.kind, sym.slot = symSharedScalar, sharedCells
+				sharedCells++
 			} else {
-				sym.kind, sym.slot = symScalar, c.scalarCount
-				c.scalarCount++
+				sym.kind, sym.slot = symScalar, cells
+				cells++
 			}
 		} else {
 			n, err := c.constEval(sd.size)
@@ -178,27 +147,21 @@ func Compile(name, src string, overrides map[string]int64) (*Compiled, error) {
 			if n > MaxStateCells {
 				return nil, errf(sd.line, 1, "state %s size %d exceeds the %d-cell limit", sd.name, n, MaxStateCells)
 			}
-			totalCells += n
 			if sd.shared {
-				sym.kind, sym.slot, sym.size = symSharedArray, len(sharedSizes), int(n)
-				sharedSizes = append(sharedSizes, int(n))
+				sym.kind, sym.slot, sym.size = symSharedArray, sharedCells, int(n)
+				sharedCells += int(n)
 			} else {
-				sym.kind, sym.slot, sym.size = symArray, len(c.arraySizes), int(n)
-				c.arraySizes = append(c.arraySizes, int(n))
+				sym.kind, sym.slot, sym.size = symArray, cells, int(n)
+				cells += int(n)
 			}
 		}
-		if totalCells > MaxStateCells {
+		if cells+sharedCells > MaxStateCells {
 			return nil, errf(sd.line, 1, "total state exceeds the %d-cell limit", MaxStateCells)
 		}
 		c.syms[sd.name] = sym
 	}
 
-	out := &Compiled{
-		name:        name,
-		syms:        c.syms,
-		scalarCount: c.scalarCount,
-		arraySizes:  c.arraySizes,
-	}
+	out := &Compiled{name: name, syms: c.syms, cells: cells}
 
 	// init block (may write shared state).
 	c.inInit = true
@@ -230,13 +193,7 @@ func Compile(name, src string, overrides map[string]int64) (*Compiled, error) {
 	// Build the zeroed shared prototype; NewProgram runs init exactly once
 	// to populate it (running it here too would double any read-modify-
 	// write the init block performs on shared state).
-	out.sharedProto = &store{
-		scalars: make([]int64, sharedScalars),
-		arrays:  make([][]int64, len(sharedSizes)),
-	}
-	for i, n := range sharedSizes {
-		out.sharedProto.arrays[i] = make([]int64, n)
-	}
+	out.sharedProto = make([]int64, sharedCells)
 	return out, nil
 }
 
@@ -258,27 +215,7 @@ func (p *Compiled) Params() map[string]int64 {
 
 // StateCells returns the total declared state cells (taskprivate plus
 // shared): the size driver of per-task clones, reported as metadata.
-func (p *Compiled) StateCells() int64 {
-	n := int64(p.scalarCount) + int64(len(p.sharedProto.scalars))
-	for _, sz := range p.arraySizes {
-		n += int64(sz)
-	}
-	for _, a := range p.sharedProto.arrays {
-		n += int64(len(a))
-	}
-	return n
-}
-
-func (p *Compiled) newStore() *store {
-	s := &store{
-		scalars: make([]int64, p.scalarCount),
-		arrays:  make([][]int64, len(p.arraySizes)),
-	}
-	for i, n := range p.arraySizes {
-		s.arrays[i] = make([]int64, n)
-	}
-	return s
-}
+func (p *Compiled) StateCells() int64 { return int64(p.cells + len(p.sharedProto)) }
 
 // constEval evaluates an expression over parameters only (array sizes,
 // parameter initialisers).
@@ -389,9 +326,9 @@ func (c *compiler) compileExpr(e expr) (evalFn, *Error) {
 			n := s.val
 			return func(*env) int64 { return n }, nil
 		case symScalar:
-			return func(ev *env) int64 { return ev.ws.scalars[slot] }, nil
+			return func(ev *env) int64 { return ev.ws[slot] }, nil
 		case symSharedScalar:
-			return func(ev *env) int64 { return ev.shared.scalars[slot] }, nil
+			return func(ev *env) int64 { return ev.shared[slot] }, nil
 		default:
 			return nil, errf(v.line, v.col, "array %q used without an index", v.name)
 		}
@@ -413,7 +350,7 @@ func (c *compiler) compileExpr(e expr) (evalFn, *Error) {
 				if i < 0 || i >= size {
 					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
 				}
-				return ev.ws.arrays[slot][i]
+				return ev.ws[slot+int(i)]
 			}, nil
 		case symSharedArray:
 			return func(ev *env) int64 {
@@ -421,7 +358,7 @@ func (c *compiler) compileExpr(e expr) (evalFn, *Error) {
 				if i < 0 || i >= size {
 					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
 				}
-				return ev.shared.arrays[slot][i]
+				return ev.shared[slot+int(i)]
 			}, nil
 		default:
 			return nil, errf(v.line, v.col, "%q is not an array", v.name)
@@ -595,9 +532,9 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 					st = ev.shared
 				}
 				if ev.logging {
-					ev.log = append(ev.log, writeRec{shared: shared, array: -1, slot: slot, old: st.scalars[slot]})
+					ev.log = append(ev.log, writeRec{cell: slot, old: st[slot]})
 				}
-				st.scalars[slot] = val(ev)
+				st[slot] = val(ev)
 				return true
 			}, nil
 		case symArray, symSharedArray:
@@ -619,10 +556,11 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 				if i < 0 || i >= size {
 					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
 				}
+				cell := slot + int(i)
 				if ev.logging {
-					ev.log = append(ev.log, writeRec{shared: shared, array: slot, slot: int(i), old: st.arrays[slot][i]})
+					ev.log = append(ev.log, writeRec{cell: cell, old: st[cell]})
 				}
-				st.arrays[slot][i] = val(ev)
+				st[cell] = val(ev)
 				return true
 			}, nil
 		}

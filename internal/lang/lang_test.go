@@ -99,6 +99,18 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile("t", "terminal 1 -> 1 moves 2 apply {} undo {}", map[string]int64{"nope": 1}); err == nil {
 		t.Error("override of unknown param accepted")
 	}
+	// Shared state is writable in init and nowhere else. The rollback log
+	// depends on it: a writeRec names a taskprivate cell, never a shared one.
+	for _, blocks := range []string{
+		"apply { g = 1 } undo {}", "apply {} undo { g = 1 }",
+		"apply { t[0] = 1 } undo {}", "apply {} undo { t[0] = 1 }",
+		"apply { for i = 0 to 2 { if i == m { t[i] = 1 } } } undo {}",
+	} {
+		_, err := Compile("t", "state g shared state t[2] shared terminal 1 -> 1 moves 2 "+blocks, nil)
+		if err == nil || !strings.Contains(err.Error(), "may only be written in init") {
+			t.Errorf("shared write in %q: got %v, want the written-in-init-only error", blocks, err)
+		}
+	}
 }
 
 func TestNQueensMatchesNative(t *testing.T) {
@@ -142,6 +154,7 @@ func TestConformance(t *testing.T) {
 	progtest.Conformance(t, compileT(t, NQueensSrc, map[string]int64{"n": 6}))
 	progtest.Conformance(t, compileT(t, FibSrc, map[string]int64{"n": 12}))
 	progtest.Conformance(t, compileT(t, LatinSrc, map[string]int64{"n": 3}))
+	progtest.Conformance(t, compileT(t, permSrc, nil)) // a for loop, rejecting from inside it
 }
 
 func TestRejectRollsBack(t *testing.T) {
@@ -218,6 +231,34 @@ undo { a[0] = 0 }
 		}
 	}()
 	serialValue(t, p)
+}
+
+// TestBoundsCheckIsPerArray: the arrays of one store are neighbours in one
+// flat slice, so an index past the end of a lands inside b. It must still
+// fault, with a's bounds in the message, on a read and on a write.
+func TestBoundsCheckIsPerArray(t *testing.T) {
+	src := `
+state a[2]
+state b[8]
+terminal depth == 1 -> a[depth + 2]
+moves 1
+apply { a[m + 2] = 1 }
+undo { }
+`
+	p := compileT(t, src, nil)
+	for want, call := range map[string]func(ws sched.Workspace){
+		"index 3 out of range [0,2)": func(ws sched.Workspace) { p.Terminal(ws, 1) },
+		"index 2 out of range [0,2)": func(ws sched.Workspace) { p.Apply(ws, 0, 0) },
+	} {
+		func() {
+			defer func() {
+				if e, ok := recover().(*Error); !ok || e.Msg != want || e.Line == 0 {
+					t.Errorf("recovered %v, want a positioned %q", e, want)
+				}
+			}()
+			call(p.Root())
+		}()
+	}
 }
 
 func TestOverridesChangeSize(t *testing.T) {

@@ -4,46 +4,46 @@ import (
 	"adaptivetc/internal/sched"
 )
 
-// workspace adapts a store to sched.Workspace: the taskprivate state of
-// one task, deep-copied on Clone exactly as the paper's taskprivate
-// attribute prescribes.
+// workspace adapts the flat store to sched.Workspace: the taskprivate state
+// of one task, copied on Clone exactly as the paper's taskprivate attribute
+// prescribes. The payload is ev.ws; the rest of ev is evaluation scratch,
+// which Clone never hands on, CopyFrom leaves alone and Bytes does not count.
 type workspace struct {
-	st *store
+	ev env
 }
 
-// Clone implements sched.Workspace.
-func (w *workspace) Clone() sched.Workspace { return &workspace{st: w.st.clone()} }
+// Clone implements sched.Workspace: the struct and one copy of the cells.
+func (w *workspace) Clone() sched.Workspace {
+	return &workspace{ev: env{ws: append([]int64(nil), w.ev.ws...), shared: w.ev.shared}}
+}
 
 // Bytes implements sched.Workspace: the taskprivate payload size.
-func (w *workspace) Bytes() int { return w.st.bytes() }
+func (w *workspace) Bytes() int { return 8 * len(w.ev.ws) }
 
 // CopyFrom implements sched.Reusable.
-func (w *workspace) CopyFrom(src sched.Workspace) { w.st.copyFrom(src.(*workspace).st) }
+func (w *workspace) CopyFrom(src sched.Workspace) { copy(w.ev.ws, src.(*workspace).ev.ws) }
 
 // Program adapts a Compiled ATC program to sched.Program, so every engine
 // in the repository (Cilk, Tascell, AdaptiveTC, …) can run source written
 // in the mini-language.
 type Program struct {
 	c       *Compiled
-	wsProto *store
+	wsProto *workspace
 }
 
 // NewProgram wraps a compiled ATC file, running the init block exactly
 // once to establish the shared state and the root taskprivate state. The
 // shared prototype is re-zeroed first, so wrapping the same Compiled twice
 // is safe.
-func NewProgram(c *Compiled) *Program {
-	for i := range c.sharedProto.scalars {
-		c.sharedProto.scalars[i] = 0
-	}
-	for _, a := range c.sharedProto.arrays {
-		for i := range a {
-			a[i] = 0
-		}
-	}
-	probe := &env{ws: c.newStore(), shared: c.sharedProto}
-	c.initStmts(probe)
-	return &Program{c: c, wsProto: probe.ws}
+func NewProgram(c *Compiled) *Program { return c.runInit(0) }
+
+// runInit runs the init block on a zeroed shared prototype and a fresh
+// workspace, under the given for-loop budget (0: unbounded).
+func (c *Compiled) runInit(budget int64) *Program {
+	clear(c.sharedProto)
+	root := &workspace{ev: env{ws: make([]int64, c.cells), shared: c.sharedProto, budget: budget}}
+	c.initStmts(&root.ev)
+	return &Program{c: c, wsProto: root}
 }
 
 // NewProgramGuarded wraps a compiled ATC file like NewProgram, but runs
@@ -59,15 +59,6 @@ func NewProgramGuarded(c *Compiled, budget int64) (p *Program, err error) {
 	if budget <= 0 {
 		budget = 1 << 22
 	}
-	for i := range c.sharedProto.scalars {
-		c.sharedProto.scalars[i] = 0
-	}
-	for _, a := range c.sharedProto.arrays {
-		for i := range a {
-			a[i] = 0
-		}
-	}
-	probe := &env{ws: c.newStore(), shared: c.sharedProto, budget: budget}
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(*Error); ok {
@@ -77,8 +68,7 @@ func NewProgramGuarded(c *Compiled, budget int64) (p *Program, err error) {
 			panic(r)
 		}
 	}()
-	c.initStmts(probe)
-	return &Program{c: c, wsProto: probe.ws}, nil
+	return c.runInit(budget), nil
 }
 
 // CompileProgram is the one-call front end: source to runnable program.
@@ -109,15 +99,19 @@ func (p *Program) Compiled() *Compiled { return p.c }
 func (p *Program) Name() string { return "atc:" + p.c.name }
 
 // Root implements sched.Program.
-func (p *Program) Root() sched.Workspace { return &workspace{st: p.wsProto.clone()} }
+func (p *Program) Root() sched.Workspace { return p.wsProto.Clone() }
 
+// envFor readies w's scratch for one call. Every field a previous call
+// could have left behind is reset, whatever that call was: a guarded probe
+// (budget), a rejected apply (rejected, log) or one that panicked half-way
+// (logging).
 func (p *Program) envFor(w sched.Workspace, depth, m int) *env {
-	return &env{
-		ws:     w.(*workspace).st,
-		shared: p.c.sharedProto,
-		depth:  int64(depth),
-		m:      int64(m),
-	}
+	ev := &w.(*workspace).ev
+	ev.depth, ev.m = int64(depth), int64(m)
+	ev.rejected, ev.logging = false, false
+	ev.log = ev.log[:0]
+	ev.budget, ev.steps = 0, 0
+	return ev
 }
 
 // Terminal implements sched.Program.
@@ -150,16 +144,7 @@ func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 	}
 	// Roll back in reverse order.
 	for i := len(ev.log) - 1; i >= 0; i-- {
-		rec := ev.log[i]
-		st := ev.ws
-		if rec.shared {
-			st = ev.shared
-		}
-		if rec.array < 0 {
-			st.scalars[rec.slot] = rec.old
-		} else {
-			st.arrays[rec.array][rec.slot] = rec.old
-		}
+		ev.ws[ev.log[i].cell] = ev.log[i].old
 	}
 	return false
 }

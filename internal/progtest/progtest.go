@@ -111,6 +111,11 @@ func cloneIsolation(t *testing.T, p sched.Program) {
 		cloneDepth := depth
 		c1 := ws.Clone()
 		c2 := ws.Clone()
+		// Every move, legal or rejected, on both sides in turn: whatever an
+		// Apply keeps for its rollback belongs to one workspace.
+		tryMoves(p, ws, cloneDepth)
+		tryMoves(p, c1, cloneDepth)
+		tryMoves(p, ws, cloneDepth)
 		v1 := evalOn(p, c1, cloneDepth)
 		// Mutating the original must not disturb the clones.
 		for len(applied) > 0 {
@@ -124,6 +129,19 @@ func cloneIsolation(t *testing.T, p sched.Program) {
 		}
 		if got := evalOn(p, ws, 0); got != want {
 			t.Fatalf("trial %d: original corrupted after cloning: %d vs %d", trial, got, want)
+		}
+	}
+}
+
+// tryMoves applies every candidate move at depth and takes the legal ones
+// back, leaving ws as it found it.
+func tryMoves(p sched.Program, ws sched.Workspace, depth int) {
+	if _, term := p.Terminal(ws, depth); term {
+		return
+	}
+	for m, n := 0, p.Moves(ws, depth); m < n; m++ {
+		if p.Apply(ws, depth, m) {
+			p.Undo(ws, depth, m)
 		}
 	}
 }

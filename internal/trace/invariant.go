@@ -42,6 +42,8 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"adaptivetc/internal/deque"
 )
@@ -50,7 +52,8 @@ import (
 // imports this package). Pinned by a cross-package test in wsrt.
 const KindSpecial = 2
 
-// taskState accumulates one task seq's event counts.
+// taskState accumulates one task seq's event counts. The zero value is a
+// seq nothing was recorded about.
 type taskState struct {
 	kind        int64
 	spawns      int
@@ -70,9 +73,18 @@ type taskState struct {
 // otherwise produce one violation per task.
 const maxViolations = 20
 
-// replay is the accumulated event history of one run.
+// replay is the accumulated event history of one run. It is scratch: a
+// CheckLaws takes one from replayPool and gives it back, so a warm audit
+// allocates nothing per task.
 type replay struct {
-	tasks        map[uint64]*taskState
+	// tasks holds one state per seq the run's workers allocated. NextSeq
+	// hands each worker the indices 1, 2, … in order, so worker w's seqs
+	// are exactly tasks[base[w]:base[w+1]].
+	tasks []taskState
+	base  []int
+	// strays are the seqs events name although no worker allocated them;
+	// only a corrupt log has any.
+	strays       map[uint64]*taskState
 	completions  int
 	completed    []int64 // values carried by OpComplete events
 	rootDeposits int
@@ -80,60 +92,76 @@ type replay struct {
 	stealFails   int
 }
 
-// replayWorkers folds every worker log into per-task counters.
-func (r *Recorder) replayWorkers() *replay {
-	rp := &replay{tasks: make(map[uint64]*taskState)}
-	task := func(seq uint64) *taskState {
-		t := rp.tasks[seq]
-		if t == nil {
-			t = &taskState{kind: -1}
-			rp.tasks[seq] = t
-		}
-		return t
+var replayPool = sync.Pool{New: func() any { return new(replay) }}
+
+// task returns seq's counters.
+func (rp *replay) task(seq uint64) *taskState {
+	w, i := SeqWorker(seq), SeqIndex(seq)
+	if w >= 0 && w+1 < len(rp.base) && i >= 1 && i <= uint64(rp.base[w+1]-rp.base[w]) {
+		return &rp.tasks[rp.base[w]+int(i)-1]
 	}
+	t := rp.strays[seq]
+	if t == nil {
+		if rp.strays == nil {
+			rp.strays = make(map[uint64]*taskState)
+		}
+		t = new(taskState)
+		rp.strays[seq] = t
+	}
+	return t
+}
+
+// replayWorkers folds every worker log into rp's per-task counters.
+func (r *Recorder) replayWorkers(rp *replay) {
+	*rp = replay{tasks: rp.tasks[:0], base: append(rp.base[:0], 0), completed: rp.completed[:0]}
+	for _, w := range r.workers {
+		rp.base = append(rp.base, rp.base[len(rp.base)-1]+int(w.seq))
+	}
+	n := rp.base[len(rp.base)-1]
+	rp.tasks = slices.Grow(rp.tasks, n)[:n]
+	clear(rp.tasks)
 	for _, w := range r.workers {
 		for i := range w.evs {
 			ev := &w.evs[i]
 			switch ev.Op {
 			case OpSpawn:
-				t := task(ev.Task)
+				t := rp.task(ev.Task)
 				t.spawns++
 				t.kind = ev.B
 			case OpPush:
-				task(ev.Task).pushes++
+				rp.task(ev.Task).pushes++
 			case OpPop:
-				task(ev.Task).pops++
+				rp.task(ev.Task).pops++
 			case OpPopEmpty:
 				// No conservation effect: a failed pop consumes nothing.
 			case OpPopSpecial:
-				task(ev.Task).popSpecials++
+				rp.task(ev.Task).popSpecials++
 			case OpSteal:
-				task(ev.Task).steals++
-				task(uint64(ev.B)).credits++
+				rp.task(ev.Task).steals++
+				rp.task(uint64(ev.B)).credits++
 				rp.stealOKs++
 			case OpStealFail:
 				rp.stealFails++
 			case OpExpect:
-				task(ev.Task).expects++
+				rp.task(ev.Task).expects++
 			case OpCancel:
-				task(ev.Task).cancels++
+				rp.task(ev.Task).cancels++
 			case OpDeposit:
 				if ev.Task == 0 {
 					rp.rootDeposits++
 				} else {
-					task(ev.Task).deposits++
+					rp.task(ev.Task).deposits++
 				}
 			case OpFinalize:
-				task(ev.Task).finalizes++
+				rp.task(ev.Task).finalizes++
 			case OpSuspend:
-				task(ev.Task).suspends++
+				rp.task(ev.Task).suspends++
 			case OpComplete:
 				rp.completions++
 				rp.completed = append(rp.completed, ev.A)
 			}
 		}
 	}
-	return rp
 }
 
 // checkDeques replays each deque's lock-ordered log against the
@@ -239,7 +267,9 @@ func (r *Recorder) CheckLaws(l Laws) error {
 		}
 	}
 
-	rp := r.replayWorkers()
+	rp := replayPool.Get().(*replay)
+	defer replayPool.Put(rp)
+	r.replayWorkers(rp)
 
 	// The floors truncation drops: a value, and at least one completion
 	// carrying it.
@@ -272,52 +302,70 @@ func (r *Recorder) CheckLaws(l Laws) error {
 // truncated drops the "at least once" floors (an aborted run may abandon
 // work at any point).
 func (r *Recorder) checkTasks(rp *replay, addf func(string, ...any), k int, truncated bool) {
-	for seq, t := range rp.tasks {
-		name := FormatSeq(seq)
-		if t.spawns < 1 || t.spawns > k {
-			addf("spawn-unique: task %s spawned %d times, want 1..%d", name, t.spawns, k)
-			continue // counts below are meaningless without a unique identity
-		}
-		if t.kind == KindSpecial {
-			if t.steals != 0 {
-				addf("special-pinned: special marker %s was stolen %d times", name, t.steals)
-			}
-			if t.pops != 0 {
-				addf("special-pinned: special marker %s left through the ordinary pop %d times", name, t.pops)
-			}
-			if t.popSpecials > k*t.pushes || (!truncated && t.popSpecials < t.pushes) {
-				addf("special-pinned: special marker %s pushed %d times but removed by PopSpecial %d times (multiplicity %d)",
-					name, t.pushes, t.popSpecials, k)
-			}
-			if t.suspends != 0 || t.finalizes != 0 {
-				addf("suspend-once: special marker %s suspends=%d finalizes=%d, want 0/0", name, t.suspends, t.finalizes)
-			}
-		} else {
-			if t.popSpecials != 0 {
-				addf("special-pinned: ordinary task %s removed via PopSpecial %d times", name, t.popSpecials)
-			}
-			// Consumption without a push is a hard violation at any k
-			// (k * 0 pushes is still 0); losing a push is only legal on a
-			// truncated run.
-			if consumed := t.pops + t.steals; consumed > k*t.pushes || (!truncated && consumed < t.pushes) {
-				addf("conservation: task %s pushed %d times, consumed %d times (%d pops + %d steals, multiplicity %d)",
-					name, t.pushes, consumed, t.pops, t.steals, k)
-			}
-			if t.suspends > k {
-				addf("suspend-once: task %s suspended %d times, want at most %d", name, t.suspends, k)
-			}
-			if t.finalizes > t.suspends {
-				addf("suspend-once: task %s finalised %d times but suspended %d times", name, t.finalizes, t.suspends)
+	for w := range r.workers {
+		for i := rp.base[w]; i < rp.base[w+1]; i++ {
+			// A seq that was allocated but appears in no event breaks no law.
+			if t := &rp.tasks[i]; *t != (taskState{}) {
+				checkTask(packSeq(w, uint64(i-rp.base[w]+1)), t, addf, k, truncated)
 			}
 		}
-		owed := t.credits + t.expects - t.cancels
-		hi := k * owed
-		if hi < owed {
-			hi = owed // owed < 0 is itself nonsense; let the bound report it
+	}
+	for seq, t := range rp.strays {
+		checkTask(seq, t, addf, k, truncated)
+	}
+}
+
+// seqName formats a task seq only if a violation prints it: a clean run
+// names nothing.
+type seqName uint64
+
+func (s seqName) String() string { return FormatSeq(uint64(s)) }
+
+func checkTask(seq uint64, t *taskState, addf func(string, ...any), k int, truncated bool) {
+	name := seqName(seq)
+	if t.spawns < 1 || t.spawns > k {
+		addf("spawn-unique: task %s spawned %d times, want 1..%d", name, t.spawns, k)
+		return // counts below are meaningless without a unique identity
+	}
+	if t.kind == KindSpecial {
+		if t.steals != 0 {
+			addf("special-pinned: special marker %s was stolen %d times", name, t.steals)
 		}
-		if t.deposits > hi || (!truncated && t.deposits < owed) {
-			addf("deposit-owed: task %s received %d deposits but was owed %d (%d steal credits + %d expects - %d cancels, multiplicity %d)",
-				name, t.deposits, owed, t.credits, t.expects, t.cancels, k)
+		if t.pops != 0 {
+			addf("special-pinned: special marker %s left through the ordinary pop %d times", name, t.pops)
 		}
+		if t.popSpecials > k*t.pushes || (!truncated && t.popSpecials < t.pushes) {
+			addf("special-pinned: special marker %s pushed %d times but removed by PopSpecial %d times (multiplicity %d)",
+				name, t.pushes, t.popSpecials, k)
+		}
+		if t.suspends != 0 || t.finalizes != 0 {
+			addf("suspend-once: special marker %s suspends=%d finalizes=%d, want 0/0", name, t.suspends, t.finalizes)
+		}
+	} else {
+		if t.popSpecials != 0 {
+			addf("special-pinned: ordinary task %s removed via PopSpecial %d times", name, t.popSpecials)
+		}
+		// Consumption without a push is a hard violation at any k
+		// (k * 0 pushes is still 0); losing a push is only legal on a
+		// truncated run.
+		if consumed := t.pops + t.steals; consumed > k*t.pushes || (!truncated && consumed < t.pushes) {
+			addf("conservation: task %s pushed %d times, consumed %d times (%d pops + %d steals, multiplicity %d)",
+				name, t.pushes, consumed, t.pops, t.steals, k)
+		}
+		if t.suspends > k {
+			addf("suspend-once: task %s suspended %d times, want at most %d", name, t.suspends, k)
+		}
+		if t.finalizes > t.suspends {
+			addf("suspend-once: task %s finalised %d times but suspended %d times", name, t.finalizes, t.suspends)
+		}
+	}
+	owed := t.credits + t.expects - t.cancels
+	hi := k * owed
+	if hi < owed {
+		hi = owed // owed < 0 is itself nonsense; let the bound report it
+	}
+	if t.deposits > hi || (!truncated && t.deposits < owed) {
+		addf("deposit-owed: task %s received %d deposits but was owed %d (%d steal credits + %d expects - %d cancels, multiplicity %d)",
+			name, t.deposits, owed, t.credits, t.expects, t.cancels, k)
 	}
 }

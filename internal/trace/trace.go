@@ -127,6 +127,9 @@ type DequeEvent struct {
 // fits in memory.
 const seqWorkerShift = 40
 
+// packSeq is the identity of worker's index-th spawn (index counts from 1).
+func packSeq(worker int, index uint64) uint64 { return uint64(worker+1)<<seqWorkerShift | index }
+
 // SeqWorker recovers the worker that allocated seq.
 func SeqWorker(seq uint64) int { return int(seq>>seqWorkerShift) - 1 }
 
@@ -145,7 +148,7 @@ func FormatSeq(seq uint64) string {
 // owned by exactly one worker goroutine during a run; the Recorder reads it
 // only after the run has joined.
 type WorkerLog struct {
-	id  int32
+	id  int
 	seq uint64
 	evs []Event
 }
@@ -158,7 +161,7 @@ func (l *WorkerLog) Add(ts int64, op Op, task uint64, a, b int64) {
 // NextSeq allocates a fresh globally-unique task identity.
 func (l *WorkerLog) NextSeq() uint64 {
 	l.seq++
-	return uint64(l.id+1)<<seqWorkerShift | l.seq
+	return packSeq(l.id, l.seq)
 }
 
 // Events returns the recorded events (read-only; valid until the next Init
@@ -174,13 +177,13 @@ type DequeLog struct {
 // Events returns the recorded transitions in lock order.
 func (l *DequeLog) Events() []DequeEvent { return l.evs }
 
-// Buffer pools. Traced stress runs create and drop many short logs; the
-// pools keep their backing arrays alive between runs so a warm
+// Log pools. Traced stress runs create and drop many short logs; the pools
+// keep the logs and their backing arrays alive between runs so a warm
 // Init/record/Check/Release cycle allocates nothing but what the run's own
 // high-water mark demands.
 var (
-	eventBufPool = sync.Pool{New: func() any { s := make([]Event, 0, 1024); return &s }}
-	dequeBufPool = sync.Pool{New: func() any { s := make([]DequeEvent, 0, 256); return &s }}
+	workerLogPool = sync.Pool{New: func() any { return &WorkerLog{evs: make([]Event, 0, 1024)} }}
+	dequeLogPool  = sync.Pool{New: func() any { return &DequeLog{evs: make([]DequeEvent, 0, 256)} }}
 )
 
 // Recorder collects one run's trace. Create it once, point Options.Tracer
@@ -208,10 +211,12 @@ func (r *Recorder) Init(n int, maxStolenNum int64) {
 	r.workers = r.workers[:0]
 	r.deques = r.deques[:0]
 	for i := 0; i < n; i++ {
-		evs := *eventBufPool.Get().(*[]Event)
-		r.workers = append(r.workers, &WorkerLog{id: int32(i), evs: evs[:0]})
-		devs := *dequeBufPool.Get().(*[]DequeEvent)
-		r.deques = append(r.deques, &DequeLog{evs: devs[:0]})
+		w := workerLogPool.Get().(*WorkerLog)
+		w.id, w.seq, w.evs = i, 0, w.evs[:0]
+		r.workers = append(r.workers, w)
+		d := dequeLogPool.Get().(*DequeLog)
+		d.evs = d.evs[:0]
+		r.deques = append(r.deques, d)
 	}
 }
 
@@ -219,13 +224,11 @@ func (r *Recorder) Init(n int, maxStolenNum int64) {
 // read afterwards. Safe to call on an empty recorder.
 func (r *Recorder) Release() {
 	for i, w := range r.workers {
-		evs := w.evs
-		eventBufPool.Put(&evs)
+		workerLogPool.Put(w)
 		r.workers[i] = nil
 	}
 	for i, d := range r.deques {
-		devs := d.evs
-		dequeBufPool.Put(&devs)
+		dequeLogPool.Put(d)
 		r.deques[i] = nil
 	}
 	r.workers = r.workers[:0]

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -74,12 +75,14 @@ func TestCheckCatchesViolations(t *testing.T) {
 		seed  func(r *Recorder, t1 uint64)
 		final int64 // value passed as the run result; 10 is correct
 		want  string
+		text  string // the whole report after its header line, byte for byte
 	}{
 		{
 			name:  "wrong final value",
 			seed:  func(*Recorder, uint64) {},
 			final: 11,
 			want:  "single-completion",
+			text:  "single-completion: run value 11 != serial value 10\nsingle-completion: completion event carries 10, run reported 11",
 		},
 		{
 			name: "double spawn",
@@ -88,6 +91,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "spawn-unique",
+			text:  "spawn-unique: task w0#1 spawned 2 times, want 1..1",
 		},
 		{
 			name: "push never consumed",
@@ -96,6 +100,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "conservation",
+			text:  "conservation: task w0#1 pushed 2 times, consumed 1 times (0 pops + 1 steals, multiplicity 1)",
 		},
 		{
 			name: "special marker stolen",
@@ -113,6 +118,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "special-pinned",
+			text:  "special-pinned: special marker w0#2 was stolen 1 times",
 		},
 		{
 			name: "deposit nobody owed",
@@ -121,6 +127,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "deposit-owed",
+			text:  "deposit-owed: task w0#1 received 2 deposits but was owed 1 (1 steal credits + 0 expects - 0 cancels, multiplicity 1)",
 		},
 		{
 			name: "finalize without suspend",
@@ -129,6 +136,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "suspend-once",
+			text:  "suspend-once: task w0#1 finalised 2 times but suspended 1 times",
 		},
 		{
 			name: "deque counter diverges from replay",
@@ -138,6 +146,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "need-task-fsm",
+			text:  "need-task-fsm: deque 1 event 1 (steal-fail): counter/flag = 7/false, lock-order replay expects 2/false (max_stolen_num=2)",
 		},
 		{
 			name: "need_task raised late",
@@ -154,6 +163,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "need-task-fsm",
+			text:  "need-task-fsm: deque 1 event 2 (steal-fail): counter/flag = 3/false, lock-order replay expects 3/true (max_stolen_num=2)",
 		},
 		{
 			name: "worker steal without deque record",
@@ -162,6 +172,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "steal-symmetry",
+			text:  "steal-symmetry: workers recorded 2 failed steals, deques recorded 1",
 		},
 		{
 			name: "double completion",
@@ -170,6 +181,45 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "single-completion",
+			text:  "single-completion: 2 root completions recorded, want at most 1",
+		},
+		{
+			name: "special marker popped, unmatched, suspended",
+			seed: func(r *Recorder, _ uint64) {
+				w0 := r.WorkerLog(0)
+				s := w0.NextSeq()
+				w0.Add(60, OpSpawn, s, 2, KindSpecial)
+				w0.Add(61, OpPush, s, 0, 0)
+				w0.Add(62, OpPop, s, 0, 0)
+				w0.Add(63, OpSuspend, s, 0, 0)
+			},
+			final: 10,
+			want:  "special-pinned",
+			text: "special-pinned: special marker w0#2 left through the ordinary pop 1 times\n" +
+				"special-pinned: special marker w0#2 pushed 1 times but removed by PopSpecial 0 times (multiplicity 1)\n" +
+				"suspend-once: special marker w0#2 suspends=1 finalizes=0, want 0/0",
+		},
+		{
+			name: "ordinary task through PopSpecial, suspended twice",
+			seed: func(r *Recorder, t1 uint64) {
+				r.WorkerLog(0).Add(60, OpPopSpecial, t1, 0, 0)
+				r.WorkerLog(1).Add(61, OpSuspend, t1, 0, 0)
+			},
+			final: 10,
+			want:  "suspend-once",
+			text: "special-pinned: ordinary task w0#1 removed via PopSpecial 1 times\n" +
+				"suspend-once: task w0#1 suspended 2 times, want at most 1",
+		},
+		{
+			// No worker of the run allocated w5#9; the checker keeps such a
+			// seq apart from the dense ones and must report it the same way.
+			name: "event names a seq nobody allocated",
+			seed: func(r *Recorder, _ uint64) {
+				r.WorkerLog(1).Add(60, OpPush, 6<<seqWorkerShift|9, 0, 0)
+			},
+			final: 10,
+			want:  "spawn-unique",
+			text:  "spawn-unique: task w5#9 spawned 0 times, want 1..1",
 		},
 	}
 	for _, c := range cases {
@@ -183,6 +233,10 @@ func TestCheckCatchesViolations(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("violation report does not name %s:\n%v", c.want, err)
+			}
+			header := fmt.Sprintf("trace: %d invariant violation(s):\n", 1+strings.Count(c.text, "\n"))
+			if err.Error() != header+c.text {
+				t.Fatalf("report text moved:\n got %q\nwant %q", err.Error(), header+c.text)
 			}
 		})
 	}
@@ -373,4 +427,65 @@ func TestRecorderReuse(t *testing.T) {
 	if r.Workers() != 0 {
 		t.Fatalf("Workers = %d after Release, want 0", r.Workers())
 	}
+}
+
+// bulkRun records a clean run of n tasks on two workers — each spawned,
+// pushed and popped by its owner — and returns the recorder.
+func bulkRun(n int) *Recorder {
+	r := NewRecorder()
+	r.Init(2, 20)
+	for i := 0; i < n; i++ {
+		w := r.WorkerLog(i % 2)
+		s := w.NextSeq()
+		w.Add(int64(i), OpSpawn, s, 1, 0)
+		w.Add(int64(i), OpPush, s, 0, 0)
+		w.Add(int64(i), OpPop, s, 0, 0)
+	}
+	r.WorkerLog(0).Add(int64(n), OpDeposit, 0, 10, 0)
+	r.WorkerLog(0).Add(int64(n), OpComplete, 0, 10, 0)
+	return r
+}
+
+// TestCheckLawsAllocsFlat pins the audit's allocation budget: a handful per
+// CheckLaws (the verdict closure; under -race the pool drops the scratch now
+// and then), never one per task.
+func TestCheckLawsAllocsFlat(t *testing.T) {
+	for _, n := range []int{1000, 10000} {
+		r := bulkRun(n)
+		check := func() {
+			if err := r.Check(10, 10); err != nil {
+				t.Fatalf("clean %d-task run: %v", n, err)
+			}
+		}
+		check() // size the pooled scratch
+		if got := testing.AllocsPerRun(20, check); got > 8 {
+			t.Errorf("%d tasks: %v allocs per CheckLaws, want a constant handful", n, got)
+		}
+		r.Release()
+	}
+}
+
+// TestCheckIgnoresUnusedSeq: a seq that was allocated but appears in no
+// event has a slot in the dense table and breaks no law.
+func TestCheckIgnoresUnusedSeq(t *testing.T) {
+	r, _ := cleanRun(2)
+	defer r.Release()
+	r.WorkerLog(1).NextSeq()
+	if err := r.Check(10, 10); err != nil {
+		t.Fatalf("an unused seq was reported: %v", err)
+	}
+}
+
+func BenchmarkCheckLaws(b *testing.B) {
+	r := bulkRun(10000)
+	defer r.Release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Check(10, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(r.EventCount()), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.EventCount()), "ns/event")
 }
