@@ -1,6 +1,8 @@
 // Package core implements AdaptiveTC, the paper's adaptive task creation
 // strategy for work-stealing scheduling (Section 3) as the five compiled
-// code versions of Section 4.2:
+// code versions of Section 4.2. fast, fast_2 and slow are two configurations
+// of the shared spawn loop wsrt.Fast; check and sequence, and the special
+// task that links them, are this package's own:
 //
 //	fast      depth < cutoff: create real tasks (clone the taskprivate
 //	          workspace, push the continuation frame); at the cutoff it
@@ -66,77 +68,32 @@ func (e *Engine) NewExec(n int, opt sched.Options) wsrt.Engine {
 	if cut2 < cut {
 		cut2 = cut
 	}
-	return &exec{cutoff: cut, cutoff2: cut2}
+	x := &exec{}
+	x.fast = wsrt.Fast{Kind: wsrt.KindFast, Cutoff: cut, Below: x.checkNode}
+	x.fast2 = wsrt.Fast{Kind: wsrt.KindFast2, Cutoff: cut2, Below: sequenceNode}
+	return x
 }
 
 type exec struct {
-	cutoff  int // fast → check transition depth (⌈log2 N⌉)
-	cutoff2 int // fast_2 → sequence transition depth (2×cutoff)
+	fast  wsrt.Fast // fast → check transition at depth ⌈log2 N⌉
+	fast2 wsrt.Fast // fast_2 → sequence transition at relative depth 2×cutoff
 }
 
 // Root implements wsrt.Engine: the root task starts in the fast version at
 // depth 0.
-func (x *exec) Root(w *wsrt.Worker) (int64, bool) {
-	return x.fastNode(w, nil, w.Prog().Root(), 0)
-}
+func (x *exec) Root(w *wsrt.Worker) (int64, bool) { return x.fast.Root(w) }
 
 // Resume implements wsrt.Engine: the slow version. The frame's kind decides
 // which spawn loop the continuation belongs to.
 func (x *exec) Resume(w *wsrt.Worker, f *wsrt.Frame) (int64, bool) {
 	switch f.Kind {
 	case wsrt.KindFast:
-		return x.fastLoop(w, f, f.PC, f.Sum)
+		return x.fast.Resume(w, f)
 	case wsrt.KindFast2:
-		return x.fast2Loop(w, f, f.PC, f.Sum)
+		return x.fast2.Resume(w, f)
 	default:
 		panic(fmt.Sprintf("adaptivetc: resumed frame of kind %d (special tasks cannot be stolen)", f.Kind))
 	}
-}
-
-// ---------------------------------------------------------------------------
-// fast version
-
-func (x *exec) fastNode(w *wsrt.Worker, parent *wsrt.Frame, ws sched.Workspace, depth int) (int64, bool) {
-	if depth >= x.cutoff {
-		return x.checkNode(w, ws, depth), true
-	}
-	w.BeginNode(ws, depth)
-	w.ChargeTask()
-	if v, term := w.Prog().Terminal(ws, depth); term {
-		return v, true
-	}
-	f := w.NewFrame(parent, ws, depth, depth, wsrt.KindFast)
-	v, completed := x.fastLoop(w, f, 0, 0)
-	if completed {
-		w.FreeFrame(f) // completed inline: the frame is dead and solely ours
-	}
-	return v, completed
-}
-
-func (x *exec) fastLoop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bool) {
-	prog := w.Prog()
-	ws, depth := f.WS, f.Depth
-	n := prog.Moves(ws, depth)
-	for m := pc; m < n; m++ {
-		w.ChargeMove()
-		if !prog.Apply(ws, depth, m) {
-			continue
-		}
-		childWS := w.Clone(ws) // taskprivate: allocate and copy for the child
-		prog.Undo(ws, depth, m)
-		f.PC, f.Sum = m+1, sum
-		w.Push(f)
-		v, completed := x.fastNode(w, f, childWS, depth+1)
-		if !completed {
-			return 0, false
-		}
-		if _, ok := w.Pop(); !ok {
-			w.Deposit(f, v)
-			return 0, false
-		}
-		sum += v
-	}
-	return w.Sync(f, sum)
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +146,7 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 		w.Push(s)
 		// The child's cutoff-relative depth restarts at 0 so its subtree
 		// re-opens for task creation; its tree depth keeps counting.
-		v, completed := x.fast2Node(w, s, childWS, depth+1, 0)
+		v, completed := x.fast2.Node(w, s, childWS, depth+1, 0)
 		stolen := w.PopSpecial(s)
 		switch {
 		case completed && !stolen:
@@ -219,57 +176,13 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 }
 
 // ---------------------------------------------------------------------------
-// fast_2 version
-
-func (x *exec) fast2Node(w *wsrt.Worker, parent *wsrt.Frame, ws sched.Workspace, depth, rel int) (int64, bool) {
-	if rel >= x.cutoff2 {
-		return x.sequenceNode(w, ws, depth), true
-	}
-	w.BeginNode(ws, depth)
-	w.ChargeTask()
-	if v, term := w.Prog().Terminal(ws, depth); term {
-		return v, true
-	}
-	f := w.NewFrame(parent, ws, depth, rel, wsrt.KindFast2)
-	v, completed := x.fast2Loop(w, f, 0, 0)
-	if completed {
-		w.FreeFrame(f) // completed inline: the frame is dead and solely ours
-	}
-	return v, completed
-}
-
-func (x *exec) fast2Loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bool) {
-	prog := w.Prog()
-	ws, depth := f.WS, f.Depth
-	n := prog.Moves(ws, depth)
-	for m := pc; m < n; m++ {
-		w.ChargeMove()
-		if !prog.Apply(ws, depth, m) {
-			continue
-		}
-		childWS := w.Clone(ws)
-		prog.Undo(ws, depth, m)
-		f.PC, f.Sum = m+1, sum
-		w.Push(f)
-		v, completed := x.fast2Node(w, f, childWS, depth+1, f.Rel+1)
-		if !completed {
-			return 0, false
-		}
-		if _, ok := w.Pop(); !ok {
-			w.Deposit(f, v)
-			return 0, false
-		}
-		sum += v
-	}
-	return w.Sync(f, sum)
-}
-
-// ---------------------------------------------------------------------------
 // sequence version
 
-func (x *exec) sequenceNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
+// sequenceNode runs below fast_2's cutoff; every node it visits is a fake
+// task.
+func sequenceNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
 	before := w.Stats.Nodes
-	v := sched.EvalSequentialStop(w.Prog(), ws, depth, w.Costs(), w.Proc, &w.Stats, w.Rt().Stop())
+	v := w.Sequence(ws, depth)
 	w.Stats.FakeTasks += w.Stats.Nodes - before
 	return v
 }

@@ -135,7 +135,7 @@ func TestResumeSpecialPanics(t *testing.T) {
 			t.Fatal("expected panic on resuming a special frame")
 		}
 	}()
-	x := &exec{cutoff: 1, cutoff2: 2}
+	x := &exec{}
 	x.Resume(nil, &wsrt.Frame{Kind: wsrt.KindSpecial})
 }
 

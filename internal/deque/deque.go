@@ -312,142 +312,41 @@ func (d *Deque) PopSpecial() (stolen bool) {
 	return false
 }
 
-// Steal attempts to take the head entry on behalf of a thief, implementing
-// both Figure 3(d) and (e): if the head is a special task its child is
-// taken instead (or the attempt fails if the special task has no child in
-// the deque). On failure the victim's stolen_num is incremented and
-// need_task may be raised; on success both are cleared.
-//
-// The claim must be published (H moved) *before* T is consulted and before
-// the entry is read — the Dekker-style ordering against the owner's Pop is
-// what makes the protocol safe. Entries are therefore read only from slots
-// the thief has already claimed.
+// Steal attempts to take the head entry on behalf of a thief: a batch of one
+// (see StealN, which implements Figure 3(d) and (e) for every batch size).
 func (d *Deque) Steal() (Entry, bool) {
-	d.mu.Lock()
-	if d.failSteal != nil && d.failSteal() {
-		d.failLocked()
-		d.mu.Unlock()
+	var dst [1]Entry
+	if d.StealN(dst[:]) == 0 {
 		return nil, false
 	}
-	h := d.h.Load()
-	// Claim the head slot: H++, MEMBAR, then check against T.
-	d.h.Store(h + 1)
-	t := d.t.Load()
-	if h+1 > t {
-		d.h.Store(h)
-		d.failLocked()
-		d.mu.Unlock()
-		return nil, false
-	}
-	box := d.buf[h%d.cap].Load()
-	if !box.e.Special() {
-		if sa, ok := box.e.(StealAware); ok {
-			sa.OnStolen()
-		}
-		d.stolenNum.Store(0)
-		d.needTask.Store(false)
-		if d.trace != nil {
-			d.trace(TraceStealOK, 0, false)
-		}
-		d.mu.Unlock()
-		return box.e, true
-	}
-	// steal_specialtask: the marker can never be stolen. Re-claim with
-	// H += 2 and take the special task's child at h+1. The marker slot is
-	// protected while we hold the lock: the owner can only remove it via
-	// PopSpecial (which locks) or a tail Pop that collides with our claim
-	// (which falls back to the lock), so re-reading it was safe.
-	d.h.Store(h + 2)
-	t = d.t.Load()
-	if h+2 > t {
-		d.h.Store(h)
-		d.failLocked()
-		d.mu.Unlock()
-		return nil, false
-	}
-	child := d.buf[(h+1)%d.cap].Load()
-	if sa, ok := child.e.(StealAware); ok {
-		sa.OnStolen()
-	}
-	d.stolenNum.Store(0)
-	d.needTask.Store(false)
-	if d.trace != nil {
-		d.trace(TraceStealSpecial, 0, false)
-	}
-	d.mu.Unlock()
-	return child.e, true
+	return dst[0], true
 }
 
 // StealN takes up to len(dst) entries from the head on behalf of a thief,
-// all under one acquisition of the owner lock — the batch transfer behind
-// the steal-half policy. Slots are still claimed one H++ at a time (each
-// claim published before its slot is read, preserving the Dekker ordering
-// against the owner's Pop and never overshooting H beyond the two slots of
-// Push slack), but the lock, the fault gate and the starvation bookkeeping
-// are paid once per batch instead of once per entry.
+// all under one acquisition of the owner lock — a single steal when
+// len(dst) is 1, the batch transfer behind the steal-half policy otherwise.
+// It implements both Figure 3(d) and (e): if the head is a special task its
+// child is taken instead (or the attempt fails if the special task has no
+// child in the deque). On failure the victim's stolen_num is incremented and
+// need_task may be raised; on success both are cleared. The lock, the fault
+// gate and this starvation bookkeeping are paid once per batch instead of
+// once per entry.
 //
-// A batch never crosses a special marker: it stops short of one, and when
-// the marker is already at the head the attempt degrades to the single
-// steal_specialtask (the marker's child is taken, H += 2). Per-entry
-// effects are preserved exactly — each taken entry gets its StealAware
-// notification and one TraceStealOK event, so the trace invariants cannot
-// tell a batch from a burst of single steals by the same thief.
+// Per-entry effects are preserved exactly — each taken entry gets its
+// StealAware notification and one trace event, so the trace invariants
+// cannot tell a batch from a burst of single steals by the same thief.
 //
 // The return is the number of entries taken, head-most first in dst. Zero
-// means the attempt failed; the failure went through the same
-// stolen_num/need_task path as a failed Steal, exactly once.
+// means the attempt failed; the failure went through the
+// stolen_num/need_task path exactly once.
 func (d *Deque) StealN(dst []Entry) int {
 	if len(dst) == 0 {
 		return 0
 	}
 	d.mu.Lock()
-	if d.failSteal != nil && d.failSteal() {
-		d.failLocked()
-		d.mu.Unlock()
-		return 0
-	}
-	h := d.h.Load()
-	n := 0
-	for n < len(dst) {
-		// Claim one slot: H++, MEMBAR, then check against T (as in Steal).
-		d.h.Store(h + 1)
-		t := d.t.Load()
-		if h+1 > t {
-			d.h.Store(h) // retreat: nothing (more) to take
-			break
-		}
-		box := d.buf[h%d.cap].Load()
-		if box.e.Special() {
-			if n > 0 {
-				d.h.Store(h) // the batch stops short of a special marker
-				break
-			}
-			// The head is a special marker: degrade to steal_specialtask
-			// and take the marker's child (H += 2), exactly like Steal.
-			d.h.Store(h + 2)
-			t = d.t.Load()
-			if h+2 > t {
-				d.h.Store(h)
-				d.failLocked()
-				d.mu.Unlock()
-				return 0
-			}
-			child := d.buf[(h+1)%d.cap].Load()
-			if sa, ok := child.e.(StealAware); ok {
-				sa.OnStolen()
-			}
-			dst[0] = child.e
-			d.stolenNum.Store(0)
-			d.needTask.Store(false)
-			if d.trace != nil {
-				d.trace(TraceStealSpecial, 0, false)
-			}
-			d.mu.Unlock()
-			return 1
-		}
-		dst[n] = box.e
-		n++
-		h++
+	n, op := 0, TraceStealOK
+	if d.failSteal == nil || !d.failSteal() {
+		n, op = d.claimLocked(dst)
 	}
 	if n == 0 {
 		d.failLocked()
@@ -459,13 +358,63 @@ func (d *Deque) StealN(dst []Entry) int {
 			sa.OnStolen()
 		}
 		if d.trace != nil {
-			d.trace(TraceStealOK, 0, false)
+			d.trace(op, 0, false)
 		}
 	}
 	d.stolenNum.Store(0)
 	d.needTask.Store(false)
 	d.mu.Unlock()
 	return n
+}
+
+// claimLocked moves H over up to len(dst) head entries and copies them into
+// dst, returning how many it took and which transition that was. The caller
+// holds the owner lock.
+//
+// A claim must be published (H moved) *before* T is consulted and before the
+// entry is read — the Dekker-style ordering against the owner's Pop is what
+// makes the protocol safe — so entries are read only from slots the thief
+// has already claimed. Slots are claimed one H++ at a time, which never
+// overshoots H beyond the two slots of Push slack.
+//
+// A batch never crosses a special marker: it stops short of one, and when
+// the marker is already at the head the attempt is the single
+// steal_specialtask whatever len(dst) is.
+func (d *Deque) claimLocked(dst []Entry) (int, TraceOp) {
+	h := d.h.Load()
+	n := 0
+	for n < len(dst) {
+		// Claim one slot: H++, MEMBAR, then check against T.
+		d.h.Store(h + 1)
+		if h+1 > d.t.Load() {
+			d.h.Store(h) // retreat: nothing (more) to take
+			break
+		}
+		box := d.buf[h%d.cap].Load()
+		if !box.e.Special() {
+			dst[n] = box.e
+			n++
+			h++
+			continue
+		}
+		if n > 0 {
+			d.h.Store(h) // the batch stops short of a special marker
+			break
+		}
+		// steal_specialtask: the marker can never be stolen. Re-claim with
+		// H += 2 and take the special task's child at h+1. The marker slot is
+		// protected while we hold the lock: the owner can only remove it via
+		// PopSpecial (which locks) or a tail Pop that collides with our claim
+		// (which falls back to the lock), so re-reading it was safe.
+		d.h.Store(h + 2)
+		if h+2 > d.t.Load() {
+			d.h.Store(h) // the marker has no child in the deque
+			break
+		}
+		dst[0] = d.buf[(h+1)%d.cap].Load().e
+		return 1, TraceStealSpecial
+	}
+	return n, TraceStealOK
 }
 
 // Reset discards whatever a finished (or aborted) job left behind — entries

@@ -113,6 +113,75 @@ func TestStealNHeadSpecialNoChildFails(t *testing.T) {
 	}
 }
 
+// TestStealIsStealNOfOne replays one attempt through both entry points on
+// identically filled deques: what the thief gets, what the victim is left
+// with and what the starvation FSM and its trace saw must not depend on
+// which of the two was called — including over a special marker, with and
+// without a child behind it.
+func TestStealIsStealNOfOne(t *testing.T) {
+	type outcome struct {
+		id, size, onStolen int // id is -1 when the attempt failed
+		stolenNum          int64
+		needTask           bool
+		traced             TraceOp
+		markerRobbed       bool // PopSpecial's report, where a marker was pushed
+	}
+	for _, c := range []struct {
+		name   string
+		fill   []*entry // pushed in order; a fresh copy per deque
+		marker bool     // the tail-most special entry is popped afterwards
+		wantID int
+		wantOp TraceOp
+	}{
+		{name: "plain head", fill: []*entry{item(0), item(1)}, wantID: 0, wantOp: TraceStealOK},
+		{name: "empty", wantID: -1, wantOp: TraceStealFail},
+		{name: "head is special", fill: []*entry{specialItem(0), item(1)}, marker: true, wantID: 1, wantOp: TraceStealSpecial},
+		{name: "head is special without child", fill: []*entry{specialItem(0)}, marker: true, wantID: -1, wantOp: TraceStealFail},
+	} {
+		attempt := func(batch bool) outcome {
+			d := New(16, 1)
+			d.stolenNum.Store(1) // one failure short of raising need_task
+			var o outcome
+			d.SetTrace(func(op TraceOp, _ int64, _ bool) { o.traced = op })
+			fill := make([]*entry, len(c.fill))
+			for i, e := range c.fill {
+				fill[i] = &entry{id: e.id, special: e.special}
+				d.Push(fill[i])
+			}
+			var e Entry
+			ok := false
+			if batch {
+				var dst [1]Entry
+				ok = d.StealN(dst[:]) == 1
+				e = dst[0]
+			} else {
+				e, ok = d.Steal()
+			}
+			o.id = -1
+			if ok {
+				o.id = e.(*entry).id
+				o.onStolen = int(e.(*entry).stolen.Load())
+			}
+			o.stolenNum, o.needTask = d.StolenNum(), d.NeedTask()
+			if c.marker {
+				if len(fill) > 1 && !ok {
+					d.Pop() // the child the thief did not take
+				}
+				o.markerRobbed = d.PopSpecial()
+			}
+			o.size = d.Size()
+			return o
+		}
+		single, batch := attempt(false), attempt(true)
+		if single != batch {
+			t.Errorf("%s: Steal %+v, StealN of one %+v", c.name, single, batch)
+		}
+		if single.id != c.wantID || single.traced != c.wantOp || single.needTask != (c.wantID < 0) {
+			t.Errorf("%s: Steal %+v, want entry %d by %v", c.name, single, c.wantID, c.wantOp)
+		}
+	}
+}
+
 // TestFailLockedTable pins the shared fail-path semantics Steal and StealN
 // both go through: the stolen_num counter, the need_task threshold and the
 // trace transition must evolve identically whether a failure came from an

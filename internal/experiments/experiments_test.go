@@ -167,7 +167,9 @@ func TestHeavyPathShares(t *testing.T) {
 }
 
 // TestFigure9CutoffStarves asserts the paper's core Figure 9 claim at quick
-// scale: the cut-off strategies stop scaling while AdaptiveTC continues.
+// scale: the cut-off strategies stop scaling while AdaptiveTC continues. It
+// is the only figure that runs the two cut-off engines, so its report is
+// pinned like Figure 5's.
 func TestFigure9CutoffStarves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup sweep")
@@ -181,6 +183,7 @@ func TestFigure9CutoffStarves(t *testing.T) {
 	if !strings.Contains(out, "cutoff-library") {
 		t.Fatalf("figure 9 output:\n%s", out)
 	}
+	checkGolden(t, "fig9_quick.golden", out)
 }
 
 func TestStealCountsRuns(t *testing.T) {

@@ -3,8 +3,10 @@
 // functions of the engines, the cost model and the seed. The files under
 // testdata/ were recorded at the commit before the Real-platform idle path
 // changed, which makes "Sim output is unchanged" a test rather than a
-// promise. Regenerate with
-// `go test ./internal/experiments -run 'TestFigure5Runs|TestTable2Runs' -update`
+// promise; Figure 9's — the only figure that runs the cut-off engines — was
+// recorded at the commit before the engines moved onto wsrt.Fast.
+// Regenerate with
+// `go test ./internal/experiments -run 'TestFigure5Runs|TestTable2Runs|TestFigure9CutoffStarves' -update`
 // only when a change is meant to move virtual-time results.
 package experiments
 

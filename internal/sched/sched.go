@@ -351,6 +351,16 @@ func (s *Stats) Add(other Stats) {
 	s.QueueWait += other.QueueWait
 }
 
+// DeriveWorkTime sets WorkTime to the worker time left over after the
+// profiled overhead components. The components are accounted independently
+// of WorkerTime, and nested charge windows (a poll interval inside a deque
+// operation, say) can overlap, so on tiny runs the subtraction can dip
+// below zero; clamp it — a negative "useful work" figure is never
+// meaningful and poisons downstream overhead-percentage reports.
+func (s *Stats) DeriveWorkTime() {
+	s.WorkTime = max(0, s.WorkerTime-s.CopyTime-s.DequeTime-s.PollTime-s.WaitTime-s.StealTime-s.RespondTime)
+}
+
 // Result is the outcome of one run.
 type Result struct {
 	Value    int64 // the program's answer (e.g. number of solutions)

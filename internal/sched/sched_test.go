@@ -144,6 +144,28 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
+// TestDeriveWorkTime pins the one WorkTime derivation wsrt, Tascell and
+// Serial share: every overhead component is subtracted — RespondTime too,
+// which only Tascell charges — and the result is clamped at zero.
+func TestDeriveWorkTime(t *testing.T) {
+	cases := []struct {
+		name string
+		in   Stats
+		want int64
+	}{
+		{"serial: all of it is work", Stats{WorkerTime: 100}, 100},
+		{"respond time is overhead", Stats{WorkerTime: 100, CopyTime: 10, StealTime: 5, RespondTime: 15}, 70},
+		{"tiny Tascell run clamps", Stats{WorkerTime: 40, PollTime: 30, RespondTime: 25}, 0},
+	}
+	for _, c := range cases {
+		st := c.in
+		st.DeriveWorkTime()
+		if st.WorkTime != c.want {
+			t.Errorf("%s: WorkTime = %d, want %d", c.name, st.WorkTime, c.want)
+		}
+	}
+}
+
 func TestEvalSequentialMatchesSerial(t *testing.T) {
 	p := binTree{height: 5}
 	var st Stats

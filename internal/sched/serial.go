@@ -151,7 +151,7 @@ func (Serial) Run(p Program, opt Options) (res Result, err error) {
 		}
 		st.WorkerTime += proc.Now() - start
 	})
-	st.WorkTime = st.WorkerTime
+	st.DeriveWorkTime()
 	return Result{
 		Value:    value,
 		Makespan: makespan,

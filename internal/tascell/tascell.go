@@ -87,7 +87,7 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 		}
 	}
 	if opt.Profile {
-		st.WorkTime = st.WorkerTime - st.CopyTime - st.DequeTime - st.PollTime - st.WaitTime - st.StealTime - st.RespondTime
+		st.DeriveWorkTime()
 	}
 	return sched.Result{
 		Value:    rt.value.Load(),

@@ -1,0 +1,125 @@
+package wsrt
+
+import "adaptivetc/internal/sched"
+
+// Fast is the paper's fast version — the spawn loop that creates a real task
+// at every spawn — written once. The engines built on this package are
+// configurations of it, the way the paper defines fast_2 as "like fast but
+// with twice the cutoff":
+//
+//	Cilk               {KindFast}
+//	Cilk-SYNCHED       {KindFast, Pooled}
+//	cut-off baselines  {KindFast, cut, Below: plain recursion}
+//	AdaptiveTC fast    {KindFast, ⌈log2 N⌉, Below: the check version}
+//	AdaptiveTC fast_2  {KindFast2, 2×cutoff, Below: the sequence version}
+//
+// A Fast is itself a wsrt.Engine (Root starts the root task at depth 0,
+// Resume is the slow version of its own frames); an engine that mixes two
+// of them dispatches Resume on Frame.Kind.
+type Fast struct {
+	// Kind stamps the frames this version creates, so that the slow version
+	// can tell which Fast a stolen continuation belongs to.
+	Kind Kind
+	// Cutoff and Below end task creation: a node whose cutoff-relative depth
+	// has reached Cutoff is handed to Below, which must run its whole
+	// subtree inline and return its value — it never detaches. A nil Below
+	// means no cutoff: every node is a task (Cilk).
+	Cutoff int
+	Below  func(w *Worker, ws sched.Workspace, depth int) int64
+	// Pooled draws child workspaces from the worker's pool (Cilk-SYNCHED):
+	// the allocation is saved, the copy is not.
+	Pooled bool
+}
+
+// Root implements Engine.
+func (k *Fast) Root(w *Worker) (int64, bool) {
+	return k.Node(w, nil, w.Prog().Root(), 0, 0)
+}
+
+// Resume implements Engine: the slow version restores the saved PC and
+// partial sum and continues the spawn loop.
+func (k *Fast) Resume(w *Worker, f *Frame) (int64, bool) {
+	return k.Loop(w, f, f.PC, f.Sum)
+}
+
+// Node executes the node at tree depth `depth` and cutoff-relative depth rel
+// as one task. A task is charged at entry, for leaves too (Appendix B
+// allocates the task_info before the terminal test); the Frame itself is
+// only materialised when the node actually spawns.
+func (k *Fast) Node(w *Worker, parent *Frame, ws sched.Workspace, depth, rel int) (int64, bool) {
+	if k.Below != nil && rel >= k.Cutoff {
+		return k.Below(w, ws, depth), true
+	}
+	w.BeginNode(ws, depth)
+	w.ChargeTask()
+	if v, term := w.Prog().Terminal(ws, depth); term {
+		return v, true
+	}
+	f := w.NewFrame(parent, ws, depth, rel, k.Kind)
+	v, completed := k.Loop(w, f, 0, 0)
+	if completed {
+		// Completed inline: never stolen at the end, nothing pending — the
+		// frame is dead and this worker is its sole owner.
+		w.FreeFrame(f)
+	}
+	return v, completed
+}
+
+// Loop runs f's spawn loop from move pc with the given partial sum. It
+// returns (value, completed); completed==false means the computation
+// detached (f was stolen, or f suspended at its sync point).
+//
+// Everything the loop needs of f besides the continuation it saves is read
+// into locals before the first Push. From that Push on f is visible to
+// thieves, and once one of them has resumed it the frame can be finalised,
+// freed and reused for another task on another worker, so any later read of
+// f.WS, f.Depth or f.Rel would race a recycler's reset — the class of bug
+// Push's own read of the trace identity guards against.
+func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
+	prog := w.Prog()
+	ws, depth, rel := f.WS, f.Depth, f.Rel
+	n := prog.Moves(ws, depth)
+	for m := pc; m < n; m++ {
+		w.ChargeMove()
+		if !prog.Apply(ws, depth, m) {
+			continue
+		}
+		// taskprivate: allocate (or, Pooled, reuse) and copy for the child.
+		var childWS sched.Workspace
+		if k.Pooled {
+			childWS = w.ClonePooled(ws)
+		} else {
+			childWS = w.Clone(ws)
+		}
+		prog.Undo(ws, depth, m)
+		f.PC, f.Sum = m+1, sum
+		w.Push(f)
+		v, completed := k.Node(w, f, childWS, depth+1, rel+1)
+		if !completed {
+			// The child subtree detached, which means frames below it in
+			// the deque — ours included — were stolen first. Do not pop,
+			// do not deposit: the child's own finaliser will deliver to f.
+			return 0, false
+		}
+		if _, ok := w.Pop(); !ok {
+			// f was stolen while the child ran: the thief resumes the
+			// continuation from f.PC; we hand it the in-flight child value.
+			w.Deposit(f, v)
+			return 0, false
+		}
+		if k.Pooled {
+			w.Release(childWS)
+		}
+		sum += v
+	}
+	return w.Sync(f, sum)
+}
+
+// Sequence evaluates the subtree at ws with plain recursion and move undo —
+// the paper's sequence version: no tasks, no copies, nothing stealable. The
+// job's stop flag goes along, so a long sequential tail observes cancellation
+// too. Its signature is Fast.Below's, so (*Worker).Sequence is a cutoff
+// strategy as it stands.
+func (w *Worker) Sequence(ws sched.Workspace, depth int) int64 {
+	return sched.EvalSequentialStop(w.Prog(), ws, depth, &w.rt.Costs, w.Proc, &w.Stats, w.rt.stop)
+}

@@ -1,7 +1,8 @@
 // Package wsrt is the shared work-stealing runtime underneath the Cilk,
 // Cilk-SYNCHED, cutoff and AdaptiveTC engines: resumable task frames, the
 // result-deposit protocol that replaces Cilk's closed/ready queues, the
-// thief loop, and workspace-copy bookkeeping.
+// spawn loop those engines are configurations of (Fast), the thief loop, and
+// workspace-copy bookkeeping.
 //
 // # Frames and the deposit protocol
 //

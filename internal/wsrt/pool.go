@@ -708,8 +708,9 @@ func (p *Pool) finishJob(job *poolJob) {
 		job.deadline.Stop()
 	}
 	rt := job.rt
-	st := collectStats(job.workers, job.deques, job.spec.Profile)
-	st.QueueWait = job.started.Sub(job.submitted).Nanoseconds()
+	res, err := rt.result(job.name, job.workers)
+	res.Stats.QueueWait = job.started.Sub(job.submitted).Nanoseconds()
+	res.Shard = job.shard
 	if rt.tracer != nil {
 		for _, d := range job.deques {
 			d.SetTrace(nil)
@@ -723,24 +724,11 @@ func (p *Pool) finishJob(job *poolJob) {
 	for _, d := range job.deques {
 		d.Reset()
 	}
-
-	res := sched.Result{
-		Value:    rt.value.Load(),
-		Makespan: time.Since(job.started).Nanoseconds(),
-		Workers:  len(job.shard),
-		Engine:   job.name,
-		Program:  job.spec.Prog.Name(),
-		Stats:    st,
-		Shard:    job.shard,
-	}
-	var err error
-	if f := rt.failure.Load(); f != nil {
-		err = f.err
-		if errors.Is(err, ErrJobPanicked) {
-			// Panic quarantine: the job failed, its shard was reset above
-			// and heals by re-entering the allocator like any other.
-			p.quarantined.Add(1)
-		}
+	res.Makespan = time.Since(job.started).Nanoseconds()
+	if errors.Is(err, ErrJobPanicked) {
+		// Panic quarantine: the job failed, its shard was reset above and
+		// heals by re-entering the allocator like any other.
+		p.quarantined.Add(1)
 	}
 	job.h.endAt = time.Now()
 	p.served.Add(1)
@@ -750,27 +738,13 @@ func (p *Pool) finishJob(job *poolJob) {
 
 // workerLoop is one resident worker: park on the wake channel, run the
 // job, hit the barrier, park again. This is the thief loop's "park between
-// jobs instead of exiting". For the job's duration the worker adopts its
-// shard-local identity — victim selection, root election (local 0) and
-// trace logs are all indexed within the shard's deque slice.
+// jobs instead of exiting".
 func (p *Pool) workerLoop(i int) {
 	defer p.joined.Done()
 	w := p.workers[i]
 	for run := range p.wake[i] {
 		job := run.job
-		w.ID = run.local
-		w.rt = job.rt
-		w.Stats = sched.Stats{}
-		w.tr = nil
-		if job.rt.tracer != nil {
-			w.tr = job.rt.tracer.WorkerLog(run.local)
-		}
-		w.fi = job.rt.faults.Worker(run.local)
-		// The thief is rebuilt per job: its PRNG stream restarts from the
-		// pool seed and the worker's shard-local id, so a job's victim
-		// sequence does not depend on what ran on this worker before.
-		w.thief = job.rt.stealPolicy.NewThief(run.local, job.rt.N, job.rt.stealSeed)
-		w.bindProg()
+		w.bind(job.rt, run.local)
 		w.runJob(true)
 		w.rt = nil
 		w.prog = nil

@@ -86,11 +86,6 @@ type runError struct{ err error }
 // Done reports whether the run has completed (or failed).
 func (rt *Runtime) Done() bool { return rt.done.Load() }
 
-// Stop returns the job's cooperative stop flag (possibly nil). Engines pass
-// it into sched.EvalSequentialStop so that long sequential tails observe
-// cancellation too.
-func (rt *Runtime) Stop() *sched.Stop { return rt.stop }
-
 // fail records err as the run's failure (first error wins) and releases
 // every worker. Beyond the done flag — which only thief loops poll — it
 // fires the cooperative stop flag: a worker can be parked in an engine wait
@@ -190,9 +185,9 @@ type Worker struct {
 
 	// prog overrides the program Prog() hands to engine code; nil means the
 	// runtime's program. First-solution jobs install a firstSolutionProg
-	// wrapper here per worker (Run's platform body, the pool's workerLoop)
-	// so every engine path — node bodies, sequential tails — sees the
-	// intercepted Terminal without any engine changes.
+	// wrapper here per worker (bind) so every engine path — node bodies,
+	// sequential tails — sees the intercepted Terminal without any engine
+	// changes.
 	prog sched.Program
 
 	// tr is this worker's trace log; nil unless the run is traced. Every
@@ -228,9 +223,6 @@ type Worker struct {
 	parkTimer *time.Timer
 }
 
-// Rt returns the worker's runtime.
-func (w *Worker) Rt() *Runtime { return w.rt }
-
 // Prog returns the program under execution — the worker's wrapped view for
 // a first-solution job, the runtime's program otherwise.
 func (w *Worker) Prog() sched.Program {
@@ -240,18 +232,26 @@ func (w *Worker) Prog() sched.Program {
 	return w.rt.Prog
 }
 
-// bindProg installs the worker's per-job program view. Must be called after
-// w.rt is set (per job on a pool worker, once in a batch Run).
-func (w *Worker) bindProg() {
-	if w.rt.firstSolution {
-		w.prog = firstSolutionProg{Program: w.rt.Prog, w: w}
-	} else {
-		w.prog = nil
+// bind attaches the worker to job rt as its local-th worker: identity, fresh
+// counters, trace log, fault stream, thief and program view. The batch Run
+// binds each worker once; a pool worker is re-bound per job, adopting its
+// shard-local identity — victim selection, root election (local 0) and trace
+// logs are all indexed within the job's deque slice. The thief is rebuilt per
+// job: its PRNG stream restarts from the job's seed and the local id, so a
+// job's victim sequence does not depend on what ran on this worker before.
+func (w *Worker) bind(rt *Runtime, local int) {
+	w.ID, w.rt, w.Stats = local, rt, sched.Stats{}
+	w.tr = nil
+	if rt.tracer != nil {
+		w.tr = rt.tracer.WorkerLog(local)
+	}
+	w.fi = rt.faults.Worker(local)
+	w.thief = rt.stealPolicy.NewThief(local, rt.N, rt.stealSeed)
+	w.prog = nil
+	if rt.firstSolution {
+		w.prog = firstSolutionProg{Program: rt.Prog, w: w}
 	}
 }
-
-// Costs returns the run's cost model.
-func (w *Worker) Costs() *sched.Costs { return &w.rt.Costs }
 
 // BeginNode accounts one node visit. It is also a cancellation poll point:
 // a stopped job unwinds here via sched.Abort, so even a worker deep inside
@@ -627,37 +627,27 @@ func (w *Worker) thiefLoop() {
 		t0 := w.now()
 		// One Costs.Steal charge per attempt regardless of the amount: the
 		// batch shares one critical section, which is the whole point of
-		// stealing more than one entry.
+		// stealing more than one entry. The amount is clamped from below as
+		// well: whatever a Thief asks for, an attempt is an attempt, and its
+		// failure must bump the victim's stolen_num or the starvation signal
+		// would never reach a victim whose thieves ask for nothing.
 		w.Proc.Advance(rt.Costs.Steal)
-		var (
-			e  deque.Entry
-			ok bool
-		)
-		if amount <= 1 {
-			e, ok = rt.Deques[victim].Steal()
-		} else {
-			if amount > MaxStealBatch {
-				amount = MaxStealBatch
-			}
-			if n := rt.Deques[victim].StealN(w.stealBuf[:amount]); n > 0 {
-				e, ok = w.stealBuf[0], true
-				// Queue the tail head-order: dst[0] is the oldest frame,
-				// resumed now; the rest drain FIFO on later iterations.
-				for i := 1; i < n; i++ {
-					f := w.stealBuf[i].(*Frame)
-					w.stealBuf[i] = nil
-					w.noteStolen(f, victim)
-					w.intake = append(w.intake, f)
-				}
-				w.stealBuf[0] = nil
-			}
-		}
+		n := rt.Deques[victim].StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
 		if w.rt.profile {
 			w.Stats.StealTime += w.Proc.Now() - t0
 		}
-		if ok {
+		if n > 0 {
 			w.idleFails = 0
-			f := e.(*Frame)
+			// dst[0] is the oldest frame, resumed now; the rest of a batch
+			// queue head-order and drain FIFO on later iterations.
+			for i := 1; i < n; i++ {
+				f := w.stealBuf[i].(*Frame)
+				w.stealBuf[i] = nil
+				w.noteStolen(f, victim)
+				w.intake = append(w.intake, f)
+			}
+			f := w.stealBuf[0].(*Frame)
+			w.stealBuf[0] = nil
 			w.noteStolen(f, victim)
 			w.resumeStolen(f)
 		} else {
@@ -771,8 +761,27 @@ func collectStats(workers []*Worker, deques []deque.WorkDeque, profile bool) sch
 			st.MaxDequeDepth = d.MaxDepth()
 		}
 	}
-	finalizeStats(&st, profile)
+	if profile {
+		st.DeriveWorkTime()
+	}
 	return st
+}
+
+// result assembles the finished job's Result — everything but the makespan,
+// which only the job's host can measure — and its error. It reads the deque
+// high-water marks, so a pool calls it before resetting the shard's deques.
+func (rt *Runtime) result(name string, workers []*Worker) (sched.Result, error) {
+	res := sched.Result{
+		Value:   rt.value.Load(),
+		Workers: rt.N,
+		Engine:  name,
+		Program: rt.Prog.Name(),
+		Stats:   collectStats(workers, rt.Deques, rt.profile),
+	}
+	if f := rt.failure.Load(); f != nil {
+		return res, f.err
+	}
+	return res, nil
 }
 
 // newDeque builds one worker deque according to opt. RelaxedDeque wins over
@@ -850,43 +859,12 @@ func Run(prog sched.Program, opt sched.Options, eng Engine, name string) (sched.
 
 	workers := make([]*Worker, n)
 	makespan := plat.Run(n, func(proc vtime.Proc) {
-		w := &Worker{ID: proc.ID(), Proc: proc, Deque: rt.Deques[proc.ID()], rt: rt}
-		if rt.tracer != nil {
-			w.tr = rt.tracer.WorkerLog(w.ID)
-		}
-		w.fi = rt.faults.Worker(w.ID)
-		w.thief = rt.stealPolicy.NewThief(w.ID, n, rt.stealSeed)
-		w.bindProg()
+		w := &Worker{Proc: proc, Deque: rt.Deques[proc.ID()]}
+		w.bind(rt, proc.ID())
 		workers[w.ID] = w
 		w.runJob(false)
 	})
-
-	res := sched.Result{
-		Value:    rt.value.Load(),
-		Makespan: makespan,
-		Workers:  n,
-		Engine:   name,
-		Program:  prog.Name(),
-		Stats:    collectStats(workers, rt.Deques, opt.Profile),
-	}
-	if f := rt.failure.Load(); f != nil {
-		return res, f.err
-	}
-	return res, nil
-}
-
-// finalizeStats derives WorkTime as the worker time left over after the
-// profiled overhead components. The components are accounted independently
-// of WorkerTime, and nested charge windows (a poll interval inside a deque
-// operation, say) can overlap, so on tiny runs the subtraction can dip
-// below zero; clamp it — a negative "useful work" figure is never
-// meaningful and poisons downstream overhead-percentage reports.
-func finalizeStats(st *sched.Stats, profile bool) {
-	if !profile {
-		return
-	}
-	st.WorkTime = st.WorkerTime - st.CopyTime - st.DequeTime - st.PollTime - st.WaitTime - st.StealTime
-	if st.WorkTime < 0 {
-		st.WorkTime = 0
-	}
+	res, err := rt.result(name, workers)
+	res.Makespan = makespan
+	return res, err
 }

@@ -31,10 +31,12 @@ func TestCompleteAfterFailure(t *testing.T) {
 	}
 }
 
-// TestFinalizeStatsClampsWorkTime pins the WorkTime derivation: the
-// overhead components are charged in windows that can overlap WorkerTime's
-// endpoints on tiny runs, so the subtraction may dip below zero and must be
-// clamped — a negative "useful work" figure poisons overhead percentages.
+// TestFinalizeStatsClampsWorkTime pins the WorkTime derivation as a job's
+// stats collection applies it (sched.Stats.DeriveWorkTime, under Profile
+// only): the overhead components are charged in windows that can overlap
+// WorkerTime's endpoints on tiny runs, so the subtraction may dip below zero
+// and must be clamped — a negative "useful work" figure poisons overhead
+// percentages.
 func TestFinalizeStatsClampsWorkTime(t *testing.T) {
 	cases := []struct {
 		name string
@@ -59,8 +61,7 @@ func TestFinalizeStatsClampsWorkTime(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st := c.in
-			finalizeStats(&st, true)
+			st := collectStats([]*Worker{{Stats: c.in}}, nil, true)
 			if st.WorkTime != c.want {
 				t.Fatalf("WorkTime = %d, want %d", st.WorkTime, c.want)
 			}
@@ -68,10 +69,9 @@ func TestFinalizeStatsClampsWorkTime(t *testing.T) {
 	}
 
 	// Profile off: WorkTime is not derived at all.
-	st := sched.Stats{WorkerTime: 100, WorkTime: -7}
-	finalizeStats(&st, false)
+	st := collectStats([]*Worker{{Stats: sched.Stats{WorkerTime: 100, WorkTime: -7}}}, nil, false)
 	if st.WorkTime != -7 {
-		t.Fatalf("finalizeStats touched WorkTime with profiling off: %d", st.WorkTime)
+		t.Fatalf("collectStats touched WorkTime with profiling off: %d", st.WorkTime)
 	}
 }
 
