@@ -1,8 +1,9 @@
 // Package progtest is a conformance harness for sched.Program
 // implementations: every benchmark problem must satisfy the contracts the
 // scheduling engines rely on (deterministic evaluation, clean Apply/Undo
-// round-trips, deep-copy Clone/CopyFrom isolation). Each problem package's
-// tests call Conformance with a small instance.
+// round-trips, deep-copy Clone/CopyFrom isolation, a copy charge that does not
+// depend on the buffer). Each problem package's tests call Conformance
+// with a small instance.
 package progtest
 
 import (
@@ -21,6 +22,7 @@ func Conformance(t *testing.T, p sched.Program) {
 	t.Run("clone-isolation", func(t *testing.T) { cloneIsolation(t, p) })
 	t.Run("copyfrom-matches-clone", func(t *testing.T) { copyFrom(t, p) })
 	t.Run("illegal-apply-is-pure", func(t *testing.T) { illegalPure(t, p) })
+	t.Run("bytes-ignore-buffer", func(t *testing.T) { Bytes(t, p) })
 }
 
 func serialValue(t *testing.T, p sched.Program) int64 {
@@ -185,4 +187,62 @@ func illegalPure(t *testing.T, p sched.Program) {
 	if got := evalOn(p, ws, 0); got != want {
 		t.Fatalf("after %d failed applies, evaluation drifted: %d vs %d", illegal, got, want)
 	}
+}
+
+// Bytes checks that the virtual copy charge depends on the node and not on
+// the buffer the workspace lives in: Bytes() of a workspace, of its Clone and
+// of a recycled Reusable holding the same state are equal — an engine that
+// draws child workspaces from a pool must be charged what one that allocates
+// them is. It walks the first-legal-move path to its end, then recycles in
+// both directions a pool does: a clone of the root is CopyFrom-ed at the
+// deepest node, and a workspace cloned there is CopyFrom-ed back at a
+// shallower one; each result must also evaluate to the same subtree value as
+// a Clone. Only a few levels above the path's end are evaluated, so an
+// instance of any size is cheap.
+func Bytes(t *testing.T, p sched.Program) {
+	t.Helper()
+	ws := p.Root()
+	depth := 0
+	same := func(what string, w sched.Workspace) {
+		t.Helper()
+		if got, want := w.Bytes(), ws.Bytes(); got != want {
+			t.Fatalf("depth %d: Bytes() of %s is %d, of the workspace it copies %d", depth, what, got, want)
+		}
+	}
+	shallow, reusable := ws.Clone().(sched.Reusable)
+	var applied []int
+descend:
+	for {
+		same("a Clone", ws.Clone())
+		if _, term := p.Terminal(ws, depth); term {
+			break
+		}
+		for m, n := 0, p.Moves(ws, depth); m < n; m++ {
+			if p.Apply(ws, depth, m) {
+				applied = append(applied, m)
+				depth++
+				continue descend
+			}
+		}
+		break // no legal move: a dead end
+	}
+	if !reusable {
+		return
+	}
+	recycle := func(dst sched.Reusable) {
+		t.Helper()
+		dst.CopyFrom(ws)
+		same("a recycled workspace", dst)
+		if a, b := evalOn(p, ws.Clone(), depth), evalOn(p, dst, depth); a != b {
+			t.Fatalf("depth %d: CopyFrom result evaluates to %d, Clone to %d", depth, b, a)
+		}
+		same("a recycled workspace after evaluation", dst)
+	}
+	deep := ws.Clone().(sched.Reusable)
+	recycle(shallow)
+	for up := 0; up < 3 && depth > 0; up++ {
+		depth--
+		p.Undo(ws, depth, applied[depth])
+	}
+	recycle(deep)
 }

@@ -44,12 +44,15 @@ type ws struct {
 	path    []int16 // cell indices, path[0] is the start
 }
 
-// Clone implements sched.Workspace.
+// Clone implements sched.Workspace. The copy keeps the source's path
+// capacity — the fixed W×H array Root allocates, which the paper's
+// taskprivate copies whole — so Bytes is a constant of the program, not of
+// append's growth policy or of where the workspace came from.
 func (s *ws) Clone() sched.Workspace {
 	return &ws{
 		w: s.w, h: s.h,
 		visited: append([]bool(nil), s.visited...),
-		path:    append([]int16(nil), s.path...),
+		path:    append(make([]int16, 0, cap(s.path)), s.path...),
 	}
 }
 

@@ -153,13 +153,15 @@ type ws struct {
 	placed []placement
 }
 
-// Clone implements sched.Workspace.
+// Clone implements sched.Workspace. The copy keeps the source's placed
+// capacity (the fixed one-slot-per-piece array Root allocates), so Bytes is
+// a constant of the program.
 func (s *ws) Clone() sched.Workspace {
 	return &ws{
 		w: s.w, h: s.h,
 		board:  append([]bool(nil), s.board...),
 		used:   s.used,
-		placed: append([]placement(nil), s.placed...),
+		placed: append(make([]placement, 0, cap(s.placed)), s.placed...),
 	}
 }
 

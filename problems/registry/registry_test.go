@@ -1,6 +1,10 @@
 package registry
 
-import "testing"
+import (
+	"testing"
+
+	"adaptivetc/internal/progtest"
+)
 
 // TestBuildDefaults builds every registered family with zero Params (family
 // defaults) and checks the instance self-describes.
@@ -16,6 +20,19 @@ func TestBuildDefaults(t *testing.T) {
 		if p.Root() == nil {
 			t.Fatalf("Build(%q): nil root workspace", name)
 		}
+	}
+}
+
+// TestBytesIgnoreBuffer holds every registered family, at its default size,
+// to the law the copy charge rests on: Bytes() is the same for a workspace,
+// its Clone and a recycled buffer holding the same node.
+func TestBytesIgnoreBuffer(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Build(name, Params{})
+		if err != nil {
+			t.Fatalf("Build(%q): %v", name, err)
+		}
+		t.Run(name, func(t *testing.T) { progtest.Bytes(t, p) })
 	}
 }
 
