@@ -140,7 +140,7 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
-		childWS := w.Clone(ws) // taskprivate honoured in the special path
+		childWS := w.Clone(ws, false) // taskprivate honoured in the special path
 		prog.Undo(ws, depth, m)
 		s.PC, s.Sum = m+1, sum
 		w.Push(s)
@@ -150,6 +150,9 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 		stolen := w.PopSpecial(s)
 		switch {
 		case completed && !stolen:
+			// Fast.Loop's argument with the marker in place of the frame:
+			// nothing was taken over s, and the child's subtree is finished.
+			w.Release(childWS)
 			sum += v
 		case !completed && stolen:
 			// The child's task chain was taken over a thief; its total will

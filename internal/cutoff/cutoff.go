@@ -85,9 +85,10 @@ func seqCopy(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
-		childWS := w.Clone(ws)
+		childWS := w.Clone(ws, false)
 		prog.Undo(ws, depth, m)
 		sum += seqCopy(w, childWS, depth+1)
+		w.Release(childWS) // plain recursion: nothing below ever left this stack
 	}
 	return sum
 }

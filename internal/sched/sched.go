@@ -39,9 +39,9 @@ type Workspace interface {
 }
 
 // Reusable is an optional Workspace extension that supports copying in
-// place, letting the Cilk-SYNCHED engine reuse pooled workspaces ("allow
-// some child tasks to reuse the same memory space") while still paying the
-// byte-copy cost.
+// place. The runtime recycles the workspace of a child that returned
+// unstolen into the next child's — the free() of the paper's taskprivate
+// block — on every engine; the byte-copy is still made and still charged.
 type Reusable interface {
 	Workspace
 	// CopyFrom overwrites the receiver with src's state. src has the same
@@ -91,9 +91,9 @@ type Costs struct {
 	Push           int64 // deque push
 	Pop            int64 // deque pop (THE protocol fast path)
 	Steal          int64 // one steal attempt, successful or not
-	CopyBase       int64 // workspace copy: fixed part (allocation)
+	CopyBase       int64 // workspace copy: fixed part — the paper's malloc/free pair, whatever Go's allocator did
 	CopyBytesPerNs int64 // workspace copy throughput: bytes copied per ns (memcpy-like)
-	PooledBase     int64 // workspace copy into a pooled buffer (SYNCHED)
+	PooledBase     int64 // workspace copy: fixed part under SYNCHED, which skips that pair
 	Poll           int64 // Tascell per-node polling-flag check
 	FlagPoll       int64 // one read of the local need_task flag (check version)
 	NestedCall     int64 // Tascell per-node nested-function bookkeeping

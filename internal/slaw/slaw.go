@@ -141,12 +141,13 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
-		childWS := w.Clone(ws)
+		childWS := w.Clone(ws, false)
 		prog.Undo(ws, depth, m)
 		if x.helpFirst(w) {
 			// Push the child, keep going: the spawn fans out. The frame is
 			// paid for now, whether or not it is ever stolen — help-first's
-			// intrinsic cost.
+			// intrinsic cost. childWS is never released: the frame holding
+			// it is stealable from here on.
 			w.ChargeTask()
 			child := w.NewFrame(f, childWS, depth+1, depth+1, wsrt.KindChild)
 			w.Push(child)
@@ -167,6 +168,7 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 			w.Deposit(f, v)
 			return 0, false
 		}
+		w.Release(childWS) // as in wsrt.Fast.Loop: completed inline, f still ours
 		sum += v
 	}
 	// Drain our queued help-first children: LIFO pops return them unless

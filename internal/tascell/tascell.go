@@ -308,7 +308,7 @@ func (tw *tworker) respond(req *request) {
 		tw.stats.WorkspaceCopies++
 		tw.stats.WorkspaceBytes += int64(b)
 	}
-	clone := tw.ws.Clone()
+	clone := tw.ws.Clone() // not recycled: the clone leaves with the thief
 	remaining := lvl.limit - (lvl.m + 1)
 	keep := remaining / 2
 	if tw.rt.single {

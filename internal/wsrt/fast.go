@@ -26,8 +26,9 @@ type Fast struct {
 	// means no cutoff: every node is a task (Cilk).
 	Cutoff int
 	Below  func(w *Worker, ws sched.Workspace, depth int) int64
-	// Pooled draws child workspaces from the worker's pool (Cilk-SYNCHED):
-	// the allocation is saved, the copy is not.
+	// Pooled selects the Cilk-SYNCHED copy charge (Costs.PooledBase instead
+	// of Costs.CopyBase) and nothing else: where the memory comes from is
+	// the runtime's business and the same for every Fast (Worker.Clone).
 	Pooled bool
 }
 
@@ -84,13 +85,7 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
-		// taskprivate: allocate (or, Pooled, reuse) and copy for the child.
-		var childWS sched.Workspace
-		if k.Pooled {
-			childWS = w.ClonePooled(ws)
-		} else {
-			childWS = w.Clone(ws)
-		}
+		childWS := w.Clone(ws, k.Pooled) // taskprivate
 		prog.Undo(ws, depth, m)
 		f.PC, f.Sum = m+1, sum
 		w.Push(f)
@@ -107,9 +102,18 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 			w.Deposit(f, v)
 			return 0, false
 		}
-		if k.Pooled {
-			w.Release(childWS)
-		}
+		// The paper's free(), on the not-stolen path. childWS was cloned by
+		// this worker and handed only to the child, so anyone still able to
+		// read it got it from a frame at or below the child. The child
+		// completed inline: each such frame was popped by this worker, never
+		// stolen (a stolen frame fails its owner's Pop or suspends at its
+		// Sync, and either detaches the whole subtree), and every special
+		// task Below started joined its stolen children — which run on clones
+		// of their own — before it returned. So the last reference is ours.
+		// That is true on the failed-Pop arm above as well; it runs once per
+		// steal, not per spawn, and leaves childWS — like every workspace
+		// that did leave with a stolen frame — to the collector.
+		w.Release(childWS)
 		sum += v
 	}
 	return w.Sync(f, sum)

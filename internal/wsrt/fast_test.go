@@ -14,7 +14,7 @@ import (
 // hands (w-1)·3/5 to its first child and the rest to its third; the middle
 // move is never legal, so the loop's skip branch runs at every node. The
 // workspace carries the weight stack, has a payload (copies are charged) and
-// is Reusable (Pooled really recycles it).
+// is Reusable (Release really recycles it).
 type splitProg struct{ weight int64 }
 
 type splitWS struct{ stack []int64 }
@@ -67,7 +67,7 @@ func (x *underMarker) Root(w *Worker) (int64, bool) {
 		if !prog.Apply(ws, 0, m) {
 			continue
 		}
-		childWS := w.Clone(ws)
+		childWS := w.Clone(ws, false)
 		prog.Undo(ws, 0, m)
 		w.Push(s)
 		v, completed := x.fast2.Node(w, s, childWS, 1, 0)
@@ -75,6 +75,7 @@ func (x *underMarker) Root(w *Worker) (int64, bool) {
 			panic(fmt.Sprintf("underMarker: child completed=%v but marker robbed=%v", completed, stolen))
 		}
 		if completed {
+			w.Release(childWS)
 			sum += v
 		} else {
 			w.ExpectDeposit(s)
@@ -85,12 +86,27 @@ func (x *underMarker) Root(w *Worker) (int64, bool) {
 
 func (x *underMarker) Resume(w *Worker, f *Frame) (int64, bool) { return x.fast2.Resume(w, f) }
 
+// rootSpy notes the worker the root task ran on — with one worker, the only
+// one — so a test can look at what the run left in its workspace pool.
+type rootSpy struct {
+	Engine
+	root *Worker
+}
+
+func (s *rootSpy) Root(w *Worker) (int64, bool) {
+	s.root = w
+	return s.Engine.Root(w)
+}
+
 // TestFastConfigurations runs the kernel in every configuration the engines
 // use, on the Sim at several widths and on real goroutines, against the
 // serial value and the trace laws. Below is wrapped to pin the cutoff
 // bookkeeping: it must be entered at exactly the tree depth the
 // configuration's relative cutoff implies, also for frames whose Rel
-// travelled through a steal.
+// travelled through a steal. The one-worker Sim run of each configuration
+// also pins the split between memory and charge: every configuration
+// recycles (the pool is not empty afterwards), and copies, bytes and makespan
+// are the literals recorded before any but "pooled" did.
 func TestFastConfigurations(t *testing.T) {
 	prog := splitProg{weight: 600}
 	want, err := sched.Serial{}.Run(prog, sched.Options{})
@@ -108,15 +124,17 @@ func TestFastConfigurations(t *testing.T) {
 	configs := []struct {
 		name string
 		eng  func(t *testing.T) Engine
+		// one-worker Sim: WorkspaceCopies, WorkspaceBytes, makespan
+		copies, bytes, makespan int64
 	}{
-		{"no cutoff", func(*testing.T) Engine { return &Fast{Kind: KindFast} }},
+		{"no cutoff", func(*testing.T) Engine { return &Fast{Kind: KindFast} }, 599, 40536, 102588},
 		{"cutoff over plain recursion", func(t *testing.T) Engine {
 			return &Fast{Kind: KindFast, Cutoff: 3, Below: belowAt(t, 3)}
-		}},
-		{"pooled", func(*testing.T) Engine { return &Fast{Kind: KindFast, Pooled: true} }},
+		}, 14, 384, 18944},
+		{"pooled", func(*testing.T) Engine { return &Fast{Kind: KindFast, Pooled: true} }, 599, 40536, 75633},
 		{"fast_2 restarted under a special marker", func(t *testing.T) Engine {
 			return &underMarker{Fast{Kind: KindFast2, Cutoff: 4, Below: belowAt(t, 1+4)}}
-		}},
+		}, 62, 2560, 24680},
 	}
 	type platform struct {
 		name    string
@@ -132,11 +150,21 @@ func TestFastConfigurations(t *testing.T) {
 			t.Run(c.name+"/"+pl.name, func(t *testing.T) {
 				rec := trace.NewRecorder()
 				defer rec.Release()
+				eng := &rootSpy{Engine: c.eng(t)}
 				res, err := Run(prog, sched.Options{
 					Workers: pl.workers, Seed: 11, MaxStolenNum: 2, Platform: pl.plat(), Tracer: rec,
-				}, c.eng(t), c.name)
+				}, eng, c.name)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if pl.workers == 1 { // the one-worker Sim; the Real platform runs at P=2
+					if len(eng.root.pool) == 0 {
+						t.Error("the run left no workspace in the worker's pool: nothing was recycled")
+					}
+					if s := res.Stats; s.WorkspaceCopies != c.copies || s.WorkspaceBytes != c.bytes || res.Makespan != c.makespan {
+						t.Errorf("copies %d bytes %d makespan %d, want %d %d %d: recycling must not move the charge",
+							s.WorkspaceCopies, s.WorkspaceBytes, res.Makespan, c.copies, c.bytes, c.makespan)
+					}
 				}
 				if res.Value != want.Value {
 					t.Errorf("value %d, serial says %d", res.Value, want.Value)

@@ -748,10 +748,10 @@ func (p *Pool) workerLoop(i int) {
 		w.runJob(true)
 		w.rt = nil
 		w.prog = nil
-		// The SYNCHED workspace pool holds program-typed workspaces; the
-		// next job bound to this worker may run a different program, and
-		// ClonePooled must never hand it a leftover (CopyFrom would panic
-		// on the type mismatch). Frames are program-agnostic — their
+		// The workspace pool holds program-typed workspaces; the next job
+		// bound to this worker may run a different program, and Clone
+		// must never hand it a leftover (CopyFrom would panic on the
+		// type mismatch). Frames are program-agnostic — their
 		// free-list stays resident across jobs.
 		w.DropWorkspacePool()
 		job.wg.Done()

@@ -163,13 +163,13 @@ func (p firstSolutionProg) Terminal(ws sched.Workspace, depth int) (int64, bool)
 // level recovers and records the error as the run's failure.
 
 // workerPoolCap bounds each worker's workspace pool and frame free-list.
-// Both recycle per-spawn allocations, and both must stay bounded: a run can
-// finalise many more frames (and release many more workspaces) than it will
-// ever need live again at once — an unbalanced subtree can complete millions
-// of tasks whose memory would otherwise sit in the lists until the run ends.
-// The live demand at any instant is on the order of the deque depth, so a
-// small cap keeps the recycle hit-rate near 100% while letting the excess
-// go back to the garbage collector.
+// Both recycle per-spawn allocations on every engine, and both must stay
+// bounded: a run can finalise many more frames (and release many more
+// workspaces) than it will ever need live again at once — an unbalanced
+// subtree can complete millions of tasks whose memory would otherwise sit in
+// the lists until the run ends. The live demand at any instant is on the
+// order of the deque depth, so a small cap keeps the recycle hit-rate near
+// 100% while letting the excess go back to the garbage collector.
 const workerPoolCap = 64
 
 // Worker is one scheduler thread.
@@ -180,7 +180,7 @@ type Worker struct {
 	Stats sched.Stats
 
 	rt     *Runtime
-	pool   []sched.Workspace
+	pool   []sched.Reusable
 	frames []*Frame
 
 	// prog overrides the program Prog() hands to engine code; nil means the
@@ -439,64 +439,53 @@ func (w *Worker) PopSpecial(f *Frame) (stolen bool) {
 	return stolen
 }
 
-// Clone copies ws for a child task (the taskprivate allocate-and-copy),
-// charging allocation plus per-byte cost. Programs without taskprivate data
-// (Bytes() == 0 — fib, comp) pay nothing: their spawn arguments travel by
-// value and the structural Clone below stands in for ordinary argument
-// passing, whose price is already inside Costs.Spawn.
-func (w *Worker) Clone(ws sched.Workspace) sched.Workspace {
-	if ws.Bytes() == 0 {
-		return ws.Clone()
-	}
+// Clone copies ws for a child task — the paper's taskprivate malloc + memcpy.
+// The memory comes from the worker's pool when Release has put a buffer there
+// (C's free; see Fast.Loop) and from the program's own Clone otherwise, on
+// every engine and both platforms alike. What an engine selects is only the
+// virtual charge: Costs.CopyBase for the allocation the paper's engines pay
+// per spawn, Costs.PooledBase when synched (Cilk-SYNCHED skips the
+// malloc/free pair), plus the per-byte cost either way. Programs without
+// taskprivate data (Bytes() == 0 — fib, comp) are charged nothing: their
+// spawn arguments travel by value, at a price already inside Costs.Spawn.
+func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 	t0 := w.now()
-	c := &w.rt.Costs
-	w.Proc.Advance(c.CopyBase + int64(ws.Bytes())/c.CopyBytesPerNs)
-	w.Stats.WorkspaceCopies++
-	w.Stats.WorkspaceBytes += int64(ws.Bytes())
-	clone := ws.Clone()
-	w.addCopy(t0)
-	return clone
-}
-
-// ClonePooled copies ws reusing a per-worker buffer when possible — the
-// Cilk-SYNCHED behaviour: memory is conserved, but the bytes are still
-// copied, so only the allocation part of the cost is saved.
-func (w *Worker) ClonePooled(ws sched.Workspace) sched.Workspace {
-	if ws.Bytes() == 0 {
-		return ws.Clone()
+	if b := int64(ws.Bytes()); b > 0 {
+		c := &w.rt.Costs
+		base := c.CopyBase
+		if synched {
+			base = c.PooledBase
+		}
+		w.Proc.Advance(base + b/c.CopyBytesPerNs)
+		w.Stats.WorkspaceCopies++
+		w.Stats.WorkspaceBytes += b
 	}
-	t0 := w.now()
-	c := &w.rt.Costs
-	w.Proc.Advance(c.PooledBase + int64(ws.Bytes())/c.CopyBytesPerNs)
-	w.Stats.WorkspaceCopies++
-	w.Stats.WorkspaceBytes += int64(ws.Bytes())
 	var clone sched.Workspace
 	if n := len(w.pool); n > 0 {
-		dst := w.pool[n-1]
+		r := w.pool[n-1]
 		w.pool = w.pool[:n-1]
-		if r, ok := dst.(sched.Reusable); ok {
-			r.CopyFrom(ws)
-			clone = dst
-		}
-	}
-	if clone == nil {
+		r.CopyFrom(ws)
+		clone = r
+	} else {
 		clone = ws.Clone()
 	}
 	w.addCopy(t0)
 	return clone
 }
 
-// Release returns a workspace to the worker's pool once its child subtree
-// has completed inline.
+// Release returns a child workspace to the worker's pool for the next Clone.
+// The caller must hold the last reference: see Fast.Loop for the argument.
+// Workspaces that cannot be copied into (not sched.Reusable) go to the
+// collector instead.
 func (w *Worker) Release(ws sched.Workspace) {
-	if len(w.pool) < workerPoolCap {
-		w.pool = append(w.pool, ws)
+	if r, ok := ws.(sched.Reusable); ok && len(w.pool) < workerPoolCap {
+		w.pool = append(w.pool, r)
 	}
 }
 
 // DropWorkspacePool discards the pooled workspaces. A resident worker must
 // call this between jobs: the pool is typed by the program that filled it,
-// and ClonePooled's CopyFrom would panic if a job of one program popped a
+// and Clone's CopyFrom would panic if a job of one program popped a
 // workspace recycled from another.
 func (w *Worker) DropWorkspacePool() { w.pool = nil }
 

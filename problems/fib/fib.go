@@ -54,6 +54,10 @@ func (w *ws) Clone() sched.Workspace {
 // Bytes implements sched.Workspace. Fib carries no taskprivate payload.
 func (w *ws) Bytes() int { return 0 }
 
+// CopyFrom implements sched.Reusable, so the spawn arguments ride in a
+// recycled workspace like any taskprivate payload (still charged nothing).
+func (w *ws) CopyFrom(src sched.Workspace) { w.stack = append(w.stack[:0], src.(*ws).stack...) }
+
 func (w *ws) top() int { return w.stack[len(w.stack)-1] }
 
 // Root implements sched.Program.
