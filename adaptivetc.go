@@ -28,14 +28,14 @@ package adaptivetc
 
 import (
 	"fmt"
+	"slices"
 
-	"adaptivetc/internal/cilk"
 	"adaptivetc/internal/core"
-	"adaptivetc/internal/cutoff"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/slaw"
 	"adaptivetc/internal/tascell"
 	"adaptivetc/internal/vtime"
+	"adaptivetc/internal/wsrt"
 )
 
 // Core vocabulary, shared by every engine. See the sched package docs on
@@ -85,11 +85,11 @@ func NewAdaptiveTC() Engine { return core.New() }
 
 // NewCilk returns the Cilk 5.4.6 baseline: a task per spawn, workspace
 // copied for every child.
-func NewCilk() Engine { return cilk.New() }
+func NewCilk() Engine { return wsrt.Cilk }
 
 // NewCilkSynched returns Cilk with the SYNCHED-variable space optimisation
 // (pooled workspace memory; bytes still copied).
-func NewCilkSynched() Engine { return cilk.NewSynched() }
+func NewCilkSynched() Engine { return wsrt.CilkSynched }
 
 // NewTascell returns the Tascell baseline: backtracking-based lazy task
 // creation with non-suspendable joins; a victim gives away half of a
@@ -103,10 +103,10 @@ func NewTascellSingle() Engine { return tascell.NewSingle() }
 
 // NewCutoffProgrammer returns the programmer-specified cut-off baseline of
 // Figure 9 (Options.Cutoff sets the depth).
-func NewCutoffProgrammer() Engine { return cutoff.NewProgrammer() }
+func NewCutoffProgrammer() Engine { return wsrt.CutoffProgrammer }
 
 // NewCutoffLibrary returns the runtime-chosen cut-off baseline of Figure 9.
-func NewCutoffLibrary() Engine { return cutoff.NewLibrary() }
+func NewCutoffLibrary() Engine { return wsrt.CutoffLibrary }
 
 // NewHelpFirst returns the help-first scheduling extension: every spawn
 // pushes the child task and the parent continues (contrast with Cilk's
@@ -125,36 +125,60 @@ func NewSimPlatform(seed int64) Platform { return &vtime.Sim{Seed: seed} }
 // NewRealPlatform returns the wall-clock goroutine platform.
 func NewRealPlatform(seed int64) Platform { return &vtime.Real{Seed: seed} }
 
+// engines is the one table of engine names: the serial reference and the six
+// schedulers the paper's evaluation compares (the cut-off baselines are
+// Figure 9's), then what this repository adds — the help-first policy, the
+// SLAW-like adaptive policy switcher from the related work, and Tascell with
+// single-iteration extraction (the paper's plain-recursion rule). Every front
+// end resolves names here. A row that also implements the resident pool's
+// engine interface can be hosted on a pool (all but serial and the two
+// Tascells, which bring their own runtimes): that is a type assertion on the
+// row, not a second list.
+var engines = []Engine{
+	NewSerial(), NewCilk(), NewCilkSynched(), NewTascell(), NewAdaptiveTC(),
+	NewCutoffProgrammer(), NewCutoffLibrary(),
+	NewHelpFirst(), NewSLAW(), NewTascellSingle(),
+}
+
+// paperEngines is how many rows of the table are the paper's.
+const paperEngines = 7
+
 // Engines returns every scheduler of the paper, serial first — the set the
 // evaluation compares (plus the cut-off baselines of Figure 9).
-func Engines() []Engine {
-	return []Engine{
-		NewSerial(),
-		NewCilk(),
-		NewCilkSynched(),
-		NewTascell(),
-		NewAdaptiveTC(),
-		NewCutoffProgrammer(),
-		NewCutoffLibrary(),
-	}
-}
+func Engines() []Engine { return slices.Clone(engines[:paperEngines]) }
 
 // ExtensionEngines returns the schedulers this repository adds beyond the
-// paper's comparison set: the help-first policy, the SLAW-like adaptive
-// policy switcher from the related work, and Tascell with single-iteration
-// extraction (the paper's plain-recursion rule).
-func ExtensionEngines() []Engine {
-	return []Engine{NewHelpFirst(), NewSLAW(), NewTascellSingle()}
+// paper's comparison set.
+func ExtensionEngines() []Engine { return slices.Clone(engines[paperEngines:]) }
+
+// EngineNames lists every name EngineByName resolves, in table order.
+func EngineNames() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.Name()
+	}
+	return names
 }
 
-// EngineByName resolves "serial", "cilk", "cilk-synched", "tascell",
-// "adaptivetc", "cutoff-programmer", "cutoff-library", "helpfirst" or
-// "slaw".
+// PoolEngineNames lists, sorted, the names whose rows can be hosted on a
+// resident worker pool (internal/serve, adaptivetc-chaos).
+func PoolEngineNames() []string {
+	var names []string
+	for _, e := range engines {
+		if _, ok := e.(wsrt.PoolEngine); ok {
+			names = append(names, e.Name())
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// EngineByName resolves one of EngineNames.
 func EngineByName(name string) (Engine, error) {
-	for _, e := range append(Engines(), ExtensionEngines()...) {
+	for _, e := range engines {
 		if e.Name() == name {
 			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("adaptivetc: unknown engine %q", name)
+	return nil, fmt.Errorf("adaptivetc: unknown engine %q (have %v)", name, EngineNames())
 }

@@ -48,13 +48,10 @@ import (
 	"strings"
 	"time"
 
-	"adaptivetc/internal/cilk"
+	"adaptivetc"
 	"adaptivetc/internal/cluster"
-	"adaptivetc/internal/core"
-	"adaptivetc/internal/cutoff"
 	"adaptivetc/internal/faults"
 	"adaptivetc/internal/sched"
-	"adaptivetc/internal/slaw"
 	"adaptivetc/internal/trace"
 	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/registry"
@@ -63,24 +60,17 @@ import (
 // chaosEngine is the intersection the campaigns need: batch Run for Sim
 // cases and NewExec for resident-pool jobs.
 type chaosEngine interface {
-	Name() string
-	Run(sched.Program, sched.Options) (sched.Result, error)
-	NewExec(int, sched.Options) wsrt.Engine
+	sched.Engine
+	wsrt.PoolEngine
 }
 
-var engineMakers = map[string]func() chaosEngine{
-	"adaptivetc":        func() chaosEngine { return core.New() },
-	"cilk":              func() chaosEngine { return cilk.New() },
-	"cilk-synched":      func() chaosEngine { return cilk.NewSynched() },
-	"cutoff-programmer": func() chaosEngine { return cutoff.NewProgrammer() },
-	"cutoff-library":    func() chaosEngine { return cutoff.NewLibrary() },
-	"helpfirst":         func() chaosEngine { return slaw.NewHelpFirst() },
-	"slaw":              func() chaosEngine { return slaw.New() },
-}
-
-func engineNames() []string {
-	return []string{"adaptivetc", "cilk", "cilk-synched", "cutoff-programmer",
-		"cutoff-library", "helpfirst", "slaw"}
+// engineByName resolves a row of the engine table that can do both.
+func engineByName(name string) (chaosEngine, error) {
+	e, _ := adaptivetc.EngineByName(name)
+	if ce, ok := e.(chaosEngine); ok {
+		return ce, nil
+	}
+	return nil, fmt.Errorf("engine %q is unknown or not pool-capable (have %v)", name, adaptivetc.PoolEngineNames())
 }
 
 // progSpec is one "name=N" program instance.
@@ -167,8 +157,8 @@ func parseTuple(s string) (caseSpec, error) {
 	}
 	c.workers = w
 	c.engine = parts[2]
-	if _, ok := engineMakers[c.engine]; !ok {
-		return c, fmt.Errorf("unknown engine %q", c.engine)
+	if _, err := engineByName(c.engine); err != nil {
+		return c, err
 	}
 	progs, err := parsePrograms(parts[3])
 	if err != nil {
@@ -243,6 +233,11 @@ type simOutcome struct {
 // runs by design) is recovered here and classified.
 func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 	v := verdict{c: c}
+	eng, err := engineByName(c.engine)
+	if err != nil {
+		v.err = err
+		return v, nil
+	}
 	prog, err := c.prog.build()
 	if err != nil {
 		v.err = err
@@ -276,7 +271,7 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 				err = fmt.Errorf("unexpected panic class: %v", r)
 			}
 		}()
-		return engineMakers[c.engine]().Run(prog, opt)
+		return eng.Run(prog, opt)
 	}()
 
 	out := &simOutcome{Value: res.Value}
@@ -347,6 +342,11 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			scenario: scenario,
 			seed:     seed + int64(i),
 		}
+		eng, err := engineByName(c.engine)
+		if err != nil {
+			verdicts = append(verdicts, verdict{c: c, err: err})
+			continue
+		}
 		prog, err := c.prog.build()
 		if err != nil {
 			verdicts = append(verdicts, verdict{c: c, err: err})
@@ -355,7 +355,7 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 		rec := trace.NewRecorder()
 		h, err := pool.Submit(wsrt.JobSpec{
 			Prog:   prog,
-			Engine: engineMakers[c.engine](),
+			Engine: eng,
 			Tracer: rec,
 			Faults: faults.New(faults.Spec{Seed: c.seed, StealFail: spec.StealFail,
 				StealFailBurst: spec.StealFailBurst, Stall: spec.Stall, StallNS: spec.StallNS,
@@ -425,7 +425,11 @@ func (cc *clusterCosts) get(engine string, p progSpec, orc *oracles) (costEntry,
 	if err != nil {
 		return costEntry{}, err
 	}
-	res, err := engineMakers[engine]().Run(prog, sched.Options{Workers: 2, Seed: 42})
+	eng, err := engineByName(engine)
+	if err != nil {
+		return costEntry{}, err
+	}
+	res, err := eng.Run(prog, sched.Options{Workers: 2, Seed: 42})
 	if err != nil {
 		return costEntry{}, fmt.Errorf("cluster cost run: %w", err)
 	}
@@ -546,7 +550,8 @@ type benchSide struct {
 // same seed reproduces the same report byte for byte.
 func benchCluster(seed int64, orc *oracles, costs *clusterCosts) int {
 	p := progSpec{name: "fib", n: 14}
-	e, err := costs.get("adaptivetc", p, orc)
+	engine := adaptivetc.NewAdaptiveTC().Name()
+	e, err := costs.get(engine, p, orc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "adaptivetc-chaos: %v\n", err)
 		return 1
@@ -645,7 +650,7 @@ func benchCluster(seed int64, orc *oracles, costs *clusterCosts) int {
 			"per service time: the hot node is overloaded alone, the pair is not. " +
 			"Sojourn percentiles in virtual milliseconds, forward/steal plane on vs off. " +
 			"Regenerate with: adaptivetc-chaos -cluster-bench -seed 20100424",
-		Engine: "adaptivetc", Program: p.String(), ServiceNS: e.svcNS,
+		Engine: engine, Program: p.String(), ServiceNS: e.svcNS,
 		Nodes: 2, Jobs: count, Skew: "80/20", ArrivalRate: 1.6, Seed: seed,
 		On: on, Off: off,
 		Improvement: 100 * (off.P99Ms - on.P99Ms) / off.P99Ms,
@@ -731,7 +736,7 @@ func main() {
 	mode := flag.String("mode", "all", "campaign mode: sim, pool, cluster, or all")
 	workers := flag.Int("workers", 4, "workers per case (pool size in pool mode)")
 	jobs := flag.Int("jobs", 16, "jobs per pool campaign")
-	enginesCSV := flag.String("engines", strings.Join(engineNames(), ","), "engines to soak")
+	enginesCSV := flag.String("engines", strings.Join(adaptivetc.PoolEngineNames(), ","), "engines to soak")
 	programsCSV := flag.String("programs", "nqueens-array=6,fib=14,knight=4,dag-layered=4,bnb-knapsack=12", "programs (name or name=N)")
 	scenariosCSV := flag.String("scenarios", strings.Join(faults.Scenarios(), ","), "fault scenarios")
 	replayTuple := flag.String("replay", "", "replay one case tuple and exit")
@@ -764,8 +769,8 @@ func main() {
 		if e == "" {
 			continue
 		}
-		if _, ok := engineMakers[e]; !ok {
-			fmt.Fprintf(os.Stderr, "adaptivetc-chaos: unknown engine %q\n", e)
+		if _, err := engineByName(e); err != nil {
+			fmt.Fprintf(os.Stderr, "adaptivetc-chaos: %v\n", err)
 			os.Exit(2)
 		}
 		engines = append(engines, e)

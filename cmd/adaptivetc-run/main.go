@@ -24,8 +24,8 @@ import (
 	"os"
 
 	"adaptivetc"
-	"adaptivetc/internal/experiments"
 	"adaptivetc/internal/wsrt"
+	"adaptivetc/problems/registry"
 )
 
 func main() {
@@ -35,7 +35,8 @@ func main() {
 	m := flag.Int("m", 0, "secondary size parameter of two-knob families (DAG width, knapsack capacity, SAT clauses; 0 = family default)")
 	size := flag.Int64("size", 100000, "synthetic tree leaf count")
 	reverse := flag.Bool("reverse", false, "mirror a synthetic tree (L→R)")
-	engineName := flag.String("engine", "adaptivetc", "engine: serial, cilk, cilk-synched, tascell, adaptivetc, cutoff-programmer, cutoff-library, helpfirst, slaw")
+	engineName := flag.String("engine", adaptivetc.NewAdaptiveTC().Name(),
+		fmt.Sprintf("engine: %v", adaptivetc.EngineNames()))
 	workers := flag.Int("workers", 8, "number of workers")
 	seed := flag.Int64("seed", 1, "victim-selection seed")
 	stealPolicy := flag.String("steal-policy", "random",
@@ -50,12 +51,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range experiments.ProgramNames() {
+		for _, name := range registry.Names() {
 			fmt.Println(name)
 		}
 		return
 	}
-	prog, err := experiments.BuildProgramM(*progName, *n, *m, *size, *reverse)
+	prog, err := registry.Build(*progName, registry.Params{N: *n, M: *m, Size: *size, Reverse: *reverse})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "adaptivetc-run: %v\n", err)
 		os.Exit(2)
@@ -85,7 +86,7 @@ func main() {
 		// First-solution families carry their mode in registry metadata:
 		// the run stops at the first claimed witness instead of summing
 		// the whole tree.
-		FirstSolution: experiments.FirstSolution(*progName),
+		FirstSolution: registry.FirstSolution(*progName),
 	}
 	if *real {
 		opt.Platform = adaptivetc.NewRealPlatform(*seed)

@@ -141,6 +141,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	if !wsrt.ShardPolicy(*shardPolicy).Valid() {
+		fmt.Fprintf(os.Stderr, "adaptivetc-serve: unknown -shard-policy %q (have %v)\n",
+			*shardPolicy, wsrt.ShardPolicies)
+		os.Exit(2)
+	}
+
 	if *replay {
 		if *storeDir == "" {
 			fmt.Fprintln(os.Stderr, "adaptivetc-serve: -replay requires -store-dir")
@@ -194,12 +200,12 @@ func main() {
 
 	mux := serve.NewMux(svc)
 	var node *cluster.Node
+	var peerList []string
 	if *peers != "" {
 		self := *nodeID
 		if self == "" {
 			self = "http://127.0.0.1" + *addr
 		}
-		var peerList []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peerList = append(peerList, strings.TrimSuffix(p, "/"))
@@ -227,7 +233,7 @@ func main() {
 		*addr, *workers, *queue, *maxJobs, *shardPolicy, *stealPolicy, *relaxed, *check, *tenantQuota, *tenantRate)
 	if node != nil {
 		fmt.Printf("adaptivetc-serve: cluster node %s with %d peer(s), gossip every %v, forward-threshold %d\n",
-			node.Snapshot().Self, len(strings.Split(*peers, ",")), *gossipInterval, *forwardThreshold)
+			node.Snapshot().Self, len(peerList), *gossipInterval, *forwardThreshold)
 	}
 
 	sigc := make(chan os.Signal, 1)

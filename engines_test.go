@@ -2,11 +2,14 @@ package adaptivetc_test
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"adaptivetc"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/vtime"
+	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/comp"
 	"adaptivetc/problems/fib"
 	"adaptivetc/problems/knight"
@@ -262,7 +265,7 @@ func TestWorkerSweep(t *testing.T) {
 
 // TestEngineByName round-trips every engine.
 func TestEngineByName(t *testing.T) {
-	for _, e := range adaptivetc.Engines() {
+	for _, e := range append(adaptivetc.Engines(), adaptivetc.ExtensionEngines()...) {
 		got, err := adaptivetc.EngineByName(e.Name())
 		if err != nil {
 			t.Fatal(err)
@@ -271,8 +274,64 @@ func TestEngineByName(t *testing.T) {
 			t.Errorf("round trip %q -> %q", e.Name(), got.Name())
 		}
 	}
-	if _, err := adaptivetc.EngineByName("nope"); err == nil {
-		t.Error("unknown engine name accepted")
+	_, err := adaptivetc.EngineByName("nope")
+	if err == nil {
+		t.Fatal("unknown engine name accepted")
+	}
+	for _, name := range adaptivetc.EngineNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-engine error %q does not list %q", err, name)
+		}
+	}
+}
+
+// TestEngineTable pins the one table every front end resolves names through:
+// ten unique names, each resolving to the row that carries it; Engines() still
+// serial plus the paper's six in the order benchmark/papersim.go slices; and
+// the pool-capable rows — a type assertion, not a list — exactly the seven
+// that TestDifferentialPool drives and GET /catalog advertises.
+func TestEngineTable(t *testing.T) {
+	names := adaptivetc.EngineNames()
+	want := []string{"serial", "cilk", "cilk-synched", "tascell", "adaptivetc",
+		"cutoff-programmer", "cutoff-library", "helpfirst", "slaw", "tascell-single"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("EngineNames() = %v, want %v", names, want)
+	}
+	var paper, pool []string
+	for _, e := range adaptivetc.Engines() {
+		paper = append(paper, e.Name())
+	}
+	if !slices.Equal(paper, want[:7]) {
+		t.Errorf("Engines() = %v, want %v", paper, want[:7])
+	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Errorf("engine name %q appears twice", name)
+		}
+		seen[name] = true
+		e, err := adaptivetc.EngineByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() != name {
+			t.Errorf("EngineByName(%q).Name() = %q", name, e.Name())
+		}
+		if _, ok := e.(wsrt.PoolEngine); ok {
+			pool = append(pool, name)
+		}
+	}
+	var diff []string
+	for _, mk := range diffEngines() {
+		diff = append(diff, mk().Name())
+	}
+	slices.Sort(pool)
+	slices.Sort(diff)
+	if !slices.Equal(pool, diff) || !slices.Equal(pool, adaptivetc.PoolEngineNames()) {
+		t.Errorf("pool-capable rows %v; difftest drives %v; PoolEngineNames() = %v", pool, diff, adaptivetc.PoolEngineNames())
+	}
+	if len(pool) != 7 {
+		t.Errorf("%d pool-capable engines, want 7: %v", len(pool), pool)
 	}
 }
 

@@ -50,10 +50,7 @@ func main() {
 	fmt.Printf("solutions: %d; serial %.2fms\n\n", serial.Value, float64(serial.Makespan)/1e6)
 
 	fmt.Printf("%-18s %9s %12s %14s\n", "engine", "speedup", "copies", "bytes copied")
-	for _, engine := range adaptivetc.Engines() {
-		if engine.Name() == "serial" {
-			continue
-		}
+	for _, engine := range adaptivetc.Engines()[1:] { // [0] is the serial reference
 		res, err := engine.Run(prog, adaptivetc.Options{Workers: *workers})
 		if err != nil {
 			log.Fatal(err)

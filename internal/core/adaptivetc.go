@@ -47,31 +47,20 @@ import (
 	"adaptivetc/internal/wsrt"
 )
 
-// Engine is the AdaptiveTC scheduler.
-type Engine struct{}
-
-// New returns an AdaptiveTC engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements sched.Engine.
-func (*Engine) Name() string { return "adaptivetc" }
-
-// Run implements sched.Engine.
-func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
-	return wsrt.Run(p, opt, e.NewExec(opt.WorkersOrDefault(), opt), e.Name())
-}
-
-// NewExec implements wsrt.PoolEngine.
-func (e *Engine) NewExec(n int, opt sched.Options) wsrt.Engine {
-	cut := opt.CutoffFor(n)
-	cut2 := cut * opt.Fast2MultiplierOrDefault()
-	if cut2 < cut {
-		cut2 = cut
-	}
-	x := &exec{}
-	x.fast = wsrt.Fast{Kind: wsrt.KindFast, Cutoff: cut, Below: x.checkNode}
-	x.fast2 = wsrt.Fast{Kind: wsrt.KindFast2, Cutoff: cut2, Below: sequenceNode}
-	return x
+// New returns the AdaptiveTC engine: two configurations of the shared spawn
+// loop around this package's check, special and sequence versions.
+func New() *wsrt.Strategy {
+	return wsrt.NewStrategy("adaptivetc", func(n int, opt sched.Options) wsrt.Engine {
+		cut := opt.CutoffFor(n)
+		cut2 := cut * opt.Fast2MultiplierOrDefault()
+		if cut2 < cut {
+			cut2 = cut
+		}
+		x := &exec{}
+		x.fast = wsrt.Fast{Kind: wsrt.KindFast, Cutoff: cut, Below: x.checkNode}
+		x.fast2 = wsrt.Fast{Kind: wsrt.KindFast2, Cutoff: cut2, Below: sequenceNode}
+		return x
+	})
 }
 
 type exec struct {

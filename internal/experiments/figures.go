@@ -311,11 +311,9 @@ func Figure9(cfg Config) error {
 		adaptivetc.NewCilk(), adaptivetc.NewTascell(), adaptivetc.NewAdaptiveTC(),
 		adaptivetc.NewCutoffProgrammer(), adaptivetc.NewCutoffLibrary(),
 	} {
-		mutate := func(o *adaptivetc.Options) {}
-		if e.Name() == "cutoff-programmer" {
-			mutate = func(o *adaptivetc.Options) { o.Cutoff = cutP }
-		}
-		sweeps = append(sweeps, cfg.submitSweep(e, input1, mutate))
+		// Options.Cutoff is the programmer's depth: without ForceCutoff no
+		// engine but Cutoff-programmer reads it.
+		sweeps = append(sweeps, cfg.submitSweep(e, input1, func(o *adaptivetc.Options) { o.Cutoff = cutP }))
 	}
 	base, err := awaitBaseline(baseFu)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivetc"
+	"adaptivetc/problems/nqueens"
 )
 
 // TestParallelOutputIdentical is the driver's core guarantee: a parallel
@@ -83,10 +84,7 @@ func TestFutureRepanics(t *testing.T) {
 // pooled, the panic must travel through the future and re-raise at await,
 // not kill the process from a pool goroutine.
 func TestRunnerPanicPropagation(t *testing.T) {
-	prog, err := BuildProgram("nqueens-array", 6, 0, false)
-	if err != nil {
-		t.Fatalf("BuildProgram: %v", err)
-	}
+	prog := nqueens.NewArray(6)
 	opt := adaptivetc.Options{Workers: 2, VirtualLimit: 1}
 	catch := func(f func()) (recovered any) {
 		defer func() { recovered = recover() }()

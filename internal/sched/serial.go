@@ -124,7 +124,7 @@ func (Serial) Name() string { return "serial" }
 
 // Run implements Engine. Options.Ctx is honoured: cancellation aborts the
 // recursion at the next node visit and is reported as the run's error.
-func (Serial) Run(p Program, opt Options) (res Result, err error) {
+func (s Serial) Run(p Program, opt Options) (res Result, err error) {
 	costs := opt.CostsOrDefault()
 	var st Stats
 	var value int64
@@ -137,7 +137,7 @@ func (Serial) Run(p Program, opt Options) (res Result, err error) {
 			if !ok {
 				panic(r)
 			}
-			res = Result{Workers: 1, Engine: "serial", Program: p.Name(), Stats: st}
+			res = Result{Workers: 1, Engine: s.Name(), Program: p.Name(), Stats: st}
 			err = ab.Err
 		}
 	}()
@@ -156,7 +156,7 @@ func (Serial) Run(p Program, opt Options) (res Result, err error) {
 		Value:    value,
 		Makespan: makespan,
 		Workers:  1,
-		Engine:   "serial",
+		Engine:   s.Name(),
 		Program:  p.Name(),
 		Stats:    st,
 	}, nil

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"adaptivetc"
 	"adaptivetc/internal/lang"
 	"adaptivetc/internal/progstore"
 	"adaptivetc/internal/sched"
@@ -275,7 +276,7 @@ func NewMux(s *Service) *http.ServeMux {
 	mux.HandleFunc("GET /catalog", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"programs":     registry.Names(),
-			"engines":      EngineNames(),
+			"engines":      adaptivetc.PoolEngineNames(),
 			"dsl_programs": s.Programs(),
 		})
 	})

@@ -66,12 +66,16 @@ func (e *probeEngine) NewExec(n int, opt sched.Options) wsrt.Engine {
 func TestWeightedFairOrdering(t *testing.T) {
 	ord := &startOrder{}
 	nextID := 0
-	RegisterEngine("qos-probe", func() wsrt.PoolEngine {
+	table := lookupEngine
+	lookupEngine = func(name string) (wsrt.PoolEngine, bool) {
+		if name != "qos-probe" {
+			return table(name)
+		}
 		e := &probeEngine{inner: core.New(), id: nextID, ord: ord}
 		nextID++
-		return e
-	})
-	t.Cleanup(func() { delete(poolEngines, "qos-probe") })
+		return e, true
+	}
+	t.Cleanup(func() { lookupEngine = table })
 
 	s := New(Config{Workers: 1, QueueCapacity: 16})
 	t.Cleanup(s.Close)

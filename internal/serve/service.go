@@ -15,12 +15,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adaptivetc"
 	"adaptivetc/internal/faults"
 	"adaptivetc/internal/jobstore"
 	"adaptivetc/internal/progstore"
@@ -71,9 +71,9 @@ type Request struct {
 	Size int64 `json:"size,omitempty"`
 	// Reverse mirrors a synthetic tree.
 	Reverse bool `json:"reverse,omitempty"`
-	// Engine is a pool-capable engine name ("adaptivetc", "cilk",
-	// "cilk-synched", "cutoff-programmer", "cutoff-library", "helpfirst",
-	// "slaw"). Empty means "adaptivetc".
+	// Engine is a pool-capable engine name: one of
+	// adaptivetc.PoolEngineNames, which GET /catalog lists. Empty means
+	// AdaptiveTC.
 	Engine string `json:"engine,omitempty"`
 	// Tenant identifies the submitter for quotas, rate limits and fair
 	// sharing. Empty means DefaultTenant. The HTTP front end also accepts
@@ -320,25 +320,15 @@ func (s *Service) adviseShard(waiting, slots, free int) int {
 	return waiting + 1
 }
 
-// resolveEngine maps an engine name to its pool-capable implementation.
-// Tascell and the serial reference are deliberately absent: their runtimes
-// are not built on the wsrt pool (Tascell's workers own their victims'
-// stacks; serial has no workers), so a resident pool cannot host them.
-var poolEngines = map[string]func() wsrt.PoolEngine{}
-
-// RegisterEngine adds a pool-capable engine constructor under name. The
-// seven wsrt engines register themselves via internal/serve/engines.go;
-// the hook is exported for tests injecting instrumented engines.
-func RegisterEngine(name string, mk func() wsrt.PoolEngine) { poolEngines[name] = mk }
-
-// EngineNames lists the registered pool-capable engine names, sorted.
-func EngineNames() []string {
-	names := make([]string, 0, len(poolEngines))
-	for n := range poolEngines {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// lookupEngine resolves an engine name to a row of the engine table that a
+// resident pool can host. Tascell and the serial reference resolve but are
+// not pool-capable: their runtimes are not built on the wsrt pool (Tascell's
+// workers own their victims' stacks; serial has no workers). A variable so
+// that a test can put an instrumented engine in front of the table.
+var lookupEngine = func(name string) (wsrt.PoolEngine, bool) {
+	e, _ := adaptivetc.EngineByName(name)
+	pe, ok := e.(wsrt.PoolEngine)
+	return pe, ok
 }
 
 // tenant returns (creating if needed) the named tenant's state.
@@ -365,7 +355,7 @@ func (r Request) engineName() string {
 	return r.Engine
 }
 
-const defaultEngine = "adaptivetc"
+var defaultEngine = adaptivetc.NewAdaptiveTC().Name()
 
 // buildJob validates req, builds its program and engine, and constructs
 // the job record, its cancellation context and its admission item. The
@@ -394,9 +384,9 @@ func (s *Service) buildJob(req Request) (*admItem, error) {
 		}
 		firstSol = registry.FirstSolution(req.Program)
 	}
-	mk, ok := poolEngines[req.engineName()]
+	engine, ok := lookupEngine(req.engineName())
 	if !ok {
-		return nil, fmt.Errorf("serve: engine %q is not pool-capable (have %v)", req.engineName(), EngineNames())
+		return nil, fmt.Errorf("serve: engine %q is not pool-capable (have %v)", req.engineName(), adaptivetc.PoolEngineNames())
 	}
 	if !wsrt.ValidStealPolicy(req.StealPolicy) {
 		return nil, fmt.Errorf("serve: unknown steal policy %q (have %v)", req.StealPolicy, wsrt.StealPolicyNames())
@@ -441,7 +431,7 @@ func (s *Service) buildJob(req Request) (*admItem, error) {
 		job: job,
 		spec: wsrt.JobSpec{
 			Prog:          prog,
-			Engine:        mk(),
+			Engine:        engine,
 			Ctx:           ctx,
 			Tracer:        rec,
 			Faults:        s.cfg.Faults,

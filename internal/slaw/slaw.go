@@ -4,7 +4,7 @@
 // ("SLAW adaptively switches between work-first and help-first scheduling
 // policies", Guo et al., IPDPS 2010).
 //
-// Under work-first (Cilk's policy, internal/cilk) the worker executes the
+// Under work-first (Cilk's policy, wsrt.Cilk) the worker executes the
 // spawned child immediately and leaves its own continuation stealable.
 // Under help-first the worker pushes the *child* as an unstarted task and
 // continues its own loop, so a burst of spawns fans out breadth-first —
@@ -17,6 +17,13 @@
 // populated. This engine exists as an extension for comparison against
 // AdaptiveTC, which adapts along a different axis (how many tasks exist at
 // all, rather than which end of the spawn is made stealable).
+//
+// Its engines are rows like any other (wsrt.Strategy), but the spawn loop
+// below is this package's own and not a configuration of wsrt.Fast: a
+// help-first spawn pushes the child and keeps iterating, the loop ends by
+// draining the children it queued, and the adaptive policy interleaves the
+// two per move. Merging it would put a which-caller branch on Fast.Loop's
+// per-spawn path for every other engine.
 package slaw
 
 import (
@@ -37,40 +44,19 @@ const (
 	Adaptive
 )
 
-// Engine is the help-first / SLAW scheduler.
-type Engine struct {
-	policy Policy
-}
-
 // NewHelpFirst returns the pure help-first engine.
-func NewHelpFirst() *Engine { return &Engine{policy: HelpFirst} }
+func NewHelpFirst() *wsrt.Strategy { return strategy("helpfirst", HelpFirst) }
 
 // New returns the adaptive (SLAW-like) engine.
-func New() *Engine { return &Engine{policy: Adaptive} }
+func New() *wsrt.Strategy { return strategy("slaw", Adaptive) }
 
 // NewWorkFirst returns this engine's work-first configuration.
-func NewWorkFirst() *Engine { return &Engine{policy: WorkFirst} }
+func NewWorkFirst() *wsrt.Strategy { return strategy("slaw-workfirst", WorkFirst) }
 
-// Name implements sched.Engine.
-func (e *Engine) Name() string {
-	switch e.policy {
-	case HelpFirst:
-		return "helpfirst"
-	case WorkFirst:
-		return "slaw-workfirst"
-	default:
-		return "slaw"
-	}
-}
-
-// Run implements sched.Engine.
-func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
-	return wsrt.Run(p, opt, e.NewExec(opt.WorkersOrDefault(), opt), e.Name())
-}
-
-// NewExec implements wsrt.PoolEngine.
-func (e *Engine) NewExec(n int, opt sched.Options) wsrt.Engine {
-	return &exec{policy: e.policy, workers: n}
+func strategy(name string, policy Policy) *wsrt.Strategy {
+	return wsrt.NewStrategy(name, func(n int, _ sched.Options) wsrt.Engine {
+		return &exec{policy: policy, workers: n}
+	})
 }
 
 type exec struct {

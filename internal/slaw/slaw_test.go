@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivetc/internal/sched"
+	"adaptivetc/internal/wsrt"
 )
 
 // tri is a ternary tree of the given height with value = leaf count.
@@ -38,7 +39,7 @@ func pow3(h int) int64 {
 func TestPoliciesMatchSerial(t *testing.T) {
 	p := tri{height: 8}
 	want := pow3(8)
-	for _, e := range []*Engine{NewHelpFirst(), NewWorkFirst(), New()} {
+	for _, e := range []*wsrt.Strategy{NewHelpFirst(), NewWorkFirst(), New()} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			res, err := e.Run(p, sched.Options{Workers: workers, Seed: int64(workers)})
 			if err != nil {

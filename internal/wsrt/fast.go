@@ -4,8 +4,8 @@ import "adaptivetc/internal/sched"
 
 // Fast is the paper's fast version — the spawn loop that creates a real task
 // at every spawn — written once. The engines built on this package are
-// configurations of it, the way the paper defines fast_2 as "like fast but
-// with twice the cutoff":
+// configurations of it (strategy.go holds the four that are nothing more),
+// the way the paper defines fast_2 as "like fast but with twice the cutoff":
 //
 //	Cilk               {KindFast}
 //	Cilk-SYNCHED       {KindFast, Pooled}
@@ -126,4 +126,28 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 // strategy as it stands.
 func (w *Worker) Sequence(ws sched.Workspace, depth int) int64 {
 	return sched.EvalSequentialStop(w.Prog(), ws, depth, &w.rt.Costs, w.Proc, &w.Stats, w.rt.stop)
+}
+
+// sequenceCopying is the library cut-off's sequential recursion: still one
+// allocate-and-copy per child, because a library cut-off cannot know the
+// workspace could be shared and undone.
+func (w *Worker) sequenceCopying(ws sched.Workspace, depth int) int64 {
+	w.BeginNode(ws, depth)
+	prog := w.Prog()
+	if v, term := prog.Terminal(ws, depth); term {
+		return v
+	}
+	var sum int64
+	n := prog.Moves(ws, depth)
+	for m := 0; m < n; m++ {
+		w.ChargeMove()
+		if !prog.Apply(ws, depth, m) {
+			continue
+		}
+		childWS := w.Clone(ws, false)
+		prog.Undo(ws, depth, m)
+		sum += w.sequenceCopying(childWS, depth+1)
+		w.Release(childWS) // plain recursion: nothing below ever left this stack
+	}
+	return sum
 }

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -226,7 +227,7 @@ type Pool struct {
 	quit     chan struct{}
 	joined   sync.WaitGroup // dispatcher + workers
 
-	policy  atomic.Int32 // 0 = static, 1 = adaptive, 2 = slo
+	policy  atomic.Int32 // index into ShardPolicies
 	advisor atomic.Value // advisorBox: SLO shard-width advisor
 	extQ    atomic.Value // extQueueBox: waiting jobs held outside the pool
 
@@ -305,26 +306,11 @@ func (p *Pool) MaxConcurrentJobs() int { return p.maxJobs }
 // shards already handed out keep their width, only future allocations are
 // affected.
 func (p *Pool) SetShardPolicy(pol ShardPolicy) {
-	switch pol {
-	case ShardAdaptive:
-		p.policy.Store(1)
-	case ShardSLO:
-		p.policy.Store(2)
-	default:
-		p.policy.Store(0)
-	}
+	p.policy.Store(int32(max(slices.Index(ShardPolicies, pol), 0)))
 }
 
 // ShardPolicy returns the current shard sizing policy.
-func (p *Pool) ShardPolicy() ShardPolicy {
-	switch p.policy.Load() {
-	case 1:
-		return ShardAdaptive
-	case 2:
-		return ShardSLO
-	}
-	return ShardStatic
-}
+func (p *Pool) ShardPolicy() ShardPolicy { return ShardPolicies[p.policy.Load()] }
 
 // ShardAdvisor decides, for the ShardSLO policy, how many concurrent jobs
 // the free workers should be split between when the next shard is formed.

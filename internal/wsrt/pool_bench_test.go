@@ -3,7 +3,6 @@ package wsrt_test
 import (
 	"testing"
 
-	"adaptivetc/internal/cilk"
 	"adaptivetc/internal/core"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/vtime"
@@ -96,7 +95,7 @@ func BenchmarkPoolStealPolicies(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					h, err := p.Submit(wsrt.JobSpec{Prog: prog, Engine: cilk.New()})
+					h, err := p.Submit(wsrt.JobSpec{Prog: prog, Engine: wsrt.Cilk})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptivetc/internal/cilk"
 	"adaptivetc/internal/core"
 	"adaptivetc/internal/faults"
 	"adaptivetc/internal/sched"
@@ -43,7 +42,7 @@ func TestPoolRunsJobs(t *testing.T) {
 			t.Fatalf("job %d: negative queue wait", i)
 		}
 	}
-	h, err := p.Submit(wsrt.JobSpec{Prog: nqueens.NewArray(10), Engine: cilk.New()})
+	h, err := p.Submit(wsrt.JobSpec{Prog: nqueens.NewArray(10), Engine: wsrt.Cilk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestPoolShardedRace(t *testing.T) {
 
 	const jobs = 4
 	handles := make([]*wsrt.JobHandle, jobs)
-	engines := []func() wsrt.PoolEngine{atc, func() wsrt.PoolEngine { return cilk.New() }}
+	engines := []func() wsrt.PoolEngine{atc, func() wsrt.PoolEngine { return wsrt.Cilk }}
 	for i := range handles {
 		h, err := p.Submit(wsrt.JobSpec{Prog: nqueens.NewArray(8), Engine: engines[i%len(engines)]()})
 		if err != nil {

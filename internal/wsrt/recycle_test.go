@@ -4,13 +4,12 @@ import (
 	"runtime"
 	"testing"
 
-	"adaptivetc/internal/cilk"
 	"adaptivetc/internal/core"
-	"adaptivetc/internal/cutoff"
 	"adaptivetc/internal/lang"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/slaw"
 	"adaptivetc/internal/vtime"
+	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/knight"
 	"adaptivetc/problems/nqueens"
 	"adaptivetc/problems/sudoku"
@@ -27,7 +26,7 @@ import (
 func TestRecycleAllocBudget(t *testing.T) {
 	const budget = 0.05 // heap objects per node
 	p := nqueens.NewArray(9)
-	for _, e := range []sched.Engine{cilk.New(), cutoff.NewLibrary(), core.New()} {
+	for _, e := range []sched.Engine{wsrt.Cilk, wsrt.CutoffLibrary, core.New()} {
 		t.Run(e.Name(), func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -70,8 +69,8 @@ func TestRecycleAliasing(t *testing.T) {
 		dsl,
 	}
 	engines := []sched.Engine{
-		cilk.New(), cilk.NewSynched(), core.New(),
-		cutoff.NewProgrammer(), cutoff.NewLibrary(),
+		wsrt.Cilk, wsrt.CilkSynched, core.New(),
+		wsrt.CutoffProgrammer, wsrt.CutoffLibrary,
 		slaw.NewHelpFirst(), slaw.New(),
 	}
 	for _, p := range programs {

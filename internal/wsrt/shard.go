@@ -9,7 +9,10 @@
 // worker in one shard cannot even name another shard's deques.
 package wsrt
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ShardPolicy selects how the allocator sizes the worker group handed to
 // the next job.
@@ -36,10 +39,13 @@ const (
 	ShardSLO ShardPolicy = "slo"
 )
 
-// valid reports whether p names a known policy.
-func (p ShardPolicy) valid() bool {
-	return p == ShardStatic || p == ShardAdaptive || p == ShardSLO
-}
+// ShardPolicies lists the known policies, the default first (for usage
+// strings and error messages).
+var ShardPolicies = []ShardPolicy{ShardStatic, ShardAdaptive, ShardSLO}
+
+// Valid reports whether p names a known policy. Front ends check it:
+// Pool.SetShardPolicy runs anything else as ShardStatic.
+func (p ShardPolicy) Valid() bool { return slices.Contains(ShardPolicies, p) }
 
 // shardAlloc owns the pool's free-worker set and hands out disjoint shards.
 // It is used only by the dispatcher goroutine, so it needs no locking; the

@@ -256,11 +256,11 @@ func TestShardAllocGrabClaims(t *testing.T) {
 // TestShardPolicyValid pins the policy name set.
 func TestShardPolicyValid(t *testing.T) {
 	for _, p := range []ShardPolicy{ShardStatic, ShardAdaptive, ShardSLO} {
-		if !p.valid() {
+		if !p.Valid() {
 			t.Fatalf("policy %q should be valid", p)
 		}
 	}
-	if ShardPolicy("p99").valid() {
+	if ShardPolicy("p99").Valid() {
 		t.Fatal("unknown policy accepted")
 	}
 }

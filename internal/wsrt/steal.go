@@ -24,16 +24,44 @@ type Thief interface {
 	Pick(deques []deque.WorkDeque) (victim, amount int)
 }
 
-// StealPolicy is a victim-selection/steal-amount strategy, selected per run
-// via sched.Options.StealPolicy (and per job on a pool via
-// JobSpec.StealPolicy). A policy is a stateless factory; the per-worker
-// state lives in the Thief it builds.
-type StealPolicy interface {
-	Name() string
-	// NewThief builds worker id's thief for a run of n workers. The seed
-	// is the run seed; implementations derive a private stream from
-	// (seed, id) so schedules stay a pure function of the options.
-	NewThief(id, n int, seed int64) Thief
+// StealPolicy is a victim-selection/steal-amount rule as a value: a name and
+// the pick it makes, selected per run via sched.Options.StealPolicy (and per
+// job on a pool via JobSpec.StealPolicy). The rule itself is stateless; what
+// an attempt may remember lives in the thief it is handed.
+type StealPolicy struct {
+	name string
+	pick func(t *thief, deques []deque.WorkDeque) (victim, amount int)
+}
+
+// Name returns the name the policy is selected by.
+func (p StealPolicy) Name() string { return p.name }
+
+// NewThief builds worker id's thief for a run of n workers. The seed is the
+// run seed; the thief draws from a private stream derived from (seed, id), so
+// schedules stay a pure function of the options.
+func (p StealPolicy) NewThief(id, n int, seed int64) Thief {
+	return &thief{id: id, rng: newSplitmix(seed, id), pick: p.pick}
+}
+
+// thief is the one Thief the policies share: who is asking, how often it has
+// asked, its PRNG stream, and the rule it asks.
+type thief struct {
+	id       int
+	attempts int
+	rng      splitmix64
+	pick     func(t *thief, deques []deque.WorkDeque) (victim, amount int)
+}
+
+func (t *thief) Pick(deques []deque.WorkDeque) (int, int) { return t.pick(t, deques) }
+
+// other draws uniformly from the n-1 indices of [lo, lo+n) that are not the
+// thief's own, which must lie inside the range: one draw, no rejection.
+func (t *thief) other(lo, n int) int {
+	v := lo + t.rng.intn(n-1)
+	if v >= t.id {
+		v++
+	}
+	return v
 }
 
 // splitmix64 is the same tiny PRNG the fault plane uses: one add and three
@@ -80,99 +108,6 @@ func (s *splitmix64) intn(n int) int {
 	return int(hi)
 }
 
-// --- random: the paper's baseline -------------------------------------
-
-type randomPolicy struct{}
-
-func (randomPolicy) Name() string { return "random" }
-
-func (randomPolicy) NewThief(id, n int, seed int64) Thief {
-	return &randomThief{id: id, rng: newSplitmix(seed, id)}
-}
-
-type randomThief struct {
-	id  int
-	rng splitmix64
-}
-
-func (t *randomThief) Pick(deques []deque.WorkDeque) (int, int) {
-	v := t.rng.intn(len(deques) - 1)
-	if v >= t.id {
-		v++
-	}
-	return v, 1
-}
-
-// --- steal-half: batch half the victim's deque ------------------------
-
-type stealHalfPolicy struct{}
-
-func (stealHalfPolicy) Name() string { return "steal-half" }
-
-func (stealHalfPolicy) NewThief(id, n int, seed int64) Thief {
-	return &stealHalfThief{id: id, rng: newSplitmix(seed, id)}
-}
-
-type stealHalfThief struct {
-	id  int
-	rng splitmix64
-}
-
-func (t *stealHalfThief) Pick(deques []deque.WorkDeque) (int, int) {
-	v := t.rng.intn(len(deques) - 1)
-	if v >= t.id {
-		v++
-	}
-	amount := deques[v].Size() / 2
-	if amount < 1 {
-		// Empty or single-entry victim: attempt a single steal anyway so
-		// an organic failure still drives the victim's starvation FSM.
-		amount = 1
-	} else if amount > MaxStealBatch {
-		amount = MaxStealBatch
-	}
-	return v, amount
-}
-
-// --- richest-first: rob the deepest deque -----------------------------
-
-type richestPolicy struct{}
-
-func (richestPolicy) Name() string { return "richest-first" }
-
-func (richestPolicy) NewThief(id, n int, seed int64) Thief {
-	return &richestThief{id: id, rng: newSplitmix(seed, id)}
-}
-
-type richestThief struct {
-	id  int
-	rng splitmix64
-}
-
-func (t *richestThief) Pick(deques []deque.WorkDeque) (int, int) {
-	best, bestSize := -1, 0
-	for i, d := range deques {
-		if i == t.id {
-			continue
-		}
-		if s := d.Size(); s > bestSize {
-			best, bestSize = i, s
-		}
-	}
-	if best < 0 {
-		// Everyone looks empty: fall back to a random victim rather than a
-		// fixed one, so the organic failures spread across the deques and
-		// the need_task signal rises where the paper expects it.
-		best = t.rng.intn(len(deques) - 1)
-		if best >= t.id {
-			best++
-		}
-	}
-	return best, 1
-}
-
-// --- shard-local: prefer neighbours, occasionally go wide -------------
-
 // shardWindow is the neighbourhood width of the shard-local policy.
 const shardWindow = 4
 
@@ -181,77 +116,82 @@ const shardWindow = 4
 // aligned windows.
 const wideEvery = 4
 
-type shardLocalPolicy struct{}
+// stealPolicies is the table: one row per rule, in the order usage strings
+// and error messages list them. The first row is the default.
+var stealPolicies = []StealPolicy{
+	// The paper's baseline: a uniform victim, one entry.
+	{"random", func(t *thief, deques []deque.WorkDeque) (int, int) {
+		return t.other(0, len(deques)), 1
+	}},
 
-func (shardLocalPolicy) Name() string { return "shard-local" }
+	// A uniform victim, half of what its deque holds.
+	{"steal-half", func(t *thief, deques []deque.WorkDeque) (int, int) {
+		v := t.other(0, len(deques))
+		// An empty or single-entry victim is still asked for one entry, so
+		// an organic failure drives the victim's starvation FSM.
+		return v, min(max(deques[v].Size()/2, 1), MaxStealBatch)
+	}},
 
-func (shardLocalPolicy) NewThief(id, n int, seed int64) Thief {
-	return &shardLocalThief{id: id, rng: newSplitmix(seed, id)}
-}
-
-type shardLocalThief struct {
-	id       int
-	attempts int
-	rng      splitmix64
-}
-
-func (t *shardLocalThief) Pick(deques []deque.WorkDeque) (int, int) {
-	n := len(deques)
-	t.attempts++
-	// The deque slice is the steal domain (on a pool it is exactly the
-	// shard), so "shard-local" means the aligned shardWindow-wide run of
-	// indices around the thief — contiguous ids are contiguous workers of
-	// the same shard by construction of the shard allocator.
-	lo := (t.id / shardWindow) * shardWindow
-	hi := lo + shardWindow
-	if hi > n {
-		hi = n
-	}
-	if t.attempts%wideEvery == 0 || hi-lo <= 1 {
-		v := t.rng.intn(n - 1)
-		if v >= t.id {
-			v++
+	// Rob the deepest deque.
+	{"richest-first", func(t *thief, deques []deque.WorkDeque) (int, int) {
+		best, bestSize := -1, 0
+		for i, d := range deques {
+			if i == t.id {
+				continue
+			}
+			if s := d.Size(); s > bestSize {
+				best, bestSize = i, s
+			}
 		}
-		return v, 1
-	}
-	v := lo + t.rng.intn(hi-lo-1)
-	if v >= t.id {
-		v++
-	}
-	return v, 1
-}
+		if best < 0 {
+			// Everyone looks empty: fall back to a random victim rather than
+			// a fixed one, so the organic failures spread across the deques
+			// and the need_task signal rises where the paper expects it.
+			best = t.other(0, len(deques))
+		}
+		return best, 1
+	}},
 
-// --- registry ---------------------------------------------------------
-
-var stealPolicies = map[string]StealPolicy{
-	"random":        randomPolicy{},
-	"steal-half":    stealHalfPolicy{},
-	"richest-first": richestPolicy{},
-	"shard-local":   shardLocalPolicy{},
+	// Prefer neighbours, occasionally go wide. The deque slice is the steal
+	// domain (on a pool it is exactly the shard), so "shard-local" means the
+	// aligned shardWindow-wide run of indices around the thief — contiguous
+	// ids are contiguous workers of the same shard by construction of the
+	// shard allocator.
+	{"shard-local", func(t *thief, deques []deque.WorkDeque) (int, int) {
+		t.attempts++
+		lo := (t.id / shardWindow) * shardWindow
+		hi := min(lo+shardWindow, len(deques))
+		if t.attempts%wideEvery == 0 || hi-lo <= 1 {
+			return t.other(0, len(deques)), 1
+		}
+		return t.other(lo, hi-lo), 1
+	}},
 }
 
 // StealPolicyByName resolves a policy name. The empty string and unknown
 // names resolve to "random" — front ends that want hard errors validate
 // with ValidStealPolicy before a run reaches this point.
 func StealPolicyByName(name string) StealPolicy {
-	if p, ok := stealPolicies[name]; ok {
-		return p
+	for _, p := range stealPolicies {
+		if p.name == name {
+			return p
+		}
 	}
-	return randomPolicy{}
+	return stealPolicies[0]
 }
 
 // ValidStealPolicy reports whether name is the empty default or a known
 // policy.
 func ValidStealPolicy(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := stealPolicies[name]
-	return ok
+	return name == "" || StealPolicyByName(name).name == name
 }
 
-// StealPolicyNames returns the known policy names in a fixed order (for
-// usage strings and error messages).
+// StealPolicyNames returns the known policy names in table order (for usage
+// strings and error messages).
 func StealPolicyNames() []string {
-	return []string{"random", "steal-half", "richest-first", "shard-local"}
+	names := make([]string, len(stealPolicies))
+	for i, p := range stealPolicies {
+		names[i] = p.name
+	}
+	return names
 }

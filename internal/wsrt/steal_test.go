@@ -1,6 +1,8 @@
 package wsrt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"adaptivetc/internal/deque"
@@ -176,6 +178,43 @@ func TestShardLocalPrefersWindow(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if v, _ := thSmall.Pick(small); v != 1 {
 			t.Fatalf("2-worker domain picked %d, want 1", v)
+		}
+	}
+}
+
+// TestPickSequencesPinned holds every policy to the victim:amount sequence
+// it produced, seed 7, before the four thief types became rows of one table
+// over one thief: a rule that drew from its PRNG stream in a different order,
+// or once more or less per attempt, moves every schedule that uses it.
+func TestPickSequencesPinned(t *testing.T) {
+	for _, r := range []struct {
+		policy string
+		id, n  int
+		sizes  []int
+		want   string
+	}{
+		{"random", 1, 5, []int{3, 1, 7, 0, 2}, "2:1 3:1 2:1 0:1 3:1 0:1 3:1 0:1 0:1 4:1 0:1 4:1 0:1 3:1 2:1 4:1 "},
+		{"random", 5, 8, nil, "6:1 4:1 1:1 4:1 7:1 7:1 2:1 2:1 7:1 7:1 1:1 7:1 7:1 7:1 2:1 1:1 "},
+		{"random", 6, 7, []int{0, 9, 0, 40, 2, 0, 5}, "5:1 2:1 1:1 3:1 3:1 0:1 4:1 5:1 1:1 2:1 2:1 3:1 3:1 3:1 2:1 0:1 "},
+		{"steal-half", 1, 5, []int{3, 1, 7, 0, 2}, "2:3 3:1 2:3 0:1 3:1 0:1 3:1 0:1 0:1 4:1 0:1 4:1 0:1 3:1 2:3 4:1 "},
+		{"steal-half", 5, 8, nil, "6:1 4:1 1:1 4:1 7:1 7:1 2:1 2:1 7:1 7:1 1:1 7:1 7:1 7:1 2:1 1:1 "},
+		{"steal-half", 6, 7, []int{0, 9, 0, 40, 2, 0, 5}, "5:1 2:1 1:4 3:16 3:16 0:1 4:1 5:1 1:4 2:1 2:1 3:16 3:16 3:16 2:1 0:1 "},
+		{"richest-first", 1, 5, []int{3, 1, 7, 0, 2}, "2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 2:1 "},
+		{"richest-first", 5, 8, nil, "6:1 4:1 1:1 4:1 7:1 7:1 2:1 2:1 7:1 7:1 1:1 7:1 7:1 7:1 2:1 1:1 "},
+		{"richest-first", 6, 7, []int{0, 9, 0, 40, 2, 0, 5}, "3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 3:1 "},
+		{"shard-local", 1, 5, []int{3, 1, 7, 0, 2}, "0:1 2:1 2:1 0:1 3:1 0:1 2:1 0:1 0:1 3:1 0:1 4:1 0:1 2:1 2:1 4:1 "},
+		{"shard-local", 5, 8, nil, "7:1 7:1 4:1 4:1 7:1 7:1 6:1 2:1 7:1 7:1 4:1 7:1 7:1 7:1 6:1 1:1 "},
+		{"shard-local", 6, 7, []int{0, 9, 0, 40, 2, 0, 5}, "5:1 4:1 4:1 3:1 5:1 4:1 5:1 5:1 4:1 4:1 4:1 3:1 5:1 5:1 4:1 0:1 "},
+	} {
+		ds := testDeques(r.n, r.sizes...)
+		th := StealPolicyByName(r.policy).NewThief(r.id, r.n, 7)
+		var got strings.Builder
+		for i := 0; i < 16; i++ {
+			v, amount := th.Pick(ds)
+			fmt.Fprintf(&got, "%d:%d ", v, amount)
+		}
+		if got.String() != r.want {
+			t.Errorf("%s thief %d of %d over %v:\n got %s\nwant %s", r.policy, r.id, r.n, r.sizes, got.String(), r.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptivetc/internal/progtest"
+	"adaptivetc/internal/sched"
 )
 
 // TestBuildDefaults builds every registered family with zero Params (family
@@ -40,6 +41,54 @@ func TestBytesIgnoreBuffer(t *testing.T) {
 func TestBuildUnknown(t *testing.T) {
 	if _, err := Build("no-such-program", Params{}); err == nil {
 		t.Fatal("Build accepted an unknown name")
+	}
+}
+
+// TestBuildSizedRunsSerially builds every name at an explicit small size —
+// the way adaptivetc-run's -n and -size reach Build — and runs it on the
+// serial reference: a name that builds must at least be executable.
+func TestBuildSizedRunsSerially(t *testing.T) {
+	for _, name := range Names() {
+		n := 6
+		switch name {
+		case "sudoku-balanced", "sudoku-input1", "sudoku-input2":
+			n = 30
+		case "strimko":
+			n = 20
+		case "knight":
+			n = 4
+		case "pentomino":
+			n = 3
+		case "comp":
+			n = 64
+		case "atc-nqueens", "atc-fib", "atc-latin", "atc-knight":
+			n = 5
+		}
+		p, err := Build(name, Params{N: n, Size: 2000})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p == nil || p.Name() == "" {
+			t.Fatalf("%s: bad program", name)
+		}
+		if _, err := (sched.Serial{}).Run(p, sched.Options{Workers: 1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestBuildReverse checks that Params.Reverse mirrors a synthetic tree.
+func TestBuildReverse(t *testing.T) {
+	l, err := Build("tree3", Params{Size: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Build("tree3", Params{Size: 4000, Reverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Name() == r.Name() {
+		t.Fatalf("reverse did not change the tree: %s", l.Name())
 	}
 }
 
