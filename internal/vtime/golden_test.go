@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/grants.golden fr
 // grantSequence runs a seeded body of random Advance / Yield / Sleep calls
 // and returns one "id clock horizon" line per resume: the body's start and
 // every Yield or Sleep that came back with a new horizon (a self-grant is a
-// resume too). The workers append to one slice with no lock — exactly one
+// resume too). The workers write to one builder with no lock — exactly one
 // runs at a time, and the race detector has to agree.
 func grantSequence(n int, quantum int64) string {
 	var sb strings.Builder

@@ -64,9 +64,6 @@ type Platform interface {
 	Name() string
 }
 
-// ---------------------------------------------------------------------------
-// Real platform
-
 // Real executes workers as plain goroutines against the wall clock.
 type Real struct {
 	// Seed makes per-worker random sources reproducible. Zero means 1.
@@ -157,234 +154,4 @@ func (p *realProc) Sleep(d int64) {
 	default:
 		time.Sleep(time.Duration(d))
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Sim platform
-
-// Sim is a deterministic virtual-time platform. At any instant exactly one
-// worker executes; control always passes to the runnable worker with the
-// smallest virtual clock (ties broken by worker ID). To keep the
-// channel-handoff overhead low each worker is granted a slice: it may keep
-// running without a handoff until its clock passes the second-smallest
-// clock plus Quantum.
-//
-// Handoffs are direct: the yielding worker itself consults the min-heap of
-// paused workers and resumes the next one over its channel — one channel
-// transfer per scheduling event instead of the two a central scheduler
-// goroutine would cost. When the yielding worker is still the earliest
-// runnable worker (always the case for the last live worker, and for every
-// single-worker run) it just extends its own horizon and continues with no
-// channel transfer at all. The heap is only ever touched by the one running
-// worker, so it needs no lock; determinism is untouched because the
-// (worker, horizon) grant sequence is identical to a central scheduler's.
-type Sim struct {
-	// Seed for per-worker random sources. Zero means 1.
-	Seed int64
-	// Quantum is the slice slack in nanoseconds. Larger values run faster
-	// but allow workers to interleave up to Quantum out of order. Zero
-	// means 500ns.
-	Quantum int64
-	// Limit aborts the run (panic) if any clock passes this virtual time.
-	// Zero means no limit. It exists to turn engine livelocks into loud
-	// failures instead of hangs.
-	Limit int64
-}
-
-// Name implements Platform.
-func (*Sim) Name() string { return "sim" }
-
-type simProc struct {
-	id      int
-	clock   int64
-	horizon int64
-	rng     *rand.Rand
-	limit   int64
-	core    *simCore
-
-	// resume carries this worker's next horizon grant. Exactly one worker
-	// runs at a time; everyone else blocks here (or has finished).
-	resume chan int64
-}
-
-func (p *simProc) ID() int          { return p.id }
-func (p *simProc) Now() int64       { return p.clock }
-func (p *simProc) Rand() *rand.Rand { return p.rng }
-
-func (p *simProc) Advance(d int64) {
-	if d > 0 {
-		p.clock += d
-		if p.limit > 0 && p.clock > p.limit {
-			panic(fmt.Sprintf("vtime: worker %d exceeded virtual time limit %dns (livelocked engine?)", p.id, p.limit))
-		}
-	}
-}
-
-func (p *simProc) Yield() {
-	if p.clock < p.horizon {
-		return
-	}
-	p.core.handoff(p)
-}
-
-func (p *simProc) Sleep(d int64) {
-	p.Advance(d)
-	p.Yield()
-}
-
-// simCore is the shared scheduling state of one Sim run. Only the single
-// running worker ever touches it (the caller of Run touches it only before
-// the first grant and after the last worker finished), so it is lock-free
-// by construction.
-type simCore struct {
-	quantum  int64
-	heap     []*simProc // paused runnable workers, min-ordered by (clock, id)
-	running  int        // workers that have not finished
-	makespan int64
-	done     chan int64 // receives the makespan from the last finisher
-}
-
-// less orders the heap by clock, ties broken by worker ID — the same total
-// order a linear minimum scan over worker slices would produce.
-func simLess(a, b *simProc) bool {
-	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
-}
-
-func (c *simCore) heapPush(p *simProc) {
-	c.heap = append(c.heap, p)
-	i := len(c.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !simLess(c.heap[i], c.heap[parent]) {
-			break
-		}
-		c.heap[i], c.heap[parent] = c.heap[parent], c.heap[i]
-		i = parent
-	}
-}
-
-func (c *simCore) heapPop() *simProc {
-	h := c.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	c.heap = h[:last]
-	// Sift down.
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && simLess(h[l], h[min]) {
-			min = l
-		}
-		if r < n && simLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// grant computes the horizon for next, which has just been popped off the
-// heap: the smallest paused clock plus the quantum (conservative ordering —
-// next cannot run past any paused worker by more than the quantum). With no
-// paused workers left nothing constrains the order, so the horizon is
-// unbounded and the worker never hands off again.
-func (c *simCore) grant(next *simProc) int64 {
-	if len(c.heap) == 0 {
-		return 1<<63 - 1
-	}
-	h := next.clock + c.quantum
-	if s := c.heap[0].clock + c.quantum; s > h {
-		h = s
-	}
-	return h
-}
-
-// handoff parks p and resumes the earliest runnable worker — possibly p
-// itself, in which case no channel transfer happens.
-func (c *simCore) handoff(p *simProc) {
-	c.heapPush(p)
-	next := c.heapPop()
-	h := c.grant(next)
-	if next == p {
-		p.horizon = h
-		return
-	}
-	next.resume <- h
-	p.horizon = <-p.resume
-}
-
-// finish retires p and passes control to the next runnable worker; the last
-// finisher reports the makespan to Run.
-func (c *simCore) finish(p *simProc) {
-	if p.clock > c.makespan {
-		c.makespan = p.clock
-	}
-	c.running--
-	if c.running == 0 {
-		c.done <- c.makespan
-		return
-	}
-	next := c.heapPop()
-	next.resume <- c.grant(next)
-}
-
-// Run implements Platform.
-func (s *Sim) Run(n int, body func(Proc)) int64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("vtime: Sim.Run with n=%d workers", n))
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	quantum := s.Quantum
-	if quantum == 0 {
-		quantum = 500
-	}
-
-	core := &simCore{
-		quantum: quantum,
-		heap:    make([]*simProc, 0, n),
-		running: n,
-		done:    make(chan int64, 1),
-	}
-	var panicked atomic.Pointer[panicBox]
-	for i := 0; i < n; i++ {
-		p := &simProc{
-			id:     i,
-			rng:    rand.New(rand.NewSource(seed + int64(i)*7919)),
-			limit:  s.Limit,
-			core:   core,
-			resume: make(chan int64),
-		}
-		core.heapPush(p)
-		go func() {
-			p.horizon = <-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					// Capture the panic and surface it from Run on the
-					// caller's goroutine; retire the worker first so the
-					// remaining workers keep being scheduled.
-					panicked.CompareAndSwap(nil, &panicBox{val: r})
-				}
-				core.finish(p)
-			}()
-			body(p)
-		}()
-	}
-
-	first := core.heapPop()
-	first.resume <- core.grant(first)
-	makespan := <-core.done
-	if pb := panicked.Load(); pb != nil {
-		panic(pb.val) // re-raise on the caller's goroutine
-	}
-	return makespan
 }

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -186,5 +187,62 @@ func TestProcRandDeterministic(t *testing.T) {
 	}
 	if c := draw(10); c == a {
 		t.Fatal("different seeds produced identical streams")
+	}
+}
+
+// TestSimNoGoroutineLeak holds Run to its unwinding contract in the three
+// ways a body can end: every worker's coroutine is gone once Run has
+// returned (normal return), re-raised (one panic, the rest run to
+// completion) or unwound its caller (one Goexit, the rest unwound from the
+// Yield they were suspended in, their deferred calls run).
+func TestSimNoGoroutineLeak(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		name      string
+		end       func() // what worker 1 does half-way through
+		finished  int    // bodies that reach their last line
+		panicked  any
+		returned  bool
+		deferRuns int
+	}{
+		{"return", func() {}, n, nil, true, n},
+		{"panic", func() { panic("boom") }, n - 1, "boom", false, n},
+		{"goexit", runtime.Goexit, 0, nil, false, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var finished, deferRuns int
+			var panicked any
+			returned := false
+			done := make(chan struct{})
+			go func() { // Run's caller: the Goexit case takes it down
+				defer close(done)
+				defer func() { panicked = recover() }()
+				(&Sim{Seed: 1, Quantum: 1}).Run(n, func(p Proc) {
+					defer func() { deferRuns++ }()
+					for i := 0; i < 10; i++ {
+						p.Sleep(int64(10 + p.ID()))
+						if i == 5 && p.ID() == 1 {
+							tc.end()
+						}
+					}
+					finished++
+				})
+				returned = true
+			}()
+			<-done
+			if finished != tc.finished || panicked != tc.panicked || returned != tc.returned || deferRuns != tc.deferRuns {
+				t.Errorf("finished %d, panic %v, returned %v, deferred calls %d; want %d, %v, %v, %d",
+					finished, panicked, returned, deferRuns, tc.finished, tc.panicked, tc.returned, tc.deferRuns)
+			}
+			// The caller closes done from a deferred call, so it may still be
+			// exiting; everything else must already be gone.
+			for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
+				runtime.Gosched()
+			}
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after Run, %d before", got, base)
+			}
+		})
 	}
 }
