@@ -283,12 +283,20 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 		out.Deques = append(out.Deques, append([]trace.DequeEvent(nil), rec.DequeLog(i).Events()...))
 	}
 
+	classify(&v, res.Value, want, runErr, rec)
+	return v, out
+}
+
+// classify sets how a run ended and whether that is within contract: a
+// completed run must carry the serial oracle's value and an invariant-clean
+// trace, an aborted one a known abort class and a truncation-clean trace.
+func classify(v *verdict, value, want int64, runErr error, rec *trace.Recorder) {
 	switch {
 	case runErr == nil:
 		v.class = "completed"
-		if res.Value != want {
-			v.err = fmt.Errorf("wrong value: got %d, serial oracle %d", res.Value, want)
-		} else if cerr := rec.Check(res.Value, want); cerr != nil {
+		if value != want {
+			v.err = fmt.Errorf("wrong value: got %d, serial oracle %d", value, want)
+		} else if cerr := rec.Check(value, want); cerr != nil {
 			v.err = fmt.Errorf("invariant violation: %w", cerr)
 		}
 	case knownAbort(runErr):
@@ -300,13 +308,13 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 		v.class = "aborted"
 		v.err = fmt.Errorf("unknown abort class: %w", runErr)
 	}
-	return v, out
 }
 
 // runPoolCampaign drives one scenario against a sharded resident pool:
 // the scenario's plan injects at both levels (admission/shard starvation on
-// the pool, worker/deque faults per job). Every job gets its own recorder
-// and a safety deadline so a wedge surfaces as an abort, not a hang.
+// the pool, worker/deque faults per job — the same spec with the pool-level
+// rates cleared and the job's seed). Every job gets its own recorder and a
+// safety deadline so a wedge surfaces as an abort, not a hang.
 func runPoolCampaign(scenario string, seed int64, engines []string, programs []progSpec,
 	workers, jobs int, orc *oracles) []verdict {
 	spec, err := faults.Scenario(scenario, seed)
@@ -321,7 +329,6 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 	pool := wsrt.NewPool(wsrt.PoolConfig{
 		Workers:           workers,
 		MaxConcurrentJobs: maxJobs,
-		ShardPolicy:       wsrt.ShardAdaptive,
 		Options:           sched.Options{Seed: seed},
 		Faults:            plan,
 	})
@@ -352,15 +359,14 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			verdicts = append(verdicts, verdict{c: c, err: err})
 			continue
 		}
+		jobSpec := spec
+		jobSpec.Seed, jobSpec.Reject, jobSpec.Starve = c.seed, 0, 0
 		rec := trace.NewRecorder()
 		h, err := pool.Submit(wsrt.JobSpec{
-			Prog:   prog,
-			Engine: eng,
-			Tracer: rec,
-			Faults: faults.New(faults.Spec{Seed: c.seed, StealFail: spec.StealFail,
-				StealFailBurst: spec.StealFailBurst, Stall: spec.Stall, StallNS: spec.StallNS,
-				DepositDelay: spec.DepositDelay, DepositDelayNS: spec.DepositDelayNS,
-				Panic: spec.Panic, Overflow: spec.Overflow}),
+			Prog:     prog,
+			Engine:   eng,
+			Tracer:   rec,
+			Faults:   faults.New(jobSpec),
 			Deadline: 10 * time.Second,
 		})
 		if err != nil {
@@ -377,25 +383,10 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 	for _, f := range running {
 		res, runErr := f.h.Result()
 		v := verdict{c: f.c}
-		want, oerr := orc.value(f.c.prog)
-		switch {
-		case oerr != nil:
+		if want, oerr := orc.value(f.c.prog); oerr != nil {
 			v.err = fmt.Errorf("serial oracle: %w", oerr)
-		case runErr == nil:
-			v.class = "completed"
-			if res.Value != want {
-				v.err = fmt.Errorf("wrong value: got %d, serial oracle %d", res.Value, want)
-			} else if cerr := f.rec.Check(res.Value, want); cerr != nil {
-				v.err = fmt.Errorf("invariant violation: %w", cerr)
-			}
-		case knownAbort(runErr):
-			v.class = "aborted"
-			if cerr := f.rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
-				v.err = fmt.Errorf("invariant violation in aborted job (%v): %w", runErr, cerr)
-			}
-		default:
-			v.class = "aborted"
-			v.err = fmt.Errorf("unknown abort class: %w", runErr)
+		} else {
+			classify(&v, res.Value, want, runErr, f.rec)
 		}
 		f.rec.Release()
 		verdicts = append(verdicts, v)

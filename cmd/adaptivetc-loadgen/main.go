@@ -630,15 +630,14 @@ func printReport(addr string, rep report) {
 	var m struct {
 		Workers             int     `json:"workers"`
 		MaxConcurrentJobs   int     `json:"max_concurrent_jobs"`
-		ShardPolicy         string  `json:"shard_policy"`
 		Completed           int64   `json:"completed"`
 		ThroughputPerSecond float64 `json:"throughput_per_second"`
 		InvariantChecked    int64   `json:"invariant_checked"`
 		InvariantViolations int64   `json:"invariant_violations"`
 	}
 	if rep.Server != nil && json.Unmarshal(rep.Server, &m) == nil {
-		fmt.Printf("server: workers=%d max_concurrent_jobs=%d shard_policy=%s completed=%d throughput=%.1f/s invariant_checked=%d violations=%d\n",
-			m.Workers, m.MaxConcurrentJobs, m.ShardPolicy, m.Completed, m.ThroughputPerSecond,
+		fmt.Printf("server: workers=%d max_concurrent_jobs=%d completed=%d throughput=%.1f/s invariant_checked=%d violations=%d\n",
+			m.Workers, m.MaxConcurrentJobs, m.Completed, m.ThroughputPerSecond,
 			m.InvariantChecked, m.InvariantViolations)
 	}
 }

@@ -8,7 +8,6 @@
 //	adaptivetc-serve -addr :8080 -workers 4 -max-concurrent-jobs 2   # 2 jobs at once on disjoint worker shards
 //	adaptivetc-serve -addr :8080 -check        # audit scheduler invariants per job
 //	adaptivetc-serve -tenant-rate 50 -tenant-quota 32                # per-tenant limits
-//	adaptivetc-serve -shard-policy slo -slo-target-ms 25             # p99-driven shard sizing
 //	adaptivetc-serve -store-dir /var/lib/atc   # persistent, replayable job store
 //	adaptivetc-serve -store-dir /var/lib/atc -replay                 # list the journal and exit
 //
@@ -62,6 +61,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -106,13 +106,25 @@ func replayStore(dir string) error {
 	return nil
 }
 
+// advertisedURL is the base URL a node listening on addr advertises when
+// -node-id is not given: addr's host and port, with 127.0.0.1 for an empty
+// host (":8331" listens on every interface).
+func advertisedURL(addr string) (string, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", err
+	}
+	if host == "" {
+		host = "127.0.0.1"
+	}
+	return "http://" + net.JoinHostPort(host, port), nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "resident pool worker count")
 	queue := flag.Int("queue", 256, "admission queue capacity")
-	maxJobs := flag.Int("max-concurrent-jobs", 1, "jobs run concurrently, each on its own worker shard (clamped to -workers)")
-	shardPolicy := flag.String("shard-policy", "adaptive", "shard sizing policy: static (equal-width), adaptive (grow when idle, split under load), or slo (adaptive, but collapse to the widest shard while interactive p99 exceeds -slo-target-ms)")
-	sloTarget := flag.Float64("slo-target-ms", 50, "interactive-class p99 target for -shard-policy slo")
+	maxJobs := flag.Int("max-concurrent-jobs", 1, "jobs run concurrently, each on its own fixed worker shard of near-equal width (clamped to -workers)")
 	check := flag.Bool("check", false, "verify scheduler invariants on every job's trace")
 	seed := flag.Int64("seed", 1, "victim-selection seed")
 	growable := flag.Bool("growable-deque", true, "use growable deques (fixed deques can overflow on deep jobs)")
@@ -138,12 +150,6 @@ func main() {
 	if !wsrt.ValidStealPolicy(*stealPolicy) {
 		fmt.Fprintf(os.Stderr, "adaptivetc-serve: unknown -steal-policy %q (have %v)\n",
 			*stealPolicy, wsrt.StealPolicyNames())
-		os.Exit(2)
-	}
-
-	if !wsrt.ShardPolicy(*shardPolicy).Valid() {
-		fmt.Fprintf(os.Stderr, "adaptivetc-serve: unknown -shard-policy %q (have %v)\n",
-			*shardPolicy, wsrt.ShardPolicies)
 		os.Exit(2)
 	}
 
@@ -181,8 +187,6 @@ func main() {
 		Workers:           *workers,
 		QueueCapacity:     *queue,
 		MaxConcurrentJobs: *maxJobs,
-		ShardPolicy:       *shardPolicy,
-		SLOTargetMS:       *sloTarget,
 		Check:             *check,
 		RetainJobs:        *retainJobs,
 		TenantDefaults: serve.TenantLimits{
@@ -204,7 +208,11 @@ func main() {
 	if *peers != "" {
 		self := *nodeID
 		if self == "" {
-			self = "http://127.0.0.1" + *addr
+			var err error
+			if self, err = advertisedURL(*addr); err != nil {
+				fmt.Fprintf(os.Stderr, "adaptivetc-serve: -node-id from -addr: %v\n", err)
+				os.Exit(2)
+			}
 		}
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
@@ -229,8 +237,8 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- server.ListenAndServe() }()
 
-	fmt.Printf("adaptivetc-serve: listening on %s (workers=%d queue=%d max-concurrent-jobs=%d shard-policy=%s steal-policy=%s relaxed-deque=%v check=%v tenant-quota=%d tenant-rate=%.1f)\n",
-		*addr, *workers, *queue, *maxJobs, *shardPolicy, *stealPolicy, *relaxed, *check, *tenantQuota, *tenantRate)
+	fmt.Printf("adaptivetc-serve: listening on %s (workers=%d queue=%d max-concurrent-jobs=%d steal-policy=%s relaxed-deque=%v check=%v tenant-quota=%d tenant-rate=%.1f)\n",
+		*addr, *workers, *queue, *maxJobs, *stealPolicy, *relaxed, *check, *tenantQuota, *tenantRate)
 	if node != nil {
 		fmt.Printf("adaptivetc-serve: cluster node %s with %d peer(s), gossip every %v, forward-threshold %d\n",
 			node.Snapshot().Self, len(peerList), *gossipInterval, *forwardThreshold)

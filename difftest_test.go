@@ -2,6 +2,7 @@ package adaptivetc_test
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"adaptivetc"
@@ -247,29 +248,44 @@ func TestDifferentialCluster(t *testing.T) {
 	}
 }
 
+// diffPools returns the two shapes a serving pool takes over four workers:
+// one slot, where every job gets all four, and two, where two jobs run side
+// by side on the fixed shards [0 1] and [2 3].
+func diffPools(t *testing.T) []*wsrt.Pool {
+	var pools []*wsrt.Pool
+	for _, slots := range []int{1, 2} {
+		p := wsrt.NewPool(wsrt.PoolConfig{
+			Workers: 4, MaxConcurrentJobs: slots,
+			QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
+		})
+		t.Cleanup(p.Close)
+		pools = append(pools, p)
+	}
+	return pools
+}
+
 // TestDifferentialShardedPool pushes the same program×engine matrix
-// through a resident sharded pool — the serving path, with up to two jobs
-// in flight on disjoint worker groups — and checks every value against the
-// serial oracle.
+// through resident pools — the serving path, with up to two jobs in flight,
+// on the whole pool or on disjoint shards (diffPools; programs alternate
+// between the two) — and checks every value against the serial oracle.
 func TestDifferentialShardedPool(t *testing.T) {
 	progs := diffCorpus(t)
 	oracles := make(map[string]int64, len(progs))
+	names := make([]string, 0, len(progs))
 	for name, p := range progs {
 		res, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
 		if err != nil {
 			t.Fatalf("serial/%s: %v", name, err)
 		}
 		oracles[name] = res.Value
+		names = append(names, name)
 	}
-
-	pool := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
-		QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
-	})
-	defer pool.Close()
+	sort.Strings(names)
+	pools := diffPools(t)
 
 	type pending struct {
 		name, engine string
+		width        int
 		h            *wsrt.JobHandle
 	}
 	var window []pending
@@ -289,23 +305,25 @@ func TestDifferentialShardedPool(t *testing.T) {
 				t.Errorf("pool %s/%s: value %d, serial says %d",
 					job.engine, job.name, res.Value, oracles[job.name])
 			}
-			if len(res.Shard) == 0 {
-				t.Errorf("pool %s/%s: result carries no shard", job.engine, job.name)
+			if len(res.Shard) != job.width {
+				t.Errorf("pool %s/%s: ran on shard %v, want width %d", job.engine, job.name, res.Shard, job.width)
 			}
 		}
 	}
-	for name, p := range progs {
+	for i, name := range names {
+		pool := pools[i%len(pools)]
 		for _, mk := range diffEngines() {
 			eng := mk()
 			pe, ok := eng.(wsrt.PoolEngine)
 			if !ok {
 				t.Fatalf("%s does not implement wsrt.PoolEngine", eng.Name())
 			}
-			h, err := pool.Submit(wsrt.JobSpec{Prog: p, Engine: pe})
+			h, err := pool.Submit(wsrt.JobSpec{Prog: progs[name], Engine: pe})
 			if err != nil {
 				t.Fatalf("submit %s/%s: %v", eng.Name(), name, err)
 			}
-			window = append(window, pending{name: name, engine: eng.Name(), h: h})
+			width := pool.Workers() / pool.MaxConcurrentJobs()
+			window = append(window, pending{name: name, engine: eng.Name(), width: width, h: h})
 			drain(false)
 		}
 	}
@@ -401,12 +419,9 @@ func TestDifferentialDSL(t *testing.T) {
 	}
 
 	// Sharded-pool rows: up to two jobs in flight share one cached Program
-	// instance — the serving-path concurrency a compile cache must survive.
-	pool := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
-		QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
-	})
-	defer pool.Close()
+	// instance — the serving-path concurrency a compile cache must survive —
+	// on the whole pool or on disjoint shards, rows alternating (diffPools).
+	pools := diffPools(t)
 
 	type pending struct {
 		name, engine string
@@ -432,7 +447,8 @@ func TestDifferentialDSL(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		pool := pools[i%len(pools)]
 		for _, mk := range diffEngines() {
 			eng := mk()
 			pe, ok := eng.(wsrt.PoolEngine)

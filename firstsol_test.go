@@ -78,11 +78,11 @@ func TestDifferentialFirstSolution(t *testing.T) {
 }
 
 // TestDifferentialFirstSolutionPool pushes the first-solution families
-// through a resident sharded pool with JobSpec.FirstSolution — the serving
-// path — and checks witness validity per job.
+// through a resident pool with JobSpec.FirstSolution — the serving path,
+// each job on all four workers — and checks witness validity per job.
 func TestDifferentialFirstSolutionPool(t *testing.T) {
 	pool := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
+		Workers: 4, MaxConcurrentJobs: 1,
 		QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
 	})
 	defer pool.Close()

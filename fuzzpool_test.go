@@ -18,7 +18,7 @@ import (
 )
 
 // FuzzPoolConcurrent feeds a fuzzer-chosen schedule of operations —
-// submit, cancel, shard-policy flip, submit-with-injected-faults — to a
+// submit, cancel, occupancy scrape, submit-with-injected-faults — to a
 // sharded pool, then closes it and audits the wreckage: every completed
 // job must report the right answer with a trace satisfying all scheduler
 // invariants, every cancelled, drained or fault-killed job must surface a
@@ -98,8 +98,7 @@ func FuzzPoolConcurrent(f *testing.F) {
 			})
 		}
 		pool := wsrt.NewPool(wsrt.PoolConfig{
-			Workers: workers, MaxConcurrentJobs: maxJobs,
-			ShardPolicy: wsrt.ShardStatic, QueueCapacity: 8,
+			Workers: workers, MaxConcurrentJobs: maxJobs, QueueCapacity: 8,
 			Options: sched.Options{GrowableDeque: true, RelaxedDeque: relaxed},
 			Faults:  poolPlan,
 		})
@@ -186,11 +185,15 @@ func FuzzPoolConcurrent(f *testing.F) {
 				if len(jobs) > 0 {
 					jobs[int(op)%len(jobs)].cancel()
 				}
-			case 3: // flip the shard allocator policy mid-flight
-				if pool.ShardPolicy() == wsrt.ShardStatic {
-					pool.SetShardPolicy(wsrt.ShardAdaptive)
-				} else {
-					pool.SetShardPolicy(wsrt.ShardStatic)
+			case 3: // scrape the occupancy view mid-flight: no worker in two shards
+				seen := map[int]bool{}
+				for _, shard := range pool.LiveShards() {
+					for _, w := range shard {
+						if seen[w] {
+							t.Fatalf("op %d: worker %d in two live shards %v", i, w, pool.LiveShards())
+						}
+						seen[w] = true
+					}
 				}
 			}
 		}

@@ -221,24 +221,6 @@ func (n *simNode) load() int {
 	return l
 }
 
-// splitmix64 for the jitter streams (fault streams live in the Plan).
-type rng struct{ state uint64 }
-
-func newRNG(seed int64, role, slot int) *rng {
-	z := uint64(seed) ^ (uint64(role) << 32) ^ (uint64(slot+1) * 0x9E3779B97F4A7C15)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return &rng{state: z ^ (z >> 31)}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // sim is one run's full state.
 type sim struct {
 	cfg    SimConfig
@@ -248,7 +230,7 @@ type sim struct {
 	now    int64
 	report SimReport
 
-	jitter []*rng             // per directed link
+	jitter []faults.Stream    // per directed link
 	links  []*faults.Injector // per directed link, nil when no message faults
 	parts  []*faults.Injector // per node, nil when no partition faults
 
@@ -300,14 +282,14 @@ func RunSim(cfg SimConfig, jobs []SimJob) (*SimReport, error) {
 	}
 	s.peers = make([]PeerLoad, 0, nn)
 	s.acts = make([]Action, nn)
-	s.jitter = make([]*rng, nn*nn)
+	s.jitter = make([]faults.Stream, nn*nn)
 	s.links = make([]*faults.Injector, nn*nn)
 	s.parts = make([]*faults.Injector, nn)
 	const jitterRole = 0x7C15
 	for src := 0; src < nn; src++ {
 		for dst := 0; dst < nn; dst++ {
 			l := src*nn + dst
-			s.jitter[l] = newRNG(cfg.Seed, jitterRole, l)
+			s.jitter[l] = faults.NewStream(cfg.Seed, jitterRole, l)
 			s.links[l] = cfg.Faults.Link(l)
 		}
 		s.parts[src] = cfg.Faults.Partitioner(src)
@@ -417,7 +399,7 @@ func (s *sim) send(m *simMsg) {
 			return
 		}
 	}
-	lat := s.cfg.BaseLatencyNS + int64(s.jitter[l].next()%uint64(s.cfg.JitterNS))
+	lat := s.cfg.BaseLatencyNS + int64(s.jitter[l].Next()%uint64(s.cfg.JitterNS))
 	copies := 1
 	if in := s.links[l]; in != nil {
 		if d := in.ExtraDelayNS(); d > 0 {

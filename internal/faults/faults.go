@@ -13,7 +13,9 @@
 //
 // Determinism is the whole point: a Plan is an immutable Spec plus a seed,
 // and every consumer derives its own private decision stream from
-// (seed, role, slot) with a splitmix64 generator. Under the vtime Sim
+// (seed, role, slot) with a splitmix64 generator (Stream, which the thief
+// loop's victim picks and the cluster Sim's link jitter draw from too, under
+// roles of their own). Under the vtime Sim
 // platform the entire run — scheduling, costs, and now faults — is a pure
 // function of the seeds, so any chaos failure replays byte-identically from
 // its printed tuple. Under the Real platform the per-stream decisions are
@@ -30,6 +32,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -189,15 +192,6 @@ const (
 	rolePartition
 )
 
-// stream derives the splitmix64 state for one (role, slot) stream.
-func (p *Plan) stream(role, slot int) uint64 {
-	z := uint64(p.spec.Seed) ^ (uint64(role) << 32) ^ (uint64(slot+1) * 0x9E3779B97F4A7C15)
-	// One scramble round so adjacent seeds/slots do not start correlated.
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // Worker returns the fault stream for worker slot i of one run or job:
 // node stalls, injected panics, deposit delays and forced overflows. The
 // injector is owned by exactly one worker goroutine. Returns nil when none
@@ -272,7 +266,7 @@ func (p *Plan) Partitioner(i int) *Injector {
 func (p *Plan) injector(role, slot int) *Injector {
 	s := p.spec
 	return &Injector{
-		state:        p.stream(role, slot),
+		rng:          NewStream(p.spec.Seed, role, slot),
 		stealFail:    threshold(s.StealFail),
 		stealBurst:   s.StealFailBurst,
 		stall:        threshold(s.Stall),
@@ -293,6 +287,47 @@ func (p *Plan) injector(role, slot int) *Injector {
 	}
 }
 
+// Stream is one splitmix64 generator: deterministic, full-period, one add
+// and three shift-xor-multiply rounds per draw, no allocation. The owner of
+// a stream draws from it without synchronisation.
+type Stream struct{ state uint64 }
+
+const golden64 = 0x9E3779B97F4A7C15
+
+// NewStream seeds the (role, slot) stream of seed: seed ^ role<<32 ^
+// (slot+1)·φ, then one scramble round so adjacent seeds and slots do not
+// start correlated. Consumers keep their streams apart by role.
+func NewStream(seed int64, role, slot int) Stream {
+	return Stream{state: scramble(uint64(seed) ^ (uint64(role) << 32) ^ (uint64(slot+1) * golden64))}
+}
+
+func scramble(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// Next returns the stream's next 64 bits.
+func (s *Stream) Next() uint64 {
+	s.state += golden64
+	return scramble(s.state)
+}
+
+// Intn returns an unbiased draw from [0, n) via Lemire's multiply-shift
+// rejection method — no modulo, and the rejection loop runs ~never for
+// small n.
+func (s *Stream) Intn(n int) int {
+	v := uint64(n)
+	hi, lo := bits.Mul64(s.Next(), v)
+	if lo < v {
+		thresh := -v % v
+		for lo < thresh {
+			hi, lo = bits.Mul64(s.Next(), v)
+		}
+	}
+	return int(hi)
+}
+
 // threshold converts a probability to a uint64 comparison bound.
 func threshold(rate float64) uint64 {
 	switch {
@@ -310,7 +345,7 @@ func threshold(rate float64) uint64 {
 // only be called by the stream's owner (a worker goroutine, a deque under
 // its owner lock, the pool's submit path, or the dispatcher).
 type Injector struct {
-	state uint64
+	rng Stream
 
 	stealFail  uint64
 	stealBurst int
@@ -338,20 +373,11 @@ type Injector struct {
 	partitionNS int64
 }
 
-// next is splitmix64: deterministic, full-period, cheap.
-func (in *Injector) next() uint64 {
-	in.state += 0x9E3779B97F4A7C15
-	z := in.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 func (in *Injector) hit(th uint64) bool {
 	if th == 0 {
 		return false
 	}
-	return in.next() < th
+	return in.rng.Next() < th
 }
 
 // FailSteal decides whether the current steal attempt is forced to fail.

@@ -185,8 +185,6 @@ type Metrics struct {
 	Draining            bool      `json:"draining"`
 	Workers             int       `json:"workers"`
 	MaxConcurrentJobs   int       `json:"max_concurrent_jobs"`
-	ShardPolicy         string    `json:"shard_policy"`
-	SLOTargetMS         float64   `json:"slo_target_ms,omitempty"`
 	RunningJobs         int64     `json:"running_jobs"`
 	BusyWorkers         int64     `json:"busy_workers"`
 	WorkerOccupancy     float64   `json:"worker_occupancy"`

@@ -165,7 +165,6 @@ func TestServeShardedConcurrency(t *testing.T) {
 		Workers:           2,
 		QueueCapacity:     64,
 		MaxConcurrentJobs: 2,
-		ShardPolicy:       "adaptive",
 		Check:             true,
 		Options:           sched.Options{GrowableDeque: true},
 	})
@@ -213,8 +212,8 @@ func TestServeShardedConcurrency(t *testing.T) {
 			if res.Value != k.want {
 				errs <- fmt.Errorf("job %d (%s/%s): value=%d want %d", i, k.req.Program, k.req.Engine, res.Value, k.want)
 			}
-			if len(res.Shard) == 0 {
-				errs <- fmt.Errorf("job %d (%s/%s): terminal result carries no shard", i, k.req.Program, k.req.Engine)
+			if len(res.Shard) != 1 {
+				errs <- fmt.Errorf("job %d (%s/%s): terminal result ran on shard %v, want one of the two one-worker shards", i, k.req.Program, k.req.Engine, res.Shard)
 				return
 			}
 			if got := status(job); len(got.Shard) == 0 {
@@ -232,8 +231,8 @@ func TestServeShardedConcurrency(t *testing.T) {
 	if m.Completed != jobs {
 		t.Fatalf("completed=%d, want %d", m.Completed, jobs)
 	}
-	if m.MaxConcurrentJobs != 2 || m.ShardPolicy != "adaptive" {
-		t.Fatalf("metrics report max_concurrent_jobs=%d policy=%q, want 2/adaptive", m.MaxConcurrentJobs, m.ShardPolicy)
+	if m.MaxConcurrentJobs != 2 {
+		t.Fatalf("metrics report max_concurrent_jobs=%d, want 2", m.MaxConcurrentJobs)
 	}
 	if m.InvariantChecked != jobs || m.InvariantViolations != 0 {
 		t.Fatalf("invariants: checked=%d violations=%d, want %d/0", m.InvariantChecked, m.InvariantViolations, jobs)

@@ -157,14 +157,6 @@ type Config struct {
 	// on its own disjoint worker shard; zero or one means the single-job
 	// pool. See wsrt.PoolConfig.
 	MaxConcurrentJobs int
-	// ShardPolicy sizes shards: "static" (equal-width, the default),
-	// "adaptive" (grow when idle, split when jobs are waiting), or "slo"
-	// (adaptive, but collapse to the widest shard while the interactive
-	// class's live p99 exceeds SLOTargetMS).
-	ShardPolicy string
-	// SLOTargetMS is the interactive-class p99 target driving the "slo"
-	// shard policy; zero means 50ms. Ignored by the other policies.
-	SLOTargetMS float64
 	// TenantDefaults bounds tenants that have no entry in Tenants. The
 	// zero value is unlimited.
 	TenantDefaults TenantLimits
@@ -260,9 +252,6 @@ func New(cfg Config) *Service {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
 	}
-	if cfg.SLOTargetMS <= 0 {
-		cfg.SLOTargetMS = 50
-	}
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 64
 	}
@@ -274,7 +263,6 @@ func New(cfg Config) *Service {
 			// in the weighted-fair queue, where priority still matters.
 			QueueCapacity:     1,
 			MaxConcurrentJobs: cfg.MaxConcurrentJobs,
-			ShardPolicy:       wsrt.ShardPolicy(cfg.ShardPolicy),
 			Options:           cfg.Options,
 			Faults:            cfg.Faults,
 		}),
@@ -294,11 +282,6 @@ func New(cfg Config) *Service {
 	}
 	s.programs = progstore.New(cfg.ProgramCache)
 	s.journal = cfg.Journal
-	// The demand the pool's adaptive/SLO shard policies see must include
-	// the backlog held here, since only one job at a time is staged into
-	// the pool's own queue.
-	s.pool.SetExternalQueueDepth(func() int { return int(s.waiting.Load()) })
-	s.pool.SetShardAdvisor(s.adviseShard)
 	// Materialize recovered journal state before the pump starts, so
 	// re-queued jobs are first in line and terminal records answer GETs
 	// from the first request on.
@@ -306,18 +289,6 @@ func New(cfg Config) *Service {
 	s.wg.Add(1)
 	go s.pump()
 	return s
-}
-
-// adviseShard is the "slo" shard policy: while the interactive class's
-// live p99 exceeds the target, collapse to one claim — the widest shard
-// the allocator can form, draining each job fastest — and otherwise fall
-// back to the adaptive split (one claim per waiting job).
-func (s *Service) adviseShard(waiting, slots, free int) int {
-	_, p99 := s.classes[PriorityInteractive].lat.percentiles()
-	if float64(p99)/1e6 > s.cfg.SLOTargetMS {
-		return 1
-	}
-	return waiting + 1
 }
 
 // lookupEngine resolves an engine name to a row of the engine table that a
@@ -880,7 +851,6 @@ func (s *Service) Snapshot() Metrics {
 		Draining:            s.draining.Load(),
 		Workers:             s.pool.Workers(),
 		MaxConcurrentJobs:   s.pool.MaxConcurrentJobs(),
-		ShardPolicy:         string(s.pool.ShardPolicy()),
 		RunningJobs:         s.pool.RunningJobs(),
 		BusyWorkers:         s.pool.BusyWorkers(),
 		QueueCapacity:       s.cfg.QueueCapacity,
@@ -920,9 +890,6 @@ func (s *Service) Snapshot() Metrics {
 			Aborted:  s.recoveredAborted.Load(),
 			Programs: s.recoveredPrograms.Load(),
 		}
-	}
-	if s.pool.ShardPolicy() == wsrt.ShardSLO {
-		m.SLOTargetMS = s.cfg.SLOTargetMS
 	}
 	if m.Workers > 0 {
 		m.WorkerOccupancy = float64(m.BusyWorkers) / float64(m.Workers)

@@ -170,6 +170,12 @@ func (e *trickleEngine) Root(w *Worker) (int64, bool) {
 			}
 			time.Sleep(5 * time.Microsecond)
 		}
+		// Size reads H without the lock, and a thief moves H before OnStolen
+		// registers the deposit it owes root. A failed Pop takes the lock, so
+		// that registration is ordered before root's Sync, as in an engine.
+		if _, ok := w.Deque.Pop(); ok {
+			panic("trickle: popped a frame a thief had taken")
+		}
 	}
 	return w.Sync(root, 0)
 }

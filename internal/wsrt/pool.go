@@ -8,8 +8,8 @@
 // Admission is controlled by a bounded queue: Submit never blocks, and a
 // full queue is reported as ErrQueueFull (backpressure) rather than letting
 // callers pile up behind a busy pool. Up to MaxConcurrentJobs jobs run at
-// once, each bound to its own shard — a disjoint group of workers handed
-// out by the shard allocator (shard.go). Work-stealing parallelism is
+// once, each bound to its own shard — one of the disjoint groups of workers
+// the pool is cut into at start (shard.go). Work-stealing parallelism is
 // *within* a shard; a job's runtime is built over the shard's deques only,
 // so steals are confined to the shard's victim set, one job's need_task
 // starvation signal cannot re-open another job's subtree, and every
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,14 +72,11 @@ type PoolConfig struct {
 	// QueueCapacity bounds the admission queue; zero means 64.
 	QueueCapacity int
 	// MaxConcurrentJobs is the number of jobs the pool will run at once,
-	// each on its own disjoint worker shard. Zero or one means the classic
-	// single-job pool (one shard spanning every worker); values above
-	// Workers are clamped to Workers.
+	// each on its own disjoint worker shard; the workers are cut into that
+	// many fixed shards of near-equal width (see shard.go). Zero or one
+	// means the classic single-job pool (one shard spanning every worker);
+	// values above Workers are clamped to Workers.
 	MaxConcurrentJobs int
-	// ShardPolicy selects how shards are sized (see shard.go). The zero
-	// value means ShardStatic. It can be flipped at runtime with
-	// SetShardPolicy.
-	ShardPolicy ShardPolicy
 	// Options supplies the pool-wide scheduling parameters: cost model,
 	// deque capacity and growability, max_stolen_num, seed. Platform, Ctx
 	// and Tracer are ignored — the pool is always Real-platform, and
@@ -88,7 +84,7 @@ type PoolConfig struct {
 	Options sched.Options
 	// Faults, when non-nil, injects pool-level faults: admission-queue
 	// saturation (Submit reports ErrQueueFull though capacity remains) and
-	// shard-allocator starvation (the dispatcher briefly cannot form a
+	// shard-allocator starvation (the dispatcher briefly cannot take a free
 	// shard). Worker-level faults are per-job (see JobSpec.Faults). Nil —
 	// the default — costs nothing anywhere.
 	Faults *faults.Plan
@@ -189,7 +185,8 @@ type poolJob struct {
 	rt        *Runtime
 	submitted time.Time
 	started   time.Time
-	shard     []int             // global worker ids, shard-local order
+	part      int               // index of the shard in the pool's partition
+	shard     []int             // global worker ids, shard-local order (a copy)
 	deques    []deque.WorkDeque // the shard's deques, indexed by local id
 	workers   []*Worker         // the shard's workers, indexed by local id
 	release   func()            // context watcher release
@@ -214,28 +211,21 @@ type shardRun struct {
 // jobs, up to MaxConcurrentJobs of them concurrently on disjoint worker
 // shards. Create with NewPool, submit with Submit, shut down with Close.
 type Pool struct {
-	n       int
-	maxJobs int
-	opt     sched.Options
+	n   int
+	opt sched.Options
 
 	deques   []deque.WorkDeque
 	workers  []*Worker
+	shards   *shardAlloc
 	wake     []chan shardRun
-	idleWake []chan struct{} // per worker; a job's runtime borrows its first worker's
+	idleWake []chan struct{} // per shard, a slot per worker (a token per parked thief); its job's runtime borrows it
 	queue    chan *poolJob
 	finished chan *poolJob // finishers hand shards back to the dispatcher
 	quit     chan struct{}
 	joined   sync.WaitGroup // dispatcher + workers
 
-	policy  atomic.Int32 // index into ShardPolicies
-	advisor atomic.Value // advisorBox: SLO shard-width advisor
-	extQ    atomic.Value // extQueueBox: waiting jobs held outside the pool
-
 	mu     sync.Mutex // guards Submit/Close handshake
 	closed bool
-
-	liveMu sync.Mutex         // guards live
-	live   map[*poolJob][]int // running jobs' shards, for occupancy views
 
 	inflight    atomic.Int64 // jobs submitted and not yet finished
 	running     atomic.Int64 // jobs currently occupying a shard
@@ -257,35 +247,30 @@ func NewPool(cfg PoolConfig) *Pool {
 		opt.Workers = cfg.Workers
 	}
 	n := opt.WorkersOrDefault()
-	maxJobs := cfg.MaxConcurrentJobs
-	if maxJobs <= 0 {
-		maxJobs = 1
-	}
-	if maxJobs > n {
-		maxJobs = n
-	}
+	shards := newShardAlloc(n, cfg.MaxConcurrentJobs)
+	maxJobs := len(shards.parts)
 	p := &Pool{
 		n:        n,
-		maxJobs:  maxJobs,
 		opt:      opt,
 		deques:   make([]deque.WorkDeque, n),
 		workers:  make([]*Worker, n),
+		shards:   shards,
 		wake:     make([]chan shardRun, n),
-		idleWake: make([]chan struct{}, n),
+		idleWake: make([]chan struct{}, maxJobs),
 		queue:    make(chan *poolJob, cfg.queueCapacityOrDefault()),
 		finished: make(chan *poolJob, maxJobs),
 		quit:     make(chan struct{}),
-		live:     make(map[*poolJob][]int),
 		admitFI:  cfg.Faults.Admission(),
 		shardFI:  cfg.Faults.ShardAlloc(),
 	}
-	p.SetShardPolicy(cfg.ShardPolicy)
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
 		p.deques[i] = newDeque(opt)
 		p.workers[i] = &Worker{ID: i, Proc: procs[i], Deque: p.deques[i]}
 		p.wake[i] = make(chan shardRun)
-		p.idleWake[i] = make(chan struct{}, n)
+	}
+	for k, shard := range shards.parts {
+		p.idleWake[k] = make(chan struct{}, len(shard))
 	}
 	p.joined.Add(n + 1)
 	for i := 0; i < n; i++ {
@@ -299,59 +284,7 @@ func NewPool(cfg PoolConfig) *Pool {
 func (p *Pool) Workers() int { return p.n }
 
 // MaxConcurrentJobs returns the number of jobs the pool can run at once.
-func (p *Pool) MaxConcurrentJobs() int { return p.maxJobs }
-
-// SetShardPolicy switches the shard allocator's sizing policy. Unknown
-// values fall back to ShardStatic. Safe to call while jobs are running:
-// shards already handed out keep their width, only future allocations are
-// affected.
-func (p *Pool) SetShardPolicy(pol ShardPolicy) {
-	p.policy.Store(int32(max(slices.Index(ShardPolicies, pol), 0)))
-}
-
-// ShardPolicy returns the current shard sizing policy.
-func (p *Pool) ShardPolicy() ShardPolicy { return ShardPolicies[p.policy.Load()] }
-
-// ShardAdvisor decides, for the ShardSLO policy, how many concurrent jobs
-// the free workers should be split between when the next shard is formed.
-// waiting is the number of jobs queued behind the one being placed
-// (pool queue plus any external admission queue registered with
-// SetExternalQueueDepth), slots the open job slots, free the free worker
-// count. The return value is clamped to [1, slots]; a serving layer
-// typically returns 1 (widest shard, fastest drain) while a latency SLO is
-// being missed and waiting+1 (the adaptive split) otherwise.
-type ShardAdvisor func(waiting, slots, free int) int
-
-// advisorBox/extQueueBox keep atomic.Value's concrete type stable.
-type advisorBox struct{ fn ShardAdvisor }
-type extQueueBox struct{ fn func() int }
-
-// SetShardAdvisor installs the ShardSLO sizing callback. It is consulted
-// only by the dispatcher goroutine, at shard-formation time, and only
-// while the policy is ShardSLO; a nil or absent advisor makes ShardSLO
-// behave like ShardAdaptive. Safe to call while jobs are running.
-func (p *Pool) SetShardAdvisor(fn ShardAdvisor) { p.advisor.Store(advisorBox{fn}) }
-
-// SetExternalQueueDepth registers a callback reporting jobs that are
-// waiting for this pool but held outside its own admission queue — a
-// serving layer's priority queue, say. The dispatcher folds it into the
-// waiting count that drives the adaptive and SLO shard policies, so a
-// front end that stages jobs into the pool one at a time does not starve
-// the split heuristics of their demand signal.
-func (p *Pool) SetExternalQueueDepth(fn func() int) { p.extQ.Store(extQueueBox{fn}) }
-
-// waitingJobs returns the demand signal for shard sizing: queued here plus
-// queued in any registered external admission queue. The external count
-// may include jobs already staged into this pool's queue, so the sum can
-// overcount slightly; the policies only need a monotone demand signal, not
-// an exact census.
-func (p *Pool) waitingJobs() int {
-	w := len(p.queue)
-	if b, ok := p.extQ.Load().(extQueueBox); ok && b.fn != nil {
-		w += b.fn()
-	}
-	return w
-}
+func (p *Pool) MaxConcurrentJobs() int { return len(p.shards.parts) }
 
 // QueueDepth returns the number of jobs waiting for admission right now.
 func (p *Pool) QueueDepth() int { return len(p.queue) }
@@ -378,23 +311,11 @@ func (p *Pool) Served() int64 { return p.served.Load() }
 // LiveShards returns the worker groups currently bound to running jobs,
 // sorted by their first (lowest) global worker id so the view is stable
 // across scrapes. Each inner slice is a copy.
-func (p *Pool) LiveShards() [][]int {
-	p.liveMu.Lock()
-	out := make([][]int, 0, len(p.live))
-	for _, shard := range p.live {
-		s := make([]int, len(shard))
-		copy(s, shard)
-		out = append(out, s)
-	}
-	p.liveMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
+func (p *Pool) LiveShards() [][]int { return p.shards.live() }
 
 // Quarantined returns the number of jobs that failed by a panic in their
 // program or engine. Each such job was contained to its own shard: the
-// shard's deques were reset and handed back to the allocator, and the pool
-// kept serving.
+// shard's deques were reset and the shard freed, and the pool kept serving.
 func (p *Pool) Quarantined() int64 { return p.quarantined.Load() }
 
 // Submit enqueues a job without blocking. It returns ErrQueueFull when the
@@ -457,12 +378,11 @@ func (p *Pool) Close() {
 	p.joined.Wait()
 }
 
-// dispatch is the pool's coordinator goroutine: it admits jobs while the
-// shard allocator can place them, binds each admitted job to a shard, and
-// reclaims shards as jobs finish. Jobs it cannot place yet stay in the
-// bounded queue (at most one, already received, waits in the deferred
-// slot), so admission backpressure is never weakened by an internal
-// unbounded buffer.
+// dispatch is the pool's coordinator goroutine: it admits jobs while a
+// shard is free, binds each admitted job to a shard, and reclaims shards as
+// jobs finish. Jobs it cannot place yet stay in the bounded queue (at most
+// one, already received, waits in the deferred slot), so admission
+// backpressure is never weakened by an internal unbounded buffer.
 func (p *Pool) dispatch() {
 	defer func() {
 		for _, c := range p.wake {
@@ -470,18 +390,17 @@ func (p *Pool) dispatch() {
 		}
 		p.joined.Done()
 	}()
-	alloc := newShardAlloc(p.n, p.maxJobs)
 	var deferred *poolJob // received from the queue, waiting for a shard
 	for {
 		// Prefer shutdown over further admissions once quit is closed.
 		select {
 		case <-p.quit:
-			p.shutdown(alloc, deferred)
+			p.shutdown(deferred)
 			return
 		default:
 		}
 		if deferred != nil {
-			if !p.tryStart(alloc, deferred) {
+			if !p.tryStart(deferred) {
 				// Without fault injection a deferred job can only be
 				// unblocked by a finishing job (or shutdown). Injected
 				// allocator starvation can refuse a shard with nothing
@@ -506,10 +425,10 @@ func (p *Pool) dispatch() {
 					if retryT != nil {
 						retryT.Stop()
 					}
-					p.shutdown(alloc, deferred)
+					p.shutdown(deferred)
 					return
 				case job := <-p.finished:
-					p.reclaim(alloc, job)
+					p.reclaim(job)
 				case <-ctxDone:
 					p.retire(deferred, context.Cause(deferred.spec.Ctx))
 					deferred = nil
@@ -526,12 +445,12 @@ func (p *Pool) dispatch() {
 		// Receive from the queue only while a shard slot is open; otherwise
 		// jobs stay queued and Submit's backpressure stays honest.
 		var queueCh chan *poolJob
-		if alloc.running < p.maxJobs && len(alloc.free) > 0 {
+		if p.running.Load() < int64(len(p.shards.parts)) {
 			queueCh = p.queue
 		}
 		select {
 		case <-p.quit:
-			p.shutdown(alloc, nil)
+			p.shutdown(nil)
 			return
 		case job := <-queueCh:
 			// quit and queue can be ready together and select picks
@@ -540,23 +459,23 @@ func (p *Pool) dispatch() {
 			select {
 			case <-p.quit:
 				p.retire(job, ErrPoolClosed)
-				p.shutdown(alloc, nil)
+				p.shutdown(nil)
 				return
 			default:
 			}
-			if !p.tryStart(alloc, job) {
+			if !p.tryStart(job) {
 				deferred = job
 			}
 		case job := <-p.finished:
-			p.reclaim(alloc, job)
+			p.reclaim(job)
 		}
 	}
 }
 
-// tryStart binds job to a freshly allocated shard, or retires it
+// tryStart binds job to the lowest-numbered free shard, or retires it
 // immediately if its context was cancelled while it waited. It reports
-// false when the allocator cannot form a shard under the current policy.
-func (p *Pool) tryStart(alloc *shardAlloc, job *poolJob) bool {
+// false when no shard is free.
+func (p *Pool) tryStart(job *poolJob) bool {
 	if ctx := job.spec.Ctx; ctx != nil {
 		if ctx.Err() != nil {
 			// Cancelled while queued: never starts, costs the pool nothing.
@@ -569,18 +488,11 @@ func (p *Pool) tryStart(alloc *shardAlloc, job *poolJob) bool {
 		// if no shard could be formed and retries on its fault tick.
 		return false
 	}
-	policy := p.ShardPolicy()
-	waiting := p.waitingJobs()
-	var shard []int
-	if b, ok := p.advisor.Load().(advisorBox); ok && b.fn != nil && policy == ShardSLO {
-		shard = alloc.grabClaims(b.fn(waiting, alloc.maxJobs-alloc.running, len(alloc.free)))
-	} else {
-		shard = alloc.grab(policy, waiting)
-	}
-	if shard == nil {
+	k := p.shards.grab()
+	if k < 0 {
 		return false
 	}
-	p.startJob(job, shard)
+	p.startJob(job, k)
 	return true
 }
 
@@ -594,14 +506,11 @@ func (p *Pool) retire(job *poolJob, err error) {
 	p.served.Add(1)
 }
 
-// reclaim returns a finished job's shard to the allocator. The served
-// counter already ticked in finishJob, before the job's handle resolved,
-// so Served() never lags a Result() return.
-func (p *Pool) reclaim(alloc *shardAlloc, job *poolJob) {
-	p.liveMu.Lock()
-	delete(p.live, job)
-	p.liveMu.Unlock()
-	alloc.release(job.shard)
+// reclaim frees a finished job's shard. The served counter already ticked
+// in finishJob, before the job's handle resolved, so Served() never lags a
+// Result() return.
+func (p *Pool) reclaim(job *poolJob) {
+	p.shards.release(job.part)
 	p.busy.Add(-int64(len(job.shard)))
 	p.running.Add(-1)
 	p.inflight.Add(-1)
@@ -611,7 +520,7 @@ func (p *Pool) reclaim(alloc *shardAlloc, job *poolJob) {
 // fail with ErrPoolClosed, running jobs finish and their shards are
 // reclaimed. No new queue sends can begin once Close has set closed, so
 // the drain loop terminates.
-func (p *Pool) shutdown(alloc *shardAlloc, deferred *poolJob) {
+func (p *Pool) shutdown(deferred *poolJob) {
 	if deferred != nil {
 		p.retire(deferred, ErrPoolClosed)
 	}
@@ -622,10 +531,10 @@ func (p *Pool) shutdown(alloc *shardAlloc, deferred *poolJob) {
 			continue
 		default:
 		}
-		if alloc.running == 0 {
+		if p.running.Load() == 0 {
 			return
 		}
-		p.reclaim(alloc, <-p.finished)
+		p.reclaim(<-p.finished)
 	}
 }
 
@@ -634,9 +543,11 @@ func (p *Pool) shutdown(alloc *shardAlloc, deferred *poolJob) {
 // thief loop's victim set — and with it the need_task/stolen_num
 // starvation machinery living in those deques — is confined to the shard
 // by construction.
-func (p *Pool) startJob(job *poolJob, shard []int) {
+func (p *Pool) startJob(job *poolJob, k int) {
+	// The handle and the result get a copy: the partition is the pool's.
+	shard := slices.Clone(p.shards.parts[k])
 	width := len(shard)
-	job.shard = shard
+	job.part, job.shard = k, shard
 	job.started = time.Now()
 	job.deques = make([]deque.WorkDeque, width)
 	job.workers = make([]*Worker, width)
@@ -651,10 +562,9 @@ func (p *Pool) startJob(job *poolJob, shard []int) {
 		opt.StealPolicy = job.spec.StealPolicy
 	}
 	rt := newRuntime(job.spec.Prog, job.spec.Engine.NewExec(width, p.opt), job.deques, opt)
-	// Shards are disjoint, so a shard's first worker names it uniquely among
-	// the running jobs; every parked thief has consumed its token by the time
-	// its job ends, so the channel comes back empty.
-	rt.wake = p.idleWake[shard[0]]
+	// One job at a time holds a shard, and every parked thief has consumed
+	// its token by the time its job ends, so the channel comes back empty.
+	rt.wake = p.idleWake[k]
 	if rt.tracer != nil {
 		rt.tracer.SetScope(fmt.Sprintf("%s/%s shard %v", job.name, job.spec.Prog.Name(), shard))
 	}
@@ -667,9 +577,6 @@ func (p *Pool) startJob(job *poolJob, shard []int) {
 	}
 	job.rt = rt
 	job.wg.Add(width)
-	p.liveMu.Lock()
-	p.live[job] = shard
-	p.liveMu.Unlock()
 	p.running.Add(1)
 	p.busy.Add(int64(width))
 	job.h.shard = shard
@@ -713,7 +620,7 @@ func (p *Pool) finishJob(job *poolJob) {
 	res.Makespan = time.Since(job.started).Nanoseconds()
 	if errors.Is(err, ErrJobPanicked) {
 		// Panic quarantine: the job failed, its shard was reset above and
-		// heals by re-entering the allocator like any other.
+		// heals by being freed like any other.
 		p.quarantined.Add(1)
 	}
 	job.h.endAt = time.Now()

@@ -41,7 +41,7 @@ func BenchmarkPoolShardedThroughput(b *testing.B) {
 	for _, shards := range []int{1, 2} {
 		b.Run(map[int]string{1: "shards=1", 2: "shards=2"}[shards], func(b *testing.B) {
 			p := wsrt.NewPool(wsrt.PoolConfig{
-				Workers: 2, MaxConcurrentJobs: shards, ShardPolicy: wsrt.ShardStatic,
+				Workers: 2, MaxConcurrentJobs: shards,
 				QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
 			})
 			defer p.Close()

@@ -3,6 +3,7 @@ package wsrt_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -193,7 +194,7 @@ func (g gateProg) Undo(ws sched.Workspace, depth, m int)       {}
 // finishes while job A demonstrably still occupies its shard.
 func TestPoolConcurrentJobs(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 2, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardStatic,
+		Workers: 2, MaxConcurrentJobs: 2,
 		QueueCapacity: 8, Options: sched.Options{GrowableDeque: true},
 	})
 	defer p.Close()
@@ -252,7 +253,7 @@ func TestPoolConcurrentJobs(t *testing.T) {
 // solutions.
 func TestPoolShardedRace(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardStatic,
+		Workers: 4, MaxConcurrentJobs: 2,
 		QueueCapacity: 8, Options: sched.Options{GrowableDeque: true},
 	})
 	defer p.Close()
@@ -284,32 +285,26 @@ func TestPoolShardedRace(t *testing.T) {
 	}
 }
 
-// TestPoolAdaptiveGrows checks the adaptive policy end-to-end: a job
-// admitted to an idle pool takes every worker, and under a backlog the
-// shards split.
-func TestPoolAdaptiveGrows(t *testing.T) {
+// TestPoolLoneJobKeepsItsShard pins the fixed partition end to end: a job
+// admitted to an idle two-slot pool takes its own shard, the lowest, and
+// does not widen over the idle one.
+func TestPoolLoneJobKeepsItsShard(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
+		Workers: 4, MaxConcurrentJobs: 2,
 		QueueCapacity: 8, Options: sched.Options{GrowableDeque: true},
 	})
 	defer p.Close()
 
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	openGate := func() { gateOnce.Do(func() { close(gate) }) }
-	defer openGate()
-
-	a, err := p.Submit(wsrt.JobSpec{Prog: gateProg{gate: gate}, Engine: atc()})
+	h, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-a.Started()
-	if got := a.Shard(); len(got) != 4 {
-		t.Fatalf("idle-pool adaptive shard = %v, want all 4 workers", got)
+	res, err := h.Result()
+	if err != nil || res.Value != 55 {
+		t.Fatalf("lone job: value=%d err=%v, want 55", res.Value, err)
 	}
-	openGate()
-	if _, err := a.Result(); err != nil {
-		t.Fatal(err)
+	if want := []int{0, 1}; !slices.Equal(res.Shard, want) || !slices.Equal(h.Shard(), want) {
+		t.Fatalf("idle-pool shard = %v (handle %v), want %v", res.Shard, h.Shard(), want)
 	}
 }
 
@@ -481,11 +476,11 @@ func TestPoolQuarantineHeals(t *testing.T) {
 }
 
 // TestPoolMoreJobsThanWorkers floods a 2-worker pool with 6 concurrent
-// jobs under both policies: every job completes with the right answer and
-// the busy/running counters settle back to zero.
+// jobs: every job completes with the right answer and the busy/running
+// counters settle back to zero.
 func TestPoolMoreJobsThanWorkers(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 2, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
+		Workers: 2, MaxConcurrentJobs: 2,
 		QueueCapacity: 16,
 	})
 	defer p.Close()
@@ -497,9 +492,6 @@ func TestPoolMoreJobsThanWorkers(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		hs = append(hs, h)
-		if i == 2 {
-			p.SetShardPolicy(wsrt.ShardStatic) // flip mid-flood
-		}
 	}
 	for i, h := range hs {
 		if res, err := h.Result(); err != nil || res.Value != 55 {
@@ -509,12 +501,12 @@ func TestPoolMoreJobsThanWorkers(t *testing.T) {
 	waitSettled(t, p)
 }
 
-// TestPoolAdaptiveSplitAfterQuarantine kills a grown adaptive job and then
-// runs a pair of jobs over the healed workers: the pair must both finish
-// on disjoint shards that re-use the quarantined workers.
-func TestPoolAdaptiveSplitAfterQuarantine(t *testing.T) {
+// TestPoolSplitAfterQuarantine kills a job and then runs a pair of jobs
+// over the healed workers: the pair must both finish on disjoint shards,
+// one of them the quarantined shard.
+func TestPoolSplitAfterQuarantine(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
+		Workers: 4, MaxConcurrentJobs: 2,
 		QueueCapacity: 8,
 	})
 	defer p.Close()
@@ -528,16 +520,10 @@ func TestPoolAdaptiveSplitAfterQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := h.Result(); !errors.Is(err, wsrt.ErrJobPanicked) {
-		t.Fatalf("grown faulted job: err = %v, want ErrJobPanicked", err)
-	}
-	if len(h.Shard()) != 4 {
-		t.Fatalf("adaptive job on idle pool got shard %v, want all 4 workers", h.Shard())
+		t.Fatalf("faulted job: err = %v, want ErrJobPanicked", err)
 	}
 
-	// Hold one job mid-run so the second demonstrably runs beside it on
-	// the healed workers. Static placement keeps the gated job from
-	// growing over the whole pool and starving its partner.
-	p.SetShardPolicy(wsrt.ShardStatic)
+	// Hold one job mid-run so the second demonstrably runs beside it.
 	gate := make(chan struct{})
 	g, err := p.Submit(wsrt.JobSpec{Prog: gateProg{gate: gate}, Engine: atc()})
 	if err != nil {
@@ -555,52 +541,13 @@ func TestPoolAdaptiveSplitAfterQuarantine(t *testing.T) {
 	if res, err := g.Result(); err != nil || res.Value != 1 {
 		t.Fatalf("gated job: value=%d err=%v, want 1", res.Value, err)
 	}
+	if !slices.Equal(g.Shard(), h.Shard()) {
+		t.Fatalf("gated job ran on %v, want the healed shard %v", g.Shard(), h.Shard())
+	}
 	for _, w := range g.Shard() {
-		for _, x := range h2.Shard() {
-			if w == x {
-				t.Fatalf("concurrent healed shards overlap: %v / %v", g.Shard(), h2.Shard())
-			}
+		if slices.Contains(h2.Shard(), w) {
+			t.Fatalf("concurrent healed shards overlap: %v / %v", g.Shard(), h2.Shard())
 		}
-	}
-	waitSettled(t, p)
-}
-
-// TestPoolPolicyFlipMidQuarantine flips the shard policy while a faulted
-// job is dying: the flip must not strand the quarantined workers, and jobs
-// submitted under the new policy complete.
-func TestPoolPolicyFlipMidQuarantine(t *testing.T) {
-	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardAdaptive,
-		QueueCapacity: 8,
-	})
-	defer p.Close()
-
-	h, err := p.Submit(wsrt.JobSpec{
-		Prog:   nqueens.NewArray(6),
-		Engine: atc(),
-		Faults: faults.New(faults.Spec{Seed: 7, Panic: 1}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetShardPolicy(wsrt.ShardStatic) // flip while the faulted job dies
-	if _, err := h.Result(); !errors.Is(err, wsrt.ErrJobPanicked) {
-		t.Fatalf("faulted job: err = %v, want ErrJobPanicked", err)
-	}
-	for i := 0; i < 4; i++ {
-		h, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
-		if err != nil {
-			t.Fatalf("submit %d after flip: %v", i, err)
-		}
-		if res, err := h.Result(); err != nil || res.Value != 55 {
-			t.Fatalf("post-flip job %d: value=%d err=%v, want 55", i, res.Value, err)
-		}
-		if len(h.Shard()) != 2 {
-			t.Fatalf("post-flip static shard %v, want width 2", h.Shard())
-		}
-	}
-	if got := p.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", got)
 	}
 	waitSettled(t, p)
 }
@@ -616,64 +563,4 @@ func waitSettled(t *testing.T, p *wsrt.Pool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("pool never settled: busy=%d running=%d", p.BusyWorkers(), p.RunningJobs())
-}
-
-// TestPoolSLOAdvisor exercises the SLO shard policy end to end: without
-// an advisor the pool falls back to adaptive sizing (a lone job grows to
-// the whole pool); with an advisor installed, the advisor's claim count
-// sizes the shard, and the demand it sees includes the external queue
-// depth the serving layer reports.
-func TestPoolSLOAdvisor(t *testing.T) {
-	p := wsrt.NewPool(wsrt.PoolConfig{
-		Workers: 4, MaxConcurrentJobs: 2, ShardPolicy: wsrt.ShardSLO,
-		QueueCapacity: 8, Options: sched.Options{GrowableDeque: true},
-	})
-	defer p.Close()
-	if got := p.ShardPolicy(); got != wsrt.ShardSLO {
-		t.Fatalf("ShardPolicy = %q, want slo", got)
-	}
-
-	h, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := h.Result(); err != nil || len(res.Shard) != 4 {
-		t.Fatalf("advisorless slo shard = %v err=%v, want the whole pool", res.Shard, err)
-	}
-
-	var mu sync.Mutex
-	var seenWaiting []int
-	p.SetExternalQueueDepth(func() int { return 7 })
-	p.SetShardAdvisor(func(waiting, slots, free int) int {
-		mu.Lock()
-		seenWaiting = append(seenWaiting, waiting)
-		mu.Unlock()
-		return 2
-	})
-	h2, err := p.Submit(wsrt.JobSpec{Prog: fib.New(10), Engine: atc()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h2.Result()
-	if err != nil || res.Value != 55 {
-		t.Fatalf("advised job: value=%d err=%v, want 55", res.Value, err)
-	}
-	if len(res.Shard) != 2 {
-		t.Fatalf("advised shard = %v, want width 2 (4 free / 2 claims)", res.Shard)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seenWaiting) == 0 || seenWaiting[0] < 7 {
-		t.Fatalf("advisor saw waiting=%v, want >= the external depth 7", seenWaiting)
-	}
-}
-
-// TestPoolSetShardPolicySLO flips a running pool to the SLO policy.
-func TestPoolSetShardPolicySLO(t *testing.T) {
-	p := wsrt.NewPool(wsrt.PoolConfig{Workers: 2, QueueCapacity: 4})
-	defer p.Close()
-	p.SetShardPolicy(wsrt.ShardSLO)
-	if got := p.ShardPolicy(); got != wsrt.ShardSLO {
-		t.Fatalf("ShardPolicy after flip = %q, want slo", got)
-	}
 }

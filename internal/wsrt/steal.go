@@ -1,9 +1,8 @@
 package wsrt
 
 import (
-	"math/bits"
-
 	"adaptivetc/internal/deque"
+	"adaptivetc/internal/faults"
 )
 
 // MaxStealBatch bounds how many entries one steal attempt may take. It also
@@ -40,7 +39,7 @@ func (p StealPolicy) Name() string { return p.name }
 // run seed; the thief draws from a private stream derived from (seed, id), so
 // schedules stay a pure function of the options.
 func (p StealPolicy) NewThief(id, n int, seed int64) Thief {
-	return &thief{id: id, rng: newSplitmix(seed, id), pick: p.pick}
+	return &thief{id: id, rng: faults.NewStream(seed, thiefStream, id), pick: p.pick}
 }
 
 // thief is the one Thief the policies share: who is asking, how often it has
@@ -48,7 +47,7 @@ func (p StealPolicy) NewThief(id, n int, seed int64) Thief {
 type thief struct {
 	id       int
 	attempts int
-	rng      splitmix64
+	rng      faults.Stream
 	pick     func(t *thief, deques []deque.WorkDeque) (victim, amount int)
 }
 
@@ -57,56 +56,18 @@ func (t *thief) Pick(deques []deque.WorkDeque) (int, int) { return t.pick(t, deq
 // other draws uniformly from the n-1 indices of [lo, lo+n) that are not the
 // thief's own, which must lie inside the range: one draw, no rejection.
 func (t *thief) other(lo, n int) int {
-	v := lo + t.rng.intn(n-1)
+	v := lo + t.rng.Intn(n-1)
 	if v >= t.id {
 		v++
 	}
 	return v
 }
 
-// splitmix64 is the same tiny PRNG the fault plane uses: one add and three
-// shift-xor-multiply rounds per draw, no allocation, trivially seedable per
-// stream. It replaces the shared Proc.Rand in the thief loop, fixing both
-// the per-steal interface-call cost and the modulo bias of Intn(n-1) for
-// worker counts that do not divide 2^63.
-type splitmix64 struct{ state uint64 }
-
-const golden64 = 0x9E3779B97F4A7C15
-
-// thiefStream tags the thief-loop PRNG streams, keeping them disjoint from
-// the fault plane's roleWorker/roleDeque/... streams under the same seed.
+// thiefStream is the role of the thief-loop streams (faults.Stream, a
+// private splitmix64 per worker instead of the shared Proc.Rand: no
+// per-steal interface call, no modulo bias in the victim draw), keeping
+// them disjoint from the fault plane's roles under the same seed.
 const thiefStream = 0x9E37_F00D
-
-func newSplitmix(seed int64, id int) splitmix64 {
-	z := uint64(seed) ^ (uint64(thiefStream) << 32) ^ (uint64(id+1) * golden64)
-	// One scramble round so adjacent ids do not start in adjacent states.
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return splitmix64{state: z ^ (z >> 31)}
-}
-
-func (s *splitmix64) next() uint64 {
-	s.state += golden64
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// intn returns an unbiased draw from [0, n) via Lemire's multiply-shift
-// rejection method — no modulo, and the rejection loop runs ~never for the
-// small n of a victim pick.
-func (s *splitmix64) intn(n int) int {
-	v := uint64(n)
-	hi, lo := bits.Mul64(s.next(), v)
-	if lo < v {
-		thresh := -v % v
-		for lo < thresh {
-			hi, lo = bits.Mul64(s.next(), v)
-		}
-	}
-	return int(hi)
-}
 
 // shardWindow is the neighbourhood width of the shard-local policy.
 const shardWindow = 4

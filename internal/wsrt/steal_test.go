@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivetc/internal/deque"
+	"adaptivetc/internal/faults"
 )
 
 // testDeques builds n deques, with sizes[i] plain entries pushed into deque
@@ -28,11 +29,11 @@ func TestSplitmixIntnUnbiased(t *testing.T) {
 	// With Lemire rejection the draw must be exactly uniform over small
 	// ranges; a sloppy modulo over 2^64 would skew the low residues. 3 does
 	// not divide 2^64, so it is the interesting case.
-	s := newSplitmix(1, 0)
+	s := faults.NewStream(1, thiefStream, 0)
 	const draws = 300000
 	var counts [3]int
 	for i := 0; i < draws; i++ {
-		counts[s.intn(3)]++
+		counts[s.Intn(3)]++
 	}
 	for r, c := range counts {
 		if c < draws/3-2000 || c > draws/3+2000 {
@@ -42,10 +43,10 @@ func TestSplitmixIntnUnbiased(t *testing.T) {
 }
 
 func TestSplitmixStreamsDisjoint(t *testing.T) {
-	a, b := newSplitmix(7, 0), newSplitmix(7, 1)
+	a, b := faults.NewStream(7, thiefStream, 0), faults.NewStream(7, thiefStream, 1)
 	same := 0
 	for i := 0; i < 64; i++ {
-		if a.next() == b.next() {
+		if a.Next() == b.Next() {
 			same++
 		}
 	}
