@@ -31,10 +31,12 @@ func main() {
 	seed := flag.Uint("seed", 20100424, "LCG seed")
 	flag.Parse()
 
+	// describe prints one tree's row; a spec synthtree would refuse is a
+	// usage error, reported on one line.
 	describe := func(spec synthtree.Spec) {
-		spec.Seed = uint32(*seed)
-		if *reverse {
-			spec = spec.Reverse()
+		if err := spec.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "treegen:", err)
+			os.Exit(2)
 		}
 		st := adaptivetc.Analyze(synthtree.New(spec), 0)
 		fmt.Printf("%-10s nodes=%-10d leaves=%-10d depth=%-4d depth-1 shares:", spec.Label, st.Nodes, st.Leaves, st.Depth)
@@ -42,6 +44,14 @@ func main() {
 			fmt.Printf(" %.3f%%", p)
 		}
 		fmt.Println()
+	}
+	// one describes a single tree, seeded and mirrored as the flags say.
+	one := func(spec synthtree.Spec) {
+		spec.Seed = uint32(*seed)
+		if *reverse {
+			spec = spec.Reverse()
+		}
+		describe(spec)
 	}
 
 	if *fractions != "" {
@@ -54,25 +64,20 @@ func main() {
 			}
 			fr = append(fr, v)
 		}
-		describe(synthtree.Spec{Label: "custom", Size: *size, RootFractions: fr, Alpha: *alpha})
+		one(synthtree.Spec{Label: "custom", Size: *size, RootFractions: fr, Alpha: *alpha})
 		return
 	}
 	switch *treeName {
 	case "tree1":
-		describe(synthtree.Tree1(*size))
+		one(synthtree.Tree1(*size))
 	case "tree2":
-		describe(synthtree.Tree2(*size))
+		one(synthtree.Tree2(*size))
 	case "tree3":
-		describe(synthtree.Tree3(*size))
+		one(synthtree.Tree3(*size))
 	case "":
 		for _, spec := range experiments.Table3Specs(experiments.Default) {
 			spec.Size = *size
-			st := adaptivetc.Analyze(synthtree.New(spec), 0)
-			fmt.Printf("%-10s nodes=%-10d leaves=%-10d depth=%-4d depth-1 shares:", spec.Label, st.Nodes, st.Leaves, st.Depth)
-			for _, p := range st.Depth1Percent() {
-				fmt.Printf(" %.3f%%", p)
-			}
-			fmt.Println()
+			describe(spec)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "treegen: unknown tree %q\n", *treeName)

@@ -1,7 +1,8 @@
 // Every synthetic tree the repository runs, pinned against a recorded file:
 // node count, depth and an FNV-64a hash of the depth-first (depth, size)
-// sequence. A change to how a node splits its size — the apportionment, the
-// weights, the floating-point order of either — moves a hash. Regenerate with
+// sequence. A change that moves any node's size — in the apportionment, the
+// weights or the order they are summed in — moves a hash; the sizes are
+// integers, so a few ulps in a weight usually move nothing. Regenerate with
 // `go test ./problems/synthtree -run TestShapePinned -update` only when a
 // change is meant to move the trees.
 package synthtree

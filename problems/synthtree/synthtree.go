@@ -23,8 +23,10 @@
 package synthtree
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptivetc/internal/sched"
 )
@@ -125,23 +127,37 @@ type Program struct {
 	bytes int
 }
 
-// New compiles a spec.
-func New(spec Spec) *Program {
-	if spec.Size < 1 {
-		panic(fmt.Sprintf("synthtree: size %d < 1", spec.Size))
+// Validate reports why New would refuse the spec: a size below 1, no root
+// fractions, a fraction that is negative, NaN or infinite, or fractions
+// that sum to zero.
+func (s Spec) Validate() error {
+	if s.Size < 1 {
+		return fmt.Errorf("synthtree: size %d < 1", s.Size)
 	}
-	if len(spec.RootFractions) == 0 {
-		panic("synthtree: no root fractions")
+	if len(s.RootFractions) == 0 {
+		return errors.New("synthtree: no root fractions")
 	}
 	var sum float64
-	for _, f := range spec.RootFractions {
-		if f < 0 {
-			panic("synthtree: negative fraction")
+	for _, f := range s.RootFractions {
+		if !(f >= 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("synthtree: fraction %v is not a finite non-negative number", f)
 		}
 		sum += f
 	}
 	if sum <= 0 {
-		panic("synthtree: zero fraction vector")
+		return errors.New("synthtree: zero fraction vector")
+	}
+	return nil
+}
+
+// New compiles a spec. It panics if spec.Validate fails.
+func New(spec Spec) *Program {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
+	var sum float64
+	for _, f := range spec.RootFractions {
+		sum += f
 	}
 	if spec.Alpha == 0 {
 		spec.Alpha = 2
@@ -165,24 +181,38 @@ func (p *Program) Name() string { return "synthtree-" + p.spec.Label }
 // Spec returns the tree's specification.
 func (p *Program) Spec() Spec { return p.spec }
 
-// node identifies a subtree: its size and its LCG stream state. The child
-// apportionment is cached after the first Apply at the node.
+// node identifies a subtree: its size and its LCG stream state. expanded
+// says its child apportionment is cached in the workspace's kids slab.
 type node struct {
-	size  int64
-	seed  uint32
-	sizes []int64
+	size     int64
+	seed     uint32
+	expanded bool
 }
 
+// ws is the path from the root to the current node. Its slices hold no
+// pointers, so Clone and CopyFrom are plain memmoves with no write barrier
+// per element, whatever the depth.
 type ws struct {
 	bytes   int
 	payload []byte
 	stack   []node
+	// kids holds the child sizes of stack level i at [i·k, (i+1)·k), k the
+	// number of root fractions: Apply grows it by k, Undo shrinks it.
+	kids []int64
+	// scratch holds childSizes' weights, then their fractional parts. It is
+	// evaluation state, not tree state: Clone does not pass it on and
+	// CopyFrom leaves the receiver's.
+	scratch []float64
 }
 
 // Clone implements sched.Workspace.
 func (w *ws) Clone() sched.Workspace {
-	c := &ws{bytes: w.bytes, stack: make([]node, len(w.stack), len(w.stack)+8)}
-	copy(c.stack, w.stack)
+	k := len(w.kids) / len(w.stack)
+	c := &ws{
+		bytes: w.bytes,
+		stack: append(make([]node, 0, len(w.stack)+8), w.stack...),
+		kids:  append(make([]int64, 0, len(w.kids)+8*k), w.kids...),
+	}
 	if w.payload != nil {
 		c.payload = append([]byte(nil), w.payload...)
 	}
@@ -197,6 +227,7 @@ func (w *ws) CopyFrom(src sched.Workspace) {
 	s := src.(*ws)
 	w.bytes = s.bytes
 	w.stack = append(w.stack[:0], s.stack...)
+	w.kids = append(w.kids[:0], s.kids...)
 	if s.payload != nil {
 		w.payload = append(w.payload[:0], s.payload...)
 	}
@@ -210,6 +241,7 @@ func (p *Program) Root() sched.Workspace {
 		bytes:   p.bytes,
 		payload: make([]byte, p.bytes),
 		stack:   []node{{size: p.spec.Size, seed: p.spec.Seed}},
+		kids:    make([]int64, len(p.roots)),
 	}
 }
 
@@ -225,12 +257,24 @@ func (p *Program) Terminal(w sched.Workspace, depth int) (int64, bool) {
 // Moves implements sched.Program.
 func (p *Program) Moves(w sched.Workspace, depth int) int { return len(p.roots) }
 
-// childSizes apportions a node's size among its children: the exact root
-// fractions at depth 0, LCG-drawn uᵢ^Alpha weights below. Deterministic in
-// (size, seed, depth).
-func (p *Program) childSizes(n node, depth int) []int64 {
-	k := len(p.roots)
-	weights := make([]float64, k)
+// weight is u^Alpha. Tree1–3's α = 1.5 is u·√u: math.Pow gets there
+// through Exp(0.5·Log u) at several times the cost, and the two differ by a
+// few ulps at most — never enough to move a child's size in any tree
+// TestShapePinned covers. Every other α goes through math.Pow.
+func (p *Program) weight(u float64) float64 {
+	if p.spec.Alpha == 1.5 {
+		return u * math.Sqrt(u)
+	}
+	return math.Pow(u, p.spec.Alpha)
+}
+
+// childSizes apportions a node's size among its children into sizes: the
+// exact root fractions at depth 0, LCG-drawn uᵢ^Alpha weights below.
+// Deterministic in (size, seed, depth). scratch has len(sizes) elements and
+// holds the weights, then each child's fractional part.
+func (p *Program) childSizes(n node, depth int, sizes []int64, scratch []float64) {
+	k := len(sizes)
+	weights := scratch
 	if depth == 0 {
 		copy(weights, p.roots)
 	} else {
@@ -239,7 +283,7 @@ func (p *Program) childSizes(n node, depth int) []int64 {
 		for i := range weights {
 			x = x*lcgA + lcgC // mod 2^32 implicit in uint32 arithmetic
 			u := (float64(x) + 1) / float64(lcgM)
-			weights[i] = math.Pow(u, p.spec.Alpha) * bias
+			weights[i] = p.weight(u) * bias
 			if p.spec.PosBias > 0 && p.spec.PosBias < 1 {
 				bias *= p.spec.PosBias
 			}
@@ -255,29 +299,24 @@ func (p *Program) childSizes(n node, depth int) []int64 {
 		sum += w
 	}
 	rem := n.size
-	sizes := make([]int64, k)
-	type frac struct {
-		i int
-		f float64
-	}
-	fr := make([]frac, k)
+	frac := weights // each weight is read once, then its slot holds the remainder
 	var assigned int64
 	for i, w := range weights {
 		exact := float64(rem) * w / sum
 		sizes[i] = int64(exact)
-		fr[i] = frac{i: i, f: exact - float64(sizes[i])}
+		frac[i] = exact - float64(sizes[i])
 		assigned += sizes[i]
 	}
 	// Largest remainder: hand out the leftover units.
 	for assigned < rem {
 		best := 0
 		for i := 1; i < k; i++ {
-			if fr[i].f > fr[best].f {
+			if frac[i] > frac[best] {
 				best = i
 			}
 		}
-		sizes[fr[best].i]++
-		fr[best].f = -1
+		sizes[best]++
+		frac[best] = -1
 		assigned++
 	}
 	// A child as large as its parent would recurse forever; shave one unit
@@ -291,27 +330,35 @@ func (p *Program) childSizes(n node, depth int) []int64 {
 			}
 		}
 	}
-	return sizes
 }
 
 // Apply implements sched.Program: descend into child m if it is non-empty.
 func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 	s := w.(*ws)
-	top := &s.stack[len(s.stack)-1]
-	if top.sizes == nil {
-		top.sizes = p.childSizes(*top, depth)
+	k := len(p.roots)
+	level := len(s.stack) - 1
+	top := &s.stack[level]
+	sizes := s.kids[level*k : (level+1)*k]
+	if !top.expanded {
+		if len(s.scratch) < k {
+			s.scratch = make([]float64, k)
+		}
+		p.childSizes(*top, depth, sizes, s.scratch[:k])
+		top.expanded = true
 	}
-	if top.sizes[m] == 0 {
+	if sizes[m] == 0 {
 		return false
 	}
 	// Mirrored trees must assign mirrored children identical subtree seeds,
 	// so the child stream is keyed by the canonical (left-heavy) index.
 	ci := m
 	if p.spec.Reversed {
-		ci = len(p.roots) - 1 - m
+		ci = k - 1 - m
 	}
 	childSeed := top.seed*lcgA + lcgC + uint32(ci)*2654435761
-	s.stack = append(s.stack, node{size: top.sizes[m], seed: childSeed})
+	s.stack = append(s.stack, node{size: sizes[m], seed: childSeed})
+	// The new level's slot is written before it is read (expanded is false).
+	s.kids = slices.Grow(s.kids, k)[:len(s.kids)+k]
 	return true
 }
 
@@ -319,6 +366,7 @@ func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 func (p *Program) Undo(w sched.Workspace, depth, m int) {
 	s := w.(*ws)
 	s.stack = s.stack[:len(s.stack)-1]
+	s.kids = s.kids[:len(s.kids)-len(p.roots)]
 }
 
 // NodeCost implements sched.Coster: constant per-node work.

@@ -1,6 +1,7 @@
 package synthtree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,67 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if len(root.(*ws).stack) != 1 {
 		t.Fatal("undo failed")
+	}
+
+	// The kids slab: each copy owns its child sizes, and a copy starts with
+	// no scratch of its own.
+	p = New(Tree3(30000))
+	path := deepestPath(p)[:4]
+	source := func() *ws {
+		w := p.Root()
+		descend(t, p, w, path)
+		p.Undo(w, 3, path[3]) // four levels, all expanded
+		return w.(*ws)
+	}
+	// resplit replaces level 3 with an interior sibling and expands it.
+	resplit := func(w *ws) {
+		p.Undo(w, 2, path[2])
+		for m := 0; m < p.Moves(w, 2); m++ {
+			if m == path[2] || !p.Apply(w, 2, m) {
+				continue
+			}
+			if _, leaf := p.Terminal(w, 3); !leaf {
+				p.Apply(w, 3, 0)
+				return
+			}
+			p.Undo(w, 2, m)
+		}
+		t.Fatal("no interior sibling at depth 3")
+	}
+	copies := map[string]func(*ws) *ws{
+		"Clone": func(s *ws) *ws { return s.Clone().(*ws) },
+		"CopyFrom": func(s *ws) *ws {
+			c := p.Root().(*ws)
+			c.CopyFrom(s)
+			return c
+		},
+	}
+	for name, copyOf := range copies {
+		for _, moveCopy := range []bool{true, false} {
+			s := source()
+			c := copyOf(s)
+			if &c.kids[0] == &s.kids[0] {
+				t.Fatalf("%s shares its kids slab with the source", name)
+			}
+			if c.scratch != nil {
+				t.Fatalf("%s gave the copy the source's scratch (cap %d)", name, cap(c.scratch))
+			}
+			if !slices.Equal(c.kids, s.kids) || !slices.Equal(c.stack, s.stack) {
+				t.Fatalf("%s differs from its source", name)
+			}
+			moved, kept := s, c
+			if moveCopy {
+				moved, kept = c, s
+			}
+			want := slices.Clone(kept.kids)
+			resplit(moved)
+			if !slices.Equal(kept.kids, want) {
+				t.Fatalf("%s: splitting a node on one side rewrote the other's child sizes\n got %v\nwant %v", name, kept.kids, want)
+			}
+			if slices.Equal(moved.kids, want) {
+				t.Fatalf("%s: the resplit changed nothing; the case tests nothing", name)
+			}
+		}
 	}
 }
 
