@@ -100,14 +100,17 @@ func (x *exec) checkNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
 	if !w.PollNeedTask() {
 		var sum int64
 		n := prog.Moves(ws, depth)
+		from := 0 // first attempt not charged yet (wsrt.Worker.ChargeMoves)
 		for m := 0; m < n; m++ {
-			w.ChargeMove()
 			if !prog.Apply(ws, depth, m) {
 				continue
 			}
+			w.ChargeMoves(m + 1 - from)
+			from = m + 1
 			sum += x.checkNode(w, ws, depth+1)
 			prog.Undo(ws, depth, m)
 		}
+		w.ChargeMoves(n - from)
 		return sum
 	}
 	return x.specialNode(w, ws, depth)
@@ -124,11 +127,13 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 	var sum int64
 	anyStolen := false
 	n := prog.Moves(ws, depth)
+	from := 0
 	for m := 0; m < n; m++ {
-		w.ChargeMove()
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
+		w.ChargeMoves(m + 1 - from)
+		from = m + 1
 		childWS := w.Clone(ws, false) // taskprivate honoured in the special path
 		prog.Undo(ws, depth, m)
 		s.PC, s.Sum = m+1, sum
@@ -154,6 +159,7 @@ func (x *exec) specialNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 
 			panic("adaptivetc: special child detached without the marker observing a theft")
 		}
 	}
+	w.ChargeMoves(n - from) // before JoinSpecial, whose sleeps read the clock
 	if anyStolen {
 		// sync_specialtask: the special task waits for its children — it
 		// cannot be suspended, because it preserves the state of a fake

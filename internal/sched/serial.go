@@ -70,15 +70,29 @@ func (e *seqEval) sum(ws Workspace, depth int) int64 {
 	}
 	var sum int64
 	n := p.Moves(ws, depth)
+	from := 0 // first attempt not charged yet (chargeMoves)
 	for m := 0; m < n; m++ {
-		e.proc.Advance(e.c.Move)
 		if !p.Apply(ws, depth, m) {
 			continue
 		}
+		e.chargeMoves(m + 1 - from)
+		from = m + 1
 		sum += e.sum(ws, depth+1)
 		p.Undo(ws, depth, m)
 	}
+	e.chargeMoves(n - from)
 	return sum
+}
+
+// chargeMoves accounts k candidate moves in one Advance. The loops charge a
+// run of rejected moves together with the accepted one that ends it, and
+// the rest at their end: nothing between two Applys reads the clock or
+// yields, so every clock value a worker observes is the one a charge per
+// move would have given (DESIGN §26).
+func (e *seqEval) chargeMoves(k int) {
+	if k > 0 {
+		e.proc.Advance(int64(k) * e.c.Move)
+	}
 }
 
 // EvalFirstSolution evaluates the subtree rooted at ws depth-first and
@@ -100,17 +114,20 @@ func (e *seqEval) first(ws Workspace, depth int) (value int64, found bool) {
 		return v, v != 0
 	}
 	n := p.Moves(ws, depth)
+	from := 0
 	for m := 0; m < n; m++ {
-		e.proc.Advance(e.c.Move)
 		if !p.Apply(ws, depth, m) {
 			continue
 		}
+		e.chargeMoves(m + 1 - from)
+		from = m + 1
 		v, ok := e.first(ws, depth+1)
 		p.Undo(ws, depth, m)
 		if ok {
 			return v, true
 		}
 	}
+	e.chargeMoves(n - from)
 	return 0, false
 }
 

@@ -122,11 +122,13 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 	ws, depth := f.WS, f.Depth
 	n := prog.Moves(ws, depth)
 	queued := 0 // our help-first children currently in the deque
+	from := pc  // first attempt not charged yet (wsrt.Worker.ChargeMoves)
 	for m := pc; m < n; m++ {
-		w.ChargeMove()
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
+		w.ChargeMoves(m + 1 - from)
+		from = m + 1
 		childWS := w.Clone(ws, false)
 		prog.Undo(ws, depth, m)
 		if x.helpFirst(w) {
@@ -157,6 +159,7 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 		w.Release(childWS) // as in wsrt.Fast.Loop: completed inline, f still ours
 		sum += v
 	}
+	w.ChargeMoves(n - from)
 	// Drain our queued help-first children: LIFO pops return them unless
 	// they were stolen (head side), in which case the pop fails only after
 	// everything of ours is gone.

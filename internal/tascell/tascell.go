@@ -212,22 +212,35 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 		moveCost += c.TascellMove
 		nestedPerMove = c.TascellMove
 	}
-	for mm := mStart; mm < lvl.limit; mm++ {
-		lvl.m = mm
-		tw.proc.Advance(moveCost)
+	// Moves are charged as in wsrt.Worker.ChargeMoves: from is the first
+	// attempt not charged yet. respond may shrink lvl.limit while a child
+	// runs, but never below the attempt after that child's move, which is
+	// from, so the final charge is never negative.
+	from := mStart
+	charge := func(k int) {
+		if k <= 0 {
+			return
+		}
+		tw.proc.Advance(int64(k) * moveCost)
 		if tw.rt.profile {
 			// The workspace-reachability tax is part of the "nested
 			// function management" bar of the paper's Figure 6.
-			tw.stats.DequeTime += nestedPerMove
+			tw.stats.DequeTime += int64(k) * nestedPerMove
 		}
+	}
+	for mm := mStart; mm < lvl.limit; mm++ {
+		lvl.m = mm
 		if !prog.Apply(tw.ws, lvl.depth, mm) {
 			continue
 		}
+		charge(mm + 1 - from)
+		from = mm + 1
 		lvl.inChild = true
 		sum += tw.exec(tw.ws, lvl.depth+1)
 		lvl.inChild = false
 		prog.Undo(tw.ws, lvl.depth, mm)
 	}
+	charge(lvl.limit - from)
 	lvl.m = lvl.limit
 	if lvl.join != nil {
 		sum += tw.waitJoin(lvl.join)

@@ -41,8 +41,8 @@ type Proc interface {
 	// run started. Time from different workers is comparable.
 	Now() int64
 	// Advance accounts d nanoseconds of work. Under Sim it moves the
-	// virtual clock; under Real it only feeds the busy-time counter
-	// (the work itself is real). Negative d is ignored.
+	// virtual clock; under Real it does nothing: the work itself is real.
+	// Negative d is ignored.
 	Advance(d int64)
 	// Yield is a scheduling point. Under Sim control may transfer to the
 	// worker with the smallest clock; under Real it is (almost) free.
@@ -131,20 +131,14 @@ type realProc struct {
 	id    int
 	start time.Time
 	rng   *rand.Rand
-	busy  int64
 }
 
 func (p *realProc) ID() int          { return p.id }
 func (p *realProc) Now() int64       { return time.Since(p.start).Nanoseconds() }
 func (p *realProc) Rand() *rand.Rand { return p.rng }
 
-func (p *realProc) Advance(d int64) {
-	if d > 0 {
-		p.busy += d
-	}
-}
-
-func (p *realProc) Yield() {}
+func (p *realProc) Advance(int64) {}
+func (p *realProc) Yield()        {}
 
 func (p *realProc) Sleep(d int64) {
 	switch {

@@ -80,11 +80,13 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 	prog := w.Prog()
 	ws, depth, rel := f.WS, f.Depth, f.Rel
 	n := prog.Moves(ws, depth)
+	from := pc // first attempt not charged yet (Worker.ChargeMoves)
 	for m := pc; m < n; m++ {
-		w.ChargeMove()
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
+		w.ChargeMoves(m + 1 - from)
+		from = m + 1
 		childWS := w.Clone(ws, k.Pooled) // taskprivate
 		prog.Undo(ws, depth, m)
 		f.PC, f.Sum = m+1, sum
@@ -116,6 +118,7 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 		w.Release(childWS)
 		sum += v
 	}
+	w.ChargeMoves(n - from)
 	return w.Sync(f, sum)
 }
 
@@ -139,15 +142,18 @@ func (w *Worker) sequenceCopying(ws sched.Workspace, depth int) int64 {
 	}
 	var sum int64
 	n := prog.Moves(ws, depth)
+	from := 0
 	for m := 0; m < n; m++ {
-		w.ChargeMove()
 		if !prog.Apply(ws, depth, m) {
 			continue
 		}
+		w.ChargeMoves(m + 1 - from)
+		from = m + 1
 		childWS := w.Clone(ws, false)
 		prog.Undo(ws, depth, m)
 		sum += w.sequenceCopying(childWS, depth+1)
 		w.Release(childWS) // plain recursion: nothing below ever left this stack
 	}
+	w.ChargeMoves(n - from)
 	return sum
 }

@@ -317,8 +317,17 @@ func (w *Worker) JoinSpecial(s *Frame, localSum int64) int64 {
 	}
 }
 
-// ChargeMove accounts one candidate move.
-func (w *Worker) ChargeMove() { w.Proc.Advance(w.rt.Costs.Move) }
+// ChargeMoves accounts k candidate moves in one Advance; k <= 0 costs
+// nothing. A move loop keeps from, the first attempt it has not charged yet,
+// and calls ChargeMoves(m+1-from) right after Apply(m) succeeds and
+// ChargeMoves(n-from) once at its end, so a rejected move costs one Apply
+// and nothing else. Sim sees the same clock: nothing between two Applys
+// reads the clock or yields (DESIGN §26).
+func (w *Worker) ChargeMoves(k int) {
+	if k > 0 {
+		w.Proc.Advance(int64(k) * w.rt.Costs.Move)
+	}
+}
 
 // ChargeTask accounts the creation of one real task (frame allocation and
 // initialisation — the paper's "task creation" overhead). Engines call it

@@ -12,13 +12,21 @@ import (
 	"adaptivetc/internal/sched"
 )
 
-// Program counts the solutions of one Strimko instance.
+// Program counts the solutions of one Strimko instance. It is read-only once
+// built, so concurrent jobs may share it.
 type Program struct {
 	n       int
 	label   string
 	stream  []int   // stream[cell] = stream index
 	givens  []uint8 // 0 = empty
-	empties []int
+	empties []empty // the cells filled by the search, in row-major order
+}
+
+// empty is one cell the search fills, with its row, column and stream worked
+// out once in New, so Apply — run for every candidate digit — divides by
+// nothing.
+type empty struct {
+	cell, row, col, stream int32
 }
 
 // New builds an instance. stream assigns each of the n*n cells to one of n
@@ -43,7 +51,7 @@ func New(n int, stream []int, board []uint8, label string) *Program {
 	p := &Program{n: n, label: label, stream: append([]int(nil), stream...), givens: append([]uint8(nil), board...)}
 	for i, v := range board {
 		if v == 0 {
-			p.empties = append(p.empties, i)
+			p.empties = append(p.empties, empty{cell: int32(i), row: int32(i / n), col: int32(i % n), stream: int32(stream[i])})
 		}
 	}
 	return p
@@ -165,29 +173,25 @@ func (p *Program) Moves(w sched.Workspace, depth int) int { return p.n }
 // Apply implements sched.Program.
 func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 	s := w.(*ws)
-	cell := p.empties[depth]
-	r, c := cell/p.n, cell%p.n
-	st := p.stream[cell]
+	e := &p.empties[depth]
 	bit := uint32(1) << m
-	if s.row[r]&bit != 0 || s.col[c]&bit != 0 || s.stream[st]&bit != 0 {
+	if (s.row[e.row]|s.col[e.col]|s.stream[e.stream])&bit != 0 {
 		return false
 	}
-	s.board[cell] = uint8(m + 1)
-	s.row[r] |= bit
-	s.col[c] |= bit
-	s.stream[st] |= bit
+	s.board[e.cell] = uint8(m + 1)
+	s.row[e.row] |= bit
+	s.col[e.col] |= bit
+	s.stream[e.stream] |= bit
 	return true
 }
 
 // Undo implements sched.Program.
 func (p *Program) Undo(w sched.Workspace, depth, m int) {
 	s := w.(*ws)
-	cell := p.empties[depth]
-	r, c := cell/p.n, cell%p.n
-	st := p.stream[cell]
+	e := &p.empties[depth]
 	bit := uint32(1) << m
-	s.board[cell] = 0
-	s.row[r] &^= bit
-	s.col[c] &^= bit
-	s.stream[st] &^= bit
+	s.board[e.cell] = 0
+	s.row[e.row] &^= bit
+	s.col[e.col] &^= bit
+	s.stream[e.stream] &^= bit
 }

@@ -25,12 +25,20 @@ import (
 	"adaptivetc/internal/sched"
 )
 
-// Program counts the solutions of one Sudoku instance.
+// Program counts the solutions of one Sudoku instance. It is read-only once
+// built, so concurrent jobs may share it.
 type Program struct {
 	k, n    int
 	label   string
 	givens  []uint8 // n*n board, 0 = empty
-	empties []int   // cell indices filled by the search, in row-major order
+	empties []empty // the cells filled by the search, in row-major order
+}
+
+// empty is one cell the search fills, with its row, column and box worked
+// out once in New: Apply runs for every candidate digit, and three divisions
+// by the non-constant side were most of its cost.
+type empty struct {
+	cell, row, col, box int32
 }
 
 // New builds an instance from a board of side n=k² with 0 for empty cells.
@@ -42,7 +50,8 @@ func New(k int, board []uint8, label string) *Program {
 	p := &Program{k: k, n: n, label: label, givens: append([]uint8(nil), board...)}
 	for i, v := range board {
 		if v == 0 {
-			p.empties = append(p.empties, i)
+			r, c := i/n, i%n
+			p.empties = append(p.empties, empty{cell: int32(i), row: int32(r), col: int32(c), box: int32((r/k)*k + c/k)})
 		}
 		if int(v) > n {
 			panic(fmt.Sprintf("sudoku: cell %d holds %d, board side is %d", i, v, n))
@@ -236,29 +245,25 @@ func (p *Program) Moves(w sched.Workspace, depth int) int { return p.n }
 // cell if rows, columns and boxes allow.
 func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 	s := w.(*ws)
-	cell := p.empties[depth]
-	r, c := cell/p.n, cell%p.n
-	b := (r/p.k)*p.k + c/p.k
+	e := &p.empties[depth]
 	bit := uint32(1) << m
-	if s.row[r]&bit != 0 || s.col[c]&bit != 0 || s.box[b]&bit != 0 {
+	if (s.row[e.row]|s.col[e.col]|s.box[e.box])&bit != 0 {
 		return false
 	}
-	s.board[cell] = uint8(m + 1)
-	s.row[r] |= bit
-	s.col[c] |= bit
-	s.box[b] |= bit
+	s.board[e.cell] = uint8(m + 1)
+	s.row[e.row] |= bit
+	s.col[e.col] |= bit
+	s.box[e.box] |= bit
 	return true
 }
 
 // Undo implements sched.Program.
 func (p *Program) Undo(w sched.Workspace, depth, m int) {
 	s := w.(*ws)
-	cell := p.empties[depth]
-	r, c := cell/p.n, cell%p.n
-	b := (r/p.k)*p.k + c/p.k
+	e := &p.empties[depth]
 	bit := uint32(1) << m
-	s.board[cell] = 0
-	s.row[r] &^= bit
-	s.col[c] &^= bit
-	s.box[b] &^= bit
+	s.board[e.cell] = 0
+	s.row[e.row] &^= bit
+	s.col[e.col] &^= bit
+	s.box[e.box] &^= bit
 }
