@@ -18,6 +18,8 @@
 package deque
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -30,8 +32,8 @@ type Entry interface {
 }
 
 // WorkDeque is the owner/thief operation set the scheduling engines need.
-// The fixed-size Deque implements it directly; Growable removes the
-// overflow limit.
+// Deque implements it directly (Growable is a Deque without a capacity
+// limit); Relaxed lightens the owner's side.
 type WorkDeque interface {
 	// Push appends at the tail (owner only); false reports overflow.
 	Push(Entry) bool
@@ -114,14 +116,30 @@ type StealAware interface {
 	OnStolen()
 }
 
-// Deque is a fixed-capacity THE-protocol work-stealing deque. The zero
-// value is not usable; call New.
+// Deque is a THE-protocol work-stealing deque with a capacity limit. Its
+// ring starts small and doubles under the owner lock until it covers the
+// limit, so a run pays for the slots it actually pushes into. The zero
+// value is not usable; call New (or NewGrowable for a deque without a
+// limit).
 type Deque struct {
-	mu  sync.Mutex // the paper's worker.L
-	h   atomic.Int64
-	t   atomic.Int64
-	buf []atomic.Pointer[entryBox]
-	cap int64
+	mu sync.Mutex // the paper's worker.L
+	h  atomic.Int64
+	t  atomic.Int64
+
+	// buf is the ring, a power of two long, and mask its length minus one.
+	// Slots are plain memory: the owner writes a slot before the atomic T
+	// store that publishes it, and a thief reads a slot only after its claim
+	// has seen that store, so the T publication orders every slot access
+	// that could conflict (DESIGN §27.1). buf, mask and room change only in
+	// growLocked, under mu, which thieves hold whenever they read them.
+	buf  []Entry
+	mask int64
+	// room is how many entries Push accepts before it must grow the ring or
+	// report overflow: min(len(buf), limit) less the two slots of slack.
+	room int64
+	// limit is the configured capacity: Push reports overflow once limit-2
+	// entries are live. noLimit makes the deque growable.
+	limit int64
 
 	stolenNum    atomic.Int64
 	needTask     atomic.Bool
@@ -129,15 +147,6 @@ type Deque struct {
 
 	// maxDepth is the owner-observed high-water mark of T-H.
 	maxDepth int64
-
-	// free recycles entry boxes: Push takes one, a successful Pop returns
-	// the popped slot's box. A popped slot is exclusively the owner's (a
-	// thief that claimed it would have made the pop fail through the lock),
-	// so reuse is as safe as the read of box.e always was, and the owner's
-	// Push/Pop fast path allocates nothing in steady state. Boxes consumed
-	// by thieves leave through the steal and are never recycled, so the
-	// list's length is bounded by the deque's own high-water mark.
-	free []*entryBox
 
 	// trace, when non-nil, observes thief-side FSM transitions under the
 	// owner lock. The owner's Push/Pop fast path never consults it.
@@ -150,29 +159,47 @@ type Deque struct {
 	failSteal func() bool
 }
 
-type entryBox struct{ e Entry }
+// initialRing is the ring a deque starts with when its capacity is larger;
+// a smaller capacity starts with the power of two that covers it. A spawn
+// loop's deque rarely holds more than its recursion depth, so most runs
+// never grow past it.
+const initialRing = 64
+
+// noLimit is the limit of a deque that grows without bound.
+const noLimit = math.MaxInt64
 
 // New returns a deque with the given capacity and max_stolen_num threshold.
 func New(capacity, maxStolenNum int) *Deque {
 	if capacity <= 0 {
 		capacity = 8192
 	}
+	return newDeque(capacity, int64(capacity), maxStolenNum)
+}
+
+// newDeque returns a deque with the given limit whose ring is the power of
+// two covering size, but at most initialRing.
+func newDeque(size int, limit int64, maxStolenNum int) *Deque {
 	if maxStolenNum <= 0 {
 		maxStolenNum = 20
 	}
+	ring := min(int64(1)<<bits.Len(uint(size-1)), initialRing)
 	return &Deque{
-		buf:          makeBuf(capacity),
-		cap:          int64(capacity),
+		buf:          make([]Entry, ring),
+		mask:         ring - 1,
+		room:         min(ring, limit) - 2,
+		limit:        limit,
 		maxStolenNum: int64(maxStolenNum),
 	}
 }
 
-func makeBuf(n int) []atomic.Pointer[entryBox] {
-	return make([]atomic.Pointer[entryBox], n)
+// Cap returns the configured capacity, or the current ring size of a deque
+// without a limit. Only the owner may call it.
+func (d *Deque) Cap() int {
+	if d.limit == noLimit {
+		return len(d.buf)
+	}
+	return int(d.limit)
 }
-
-// Cap returns the deque capacity.
-func (d *Deque) Cap() int { return int(d.cap) }
 
 // Size returns the current number of entries as seen by the owner. It is a
 // snapshot; concurrent steals may shrink it immediately.
@@ -213,8 +240,10 @@ func (d *Deque) SetTrace(fn TraceFn) { d.trace = fn }
 func (d *Deque) SetFailSteal(fn func() bool) { d.failSteal = fn }
 
 // Push appends e at the tail. Only the owner may call it. It reports false
-// on overflow (the deque is a fixed-size array, as in Cilk; the paper calls
-// out overflow-proneness explicitly, so we surface it rather than grow).
+// once the deque holds limit-2 entries (the capacity is fixed, as in Cilk;
+// the paper calls out overflow-proneness explicitly, so we surface it rather
+// than grow past it). Below the limit a full ring doubles under the owner
+// lock.
 //
 // Two slots of slack are reserved: a thief publishes its claim (H move)
 // before reading the claimed slot, and steal_specialtask claims two slots
@@ -223,23 +252,19 @@ func (d *Deque) SetFailSteal(fn func() bool) { d.failSteal = fn }
 func (d *Deque) Push(e Entry) bool {
 	t := d.t.Load()
 	h := d.h.Load()
-	if t-h >= d.cap-2 {
-		return false
+	if t-h >= d.room {
+		if int64(len(d.buf)) >= d.limit {
+			return false
+		}
+		d.mu.Lock()
+		d.growLocked()
+		d.mu.Unlock()
 	}
 	if testMidPush != nil {
 		testMidPush(d)
 	}
-	var box *entryBox
-	if n := len(d.free); n > 0 {
-		box = d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		box.e = e
-	} else {
-		box = &entryBox{e: e}
-	}
-	d.buf[t%d.cap].Store(box)
-	d.t.Store(t + 1) // release: publishes the buffer write to thieves
+	d.buf[t&d.mask] = e
+	d.t.Store(t + 1) // release: publishes the slot write to thieves
 	// maxDepth: the h loaded at entry is stale by the time the entry is
 	// published — thieves may have advanced H in between, so t+1-h would
 	// over-count the high-water mark. The stale depth is an upper bound on
@@ -283,11 +308,16 @@ func (d *Deque) Pop() (Entry, bool) {
 		}
 		d.mu.Unlock()
 	}
-	box := d.buf[t%d.cap].Load()
-	e := box.e
-	box.e = nil
-	d.free = append(d.free, box)
-	return e, true
+	return d.take(t), true
+}
+
+// take empties slot i and returns its entry: the owner's read of a slot its
+// Pop won. Clearing it lets the collector have the entry once it is done.
+func (d *Deque) take(i int64) Entry {
+	slot := &d.buf[i&d.mask]
+	e := *slot
+	*slot = nil
+	return e
 }
 
 // PopSpecial removes the special task the owner pushed at the tail and
@@ -390,9 +420,9 @@ func (d *Deque) claimLocked(dst []Entry) (int, TraceOp) {
 			d.h.Store(h) // retreat: nothing (more) to take
 			break
 		}
-		box := d.buf[h%d.cap].Load()
-		if !box.e.Special() {
-			dst[n] = box.e
+		e := d.buf[h&d.mask]
+		if !e.Special() {
+			dst[n] = e
 			n++
 			h++
 			continue
@@ -411,7 +441,7 @@ func (d *Deque) claimLocked(dst []Entry) (int, TraceOp) {
 			d.h.Store(h) // the marker has no child in the deque
 			break
 		}
-		dst[0] = d.buf[(h+1)%d.cap].Load().e
+		dst[0] = d.buf[(h+1)&d.mask]
 		return 1, TraceStealSpecial
 	}
 	return n, TraceStealOK
@@ -427,9 +457,7 @@ func (d *Deque) Reset() {
 	d.mu.Lock()
 	h, t := d.h.Load(), d.t.Load()
 	for i := h; i < t; i++ {
-		if box := d.buf[i%d.cap].Load(); box != nil {
-			box.e = nil // drop the abandoned entry for the GC
-		}
+		d.buf[i&d.mask] = nil // drop the abandoned entry for the GC
 	}
 	d.h.Store(0)
 	d.t.Store(0)
@@ -439,20 +467,18 @@ func (d *Deque) Reset() {
 	d.mu.Unlock()
 }
 
-// growLocked doubles the buffer, re-homing the live window [H, T) so every
-// logical index keeps addressing its entry. The growing variants call it
-// from the owner's Push with the owner lock held, which excludes thieves;
-// the owner cannot race itself.
+// growLocked doubles the ring, re-homing the live window [H, T) so every
+// logical index keeps addressing its entry. The owner calls it from Push
+// with the owner lock held, which excludes thieves; the owner cannot race
+// itself.
 func (d *Deque) growLocked() {
-	oldCap := d.cap
-	newCap := oldCap * 2
-	newBuf := makeBuf(int(newCap))
+	ring := 2 * int64(len(d.buf))
+	buf := make([]Entry, ring)
 	h, t := d.h.Load(), d.t.Load()
 	for i := h; i < t; i++ {
-		newBuf[i%newCap].Store(d.buf[i%oldCap].Load())
+		buf[i&(ring-1)] = d.buf[i&d.mask]
 	}
-	d.buf = newBuf
-	d.cap = newCap
+	d.buf, d.mask, d.room = buf, ring-1, min(ring, d.limit)-2
 }
 
 func (d *Deque) failLocked() {

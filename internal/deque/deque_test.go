@@ -86,6 +86,61 @@ func TestOverflow(t *testing.T) {
 	}
 }
 
+// TestOverflowThroughGrowth: a deque whose capacity exceeds its first ring
+// reaches the capacity by doubling, and still reports overflow at exactly
+// capacity-2 live entries — from an empty deque and from one whose window
+// starts off the origin, so the re-homed entries wrap the ring.
+func TestOverflowThroughGrowth(t *testing.T) {
+	for _, capacity := range []int{6, 100, 8192} {
+		for _, offset := range []int{0, 5} {
+			d := New(capacity, 20)
+			for i := 0; i < offset; i++ {
+				d.Push(item(-1))
+				if _, ok := d.Steal(); !ok {
+					t.Fatalf("cap %d: steal %d failed", capacity, i)
+				}
+			}
+			pushed := 0
+			for d.Push(item(pushed)) {
+				pushed++
+			}
+			if pushed != capacity-2 {
+				t.Errorf("cap %d offset %d: overflow after %d pushes, want %d", capacity, offset, pushed, capacity-2)
+			}
+			if ring := len(d.buf); d.Cap() != capacity || ring < capacity || ring >= 2*capacity {
+				t.Errorf("cap %d offset %d: Cap() %d, ring %d: the ring must just cover the capacity", capacity, offset, d.Cap(), ring)
+			}
+			for want := pushed - 1; want >= 0; want-- {
+				if e, ok := d.Pop(); !ok || e.(*entry).id != want {
+					t.Fatalf("cap %d offset %d: pop = %v/%v, want %d", capacity, offset, e, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRingStartsSmall: a deque allocates at most 64 slots up front, not its
+// capacity, and a Growable ignores an initial size above that; a ring is
+// always a power of two, so a small capacity is rounded up.
+func TestRingStartsSmall(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		d    *Deque
+		ring int
+	}{
+		{"fixed 8192", New(8192, 20), 64},
+		{"fixed 6", New(6, 20), 8},
+		{"fixed 100", New(100, 20), 64},
+		{"growable 8192", NewGrowable(8192, 20), 64},
+		{"growable 2", NewGrowable(2, 20), 8},
+		{"relaxed 8192", NewRelaxed(8192, 20).Deque, 64},
+	} {
+		if len(c.d.buf) != c.ring || c.d.mask != int64(c.ring-1) {
+			t.Errorf("%s: ring %d (mask %d), want %d", c.name, len(c.d.buf), c.d.mask, c.ring)
+		}
+	}
+}
+
 func TestNeedTaskSignalling(t *testing.T) {
 	d := New(8, 3) // max_stolen_num = 3
 	for i := 0; i < 3; i++ {
@@ -483,7 +538,7 @@ func TestSetFailStealForcesFailure(t *testing.T) {
 	}
 }
 
-// The Growable wrapper must delegate the gate to its inner deque.
+// A Growable steals through the same gate as a fixed deque.
 func TestGrowableSetFailSteal(t *testing.T) {
 	g := NewGrowable(8, 20)
 	g.Push(item(1))

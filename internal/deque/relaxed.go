@@ -9,7 +9,8 @@ package deque
 //
 //   - The owner caches T in a plain field (it is T's only writer), so Push
 //     and Pop never load it; the atomic T store remains, because it is the
-//     MEMBAR of the protocol — the one publication thieves order against.
+//     MEMBAR of the protocol — the one publication thieves order against,
+//     and the one that publishes the plain slot write before it.
 //   - The owner tracks a monotone lower bound of H (hCache), refreshed only
 //     from at-rest reads (under the owner lock, or its own PopSpecial
 //     re-normalisation), never from a racing thief's transient claim. The
@@ -20,61 +21,49 @@ package deque
 //     because a steal's deposit registration (StealAware.OnStolen) must be
 //     ordered before the victim acts on the failed pop.
 //
-// The owner fast path is therefore two atomic stores per Push and one store
-// plus one load per Pop, against the THE deque's four and three. Nothing
+// The owner fast path is therefore one atomic store per Push and one store
+// plus one load per Pop, against the THE deque's three and three. Nothing
 // here admits multiplicity: ownership of every entry is still linearised by
 // the claim protocol, so the variant targets k = 1 under the
 // multiplicity-tolerant checker (trace.Laws.K) that guards it —
 // the checker's k ≥ 2 allowance is headroom for genuinely fence-free
 // descendants, not a licence this implementation uses.
 //
-// The buffer doubles on overflow like Growable (growth happens on the
-// owner's Push under the owner lock); Push never reports overflow.
+// Like Growable it has no capacity limit: a full ring doubles on the owner's
+// Push under the owner lock, and Push never reports overflow.
 type Relaxed struct {
 	*Deque
 	bottom int64 // owner's cached T; equals Deque.t between owner operations
 	hCache int64 // owner's monotone lower bound of H (at-rest reads only)
 }
 
-// NewRelaxed returns a lock-reduced growable deque with the given initial
-// capacity and max_stolen_num threshold.
+// NewRelaxed returns a lock-reduced growable deque with the given
+// max_stolen_num threshold; its ring starts as NewGrowable's does.
 func NewRelaxed(initial, maxStolenNum int) *Relaxed {
-	if initial < 8 {
-		initial = 8
-	}
-	return &Relaxed{Deque: New(initial, maxStolenNum)}
+	return &Relaxed{Deque: NewGrowable(initial, maxStolenNum)}
 }
 
 // Push appends e at the tail. Only the owner may call it. The fast path is
-// two atomic stores (slot, T) and no atomic loads: capacity and the depth
-// high-water mark are checked against the cached H bound, and the bound is
-// only refreshed under the owner lock, where no thief holds a transient
-// over-claim (a stale claim frozen into the cache would erode the two slots
-// of Push slack the claim windows rely on). It never reports overflow: a
-// full buffer doubles, as in Growable.
+// a plain slot write, one atomic store (T) and no atomic loads: room and
+// the depth high-water mark are checked against the cached H bound, and the
+// bound is only refreshed under the owner lock, where no thief holds a
+// transient over-claim (a stale claim frozen into the cache would erode the
+// two slots of Push slack the claim windows rely on). It never reports
+// overflow: a full ring doubles, as in Growable.
 func (r *Relaxed) Push(e Entry) bool {
 	d := r.Deque
 	b := r.bottom
-	if b-r.hCache >= d.cap-2 {
+	if b-r.hCache >= d.room {
 		d.mu.Lock()
 		r.hCache = d.h.Load() // at rest: no thief claim is in flight
-		if b-r.hCache >= d.cap-2 {
+		if b-r.hCache >= d.room {
 			d.growLocked()
 		}
 		d.mu.Unlock()
 	}
-	var box *entryBox
-	if n := len(d.free); n > 0 {
-		box = d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		box.e = e
-	} else {
-		box = &entryBox{e: e}
-	}
-	d.buf[b%d.cap].Store(box)
+	d.buf[b&d.mask] = e
 	r.bottom = b + 1
-	d.t.Store(b + 1) // release: publishes the buffer write to thieves
+	d.t.Store(b + 1) // release: publishes the slot write to thieves
 	// Depth high-water: the cached bound over-counts (H only grows), so it
 	// is a cheap pre-filter; the fresh reload can at worst read a thief's
 	// transient claim and under-count by the claim width, same as Deque.
@@ -113,11 +102,7 @@ func (r *Relaxed) Pop() (Entry, bool) {
 		r.hCache = h
 		d.mu.Unlock()
 	}
-	box := d.buf[b%d.cap].Load()
-	e := box.e
-	box.e = nil
-	d.free = append(d.free, box)
-	return e, true
+	return d.take(b), true
 }
 
 // PopSpecial removes the owner's special marker, reporting child theft (see
@@ -140,7 +125,7 @@ func (r *Relaxed) PopSpecial() (stolen bool) {
 }
 
 // Reset empties the deque and clears the starvation signal and high-water
-// mark (see Deque.Reset). The grown buffer is kept.
+// mark (see Deque.Reset). The grown ring is kept.
 func (r *Relaxed) Reset() {
 	r.Deque.Reset()
 	r.bottom = 0

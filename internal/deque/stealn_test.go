@@ -2,6 +2,7 @@ package deque
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -352,8 +353,101 @@ func TestStealNConcurrentWithOwner(t *testing.T) {
 	}
 }
 
+// TestStealNWhileRingGrows races batch and single thieves against an owner
+// whose deques start at their first ring and must double it again and again
+// (the owner pushes three entries for every pop): every entry is consumed
+// exactly once, and under -race a slot read that the T publication or the
+// lock does not order shows up as a report.
+func TestStealNWhileRingGrows(t *testing.T) {
+	for _, mk := range []struct {
+		name string
+		new  func() WorkDeque
+	}{
+		{"fixed", func() WorkDeque { return New(1<<14, 20) }},
+		{"growable", func() WorkDeque { return NewGrowable(8, 20) }},
+		{"relaxed", func() WorkDeque { return NewRelaxed(8, 20) }},
+	} {
+		const rounds, perRound = 8, 3000
+		seen := make([]atomic.Int32, rounds*perRound)
+		var stolen atomic.Int64
+		popped := 0
+		grown := int64(0) // the largest ring a round ended with, in first rings
+		for r := 0; r < rounds; r++ {
+			d := mk.new()
+			first := ringOf(d)
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for th := 0; th < 3; th++ {
+				wg.Add(1)
+				go func(batch int) {
+					defer wg.Done()
+					dst := make([]Entry, batch)
+					for {
+						n := d.StealN(dst)
+						for i := 0; i < n; i++ {
+							seen[dst[i].(*entry).id].Add(1)
+						}
+						stolen.Add(int64(n))
+						if n == 0 {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+						}
+					}
+				}(1 + 3*th)
+			}
+			for i := 0; i < perRound; i++ {
+				if !d.Push(item(r*perRound + i)) {
+					t.Fatalf("%s: push %d overflowed", mk.name, i)
+				}
+				if i%3 == 0 {
+					if e, ok := d.Pop(); ok {
+						seen[e.(*entry).id].Add(1)
+						popped++
+					}
+				}
+			}
+			for {
+				e, ok := d.Pop()
+				if !ok {
+					break
+				}
+				seen[e.(*entry).id].Add(1)
+				popped++
+			}
+			close(stop)
+			wg.Wait()
+			grown = max(grown, ringOf(d)/first)
+		}
+		if grown < 4 {
+			t.Errorf("%s: no round grew its ring past twice its first size; the stress did not exercise growth", mk.name)
+		}
+		if got := stolen.Load() + int64(popped); got != rounds*perRound {
+			t.Fatalf("%s: consumed %d entries (%d stolen + %d popped), want %d", mk.name, got, stolen.Load(), popped, rounds*perRound)
+		}
+		for id := range seen {
+			if n := seen[id].Load(); n != 1 {
+				t.Fatalf("%s: entry %d consumed %d times", mk.name, id, n)
+			}
+		}
+	}
+}
+
 // mu guards the cross-goroutine counters of the concurrent tests above;
 // seen[] itself is safe because each id is consumed exactly once (what the
 // test asserts) — a double-consumption bug shows up as a count, and under
 // -race as the write race it truly is.
 var mu sync.Mutex
+
+// ringOf reads a deque's current ring size; the deque must be quiescent.
+func ringOf(d WorkDeque) int64 {
+	switch d := d.(type) {
+	case *Deque:
+		return int64(len(d.buf))
+	case *Relaxed:
+		return int64(len(d.buf))
+	}
+	return 0
+}

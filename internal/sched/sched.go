@@ -151,8 +151,11 @@ type Options struct {
 	// Fast2Multiplier scales the fast_2 cutoff relative to the fast cutoff.
 	// Zero means the paper's 2.
 	Fast2Multiplier int
-	// DequeCapacity bounds each worker's deque (or sets the initial size
-	// of a growable one). Zero means 8192 entries.
+	// DequeCapacity bounds each worker's deque: Push overflows once
+	// DequeCapacity-2 entries are live. It is a limit, not an allocation —
+	// the ring starts at 64 slots (fewer if the capacity is smaller) and
+	// doubles on demand up to it. A growable or relaxed deque has no limit,
+	// and DequeCapacity only caps its first ring. Zero means 8192 entries.
 	DequeCapacity int
 	// GrowableDeque replaces the fixed-size THE deque with one that
 	// doubles on overflow (the Chase–Lev / Michael-et-al. remedy the

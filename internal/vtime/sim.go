@@ -5,7 +5,6 @@ package vtime
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 	"runtime"
 )
 
@@ -47,9 +46,9 @@ type simProc struct {
 	id      int
 	clock   int64
 	horizon int64
-	rng     *rand.Rand
 	limit   int64
 	core    *simCore
+	lazyRand
 
 	// resume and stop are the driver's side of this worker's coroutine,
 	// yield the worker's own: it returns true once the driver has resumed
@@ -59,9 +58,8 @@ type simProc struct {
 	yield  func(struct{}) bool
 }
 
-func (p *simProc) ID() int          { return p.id }
-func (p *simProc) Now() int64       { return p.clock }
-func (p *simProc) Rand() *rand.Rand { return p.rng }
+func (p *simProc) ID() int    { return p.id }
+func (p *simProc) Now() int64 { return p.clock }
 
 func (p *simProc) Advance(d int64) {
 	if d > 0 {
@@ -205,10 +203,10 @@ func (s *Sim) Run(n int, body func(Proc)) int64 {
 	core := &simCore{quantum: quantum, heap: make([]*simProc, 0, n)}
 	for i := 0; i < n; i++ {
 		p := &simProc{
-			id:    i,
-			rng:   rand.New(rand.NewSource(seed + int64(i)*7919)),
-			limit: s.Limit,
-			core:  core,
+			id:       i,
+			limit:    s.Limit,
+			core:     core,
+			lazyRand: newLazyRand(seed, i),
 		}
 		p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield

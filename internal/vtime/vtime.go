@@ -87,7 +87,7 @@ func (r *Real) Run(n int, body func(Proc)) int64 {
 	var panicked atomic.Pointer[panicBox]
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		p := &realProc{id: i, start: start, rng: rand.New(rand.NewSource(seed + int64(i)*7919))}
+		p := &realProc{id: i, start: start, lazyRand: newLazyRand(seed, i)}
 		go func() {
 			defer wg.Done()
 			defer func() {
@@ -122,20 +122,39 @@ func NewRealProcs(n int, seed int64) []Proc {
 	start := time.Now()
 	procs := make([]Proc, n)
 	for i := 0; i < n; i++ {
-		procs[i] = &realProc{id: i, start: start, rng: rand.New(rand.NewSource(seed + int64(i)*7919))}
+		procs[i] = &realProc{id: i, start: start, lazyRand: newLazyRand(seed, i)}
 	}
 	return procs
+}
+
+// lazyRand is a worker's deterministic random source, built on the first
+// Rand call: only Tascell's victim choice draws from it, and a math/rand
+// source costs ~5 KiB to seed.
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// newLazyRand derives worker id's seed from the run's seed.
+func newLazyRand(seed int64, id int) lazyRand {
+	return lazyRand{seed: seed + int64(id)*7919}
+}
+
+func (l *lazyRand) Rand() *rand.Rand {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng
 }
 
 type realProc struct {
 	id    int
 	start time.Time
-	rng   *rand.Rand
+	lazyRand
 }
 
-func (p *realProc) ID() int          { return p.id }
-func (p *realProc) Now() int64       { return time.Since(p.start).Nanoseconds() }
-func (p *realProc) Rand() *rand.Rand { return p.rng }
+func (p *realProc) ID() int    { return p.id }
+func (p *realProc) Now() int64 { return time.Since(p.start).Nanoseconds() }
 
 func (p *realProc) Advance(int64) {}
 func (p *realProc) Yield()        {}

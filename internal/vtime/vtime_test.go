@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSimDeterministicOrder(t *testing.T) {
@@ -236,9 +237,11 @@ func TestSimNoGoroutineLeak(t *testing.T) {
 					finished, panicked, returned, deferRuns, tc.finished, tc.panicked, tc.returned, tc.deferRuns)
 			}
 			// The caller closes done from a deferred call, so it may still be
-			// exiting; everything else must already be gone.
+			// exiting; everything else must already be gone. Sleeping rather
+			// than yielding lets the exiting goroutine's P run it: under
+			// -race it was seen still runnable after a thousand Gosched.
 			for i := 0; runtime.NumGoroutine() > base && i < 1000; i++ {
-				runtime.Gosched()
+				time.Sleep(time.Millisecond)
 			}
 			if got := runtime.NumGoroutine(); got > base {
 				t.Errorf("%d goroutines after Run, %d before", got, base)

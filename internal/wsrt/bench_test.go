@@ -1,6 +1,63 @@
 package wsrt
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"adaptivetc/internal/sched"
+)
+
+// TestRunDequeAllocBudget pins what a batch run's deques cost: a ring grown
+// on demand, so a small program on eight Sim workers allocates a few first
+// rings, not eight deques of the default 8192 slots (512 KiB when every ring
+// was allocated at its capacity). The bytes are those allocated with a
+// function of package deque on the stack, read from a memory profile that
+// samples every allocation.
+func TestRunDequeAllocBudget(t *testing.T) {
+	const budget = 32 << 10
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := dequeAllocBytes()
+	res, err := Run(splitProg{weight: 600}, sched.Options{Workers: 8, Seed: 3}, &Fast{Kind: KindFast}, "cilk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Steals == 0 {
+		t.Fatal("no steal: the run did not use its thieves' deques")
+	}
+	got := dequeAllocBytes() - before
+	t.Logf("%d bytes allocated in package deque", got)
+	if got > budget {
+		t.Errorf("the run allocated %d bytes in package deque, budget %d", got, budget)
+	}
+}
+
+// dequeAllocBytes returns the bytes allocated so far with a function of
+// package deque on the stack, as far as the memory profile has sampled them.
+func dequeAllocBytes() int64 {
+	// A profile record is published two GC cycles after its allocation.
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	var sum int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "adaptivetc/internal/deque.") {
+				sum += r.AllocBytes
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return sum
+}
 
 // TestFrameReuseZeroAllocs pins the frame free-list guarantee: once a frame
 // has been recycled, the NewFrame/FreeFrame cycle of an inline-completing

@@ -119,6 +119,13 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 		sum += v
 	}
 	w.ChargeMoves(n - from)
+	if pc == 0 {
+		// Cilk-5's fast clone. Node entered f at its first move and every
+		// Pop since found it, so no thief ever took f: no deposit was
+		// registered on it and none can arrive, and sum is its total. Only a
+		// resumed frame (pc > 0) was stolen and may still owe deposits.
+		return sum, true
+	}
 	return w.Sync(f, sum)
 }
 

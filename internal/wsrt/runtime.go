@@ -180,7 +180,7 @@ type Worker struct {
 	Stats sched.Stats
 
 	rt     *Runtime
-	pool   []sched.Reusable
+	pool   []pooledWS
 	frames []*Frame
 
 	// prog overrides the program Prog() hands to engine code; nil means the
@@ -221,6 +221,14 @@ type Worker struct {
 	// parks and, on a pool worker, across jobs. See idle.go.
 	idleFails int
 	parkTimer *time.Timer
+}
+
+// pooledWS is a released workspace held twice over: as the Reusable that
+// Clone copies into and as the Workspace it hands out, so that handing it
+// out costs no interface conversion.
+type pooledWS struct {
+	ws sched.Workspace
+	r  sched.Reusable
 }
 
 // Prog returns the program under execution — the worker's wrapped view for
@@ -471,10 +479,10 @@ func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 	}
 	var clone sched.Workspace
 	if n := len(w.pool); n > 0 {
-		r := w.pool[n-1]
+		p := w.pool[n-1]
 		w.pool = w.pool[:n-1]
-		r.CopyFrom(ws)
-		clone = r
+		p.r.CopyFrom(ws)
+		clone = p.ws
 	} else {
 		clone = ws.Clone()
 	}
@@ -488,7 +496,7 @@ func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 // collector instead.
 func (w *Worker) Release(ws sched.Workspace) {
 	if r, ok := ws.(sched.Reusable); ok && len(w.pool) < workerPoolCap {
-		w.pool = append(w.pool, r)
+		w.pool = append(w.pool, pooledWS{ws, r})
 	}
 }
 
