@@ -12,9 +12,10 @@ import (
 )
 
 // procCounts tallies what the workers of one run asked of their Procs: Now
-// calls, Advance calls, and the sum of the amounts passed to Advance.
+// calls, Advance calls, the sum of the amounts passed to Advance, and Yield
+// calls.
 type procCounts struct {
-	now, advances, amount atomic.Int64
+	now, advances, amount, yields atomic.Int64
 }
 
 // countingPlatform hands every worker a Proc that counts into c.
@@ -41,6 +42,39 @@ func (p *countingProc) Advance(d int64) {
 	p.c.advances.Add(1)
 	p.c.amount.Add(d)
 	p.Proc.Advance(d)
+}
+
+func (p *countingProc) Yield() {
+	p.c.yields.Add(1)
+	p.Proc.Yield()
+}
+
+// TestWrappedRealProcCharged: workers skip Advance and Yield only on the
+// wall-clock Proc itself (vtime.Charges), never on a Proc that wraps one. On
+// one worker, where no schedule can differ, every engine makes the same
+// calls with the same amounts on a wrapped Real Proc as on a wrapped Sim
+// Proc, and for nqueens-compute the amounts include its per-node cost.
+func TestWrappedRealProcCharged(t *testing.T) {
+	p := nqueens.NewCompute(7)
+	for _, e := range append([]adaptivetc.Engine{adaptivetc.NewSerial()}, parallelEngines()...) {
+		var sim, real procCounts
+		for _, run := range []struct {
+			plat adaptivetc.Platform
+			c    *procCounts
+		}{
+			{adaptivetc.NewSimPlatform(3), &sim},
+			{adaptivetc.NewRealPlatform(3), &real},
+		} {
+			if _, err := e.Run(p, adaptivetc.Options{Workers: 1, Seed: 3, Platform: countingPlatform{run.plat, run.c}}); err != nil {
+				t.Fatalf("%s on %s: %v", e.Name(), run.plat.Name(), err)
+			}
+		}
+		got := [3]int64{real.advances.Load(), real.amount.Load(), real.yields.Load()}
+		want := [3]int64{sim.advances.Load(), sim.amount.Load(), sim.yields.Load()}
+		if got != want || want[0] == 0 || want[2] == 0 {
+			t.Errorf("%s: wrapped Real Proc saw (advances, amount, yields) = %v, wrapped Sim Proc %v", e.Name(), got, want)
+		}
+	}
 }
 
 // TestNoClockOnUnprofiledPath is the guard for the fake-task fast path: with

@@ -41,11 +41,13 @@ type Proc interface {
 	// run started. Time from different workers is comparable.
 	Now() int64
 	// Advance accounts d nanoseconds of work. Under Sim it moves the
-	// virtual clock; under Real it does nothing: the work itself is real.
+	// virtual clock; under Real it is empty: the work itself is real, and
+	// hot loops skip the call altogether where Charges(p) is false.
 	// Negative d is ignored.
 	Advance(d int64)
 	// Yield is a scheduling point. Under Sim control may transfer to the
-	// worker with the smallest clock; under Real it is (almost) free.
+	// worker with the smallest clock; under Real it is empty, and skipped
+	// like Advance.
 	Yield()
 	// Sleep advances the clock by d and yields, modelling a blocking wait
 	// tick (e.g. the paper's usleep(100) in sync_specialtask).
@@ -158,6 +160,16 @@ func (p *realProc) Now() int64 { return time.Since(p.start).Nanoseconds() }
 
 func (p *realProc) Advance(int64) {}
 func (p *realProc) Yield()        {}
+
+// Charges reports whether p's Advance and Yield can do anything. It is false
+// only for the wall-clock Procs of Real.Run and NewRealProcs, whose two
+// methods are empty, so a worker may test it once and skip every call. Any
+// other Proc reports true: a Sim Proc, and any wrapper, which may count,
+// delay or forward what it is charged.
+func Charges(p Proc) bool {
+	_, wall := p.(*realProc)
+	return !wall
+}
 
 func (p *realProc) Sleep(d int64) {
 	switch {

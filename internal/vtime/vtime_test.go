@@ -170,6 +170,32 @@ func TestRealPlatformRuns(t *testing.T) {
 	}
 }
 
+// wrapper is a Proc that forwards everything, as a counting or delaying
+// wrapper would.
+type wrapper struct{ Proc }
+
+// TestCharges: only the wall-clock Procs of Real.Run and NewRealProcs have
+// empty Advance and Yield; Sim Procs and any wrapper must be charged.
+func TestCharges(t *testing.T) {
+	check := func(what string, p Proc, want bool) {
+		if got := Charges(p); got != want {
+			t.Errorf("Charges(%s) = %v, want %v", what, got, want)
+		}
+	}
+	(&Real{Seed: 1}).Run(2, func(p Proc) {
+		check("Real.Run Proc", p, false)
+		check("wrapped Real.Run Proc", wrapper{p}, true)
+	})
+	for _, p := range NewRealProcs(2, 1) {
+		check("NewRealProcs Proc", p, false)
+		check("wrapped NewRealProcs Proc", &wrapper{p}, true)
+	}
+	(&Sim{Seed: 1}).Run(2, func(p Proc) {
+		check("Sim Proc", p, true)
+		check("wrapped Sim Proc", wrapper{p}, true)
+	})
+}
+
 func TestProcRandDeterministic(t *testing.T) {
 	draw := func(seed int64) [2]int64 {
 		var out [2]int64

@@ -266,7 +266,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
 		p.deques[i] = newDeque(opt)
-		p.workers[i] = &Worker{ID: i, Proc: procs[i], Deque: p.deques[i]}
+		p.workers[i] = &Worker{ID: i, Proc: procs[i], Deque: p.deques[i], wall: !vtime.Charges(procs[i])}
 		p.wake[i] = make(chan shardRun)
 	}
 	for k, shard := range shards.parts {

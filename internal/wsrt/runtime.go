@@ -183,6 +183,12 @@ type Worker struct {
 	pool   []pooledWS
 	frames []*Frame
 
+	// wall is set once, where the worker is built, when Proc is the wall
+	// clock (vtime.Charges is false): its Advance and Yield are empty, and
+	// advance and yield skip the calls. The zero value charges, so a Worker
+	// built without it, a Sim Proc or a wrapper Proc receives every call.
+	wall bool
+
 	// prog overrides the program Prog() hands to engine code; nil means the
 	// runtime's program. First-solution jobs install a firstSolutionProg
 	// wrapper here per worker (bind) so every engine path — node bodies,
@@ -272,8 +278,24 @@ func (w *Worker) BeginNode(ws sched.Workspace, depth int) {
 	}
 	w.rt.stop.Check()
 	w.Stats.Nodes++
-	sched.ChargeNode(w.rt.coster, ws, depth, &w.rt.Costs, w.Proc)
-	w.Proc.Yield()
+	if !w.wall { // skip NodeCharge's Coster call too
+		w.advance(sched.NodeCharge(w.rt.coster, ws, depth, &w.rt.Costs))
+		w.yield()
+	}
+}
+
+// advance and yield are the runtime's only calls into Proc.Advance and
+// Proc.Yield; on the wall clock both are skipped (see Worker.wall).
+func (w *Worker) advance(d int64) {
+	if !w.wall {
+		w.Proc.Advance(d)
+	}
+}
+
+func (w *Worker) yield() {
+	if !w.wall {
+		w.Proc.Yield()
+	}
 }
 
 // injectNode draws this node's faults: a stall (virtual under Sim,
@@ -296,7 +318,7 @@ func (w *Worker) injectNode() {
 // the clock only when the run is profiled.
 func (w *Worker) PollNeedTask() bool {
 	t0 := w.now()
-	w.Proc.Advance(w.rt.Costs.FlagPoll)
+	w.advance(w.rt.Costs.FlagPoll)
 	w.Stats.Polls++
 	need := w.Deque.NeedTask()
 	if w.rt.profile {
@@ -333,7 +355,7 @@ func (w *Worker) JoinSpecial(s *Frame, localSum int64) int64 {
 // reads the clock or yields (DESIGN §26).
 func (w *Worker) ChargeMoves(k int) {
 	if k > 0 {
-		w.Proc.Advance(int64(k) * w.rt.Costs.Move)
+		w.advance(int64(k) * w.rt.Costs.Move)
 	}
 }
 
@@ -344,7 +366,7 @@ func (w *Worker) ChargeMoves(k int) {
 // only materialised when the node actually spawns.
 func (w *Worker) ChargeTask() {
 	t0 := w.now()
-	w.Proc.Advance(w.rt.Costs.Spawn)
+	w.advance(w.rt.Costs.Spawn)
 	w.Stats.TasksCreated++
 	w.addDeque(t0)
 }
@@ -405,7 +427,7 @@ func (w *Worker) FreeFrame(f *Frame) {
 func (w *Worker) Push(f *Frame) {
 	t0 := w.now()
 	seq := f.seq // a thief may steal, finish, free and reuse f before Push returns
-	w.Proc.Advance(w.rt.Costs.Push)
+	w.advance(w.rt.Costs.Push)
 	if w.fi != nil && w.fi.ForceOverflow() {
 		panic(sched.Abort{Err: fmt.Errorf("%w (%w): worker %d, program %s",
 			sched.ErrDequeOverflow, faults.ErrInjected, w.ID, w.rt.Prog.Name())})
@@ -426,7 +448,7 @@ func (w *Worker) Push(f *Frame) {
 // Pop pops the worker's own deque tail, accounting the cost.
 func (w *Worker) Pop() (deque.Entry, bool) {
 	t0 := w.now()
-	w.Proc.Advance(w.rt.Costs.Pop)
+	w.advance(w.rt.Costs.Pop)
 	e, ok := w.Deque.Pop()
 	if w.tr != nil {
 		if ok {
@@ -443,7 +465,7 @@ func (w *Worker) Pop() (deque.Entry, bool) {
 // any of f's children were stolen over the marker in the meantime.
 func (w *Worker) PopSpecial(f *Frame) (stolen bool) {
 	t0 := w.now()
-	w.Proc.Advance(w.rt.Costs.Pop)
+	w.advance(w.rt.Costs.Pop)
 	stolen = w.Deque.PopSpecial()
 	if w.tr != nil {
 		a := int64(0)
@@ -473,7 +495,7 @@ func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 		if synched {
 			base = c.PooledBase
 		}
-		w.Proc.Advance(base + b/c.CopyBytesPerNs)
+		w.advance(base + b/c.CopyBytesPerNs)
 		w.Stats.WorkspaceCopies++
 		w.Stats.WorkspaceBytes += b
 	}
@@ -623,7 +645,7 @@ func (w *Worker) thiefLoop() {
 			w.intake[n-1] = nil
 			w.intake = w.intake[:n-1]
 			w.resumeStolen(f)
-			w.Proc.Yield()
+			w.yield()
 			continue
 		}
 		victim, amount := w.ID, 1
@@ -637,7 +659,7 @@ func (w *Worker) thiefLoop() {
 		// well: whatever a Thief asks for, an attempt is an attempt, and its
 		// failure must bump the victim's stolen_num or the starvation signal
 		// would never reach a victim whose thieves ask for nothing.
-		w.Proc.Advance(rt.Costs.Steal)
+		w.advance(rt.Costs.Steal)
 		n := rt.Deques[victim].StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
 		if w.rt.profile {
 			w.Stats.StealTime += w.Proc.Now() - t0
@@ -665,7 +687,7 @@ func (w *Worker) thiefLoop() {
 				w.idleBackoff()
 			}
 		}
-		w.Proc.Yield()
+		w.yield()
 	}
 }
 
@@ -865,7 +887,7 @@ func Run(prog sched.Program, opt sched.Options, eng Engine, name string) (sched.
 
 	workers := make([]*Worker, n)
 	makespan := plat.Run(n, func(proc vtime.Proc) {
-		w := &Worker{Proc: proc, Deque: rt.Deques[proc.ID()]}
+		w := &Worker{Proc: proc, Deque: rt.Deques[proc.ID()], wall: !vtime.Charges(proc)}
 		w.bind(rt, proc.ID())
 		workers[w.ID] = w
 		w.runJob(false)
