@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -452,12 +454,19 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Bad request.
-	resp, _ = http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader([]byte(`{"program":"no-such"}`)))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST unknown program: status %d", resp.StatusCode)
+	// Bad requests: an unknown program, and sizes its constructor cannot
+	// build, which must be answered, not panic inside the handler.
+	for _, bad := range []string{`{"program":"no-such"}`, `{"program":"fib","n":-1}`, `{"program":"nqueens-array","n":200}`, `{"program":"tree3","size":-1}`} {
+		resp, err = http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatalf("POST %s: %v", bad, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `"error"`) {
+			t.Fatalf("POST %s: status %d, body %s; want 400 with an error", bad, resp.StatusCode, msg)
+		}
 	}
-	resp.Body.Close()
 
 	// Cancel via DELETE on a fresh long job.
 	body, _ = json.Marshal(Request{Program: "nqueens-array", N: 13, Engine: "adaptivetc"})

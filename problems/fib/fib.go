@@ -20,10 +20,14 @@ type Program struct {
 	N int
 }
 
+// MaxN is the largest n whose Fibonacci number fits the int64 a run sums
+// into.
+const MaxN = 92
+
 // New returns the Fib(n) benchmark.
 func New(n int) *Program {
-	if n < 0 {
-		panic(fmt.Sprintf("fib: negative n %d", n))
+	if n < 0 || n > MaxN {
+		panic(fmt.Sprintf("fib: n=%d out of range [0,%d]", n, MaxN))
 	}
 	return &Program{N: n}
 }

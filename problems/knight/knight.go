@@ -22,12 +22,16 @@ type Program struct {
 	StartR, StartC int
 }
 
+// MaxCells is the largest board the workspace represents: the path holds
+// cell indices as int16.
+const MaxCells = 1<<15 - 1
+
 // New returns the tour count program for an m×m board starting at (0,0).
 func New(m int) *Program { return NewRect(m, m, 0, 0) }
 
 // NewRect returns the tour count program for a W×H board from (r0, c0).
 func NewRect(w, h, r0, c0 int) *Program {
-	if w < 1 || h < 1 || r0 < 0 || r0 >= h || c0 < 0 || c0 >= w {
+	if w < 1 || h < 1 || w*h > MaxCells || r0 < 0 || r0 >= h || c0 < 0 || c0 >= w {
 		panic(fmt.Sprintf("knight: invalid board %dx%d start (%d,%d)", w, h, r0, c0))
 	}
 	return &Program{W: w, H: h, StartR: r0, StartC: c0}

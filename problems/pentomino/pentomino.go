@@ -107,11 +107,14 @@ type Program struct {
 	shapes [][][]cell // shapes[p][o] = cell offsets
 }
 
+// MaxN is the number of canonical pentominoes, the largest n of New.
+const MaxN = 12
+
 // New returns the paper's Pentomino(n): the first n canonical pieces on a
 // rectangle of area 5n (6×10 for the full set of 12).
 func New(n int) *Program {
-	if n < 1 || n > 12 {
-		panic(fmt.Sprintf("pentomino: n=%d out of range [1,12]", n))
+	if n < 1 || n > MaxN {
+		panic(fmt.Sprintf("pentomino: n=%d out of range [1,%d]", n, MaxN))
 	}
 	dims := map[int][2]int{
 		1: {5, 1}, 2: {5, 2}, 3: {5, 3}, 4: {5, 4}, 5: {5, 5}, 6: {5, 6},

@@ -44,6 +44,41 @@ func TestBuildUnknown(t *testing.T) {
 	}
 }
 
+// TestBuildBadSizes: every family answers a negative size, and N = 200,
+// with an error or a buildable program, never a panic. 200 is beyond what
+// Fib's int64 value, the Knight's Tour int16 path, Pentomino's 12 pieces and
+// the n-queens int8 board represent; the other families build it.
+func TestBuildBadSizes(t *testing.T) {
+	tooBig := map[string]bool{"fib": true, "knight": true, "pentomino": true, "nqueens-array": true, "nqueens-compute": true}
+	build := func(name string, p Params) (prog sched.Program, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("Build(%q, %+v) panicked: %v", name, p, r)
+			}
+		}()
+		prog, err = Build(name, p)
+		if err == nil {
+			prog.Root()
+		}
+		return prog, err
+	}
+	for _, name := range Names() {
+		for _, p := range []Params{{N: -1}, {M: -1}, {Size: -1}} {
+			if _, err := build(name, p); err == nil {
+				t.Errorf("Build(%q, %+v) accepted a negative size", name, p)
+			}
+		}
+		if _, err := build(name, Params{N: 200}); (err != nil) != tooBig[name] {
+			t.Errorf("Build(%q, N=200): error %v, want one: %v", name, err, tooBig[name])
+		}
+	}
+	for name, n := range map[string]int{"fib": 92, "knight": 181, "pentomino": 12, "nqueens-array": 127, "nqueens-compute": 127} {
+		if _, err := build(name, Params{N: n}); err != nil {
+			t.Errorf("Build(%q, N=%d), the largest size: %v", name, n, err)
+		}
+	}
+}
+
 // TestBuildSizedRunsSerially builds every name at an explicit small size —
 // the way adaptivetc-run's -n and -size reach Build — and runs it on the
 // serial reference: a name that builds must at least be executable.
