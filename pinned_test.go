@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"adaptivetc"
+	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/knight"
 	"adaptivetc/problems/pentomino"
+	"adaptivetc/problems/registry"
 	"adaptivetc/problems/sudoku"
 )
 
@@ -142,4 +144,111 @@ func TestProfiledStatsPinned(t *testing.T) {
 			t.Errorf("%s drifted:\n got makespan %d %+v\nwant makespan %d %+v", r.engine, res.Makespan, got, r.makespan, r.phases)
 		}
 	}
+}
+
+// TestPaperSimPinned pins the benchmark's paper-sim shape: the six paper
+// engines × nqueens-array(10), sudoku-balanced(42), tree3(20000) and fib(22)
+// at P = 8, seed 1, Cutoff 3. Unlike the P = 4 rows above, its tree3 rows
+// make the cut-off baselines fail 128–140 k steals, so an idle thief's
+// retry path is pinned at the scale it runs. Alongside: one profiled tree3
+// row (phase times, StealTime included) and the exact panic of the first
+// idle thief to cross VirtualLimit. Recorded before the Sim core learnt to
+// retry a failed steal in place; edit only for a change meant to move the
+// Sim.
+func TestPaperSimPinned(t *testing.T) {
+	rows := []struct {
+		engine, prog    string
+		value, makespan int64
+		stats           adaptivetc.Stats
+	}{
+		{"cilk", "nqueens-array", 724, 1042577, adaptivetc.Stats{Nodes: 35539, TasksCreated: 35539, FakeTasks: 0, SpecialTasks: 0, Steals: 155, StealFails: 46, WorkspaceCopies: 35538, WorkspaceBytes: 2061204, Suspends: 54}},
+		{"cilk", "sudoku-balanced", 28, 1371446, adaptivetc.Stats{Nodes: 40241, TasksCreated: 40241, FakeTasks: 0, SpecialTasks: 0, Steals: 204, StealFails: 66, WorkspaceCopies: 40240, WorkspaceBytes: 7605360, Suspends: 143}},
+		{"cilk", "tree3", 20000, 4984521, adaptivetc.Stats{Nodes: 33178, TasksCreated: 33178, FakeTasks: 0, SpecialTasks: 0, Steals: 119, StealFails: 96, WorkspaceCopies: 33177, WorkspaceBytes: 4246656, Suspends: 44}},
+		{"cilk", "fib", 17711, 604885, adaptivetc.Stats{Nodes: 57313, TasksCreated: 57313, FakeTasks: 0, SpecialTasks: 0, Steals: 126, StealFails: 76, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 81}},
+		{"cilk-synched", "nqueens-array", 724, 844124, adaptivetc.Stats{Nodes: 35539, TasksCreated: 35539, FakeTasks: 0, SpecialTasks: 0, Steals: 175, StealFails: 59, WorkspaceCopies: 35538, WorkspaceBytes: 2061204, Suspends: 60}},
+		{"cilk-synched", "sudoku-balanced", 28, 1146269, adaptivetc.Stats{Nodes: 40241, TasksCreated: 40241, FakeTasks: 0, SpecialTasks: 0, Steals: 182, StealFails: 112, WorkspaceCopies: 40240, WorkspaceBytes: 7605360, Suspends: 120}},
+		{"cilk-synched", "tree3", 20000, 4796244, adaptivetc.Stats{Nodes: 33178, TasksCreated: 33178, FakeTasks: 0, SpecialTasks: 0, Steals: 104, StealFails: 80, WorkspaceCopies: 33177, WorkspaceBytes: 4246656, Suspends: 40}},
+		{"cilk-synched", "fib", 17711, 604885, adaptivetc.Stats{Nodes: 57313, TasksCreated: 57313, FakeTasks: 0, SpecialTasks: 0, Steals: 126, StealFails: 76, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 81}},
+		{"tascell", "nqueens-array", 724, 736690, adaptivetc.Stats{Nodes: 35539, TasksCreated: 0, FakeTasks: 0, SpecialTasks: 0, Steals: 46, StealFails: 69, WorkspaceCopies: 46, WorkspaceBytes: 2668, Suspends: 0, Requests: 46}},
+		{"tascell", "sudoku-balanced", 28, 716520, adaptivetc.Stats{Nodes: 40241, TasksCreated: 0, FakeTasks: 0, SpecialTasks: 0, Steals: 54, StealFails: 44, WorkspaceCopies: 54, WorkspaceBytes: 10206, Suspends: 0, Requests: 54}},
+		{"tascell", "tree3", 20000, 4978719, adaptivetc.Stats{Nodes: 33178, TasksCreated: 0, FakeTasks: 0, SpecialTasks: 0, Steals: 146, StealFails: 81, WorkspaceCopies: 146, WorkspaceBytes: 18688, Suspends: 0, Requests: 146}},
+		{"tascell", "fib", 17711, 238700, adaptivetc.Stats{Nodes: 57313, TasksCreated: 0, FakeTasks: 0, SpecialTasks: 0, Steals: 34, StealFails: 47, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 0, Requests: 34}},
+		{"adaptivetc", "nqueens-array", 724, 444898, adaptivetc.Stats{Nodes: 35539, TasksCreated: 83, FakeTasks: 35456, SpecialTasks: 0, Steals: 145, StealFails: 153, WorkspaceCopies: 446, WorkspaceBytes: 25868, Suspends: 32}},
+		{"adaptivetc", "sudoku-balanced", 28, 545897, adaptivetc.Stats{Nodes: 40241, TasksCreated: 619, FakeTasks: 39683, SpecialTasks: 61, Steals: 212, StealFails: 1415, WorkspaceCopies: 631, WorkspaceBytes: 119259, Suspends: 148}},
+		{"adaptivetc", "tree3", 20000, 6915185, adaptivetc.Stats{Nodes: 33178, TasksCreated: 7569, FakeTasks: 25994, SpecialTasks: 385, Steals: 3317, StealFails: 44925, WorkspaceCopies: 8027, WorkspaceBytes: 1027456, Suspends: 1562}},
+		{"adaptivetc", "fib", 17711, 373085, adaptivetc.Stats{Nodes: 57313, TasksCreated: 1745, FakeTasks: 55654, SpecialTasks: 86, Steals: 194, StealFails: 3460, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 120}},
+		{"cutoff-programmer", "nqueens-array", 724, 437190, adaptivetc.Stats{Nodes: 35539, TasksCreated: 83, FakeTasks: 0, SpecialTasks: 0, Steals: 141, StealFails: 173, WorkspaceCopies: 446, WorkspaceBytes: 25868, Suspends: 33}},
+		{"cutoff-programmer", "sudoku-balanced", 28, 527381, adaptivetc.Stats{Nodes: 40241, TasksCreated: 23, FakeTasks: 0, SpecialTasks: 0, Steals: 52, StealFails: 1721, WorkspaceCopies: 58, WorkspaceBytes: 10962, Suspends: 21}},
+		{"cutoff-programmer", "tree3", 20000, 10695553, adaptivetc.Stats{Nodes: 33178, TasksCreated: 46, FakeTasks: 0, SpecialTasks: 0, Steals: 29, StealFails: 127780, WorkspaceCopies: 183, WorkspaceBytes: 23424, Suspends: 9}},
+		{"cutoff-programmer", "fib", 17711, 311671, adaptivetc.Stats{Nodes: 57313, TasksCreated: 7, FakeTasks: 0, SpecialTasks: 0, Steals: 14, StealFails: 2916, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 7}},
+		{"cutoff-library", "nqueens-array", 724, 781883, adaptivetc.Stats{Nodes: 35539, TasksCreated: 83, FakeTasks: 0, SpecialTasks: 0, Steals: 133, StealFails: 141, WorkspaceCopies: 35538, WorkspaceBytes: 2061204, Suspends: 32}},
+		{"cutoff-library", "sudoku-balanced", 28, 1391751, adaptivetc.Stats{Nodes: 40241, TasksCreated: 23, FakeTasks: 0, SpecialTasks: 0, Steals: 51, StealFails: 6652, WorkspaceCopies: 40240, WorkspaceBytes: 7605360, Suspends: 20}},
+		{"cutoff-library", "tree3", 20000, 11746933, adaptivetc.Stats{Nodes: 33178, TasksCreated: 46, FakeTasks: 0, SpecialTasks: 0, Steals: 29, StealFails: 140392, WorkspaceCopies: 33177, WorkspaceBytes: 4246656, Suspends: 9}},
+		{"cutoff-library", "fib", 17711, 311671, adaptivetc.Stats{Nodes: 57313, TasksCreated: 7, FakeTasks: 0, SpecialTasks: 0, Steals: 14, StealFails: 2916, WorkspaceCopies: 0, WorkspaceBytes: 0, Suspends: 7}},
+	}
+	if len(rows) != 6*4 {
+		t.Fatalf("%d rows for 6 paper engines x 4 programs", len(rows))
+	}
+	params := map[string]registry.Params{
+		"nqueens-array": {N: 10}, "sudoku-balanced": {N: 42}, "tree3": {Size: 20000}, "fib": {N: 22},
+	}
+	opt := adaptivetc.Options{Workers: 8, Seed: 1, Cutoff: 3}
+	for _, r := range rows {
+		e, err := adaptivetc.EngineByName(r.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := registry.Build(r.prog, params[r.prog])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(prog, opt)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", r.engine, r.prog, err)
+		}
+		s := res.Stats
+		got := adaptivetc.Stats{
+			Nodes: s.Nodes, TasksCreated: s.TasksCreated, FakeTasks: s.FakeTasks, SpecialTasks: s.SpecialTasks,
+			Steals: s.Steals, StealFails: s.StealFails, WorkspaceCopies: s.WorkspaceCopies, WorkspaceBytes: s.WorkspaceBytes,
+			Suspends: s.Suspends, Requests: s.Requests,
+		}
+		if res.Value != r.value || res.Makespan != r.makespan || got != r.stats {
+			t.Errorf("%s/%s drifted:\n got value %d makespan %d %+v\nwant value %d makespan %d %+v",
+				r.engine, r.prog, res.Value, res.Makespan, got, r.value, r.makespan, r.stats)
+		}
+	}
+
+	tree3, err := registry.Build("tree3", params["tree3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled := opt
+	profiled.Profile = true
+	res, err := wsrt.CutoffProgrammer.Run(tree3, profiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	got := adaptivetc.Stats{
+		WorkTime: s.WorkTime, CopyTime: s.CopyTime, DequeTime: s.DequeTime, PollTime: s.PollTime,
+		WaitTime: s.WaitTime, StealTime: s.StealTime, RespondTime: s.RespondTime, WorkerTime: s.WorkerTime,
+	}
+	want := adaptivetc.Stats{WorkTime: 34413638, CopyTime: 18666, DequeTime: 6735, PollTime: 0, WaitTime: 0, StealTime: 51123600, RespondTime: 0, WorkerTime: 85562639}
+	if res.Makespan != 10695553 || got != want {
+		t.Errorf("profiled cutoff-programmer/tree3 drifted:\n got makespan %d %+v\nwant makespan 10695553 %+v", res.Makespan, got, want)
+	}
+
+	// At 5 ms of virtual time worker 7 is an idle thief; the Steal charge of
+	// its next attempt is what crosses the limit.
+	limited := opt
+	limited.VirtualLimit = 5_000_000
+	const wantPanic = "vtime: worker 7 exceeded virtual time limit 5000000ns (livelocked engine?)"
+	func() {
+		defer func() {
+			if r := recover(); r != wantPanic {
+				t.Errorf("VirtualLimit 5ms: panic %v, want %q", r, wantPanic)
+			}
+		}()
+		wsrt.CutoffProgrammer.Run(tree3, limited)
+	}()
 }
