@@ -31,15 +31,13 @@ import (
 	"adaptivetc/internal/wsrt"
 )
 
-// Policy selects the spawn side that becomes stealable.
+// Policy selects the spawn side that becomes stealable. Always pushing the
+// continuation is work-first, which is wsrt.Cilk.
 type Policy int
 
 const (
 	// HelpFirst always pushes the child.
 	HelpFirst Policy = iota
-	// WorkFirst always pushes the continuation (≡ Cilk; here for ablation
-	// symmetry within this engine's code path).
-	WorkFirst
 	// Adaptive switches per spawn on deque population (SLAW-like).
 	Adaptive
 )
@@ -49,9 +47,6 @@ func NewHelpFirst() *wsrt.Strategy { return strategy("helpfirst", HelpFirst) }
 
 // New returns the adaptive (SLAW-like) engine.
 func New() *wsrt.Strategy { return strategy("slaw", Adaptive) }
-
-// NewWorkFirst returns this engine's work-first configuration.
-func NewWorkFirst() *wsrt.Strategy { return strategy("slaw-workfirst", WorkFirst) }
 
 func strategy(name string, policy Policy) *wsrt.Strategy {
 	return wsrt.NewStrategy(name, func(n int, _ sched.Options) wsrt.Engine {
@@ -80,14 +75,7 @@ func (x *exec) Resume(w *wsrt.Worker, f *wsrt.Frame) (int64, bool) {
 }
 
 func (x *exec) helpFirst(w *wsrt.Worker) bool {
-	switch x.policy {
-	case HelpFirst:
-		return true
-	case WorkFirst:
-		return false
-	default:
-		return w.Deque.Size() < x.workers
-	}
+	return x.policy == HelpFirst || w.Deque.Size() < x.workers
 }
 
 // node runs one task from scratch.

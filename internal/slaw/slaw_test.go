@@ -39,7 +39,7 @@ func pow3(h int) int64 {
 func TestPoliciesMatchSerial(t *testing.T) {
 	p := tri{height: 8}
 	want := pow3(8)
-	for _, e := range []*wsrt.Strategy{NewHelpFirst(), NewWorkFirst(), New()} {
+	for _, e := range []*wsrt.Strategy{NewHelpFirst(), wsrt.Cilk, New()} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			res, err := e.Run(p, sched.Options{Workers: workers, Seed: int64(workers)})
 			if err != nil {
@@ -63,7 +63,7 @@ func TestHelpFirstQueuesChildren(t *testing.T) {
 	if res.Stats.MaxDequeDepth < 7*2 {
 		t.Errorf("help-first deque depth %d too small", res.Stats.MaxDequeDepth)
 	}
-	wf, err := NewWorkFirst().Run(p, sched.Options{Workers: 1, Seed: 1})
+	wf, err := wsrt.Cilk.Run(p, sched.Options{Workers: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHelpFirstQueuesChildren(t *testing.T) {
 func TestAdaptiveBetweenExtremes(t *testing.T) {
 	p := tri{height: 9}
 	hf, _ := NewHelpFirst().Run(p, sched.Options{Workers: 8, Seed: 2})
-	wf, _ := NewWorkFirst().Run(p, sched.Options{Workers: 8, Seed: 2})
+	wf, _ := wsrt.Cilk.Run(p, sched.Options{Workers: 8, Seed: 2})
 	ad, _ := New().Run(p, sched.Options{Workers: 8, Seed: 2})
 	if hf.Value != wf.Value || wf.Value != ad.Value {
 		t.Fatalf("values diverge: %d/%d/%d", hf.Value, wf.Value, ad.Value)
@@ -103,7 +103,7 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if New().Name() != "slaw" || NewHelpFirst().Name() != "helpfirst" || NewWorkFirst().Name() != "slaw-workfirst" {
+	if New().Name() != "slaw" || NewHelpFirst().Name() != "helpfirst" {
 		t.Fatal("names changed")
 	}
 }

@@ -26,6 +26,10 @@ import (
 // heap is only ever touched by the one running worker, so it needs no lock;
 // determinism is untouched because the (worker, horizon) grant sequence is
 // identical to a central scheduler's.
+//
+// A worker that yields through YieldIdle costs no switch while it idles:
+// when the core grants it, the core runs its retry on the stack that is
+// already running, and resumes the worker only once a retry finds work.
 type Sim struct {
 	// Seed for per-worker random sources. Zero means 1.
 	Seed int64
@@ -56,6 +60,13 @@ type simProc struct {
 	resume func() (struct{}, bool)
 	stop   func()
 	yield  func(struct{}) bool
+
+	// retry is set while the worker is paused in YieldIdle, retried the
+	// panic one of its retries raised on another stack, and returned is
+	// set once its body has returned.
+	retry    func() bool
+	retried  *panicBox
+	returned bool
 }
 
 func (p *simProc) ID() int    { return p.id }
@@ -75,6 +86,48 @@ func (p *simProc) Yield() {
 		return
 	}
 	p.core.handoff(p)
+}
+
+// YieldIdle is p.Yield for a worker that would only retry something and
+// yield again, such as a thief after a failed steal. On a Sim Proc, each time
+// the core grants the paused worker it calls retry in place of resuming it:
+// true means the retry failed again, and the worker's horizon decides, as in
+// Yield, whether the core retries again or pauses the worker once more;
+// false means the worker must run, and YieldIdle returns. A panic in retry
+// is raised again from this call, on the worker's own coroutine. retry must
+// act as that worker and must not call runtime.Goexit. On any other Proc,
+// wrappers of a Sim Proc included, YieldIdle is p.Yield().
+func YieldIdle(p Proc, retry func() bool) {
+	sp, ok := p.(*simProc)
+	if !ok {
+		p.Yield()
+		return
+	}
+	sp.retry = retry
+	sp.Yield()
+	sp.retry = nil
+	if pb := sp.retried; pb != nil {
+		sp.retried = nil
+		panic(pb.val)
+	}
+}
+
+// idle runs p's retry while p would have kept running after each failure.
+// It reports whether p goes back on the heap without being resumed: false
+// when a retry asked for p, or panicked (YieldIdle re-raises it).
+func (p *simProc) idle() (requeue bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.retried = &panicBox{val: r}
+			requeue = false
+		}
+	}()
+	for p.retry() {
+		if p.clock >= p.horizon {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *simProc) Sleep(d int64) {
@@ -144,17 +197,22 @@ func (c *simCore) heapPop() *simProc {
 // (conservative ordering — next cannot run past any paused worker by more
 // than the quantum). With no paused workers left nothing constrains the
 // order, so the horizon is unbounded and the worker never hands off again.
+// A worker paused in YieldIdle runs its retries here instead, and goes back
+// on the heap, unresumed, when they reach its horizon.
 func (c *simCore) grant() {
-	if len(c.heap) == 0 {
-		c.next = nil
-		return
+	for len(c.heap) > 0 {
+		next := c.heapPop()
+		next.horizon = 1<<63 - 1
+		if len(c.heap) > 0 {
+			next.horizon = max(next.clock, c.heap[0].clock) + c.quantum
+		}
+		if next.retry == nil || !next.idle() {
+			c.next = next
+			return
+		}
+		c.heapPush(next)
 	}
-	next := c.heapPop()
-	c.next = next
-	next.horizon = 1<<63 - 1
-	if len(c.heap) > 0 {
-		next.horizon = max(next.clock, c.heap[0].clock) + c.quantum
-	}
+	c.next = nil
 }
 
 // handoff parks p and grants the earliest runnable worker — possibly p
@@ -171,13 +229,19 @@ func (c *simCore) handoff(p *simProc) {
 
 // retire is deferred around a worker's body: it records a panic, folds the
 // worker's clock into the makespan and grants the next worker. The coroutine
-// then ends, which returns control to the driver.
+// then ends, which returns control to the driver. A body that neither
+// returned nor panicked called runtime.Goexit: Run is unwinding, nobody is
+// resumed again, and so nobody is granted, lest an idle worker's retries
+// run on into the unwinding.
 func (c *simCore) retire(p *simProc) {
-	if r := recover(); r != nil && c.panicked == nil {
+	r := recover()
+	if r != nil && c.panicked == nil {
 		c.panicked = &panicBox{val: r}
 	}
 	c.makespan = max(c.makespan, p.clock)
-	c.grant()
+	if r != nil || p.returned {
+		c.grant()
+	}
 }
 
 // Run implements Platform. A body that panics retires its worker; the rest
@@ -212,6 +276,7 @@ func (s *Sim) Run(n int, body func(Proc)) int64 {
 			p.yield = yield
 			defer core.retire(p)
 			body(p)
+			p.returned = true
 		})
 		// One defer per worker, not one loop: stopping a suspended worker
 		// ends in a Goexit here too, which runs the remaining defers but

@@ -47,7 +47,8 @@ type Proc interface {
 	Advance(d int64)
 	// Yield is a scheduling point. Under Sim control may transfer to the
 	// worker with the smallest clock; under Real it is empty, and skipped
-	// like Advance.
+	// like Advance. A worker with nothing to do but retry yields through
+	// YieldIdle instead, which lets the Sim run the retries without it.
 	Yield()
 	// Sleep advances the clock by d and yields, modelling a blocking wait
 	// tick (e.g. the paper's usleep(100) in sync_specialtask).

@@ -221,24 +221,28 @@ func TestProcRandDeterministic(t *testing.T) {
 // ways a body can end: every worker's coroutine is gone once Run has
 // returned (normal return), re-raised (one panic, the rest run to
 // completion) or unwound its caller (one Goexit, the rest unwound from the
-// Yield they were suspended in, their deferred calls run).
+// Yield they were suspended in, their deferred calls run). In the last case
+// the others may also be idle in YieldIdle, with retries that never find
+// work: none of those may run on into the unwinding.
 func TestSimNoGoroutineLeak(t *testing.T) {
 	const n = 4
 	for _, tc := range []struct {
 		name      string
 		end       func() // what worker 1 does half-way through
+		idle      bool   // whether the other workers only idle, for ever
 		finished  int    // bodies that reach their last line
 		panicked  any
 		returned  bool
 		deferRuns int
 	}{
-		{"return", func() {}, n, nil, true, n},
-		{"panic", func() { panic("boom") }, n - 1, "boom", false, n},
-		{"goexit", runtime.Goexit, 0, nil, false, n},
+		{"return", func() {}, false, n, nil, true, n},
+		{"panic", func() { panic("boom") }, false, n - 1, "boom", false, n},
+		{"goexit", runtime.Goexit, false, 0, nil, false, n},
+		{"goexit-idle", runtime.Goexit, true, 0, nil, false, n},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			var finished, deferRuns int
+			var finished, deferRuns, retries int
 			var panicked any
 			returned := false
 			done := make(chan struct{})
@@ -247,6 +251,10 @@ func TestSimNoGoroutineLeak(t *testing.T) {
 				defer func() { panicked = recover() }()
 				(&Sim{Seed: 1, Quantum: 1}).Run(n, func(p Proc) {
 					defer func() { deferRuns++ }()
+					for tc.idle && p.ID() != 1 {
+						p.Advance(7)
+						YieldIdle(p, func() bool { p.Advance(7); retries++; return retries < 10000 })
+					}
 					for i := 0; i < 10; i++ {
 						p.Sleep(int64(10 + p.ID()))
 						if i == 5 && p.ID() == 1 {
@@ -258,6 +266,9 @@ func TestSimNoGoroutineLeak(t *testing.T) {
 				returned = true
 			}()
 			<-done
+			if retries >= 10000 {
+				t.Errorf("%d retries: idle workers retried on into the unwinding", retries)
+			}
 			if finished != tc.finished || panicked != tc.panicked || returned != tc.returned || deferRuns != tc.deferRuns {
 				t.Errorf("finished %d, panic %v, returned %v, deferred calls %d; want %d, %v, %v, %d",
 					finished, panicked, returned, deferRuns, tc.finished, tc.panicked, tc.returned, tc.deferRuns)
