@@ -2,7 +2,9 @@
 // next, at what clock and up to what horizon is a pure function of the
 // workers' Advance / Yield / Sleep calls, the seed and the quantum. The file
 // under testdata/ was recorded on the channel-handoff core, the commit before
-// the workers became coroutines, so "the schedule did not move" is a test.
+// the workers became coroutines, so "the schedule did not move" is a test;
+// its idle rows were added before grant learnt to re-queue an idle worker
+// in place.
 // Regenerate with `go test ./internal/vtime -run TestSimGrantSequenceGolden
 // -update` only when a change is meant to move the schedule.
 package vtime
@@ -54,18 +56,42 @@ func grantSequence(n int, quantum int64) string {
 	return sb.String()
 }
 
-// grantConfigs is n ∈ {1, 2, 3, 8} × Quantum ∈ {1, 500}: the serial fast
-// path, the two-worker leapfrog, an odd count and a full heap, each at the
-// tightest quantum and at the default.
-var grantConfigs = []struct {
+// grantConfig is one recorded Sim shape: n workers at one quantum, running
+// grantSequence's body, or with idle set idleSequence's, whose idle phases
+// go through YieldIdle: a retry that fails k times, then wakes.
+type grantConfig struct {
 	n       int
 	quantum int64
-}{{1, 1}, {1, 500}, {2, 1}, {2, 500}, {3, 1}, {3, 500}, {8, 1}, {8, 500}}
+	idle    bool
+}
+
+// sequence runs the configuration's body.
+func (c grantConfig) sequence() string {
+	if c.idle {
+		return idleSequence(c.n, c.quantum, true)
+	}
+	return grantSequence(c.n, c.quantum)
+}
+
+// grantConfigs is n ∈ {1, 2, 3, 8} × Quantum ∈ {1, 500}: the serial fast
+// path, the two-worker leapfrog, an odd count and a full heap, each at the
+// tightest quantum and at the default; then the odd count and the full heap
+// again with idle phases, where the core runs retries and re-queues the
+// idle worker.
+var grantConfigs = []grantConfig{
+	{1, 1, false}, {1, 500, false}, {2, 1, false}, {2, 500, false},
+	{3, 1, false}, {3, 500, false}, {8, 1, false}, {8, 500, false},
+	{3, 1, true}, {3, 500, true}, {8, 1, true}, {8, 500, true},
+}
 
 func TestSimGrantSequenceGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, c := range grantConfigs {
-		fmt.Fprintf(&sb, "# n=%d quantum=%d\n%s", c.n, c.quantum, grantSequence(c.n, c.quantum))
+		idle := ""
+		if c.idle {
+			idle = " idle"
+		}
+		fmt.Fprintf(&sb, "# n=%d quantum=%d%s\n%s", c.n, c.quantum, idle, c.sequence())
 	}
 	got := sb.String()
 	path := filepath.Join("testdata", "grants.golden")
@@ -93,7 +119,7 @@ func TestSimGrantSequenceGolden(t *testing.T) {
 func TestSimConcurrentRuns(t *testing.T) {
 	want := make([]string, len(grantConfigs))
 	for i, c := range grantConfigs {
-		want[i] = grantSequence(c.n, c.quantum)
+		want[i] = c.sequence()
 	}
 	got := make([]string, len(grantConfigs))
 	var wg sync.WaitGroup
@@ -101,14 +127,14 @@ func TestSimConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = grantSequence(c.n, c.quantum)
+			got[i] = c.sequence()
 		}()
 	}
 	wg.Wait()
 	for i, c := range grantConfigs {
 		if got[i] != want[i] {
-			t.Errorf("n=%d quantum=%d: concurrent run diverged from the sequential one\n--- got\n%s\n--- want\n%s",
-				c.n, c.quantum, got[i], want[i])
+			t.Errorf("%+v: concurrent run diverged from the sequential one\n--- got\n%s\n--- want\n%s",
+				c, got[i], want[i])
 		}
 	}
 }

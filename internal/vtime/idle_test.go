@@ -75,6 +75,9 @@ func idleSequence(n int, quantum int64, idle bool) string {
 // clocks, Rand draws and the makespan are those of the Yield loop.
 func TestYieldIdleMatchesYieldLoop(t *testing.T) {
 	for _, c := range grantConfigs {
+		if c.idle {
+			continue // the same shapes as the plain rows
+		}
 		want, got := idleSequence(c.n, c.quantum, false), idleSequence(c.n, c.quantum, true)
 		if got != want {
 			t.Errorf("n=%d quantum=%d: YieldIdle diverged from the Yield loop\n--- got\n%s\n--- want\n%s", c.n, c.quantum, got, want)

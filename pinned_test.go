@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptivetc"
+	"adaptivetc/internal/trace"
 	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/knight"
 	"adaptivetc/problems/pentomino"
@@ -251,4 +252,38 @@ func TestPaperSimPinned(t *testing.T) {
 		}()
 		wsrt.CutoffProgrammer.Run(tree3, limited)
 	}()
+}
+
+// TestPaperSimTraceOnOff holds paper-sim's tree3 shape (P = 8, seed 1,
+// Cutoff 3) to one schedule whether or not a trace recorder is attached. A
+// recorder installs each deque's trace hook, and a deque with a hook takes
+// the locked steal path on every attempt, while an untraced Sim thief fails
+// an empty victim without its lock (deque.FailEmpty). The two paths must
+// charge, draw and signal alike, so value, makespan and every Stats counter
+// agree. The cut-off baselines fail 128–140 k steals here.
+func TestPaperSimTraceOnOff(t *testing.T) {
+	tree3, err := registry.Build("tree3", registry.Params{Size: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range adaptivetc.Engines()[1:] {
+		t.Run(e.Name(), func(t *testing.T) {
+			opt := adaptivetc.Options{Workers: 8, Seed: 1, Cutoff: 3}
+			plain, err := e.Run(tree3, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := trace.NewRecorder()
+			defer rec.Release()
+			opt.Tracer = rec
+			traced, err := e.Run(tree3, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced.Value != plain.Value || traced.Makespan != plain.Makespan || traced.Stats != plain.Stats {
+				t.Errorf("traced run diverged:\n traced value %d makespan %d %+v\nuntraced value %d makespan %d %+v",
+					traced.Value, traced.Makespan, traced.Stats, plain.Value, plain.Makespan, plain.Stats)
+			}
+		})
+	}
 }
