@@ -46,6 +46,10 @@ type WorkDeque interface {
 	// StealN takes up to len(dst) entries from the head under one critical
 	// section on behalf of a thief, returning how many were taken.
 	StealN(dst []Entry) int
+	// FailEmpty fails a thief's attempt on an empty deque without the owner
+	// lock, reporting whether it did; false leaves the attempt to StealN.
+	// Exact only where no owner or other thief runs meanwhile (the Sim).
+	FailEmpty() bool
 	// NeedTask reports the paper's need_task starvation flag.
 	NeedTask() bool
 	// SetNeedTask overrides the flag (tests, ablations).
@@ -379,7 +383,7 @@ func (d *Deque) StealN(dst []Entry) int {
 		n, op = d.claimLocked(dst)
 	}
 	if n == 0 {
-		d.failLocked()
+		d.fail()
 		d.mu.Unlock()
 		return 0
 	}
@@ -395,6 +399,28 @@ func (d *Deque) StealN(dst []Entry) int {
 	d.needTask.Store(false)
 	d.mu.Unlock()
 	return n
+}
+
+// FailEmpty is a failed steal attempt on an empty deque that takes no lock
+// and publishes no claim: it does fail's stolen_num/need_task bookkeeping
+// and reports true. It reports false, having done nothing, when the deque
+// holds an entry (t > h) or a trace or fault hook is installed; the caller
+// then makes the attempt through StealN, which a hook must see.
+//
+// It is exact only while no owner and no other thief runs, as under the
+// Sim, where one worker executes at a time and an owner operation never
+// yields half done: then H and T are at rest, and "empty" is precisely the
+// condition under which claimLocked takes nothing, so the attempt fails as
+// StealN's would — the same counter bump and the same need_task raise — and
+// leaves the deque as StealN's retreat would have. A wall-clock thief must
+// not call it: a concurrent claim's transient H can make a deque that holds
+// an entry read as empty.
+func (d *Deque) FailEmpty() bool {
+	if d.trace != nil || d.failSteal != nil || d.t.Load() > d.h.Load() {
+		return false
+	}
+	d.fail()
+	return true
 }
 
 // claimLocked moves H over up to len(dst) head entries and copies them into
@@ -481,7 +507,11 @@ func (d *Deque) growLocked() {
 	d.buf, d.mask, d.room = buf, ring-1, min(ring, d.limit)-2
 }
 
-func (d *Deque) failLocked() {
+// fail is a failed attempt's starvation bookkeeping (Figure 3(d)): bump
+// stolen_num, raise need_task past max_stolen_num, and report the
+// transition to the trace hook. StealN calls it under the owner lock,
+// which orders the trace records; FailEmpty only without a hook.
+func (d *Deque) fail() {
 	n := d.stolenNum.Add(1)
 	if n > d.maxStolenNum {
 		d.needTask.Store(true)
