@@ -701,7 +701,13 @@ func (w *Worker) trySteal() bool {
 	// failure must bump the victim's stolen_num or the starvation signal
 	// would never reach a victim whose thieves ask for nothing.
 	w.advance(rt.Costs.Steal)
-	n := rt.Deques[victim].StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
+	// Under Sim nothing else runs during the attempt, so an empty victim
+	// fails it without its lock (deque.FailEmpty). A wall-clock thief keeps
+	// the locked path: how fast it fails decides when it parks (DESIGN §8.2).
+	d, n := rt.Deques[victim], 0
+	if w.wall || !d.FailEmpty() {
+		n = d.StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
+	}
 	if rt.profile {
 		w.Stats.StealTime += w.Proc.Now() - t0
 	}
