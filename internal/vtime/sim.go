@@ -172,8 +172,15 @@ func (c *simCore) heapPop() *simProc {
 	h[0] = h[last]
 	h[last] = nil
 	c.heap = h[:last]
-	// Sift down.
-	i, n := 0, last
+	c.siftDown()
+	return top
+}
+
+// siftDown restores the heap order after the top entry was replaced, or its
+// clock raised.
+func (c *simCore) siftDown() {
+	h := c.heap
+	i, n := 0, len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
@@ -184,12 +191,11 @@ func (c *simCore) heapPop() *simProc {
 			min = r
 		}
 		if min == i {
-			break
+			return
 		}
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
 }
 
 // grant pops the earliest paused worker into c.next (nil if none is left)
@@ -197,20 +203,29 @@ func (c *simCore) heapPop() *simProc {
 // (conservative ordering — next cannot run past any paused worker by more
 // than the quantum). With no paused workers left nothing constrains the
 // order, so the horizon is unbounded and the worker never hands off again.
-// A worker paused in YieldIdle runs its retries here instead, and goes back
-// on the heap, unresumed, when they reach its horizon.
+//
+// A worker paused in YieldIdle runs its retries here instead, while it sits
+// at the top of the heap: the smallest clock still paused is then its
+// smaller child's. When the retries reach its horizon it stays paused, and
+// sifting it down from the top re-queues it with no pop and push. Because
+// (clock, id) orders the workers strictly, the top is then the same worker
+// a pop and a push would have left there, so the grant sequence is too.
 func (c *simCore) grant() {
 	for len(c.heap) > 0 {
-		next := c.heapPop()
+		next := c.heap[0]
 		next.horizon = 1<<63 - 1
-		if len(c.heap) > 0 {
-			next.horizon = max(next.clock, c.heap[0].clock) + c.quantum
+		if len(c.heap) > 1 {
+			second := c.heap[1]
+			if len(c.heap) > 2 && simLess(c.heap[2], second) {
+				second = c.heap[2]
+			}
+			next.horizon = max(next.clock, second.clock) + c.quantum
 		}
 		if next.retry == nil || !next.idle() {
-			c.next = next
+			c.next = c.heapPop()
 			return
 		}
-		c.heapPush(next)
+		c.siftDown()
 	}
 	c.next = nil
 }
