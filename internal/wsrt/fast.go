@@ -98,24 +98,22 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 			// do not deposit: the child's own finaliser will deliver to f.
 			return 0, false
 		}
+		// The paper's free(). childWS was cloned by this worker and handed
+		// only to the child, so anyone still able to read it got it from a
+		// frame at or below the child. The child completed inline: each such
+		// frame was popped by this worker, never stolen (a stolen frame
+		// fails its owner's Pop or suspends at its Sync, and either detaches
+		// the whole subtree), and every special task Below started joined its
+		// stolen children — which run on clones of their own — before it
+		// returned. So the last reference is ours, whether or not f itself
+		// was stolen meanwhile: its thief works on f.WS, never on childWS.
+		w.Release(childWS)
 		if _, ok := w.Pop(); !ok {
 			// f was stolen while the child ran: the thief resumes the
 			// continuation from f.PC; we hand it the in-flight child value.
 			w.Deposit(f, v)
 			return 0, false
 		}
-		// The paper's free(), on the not-stolen path. childWS was cloned by
-		// this worker and handed only to the child, so anyone still able to
-		// read it got it from a frame at or below the child. The child
-		// completed inline: each such frame was popped by this worker, never
-		// stolen (a stolen frame fails its owner's Pop or suspends at its
-		// Sync, and either detaches the whole subtree), and every special
-		// task Below started joined its stolen children — which run on clones
-		// of their own — before it returned. So the last reference is ours.
-		// That is true on the failed-Pop arm above as well; it runs once per
-		// steal, not per spawn, and leaves childWS — like every workspace
-		// that did leave with a stolen frame — to the collector.
-		w.Release(childWS)
 		sum += v
 	}
 	w.ChargeMoves(n - from)

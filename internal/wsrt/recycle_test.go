@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivetc/internal/core"
+	"adaptivetc/internal/faults"
 	"adaptivetc/internal/lang"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/slaw"
@@ -12,6 +13,7 @@ import (
 	"adaptivetc/internal/wsrt"
 	"adaptivetc/problems/knight"
 	"adaptivetc/problems/nqueens"
+	"adaptivetc/problems/registry"
 	"adaptivetc/problems/sudoku"
 	"adaptivetc/problems/synthtree"
 )
@@ -59,6 +61,13 @@ func TestRecycleAllocBudget(t *testing.T) {
 // a sum that differs from the serial one or, under -race, as a report. The
 // 5×5 knight's tour is 1.7 M nodes; -short (the -race -count=20 step in CI)
 // takes the 5×4 board instead.
+//
+// The steal-heavy rows run AdaptiveTC and Cilk on tree3 under the fault
+// plane's deposit delays, which hold a victim between its failed Pop and
+// its deposit: a stolen frame's thief then often reaches the sync first and
+// suspends, so the releases where a child returns to a stolen frame, where a
+// thief completes a stolen frame and where a depositor finalises one all
+// run, each handing a workspace to a pool another worker's Clone may take.
 func TestRecycleAliasing(t *testing.T) {
 	tour := knight.New(5)
 	if testing.Short() {
@@ -81,22 +90,74 @@ func TestRecycleAliasing(t *testing.T) {
 		slaw.NewHelpFirst(), slaw.New(),
 	}
 	for _, p := range programs {
-		want, err := sched.Serial{}.Run(p, sched.Options{})
+		want := serialRun(t, p)
+		for _, e := range engines {
+			checkAliasing(t, e, p, want, e.Name()+"/"+p.Name(), nil)
+		}
+	}
+	delay, err := faults.Scenario("deposit-delay", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := synthtree.New(synthtree.Tree3(100000))
+	want := serialRun(t, tree)
+	for _, e := range []sched.Engine{core.New(), wsrt.Cilk} {
+		checkAliasing(t, e, tree, want, e.Name()+"/"+tree.Name()+"/deposit-delay", &delay)
+	}
+}
+
+func serialRun(t *testing.T, p sched.Program) sched.Result {
+	res, err := sched.Serial{}.Run(p, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkAliasing runs e on p at 4 Real workers, under the fault spec when
+// there is one, in a parallel subtest, and holds value and node count to
+// the serial oracle's.
+func checkAliasing(t *testing.T, e sched.Engine, p sched.Program, want sched.Result, name string, spec *faults.Spec) {
+	t.Run(name, func(t *testing.T) {
+		t.Parallel()
+		opt := sched.Options{Workers: 4, Platform: &vtime.Real{Seed: 7}}
+		if spec != nil {
+			opt.Faults = faults.New(*spec)
+		}
+		res, err := e.Run(p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range engines {
-			t.Run(e.Name()+"/"+p.Name(), func(t *testing.T) {
-				t.Parallel()
-				res, err := e.Run(p, sched.Options{Workers: 4, Platform: &vtime.Real{Seed: 7}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Value != want.Value || res.Stats.Nodes != want.Stats.Nodes {
-					t.Errorf("value %d over %d nodes, serial says %d over %d",
-						res.Value, res.Stats.Nodes, want.Value, want.Stats.Nodes)
-				}
-			})
+		if res.Value != want.Value || res.Stats.Nodes != want.Stats.Nodes {
+			t.Errorf("value %d over %d nodes, serial says %d over %d",
+				res.Value, res.Stats.Nodes, want.Value, want.Stats.Nodes)
 		}
+		if spec != nil && res.Stats.Steals == 0 {
+			t.Errorf("no steal in a steal-heavy row: nothing left a worker")
+		}
+	})
+}
+
+// TestSimStealAllocBudget pins what returning a stolen frame's workspace buys
+// on paper-sim's steal-heaviest shape: AdaptiveTC on tree3(20000) at P = 8,
+// seed 1, Cutoff 3, 3 317 steals a run. Each steal used to leave a workspace
+// to the collector — 18 369 heap objects a run — where now the thief that
+// completes the frame, or the depositor that finalises it, and the victim
+// whose child returned to the stolen frame each put one back in a pool.
+func TestSimStealAllocBudget(t *testing.T) {
+	const budget = 8000 // heap objects per run
+	prog, err := registry.Build("tree3", registry.Params{Size: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sched.Options{Workers: 8, Seed: 1, Cutoff: 3}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := core.New().Run(prog, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f heap objects per run", allocs)
+	if allocs > budget {
+		t.Errorf("%.0f heap objects per run, budget %d", allocs, budget)
 	}
 }

@@ -528,8 +528,9 @@ func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 }
 
 // Release returns a child workspace to the worker's pool for the next Clone.
-// The caller must hold the last reference: see Fast.Loop for the argument.
-// Workspaces that cannot be copied into (not sched.Reusable) go to the
+// The caller must hold the last reference: see Fast.Loop for the argument
+// where a child returns, and freeFinished where a stolen or suspended frame
+// ends. Workspaces that cannot be copied into (not sched.Reusable) go to the
 // collector instead.
 func (w *Worker) Release(ws sched.Workspace) {
 	if r, ok := ws.(sched.Reusable); ok && len(w.pool) < workerPoolCap {
@@ -545,10 +546,11 @@ func (w *Worker) DropWorkspacePool() { w.pool = nil }
 
 // Deposit delivers v to parent, finalising and cascading when a suspended
 // frame's last expected deposit arrives. A nil parent completes the run.
-// Each finalised frame is recycled: the finalising depositor owns it
-// outright (its executor abandoned it at suspension and this was the last
-// expected deposit), so after reading the total and the parent link it goes
-// to the worker's free-list.
+// Each finalised frame is recycled with its workspace (freeFinished): the
+// finalising depositor owns both outright (its executor abandoned the frame
+// at suspension, every earlier executor deposited before this last expected
+// deposit, and children run on clones of their own), so after reading the
+// total and the parent link they go to the worker's free-list and pool.
 func (w *Worker) Deposit(parent *Frame, v int64) {
 	if w.fi != nil {
 		if d := w.fi.DepositDelayNS(); d > 0 {
@@ -578,7 +580,7 @@ func (w *Worker) Deposit(parent *Frame, v int64) {
 			w.tr.Add(w.Proc.Now(), trace.OpFinalize, parent.seq, total, 0)
 		}
 		next := parent.Parent
-		w.FreeFrame(parent)
+		w.freeFinished(parent)
 		v, parent = total, next
 	}
 }
@@ -748,17 +750,31 @@ func (w *Worker) noteStolen(f *Frame, victim int) {
 
 // resumeStolen runs a stolen frame to its completion or detachment and
 // delivers its value (the slow-version body shared by direct steals and
-// intake drains).
+// intake drains). A completed frame goes back with its workspace
+// (freeFinished): its subtree is done and its sync saw no pending deposits,
+// so every earlier executor has deposited and stopped reading f.WS, and the
+// thief is the last owner of both.
 func (w *Worker) resumeStolen(f *Frame) {
 	v, completed := w.rt.Eng.Resume(w, f)
 	if completed {
-		// f's subtree is done and its sync saw no pending deposits,
-		// so the thief is its last owner: recycle it, then deliver
-		// its value (the parent link must be read first).
-		parent := f.Parent
-		w.FreeFrame(f)
+		parent := f.Parent // read before f is recycled
+		w.freeFinished(f)
 		w.Deposit(parent, v)
 	}
+}
+
+// freeFinished recycles a frame that finished away from the stack that
+// created it — a stolen frame its thief completed, or a suspended frame its
+// last depositor finalised — together with its workspace, which the frame's
+// creator left to it when the frame detached. The root frame (no parent)
+// keeps its workspace, which came from Program.Root rather than a Clone; a
+// special frame shares its workspace with the fake task that created it, but
+// is waited, never stolen or finalised, and so never arrives here.
+func (w *Worker) freeFinished(f *Frame) {
+	if f.Parent != nil && f.Kind != KindSpecial {
+		w.Release(f.WS)
+	}
+	w.FreeFrame(f)
 }
 
 // runJob is one worker's whole share of a job: run the root (worker 0),
