@@ -19,8 +19,8 @@
 //
 // Under Sim none of this runs (Runtime.wake is nil): a failed steal charges
 // Costs.Steal and yields once, through yieldIdle, so the Sim core makes the
-// next attempts itself (trySteal); sleepers stays zero, and Push pays one
-// load of it.
+// next attempts itself (trySteal), failing an empty victim without its lock
+// (deque.FailEmpty); sleepers stays zero, and Push pays one load of it.
 package wsrt
 
 import (
