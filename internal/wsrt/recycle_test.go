@@ -140,10 +140,11 @@ func checkAliasing(t *testing.T, e sched.Engine, p sched.Program, want sched.Res
 
 // TestSimStealAllocBudget pins what returning a stolen frame's workspace buys
 // on paper-sim's steal-heaviest shape: AdaptiveTC on tree3(20000) at P = 8,
-// seed 1, Cutoff 3, 3 317 steals a run. Each steal used to leave a workspace
-// to the collector — 18 369 heap objects a run — where now the thief that
-// completes the frame, or the depositor that finalises it, and the victim
-// whose child returned to the stolen frame each put one back in a pool.
+// seed 1, Cutoff 3, 3 317 steals a run. A run allocates ~5 400 heap objects
+// when the thief that completes a stolen frame, or the depositor that
+// finalises it, and the victim whose child returned to the stolen frame each
+// put a workspace back in a pool, and 18 364 when each steal leaves them to
+// the collector.
 func TestSimStealAllocBudget(t *testing.T) {
 	const budget = 8000 // heap objects per run
 	prog, err := registry.Build("tree3", registry.Params{Size: 20000})
