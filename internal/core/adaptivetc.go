@@ -100,7 +100,7 @@ func (x *exec) checkNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
 	if !w.PollNeedTask() {
 		var sum int64
 		n := prog.Moves(ws, depth)
-		from := 0 // first attempt not charged yet (wsrt.Worker.ChargeMoves)
+		from := 0 // first attempt not charged yet (sched.Walker.ChargeMoves)
 		for m := 0; m < n; m++ {
 			if !prog.Apply(ws, depth, m) {
 				continue

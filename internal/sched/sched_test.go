@@ -166,18 +166,20 @@ func TestDeriveWorkTime(t *testing.T) {
 	}
 }
 
-func TestEvalSequentialMatchesSerial(t *testing.T) {
+func TestWalkerSequenceMatchesSerial(t *testing.T) {
 	p := binTree{height: 5}
-	var st Stats
 	c := DefaultCosts()
+	var w Walker
 	var got int64
 	(&vtime.Sim{}).Run(1, func(proc vtime.Proc) {
-		got = EvalSequential(p, p.Root(), 0, &c, proc, &st)
+		w.Proc = proc
+		w.Start(p, &c, nil)
+		got = w.Sequence(p.Root(), 0)
 	})
 	if got != 32 {
 		t.Fatalf("value = %d, want 32", got)
 	}
-	if st.Nodes != 63 {
+	if st := w.Stats; st.Nodes != 63 {
 		t.Fatalf("nodes = %d, want 63", st.Nodes)
 	}
 }

@@ -110,7 +110,7 @@ func (x *exec) loop(w *wsrt.Worker, f *wsrt.Frame, pc int, sum int64) (int64, bo
 	ws, depth := f.WS, f.Depth
 	n := prog.Moves(ws, depth)
 	queued := 0 // our help-first children currently in the deque
-	from := pc  // first attempt not charged yet (wsrt.Worker.ChargeMoves)
+	from := pc  // first attempt not charged yet (sched.Walker.ChargeMoves)
 	for m := pc; m < n; m++ {
 		if !prog.Apply(ws, depth, m) {
 			continue

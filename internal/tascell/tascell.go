@@ -55,8 +55,6 @@ func (e *Engine) Name() string {
 func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	n := opt.WorkersOrDefault()
 	rt := &runtime{
-		prog:    p,
-		coster:  sched.CosterOf(p),
 		costs:   opt.CostsOrDefault(),
 		n:       n,
 		single:  e.single,
@@ -69,7 +67,8 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	}
 	workers := make([]*tworker, n)
 	makespan := opt.PlatformOrDefault().Run(n, func(proc vtime.Proc) {
-		tw := &tworker{id: proc.ID(), proc: proc, rt: rt, wall: !vtime.Charges(proc)}
+		tw := &tworker{Walker: sched.Walker{Proc: proc}, id: proc.ID(), rt: rt}
+		tw.Start(p, &rt.costs, nil)
 		workers[tw.id] = tw
 		start := proc.Now()
 		if tw.id == 0 {
@@ -78,12 +77,12 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 			rt.done.Store(true)
 		}
 		tw.idleLoop()
-		tw.stats.WorkerTime += proc.Now() - start
+		tw.Stats.WorkerTime += proc.Now() - start
 	})
 	var st sched.Stats
 	for _, tw := range workers {
 		if tw != nil {
-			st.Add(tw.stats)
+			st.Add(tw.Stats)
 		}
 	}
 	if opt.Profile {
@@ -100,8 +99,6 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 }
 
 type runtime struct {
-	prog    sched.Program
-	coster  sched.Coster // prog's per-node cost hook, resolved once; may be nil
 	costs   sched.Costs
 	n       int
 	single  bool // extract one iteration per request instead of half
@@ -167,14 +164,12 @@ type level struct {
 	join    *join
 }
 
+// tworker is one Tascell thread. Its Walker visits nodes and gates the clock;
+// levelLoop charges its moves, taxed, through the Walker's Advance.
 type tworker struct {
-	id    int
-	proc  vtime.Proc
-	rt    *runtime
-	stats sched.Stats
-	// wall is set when proc is the wall clock, whose Advance and Yield are
-	// empty: advance and yield then skip the calls (vtime.Charges).
-	wall bool
+	sched.Walker
+	id int
+	rt *runtime
 
 	ws    sched.Workspace // workspace of the task being executed
 	spine []*level
@@ -184,13 +179,8 @@ type tworker struct {
 // value. Note tw.ws aliases ws; the field exists so respond can backtrack.
 func (tw *tworker) exec(ws sched.Workspace, depth int) int64 {
 	tw.ws = ws
-	prog := tw.rt.prog
-	c := &tw.rt.costs
-	tw.stats.Nodes++
-	if !tw.wall { // skip NodeCharge's Coster call too
-		tw.advance(sched.NodeCharge(tw.rt.coster, ws, depth, c))
-		tw.yield()
-	}
+	prog := tw.Prog()
+	tw.Visit(ws, depth)
 	tw.nodeTick()
 	if v, term := prog.Terminal(ws, depth); term {
 		return v
@@ -202,25 +192,11 @@ func (tw *tworker) exec(ws sched.Workspace, depth int) int64 {
 	return sum
 }
 
-// advance and yield are the worker's only calls into proc's Advance and
-// Yield; on the wall clock both are skipped.
-func (tw *tworker) advance(d int64) {
-	if !tw.wall {
-		tw.proc.Advance(d)
-	}
-}
-
-func (tw *tworker) yield() {
-	if !tw.wall {
-		tw.proc.Yield()
-	}
-}
-
 // levelLoop runs lvl's iterations from mStart, joining stolen children at
 // the end. The limit is re-read every iteration because respond may shrink
 // it while we are deep in a child.
 func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
-	prog := tw.rt.prog
+	prog := tw.Prog()
 	c := &tw.rt.costs
 	var sum int64
 	moveCost := c.Move
@@ -231,7 +207,7 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 		moveCost += c.TascellMove
 		nestedPerMove = c.TascellMove
 	}
-	// Moves are charged as in wsrt.Worker.ChargeMoves: from is the first
+	// Moves are charged as in sched.Walker.ChargeMoves: from is the first
 	// attempt not charged yet. respond may shrink lvl.limit while a child
 	// runs, but never below the attempt after that child's move, which is
 	// from, so the final charge is never negative.
@@ -240,11 +216,11 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 		if k <= 0 {
 			return
 		}
-		tw.advance(int64(k) * moveCost)
+		tw.Advance(int64(k) * moveCost)
 		if tw.rt.profile {
 			// The workspace-reachability tax is part of the "nested
 			// function management" bar of the paper's Figure 6.
-			tw.stats.DequeTime += int64(k) * nestedPerMove
+			tw.Stats.DequeTime += int64(k) * nestedPerMove
 		}
 	}
 	for mm := mStart; mm < lvl.limit; mm++ {
@@ -273,11 +249,11 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 // so the common case costs a single load, as in Tascell's generated code.
 func (tw *tworker) nodeTick() {
 	c := &tw.rt.costs
-	tw.advance(c.NestedCall + c.Poll)
-	tw.stats.Polls++
+	tw.Advance(c.NestedCall + c.Poll)
+	tw.Stats.Polls++
 	if tw.rt.profile {
-		tw.stats.DequeTime += c.NestedCall
-		tw.stats.PollTime += c.Poll
+		tw.Stats.DequeTime += c.NestedCall
+		tw.Stats.PollTime += c.Poll
 	}
 	if tw.rt.pending[tw.id].Load() == 0 {
 		return
@@ -285,7 +261,7 @@ func (tw *tworker) nodeTick() {
 	t0 := tw.now()
 	tw.drainRequests(true)
 	if tw.rt.profile {
-		tw.stats.PollTime += tw.proc.Now() - t0
+		tw.Stats.PollTime += tw.Proc.Now() - t0
 	}
 }
 
@@ -312,7 +288,7 @@ func (tw *tworker) drainRequests(canGive bool) {
 // clone the workspace, hand half of the remaining iterations to the
 // requester, and restore.
 func (tw *tworker) respond(req *request) {
-	prog := tw.rt.prog
+	prog := tw.Prog()
 	c := &tw.rt.costs
 	victim := -1
 	for i, lvl := range tw.spine {
@@ -326,7 +302,7 @@ func (tw *tworker) respond(req *request) {
 		return
 	}
 	t0 := tw.now()
-	tw.advance(c.Respond)
+	tw.Advance(c.Respond)
 	// Temporary backtracking: undo from the deepest level down to the
 	// chosen one, inclusive.
 	for i := len(tw.spine) - 1; i >= victim; i-- {
@@ -336,9 +312,9 @@ func (tw *tworker) respond(req *request) {
 	}
 	lvl := tw.spine[victim]
 	if b := tw.ws.Bytes(); b > 0 {
-		tw.advance(c.CopyBase + int64(b)/c.CopyBytesPerNs)
-		tw.stats.WorkspaceCopies++
-		tw.stats.WorkspaceBytes += int64(b)
+		tw.Advance(c.CopyBase + int64(b)/c.CopyBytesPerNs)
+		tw.Stats.WorkspaceCopies++
+		tw.Stats.WorkspaceBytes += int64(b)
 	}
 	clone := tw.ws.Clone() // not recycled: the clone leaves with the thief
 	remaining := lvl.limit - (lvl.m + 1)
@@ -361,9 +337,9 @@ func (tw *tworker) respond(req *request) {
 			}
 		}
 	}
-	tw.stats.Requests++
+	tw.Stats.Requests++
 	if tw.rt.profile {
-		tw.stats.RespondTime += tw.proc.Now() - t0
+		tw.Stats.RespondTime += tw.Proc.Now() - t0
 	}
 	req.reply <- t
 }
@@ -380,9 +356,9 @@ func (tw *tworker) waitJoin(j *join) int64 {
 		// Account the sleep tick itself, not the whole wall span: respond
 		// time spent answering requests mid-wait is tallied separately.
 		if tw.rt.profile {
-			tw.stats.WaitTime += c.WaitTick
+			tw.Stats.WaitTime += c.WaitTick
 		}
-		tw.proc.Sleep(c.WaitTick)
+		tw.Proc.Sleep(c.WaitTick)
 	}
 }
 
@@ -393,15 +369,15 @@ func (tw *tworker) idleLoop() {
 	for !rt.done.Load() {
 		tw.drainRequests(false)
 		if rt.n == 1 {
-			tw.proc.Sleep(c.WaitTick)
+			tw.Proc.Sleep(c.WaitTick)
 			continue
 		}
-		victim := tw.proc.Rand().Intn(rt.n - 1)
+		victim := tw.Proc.Rand().Intn(rt.n - 1)
 		if victim >= tw.id {
 			victim++
 		}
 		t0 := tw.now()
-		tw.advance(c.Steal)
+		tw.Advance(c.Steal)
 		req := &request{reply: make(chan *task, 1)}
 		rt.pending[victim].Add(1)
 		rt.mail[victim] <- req
@@ -410,13 +386,13 @@ func (tw *tworker) idleLoop() {
 			select {
 			case t := <-req.reply:
 				if tw.rt.profile {
-					tw.stats.StealTime += tw.proc.Now() - t0
+					tw.Stats.StealTime += tw.Proc.Now() - t0
 				}
 				if t == nil {
-					tw.stats.StealFails++
+					tw.Stats.StealFails++
 					break awaitReply
 				}
-				tw.stats.Steals++
+				tw.Stats.Steals++
 				tw.runTask(t)
 				break awaitReply
 			default:
@@ -425,7 +401,7 @@ func (tw *tworker) idleLoop() {
 				return
 			}
 			tw.drainRequests(false)
-			tw.proc.Sleep(c.WaitTick)
+			tw.Proc.Sleep(c.WaitTick)
 		}
 	}
 }
@@ -442,7 +418,7 @@ func (tw *tworker) runTask(t *task) {
 
 func (tw *tworker) now() int64 {
 	if tw.rt.profile {
-		return tw.proc.Now()
+		return tw.Proc.Now()
 	}
 	return 0
 }

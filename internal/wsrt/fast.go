@@ -80,7 +80,7 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 	prog := w.Prog()
 	ws, depth, rel := f.WS, f.Depth, f.Rel
 	n := prog.Moves(ws, depth)
-	from := pc // first attempt not charged yet (Worker.ChargeMoves)
+	from := pc // first attempt not charged yet (sched.Walker.ChargeMoves)
 	for m := pc; m < n; m++ {
 		if !prog.Apply(ws, depth, m) {
 			continue
@@ -125,15 +125,6 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 		return sum, true
 	}
 	return w.Sync(f, sum)
-}
-
-// Sequence evaluates the subtree at ws with plain recursion and move undo —
-// the paper's sequence version: no tasks, no copies, nothing stealable. The
-// job's stop flag goes along, so a long sequential tail observes cancellation
-// too. Its signature is Fast.Below's, so (*Worker).Sequence is a cutoff
-// strategy as it stands.
-func (w *Worker) Sequence(ws sched.Workspace, depth int) int64 {
-	return sched.EvalSequentialStop(w.Prog(), ws, depth, &w.rt.Costs, w.Proc, &w.Stats, w.rt.stop)
 }
 
 // sequenceCopying is the library cut-off's sequential recursion: still one

@@ -202,7 +202,7 @@ func TestThiefAskingForNothingStillSignals(t *testing.T) {
 	const maxStolenNum = 3
 	deques := []deque.WorkDeque{deque.New(64, maxStolenNum), deque.New(64, maxStolenNum)}
 	rt := newRuntime(leafProg{}, leafEngine{}, deques, sched.Options{})
-	thief := &Worker{Proc: vtime.NewRealProcs(2, 1)[1], Deque: deques[1]}
+	thief := &Worker{Walker: sched.Walker{Proc: vtime.NewRealProcs(2, 1)[1]}, Deque: deques[1]}
 	thief.bind(rt, 1)
 
 	thief.thief = &askNothing{rt: rt, attempts: maxStolenNum}

@@ -33,7 +33,7 @@ func parkFixture() (victim, thief *Worker) {
 	ws := make([]*Worker, len(deques))
 	for i := range ws {
 		deques[i].SetNeedTask(true)
-		ws[i] = &Worker{ID: i, Proc: procs[i], Deque: deques[i], rt: rt}
+		ws[i] = &Worker{Walker: sched.Walker{Proc: procs[i]}, ID: i, Deque: deques[i], rt: rt}
 	}
 	return ws[0], ws[1]
 }

@@ -266,7 +266,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
 		p.deques[i] = newDeque(opt)
-		p.workers[i] = &Worker{ID: i, Proc: procs[i], Deque: p.deques[i], wall: !vtime.Charges(procs[i])}
+		p.workers[i] = &Worker{Walker: sched.Walker{Proc: procs[i]}, ID: i, Deque: p.deques[i]}
 		p.wake[i] = make(chan shardRun)
 	}
 	for k, shard := range shards.parts {
@@ -640,7 +640,7 @@ func (p *Pool) workerLoop(i int) {
 		w.bind(job.rt, run.local)
 		w.runJob(true)
 		w.rt = nil
-		w.prog = nil
+		w.Start(nil, nil, nil) // drop the job's program, costs and stop flag
 		// The workspace pool holds program-typed workspaces; the next job
 		// bound to this worker may run a different program, and Clone
 		// must never hand it a leftover (CopyFrom would panic on the

@@ -2,7 +2,10 @@ package wsrt_test
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adaptivetc/internal/core"
 	"adaptivetc/internal/faults"
@@ -102,7 +105,49 @@ func TestRecycleAliasing(t *testing.T) {
 	tree := synthtree.New(synthtree.Tree3(100000))
 	want := serialRun(t, tree)
 	for _, e := range []sched.Engine{core.New(), wsrt.Cilk} {
-		checkAliasing(t, e, tree, want, e.Name()+"/"+tree.Name()+"/deposit-delay", &delay)
+		gated := &stealGate{Program: tree, open: make(chan struct{})}
+		checkAliasing(t, e, gated, want, e.Name()+"/"+tree.Name()+"/deposit-delay", &delay)
+	}
+}
+
+// stealGate holds the first worker to reach a node at depth 2 — the root
+// worker, as no thief has work before then — until a thief calls into the
+// program, which it can only do on a frame it stole. The root worker's deque
+// holds the frames of depths 0 and 1 by then (AdaptiveTC's cutoff at 4
+// workers is 2), so a thief always finds one. Without the gate a root worker
+// whose thieves had not yet been scheduled (GOMAXPROCS=1 shows it in a few
+// runs of ten) walked the whole tree alone and the row saw no steal.
+type stealGate struct {
+	sched.Program
+	taken   atomic.Bool // the first worker at depth 2 took the gate
+	waiting atomic.Bool // and waits in it for a thief
+	open    chan struct{}
+	once    sync.Once
+}
+
+func (g *stealGate) Terminal(ws sched.Workspace, depth int) (int64, bool) {
+	g.thief()
+	if depth == 2 && g.taken.CompareAndSwap(false, true) {
+		g.waiting.Store(true)
+		select {
+		case <-g.open:
+		case <-time.After(10 * time.Second): // the steal assertion reports it
+		}
+	}
+	return g.Program.Terminal(ws, depth)
+}
+
+// Moves is the first call a resumed frame makes (Fast.Loop).
+func (g *stealGate) Moves(ws sched.Workspace, depth int) int {
+	g.thief()
+	return g.Program.Moves(ws, depth)
+}
+
+// thief opens the gate: while the root worker waits in it, every call into
+// the program comes from another worker.
+func (g *stealGate) thief() {
+	if g.waiting.Load() {
+		g.once.Do(func() { close(g.open) })
 	}
 }
 

@@ -42,7 +42,6 @@ type Runtime struct {
 	Deques []deque.WorkDeque
 	Eng    Engine
 
-	coster  sched.Coster // Prog's per-node cost hook, resolved once; may be nil
 	profile bool
 	tracer  *trace.Recorder // nil unless Options.Tracer was set
 	faults  *faults.Plan    // nil unless fault injection was requested
@@ -158,6 +157,15 @@ func (p firstSolutionProg) Terminal(ws sched.Workspace, depth int) (int64, bool)
 	return v, term
 }
 
+// NodeCost forwards the job's per-node cost hook, if it has one, so that the
+// walker charges a first-solution job's nodes as it would the plain job's.
+func (p firstSolutionProg) NodeCost(ws sched.Workspace, depth int) int64 {
+	if c, ok := p.Program.(sched.Coster); ok {
+		return c.NodeCost(ws, depth)
+	}
+	return 0
+}
+
 // Aborts — deque overflow, cooperative cancellation — travel as
 // panic(sched.Abort{...}) so that deep recursion unwinds; the worker's top
 // level recovers and records the error as the run's failure.
@@ -172,29 +180,16 @@ func (p firstSolutionProg) Terminal(ws sched.Workspace, depth int) (int64, bool)
 // 100% while letting the excess go back to the garbage collector.
 const workerPoolCap = 64
 
-// Worker is one scheduler thread.
+// Worker is one scheduler thread. Its Walker, bound to the job's program view
+// by bind, visits nodes, charges moves, gates the clock and runs Sequence.
 type Worker struct {
+	sched.Walker
 	ID    int
-	Proc  vtime.Proc
 	Deque deque.WorkDeque
-	Stats sched.Stats
 
 	rt     *Runtime
 	pool   []pooledWS
 	frames []*Frame
-
-	// wall is set once, where the worker is built, when Proc is the wall
-	// clock (vtime.Charges is false): its Advance and Yield are empty, and
-	// advance and yield skip the calls. The zero value charges, so a Worker
-	// built without it, a Sim Proc or a wrapper Proc receives every call.
-	wall bool
-
-	// prog overrides the program Prog() hands to engine code; nil means the
-	// runtime's program. First-solution jobs install a firstSolutionProg
-	// wrapper here per worker (bind) so every engine path — node bodies,
-	// sequential tails — sees the intercepted Terminal without any engine
-	// changes.
-	prog sched.Program
 
 	// tr is this worker's trace log; nil unless the run is traced. Every
 	// recording site below is a single nil check when tracing is off, so
@@ -241,15 +236,6 @@ type pooledWS struct {
 	r  sched.Reusable
 }
 
-// Prog returns the program under execution — the worker's wrapped view for
-// a first-solution job, the runtime's program otherwise.
-func (w *Worker) Prog() sched.Program {
-	if w.prog != nil {
-		return w.prog
-	}
-	return w.rt.Prog
-}
-
 // bind attaches the worker to job rt as its local-th worker: identity, fresh
 // counters, trace log, fault stream, thief and program view. The batch Run
 // binds each worker once; a pool worker is re-bound per job, adopting its
@@ -257,6 +243,9 @@ func (w *Worker) Prog() sched.Program {
 // logs are all indexed within the job's deque slice. The thief is rebuilt per
 // job: its PRNG stream restarts from the job's seed and the local id, so a
 // job's victim sequence does not depend on what ran on this worker before.
+// A first-solution job's workers walk a firstSolutionProg wrapper, so every
+// engine path — node bodies, sequential tails — sees the intercepted
+// Terminal without any engine changes.
 func (w *Worker) bind(rt *Runtime, local int) {
 	w.ID, w.rt, w.Stats = local, rt, sched.Stats{}
 	w.tr = nil
@@ -268,47 +257,28 @@ func (w *Worker) bind(rt *Runtime, local int) {
 	if w.retry == nil {
 		w.retry = w.trySteal
 	}
-	w.prog = nil
+	var prog sched.Program = rt.Prog
 	if rt.firstSolution {
-		w.prog = firstSolutionProg{Program: rt.Prog, w: w}
+		prog = firstSolutionProg{Program: rt.Prog, w: w}
 	}
+	w.Start(prog, &rt.Costs, rt.stop)
 }
 
-// BeginNode accounts one node visit. It is also a cancellation poll point:
-// a stopped job unwinds here via sched.Abort, so even a worker deep inside
-// a task's recursion observes cancellation within one node. The poll is a
-// nil check plus one atomic load and charges no virtual cost, keeping
-// un-cancelled Sim runs byte-identical.
+// BeginNode is the fault hook plus the Walker's node visit. The visit is a
+// cancellation poll point: a stopped job unwinds there via sched.Abort, so
+// even a worker deep inside a task's recursion observes cancellation within
+// one node.
 func (w *Worker) BeginNode(ws sched.Workspace, depth int) {
 	if w.fi != nil {
 		w.injectNode()
 	}
-	w.rt.stop.Check()
-	w.Stats.Nodes++
-	if !w.wall { // skip NodeCharge's Coster call too
-		w.advance(sched.NodeCharge(w.rt.coster, ws, depth, &w.rt.Costs))
-		w.yield()
-	}
+	w.Visit(ws, depth)
 }
 
-// advance and yield are the runtime's only calls into Proc.Advance and
-// Proc.Yield; on the wall clock both are skipped (see Worker.wall).
-func (w *Worker) advance(d int64) {
-	if !w.wall {
-		w.Proc.Advance(d)
-	}
-}
-
-func (w *Worker) yield() {
-	if !w.wall {
-		w.Proc.Yield()
-	}
-}
-
-// yieldIdle is yield for a thief whose steal just failed: under Sim the core
+// yieldIdle is Yield for a thief whose steal just failed: under Sim the core
 // runs trySteal in place of resuming the thief (vtime.YieldIdle).
 func (w *Worker) yieldIdle() {
-	if !w.wall {
+	if !w.Wall() {
 		vtime.YieldIdle(w.Proc, w.retry)
 	}
 }
@@ -333,7 +303,7 @@ func (w *Worker) injectNode() {
 // the clock only when the run is profiled.
 func (w *Worker) PollNeedTask() bool {
 	t0 := w.now()
-	w.advance(w.rt.Costs.FlagPoll)
+	w.Advance(w.rt.Costs.FlagPoll)
 	w.Stats.Polls++
 	need := w.Deque.NeedTask()
 	if w.rt.profile {
@@ -362,18 +332,6 @@ func (w *Worker) JoinSpecial(s *Frame, localSum int64) int64 {
 	}
 }
 
-// ChargeMoves accounts k candidate moves in one Advance; k <= 0 costs
-// nothing. A move loop keeps from, the first attempt it has not charged yet,
-// and calls ChargeMoves(m+1-from) right after Apply(m) succeeds and
-// ChargeMoves(n-from) once at its end, so a rejected move costs one Apply
-// and nothing else. Sim sees the same clock: nothing between two Applys
-// reads the clock or yields (DESIGN §26).
-func (w *Worker) ChargeMoves(k int) {
-	if k > 0 {
-		w.advance(int64(k) * w.rt.Costs.Move)
-	}
-}
-
 // ChargeTask accounts the creation of one real task (frame allocation and
 // initialisation — the paper's "task creation" overhead). Engines call it
 // at the entry of every task version, including for leaves, matching the
@@ -381,7 +339,7 @@ func (w *Worker) ChargeMoves(k int) {
 // only materialised when the node actually spawns.
 func (w *Worker) ChargeTask() {
 	t0 := w.now()
-	w.advance(w.rt.Costs.Spawn)
+	w.Advance(w.rt.Costs.Spawn)
 	w.Stats.TasksCreated++
 	w.addDeque(t0)
 }
@@ -442,7 +400,7 @@ func (w *Worker) FreeFrame(f *Frame) {
 func (w *Worker) Push(f *Frame) {
 	t0 := w.now()
 	seq := f.seq // a thief may steal, finish, free and reuse f before Push returns
-	w.advance(w.rt.Costs.Push)
+	w.Advance(w.rt.Costs.Push)
 	if w.fi != nil && w.fi.ForceOverflow() {
 		panic(sched.Abort{Err: fmt.Errorf("%w (%w): worker %d, program %s",
 			sched.ErrDequeOverflow, faults.ErrInjected, w.ID, w.rt.Prog.Name())})
@@ -463,7 +421,7 @@ func (w *Worker) Push(f *Frame) {
 // Pop pops the worker's own deque tail, accounting the cost.
 func (w *Worker) Pop() (deque.Entry, bool) {
 	t0 := w.now()
-	w.advance(w.rt.Costs.Pop)
+	w.Advance(w.rt.Costs.Pop)
 	e, ok := w.Deque.Pop()
 	if w.tr != nil {
 		if ok {
@@ -480,7 +438,7 @@ func (w *Worker) Pop() (deque.Entry, bool) {
 // any of f's children were stolen over the marker in the meantime.
 func (w *Worker) PopSpecial(f *Frame) (stolen bool) {
 	t0 := w.now()
-	w.advance(w.rt.Costs.Pop)
+	w.Advance(w.rt.Costs.Pop)
 	stolen = w.Deque.PopSpecial()
 	if w.tr != nil {
 		a := int64(0)
@@ -510,7 +468,7 @@ func (w *Worker) Clone(ws sched.Workspace, synched bool) sched.Workspace {
 		if synched {
 			base = c.PooledBase
 		}
-		w.advance(base + b/c.CopyBytesPerNs)
+		w.Advance(base + b/c.CopyBytesPerNs)
 		w.Stats.WorkspaceCopies++
 		w.Stats.WorkspaceBytes += b
 	}
@@ -664,7 +622,7 @@ func (w *Worker) thiefLoop() {
 			w.intake[n-1] = nil
 			w.intake = w.intake[:n-1]
 			w.resumeStolen(f)
-			w.yield()
+			w.Yield()
 			continue
 		}
 		if !w.trySteal() {
@@ -676,7 +634,7 @@ func (w *Worker) thiefLoop() {
 			continue
 		}
 		w.idleBackoff()
-		w.yield()
+		w.Yield()
 	}
 }
 
@@ -702,12 +660,12 @@ func (w *Worker) trySteal() bool {
 	// well: whatever a Thief asks for, an attempt is an attempt, and its
 	// failure must bump the victim's stolen_num or the starvation signal
 	// would never reach a victim whose thieves ask for nothing.
-	w.advance(rt.Costs.Steal)
+	w.Advance(rt.Costs.Steal)
 	// Under Sim nothing else runs during the attempt, so an empty victim
 	// fails it without its lock (deque.FailEmpty). A wall-clock thief keeps
 	// the locked path: how fast it fails decides when it parks (DESIGN §8.2).
 	d, n := rt.Deques[victim], 0
-	if w.wall || !d.FailEmpty() {
+	if w.Wall() || !d.FailEmpty() {
 		n = d.StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
 	}
 	if rt.profile {
@@ -887,7 +845,6 @@ func newRuntime(prog sched.Program, eng Engine, deques []deque.WorkDeque, opt sc
 		N:           len(deques),
 		Deques:      deques,
 		Eng:         eng,
-		coster:      sched.CosterOf(prog),
 		profile:     opt.Profile,
 		tracer:      opt.Tracer,
 		faults:      opt.Faults,
@@ -939,7 +896,7 @@ func Run(prog sched.Program, opt sched.Options, eng Engine, name string) (sched.
 
 	workers := make([]*Worker, n)
 	makespan := plat.Run(n, func(proc vtime.Proc) {
-		w := &Worker{Proc: proc, Deque: rt.Deques[proc.ID()], wall: !vtime.Charges(proc)}
+		w := &Worker{Walker: sched.Walker{Proc: proc}, Deque: rt.Deques[proc.ID()]}
 		w.bind(rt, proc.ID())
 		workers[w.ID] = w
 		w.runJob(false)

@@ -1,6 +1,7 @@
 package wsrt
 
 import (
+	"errors"
 	"testing"
 
 	"adaptivetc/internal/sched"
@@ -61,7 +62,7 @@ func TestFinalizeStatsClampsWorkTime(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st := collectStats([]*Worker{{Stats: c.in}}, nil, true)
+			st := collectStats([]*Worker{{Walker: sched.Walker{Stats: c.in}}}, nil, true)
 			if st.WorkTime != c.want {
 				t.Fatalf("WorkTime = %d, want %d", st.WorkTime, c.want)
 			}
@@ -69,7 +70,7 @@ func TestFinalizeStatsClampsWorkTime(t *testing.T) {
 	}
 
 	// Profile off: WorkTime is not derived at all.
-	st := collectStats([]*Worker{{Stats: sched.Stats{WorkerTime: 100, WorkTime: -7}}}, nil, false)
+	st := collectStats([]*Worker{{Walker: sched.Walker{Stats: sched.Stats{WorkerTime: 100, WorkTime: -7}}}}, nil, false)
 	if st.WorkTime != -7 {
 		t.Fatalf("collectStats touched WorkTime with profiling off: %d", st.WorkTime)
 	}
@@ -128,5 +129,49 @@ func TestTraceKindSpecialMirror(t *testing.T) {
 	if trace.KindSpecial != int64(KindSpecial) {
 		t.Fatalf("trace.KindSpecial = %d, wsrt.KindSpecial = %d; the mirror drifted",
 			trace.KindSpecial, KindSpecial)
+	}
+}
+
+// stopSpy is leafEngine as a pool engine that notes its job's stop flag.
+type stopSpy struct {
+	leafEngine
+	stop *sched.Stop
+}
+
+func (s *stopSpy) Name() string                             { return "stop-spy" }
+func (s *stopSpy) NewExec(int, sched.Options) Engine        { return s }
+func (s *stopSpy) Root(w *Worker) (int64, bool)             { s.stop = w.rt.stop; return s.leafEngine.Root(w) }
+func (s *stopSpy) Resume(w *Worker, f *Frame) (int64, bool) { return s.leafEngine.Resume(w, f) }
+
+// TestPoolWorkerDropsFinishedJob: between jobs a resident worker holds no
+// reference to the finished job's program or stop flag, so a finished job's
+// program is not kept alive by the pool and a stop fired after the job does
+// not reach the worker's next node visit.
+func TestPoolWorkerDropsFinishedJob(t *testing.T) {
+	p := NewPool(PoolConfig{Workers: 2})
+	defer p.Close()
+	for _, first := range []bool{false, true} {
+		spy := &stopSpy{}
+		h, err := p.Submit(JobSpec{Prog: leafProg{}, Engine: spy, FirstSolution: first})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := h.Result(); err != nil || res.Value != 7 {
+			t.Fatalf("first solution %v: value %d, err %v; want 7", first, res.Value, err)
+		}
+		spy.stop.Signal(errors.New("fired after the job"))
+		for i, w := range p.workers {
+			if w.Prog() != nil || w.rt != nil {
+				t.Errorf("first solution %v: worker %d still holds the finished job's program %v", first, i, w.Prog())
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("first solution %v: worker %d still polls the finished job's stop flag: %v", first, i, r)
+					}
+				}()
+				w.Visit(unitWS{}, 0)
+			}()
+		}
 	}
 }

@@ -21,11 +21,13 @@ import (
 // workspace holds an append-grown slice) at the commit that made their
 // Bytes() a constant of the program, before any engine recycled a
 // workspace. The last four rows — the two Tascells, the serial engine and a
-// serial first-solution run (EvalFirstSolution) — were recorded before the
-// move loops stopped charging each candidate move on its own; with them
-// every move loop in the repository is pinned by a literal makespan. Edit
-// them only for a change that is meant to move the Sim, and say so in the
-// PR. The policy column "first-solution" runs with Options.FirstSolution.
+// serial first-solution run (sched.Walker.FirstSolution) — were recorded
+// before the move loops stopped charging each candidate move on its own;
+// with them every move loop in the repository, each charging through
+// sched.Walker.ChargeMoves or Tascell's level loop, is pinned by a literal
+// makespan. Edit them only for a change that is meant to move the Sim, and
+// say so in the PR. The policy column "first-solution" runs with
+// Options.FirstSolution.
 func TestEngineStatsPinned(t *testing.T) {
 	engines := map[string]adaptivetc.Engine{}
 	for _, e := range []adaptivetc.Engine{
