@@ -3,6 +3,8 @@ package adaptivetc_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,14 +17,11 @@ import (
 	"adaptivetc/problems/nqueens"
 )
 
-// Cooperative cancellation across every wsrt engine: a job cancelled
-// mid-run must abort with the context's error, must not poison the runtime
-// for a subsequent job, and its truncated trace must still satisfy every
-// invariant that survives truncation (trace.Laws{Truncated: true}).
-//
-// Tascell and Serial are absent from the engine table for the runtime
-// test: Tascell does not observe Options.Ctx (own runtime, documented),
-// and Serial is covered separately below.
+// Cooperative cancellation across every engine: a job cancelled mid-run
+// must abort with the context's error, must not poison the engine for a
+// subsequent job, and a traced engine's truncated trace must still satisfy
+// every invariant that survives truncation (trace.Laws{Truncated: true}).
+// Serial is covered separately below.
 
 // cancelAfter wraps a Program, firing cancel at the k-th Apply call and
 // then stalling briefly so the context watcher's stop signal lands before
@@ -43,30 +42,40 @@ func (c cancelAfter) Apply(ws adaptivetc.Workspace, depth, m int) bool {
 	return c.Program.Apply(ws, depth, m)
 }
 
-// TestCancelMidRunAllEngines cancels a traced Sim run mid-flight for each
-// of the seven wsrt engines, then reuses the engine for an un-cancelled
-// run.
+// TestCancelMidRunAllEngines cancels a Sim run mid-flight for each of the
+// seven wsrt engines, traced, and for Tascell, which records no trace, then
+// reuses the engine value for an un-cancelled run.
 func TestCancelMidRunAllEngines(t *testing.T) {
-	for _, te := range tracedEngines {
+	engines := append(slices.Clone(tracedEngines), struct {
+		name string
+		mk   func() adaptivetc.Engine
+	}{"tascell", adaptivetc.NewTascell})
+	for _, te := range engines {
 		t.Run(te.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var calls atomic.Int64
 			prog := cancelAfter{Program: nqueens.NewArray(10), cancel: cancel, k: 200, calls: &calls}
 
-			rec := trace.NewRecorder()
-			defer rec.Release()
+			var rec *trace.Recorder
+			if te.name != "tascell" {
+				rec = trace.NewRecorder()
+				defer rec.Release()
+			}
+			e := te.mk()
 			opt := adaptivetc.Options{Workers: 4, Seed: 7, Ctx: ctx, Tracer: rec, GrowableDeque: true}
-			_, err := te.mk().Run(prog, opt)
+			_, err := e.Run(prog, opt)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 			}
-			if verr := rec.CheckLaws(trace.Laws{Truncated: true}); verr != nil {
-				t.Fatalf("truncated trace (%d events):\n%v", rec.EventCount(), verr)
+			if rec != nil {
+				if verr := rec.CheckLaws(trace.Laws{Truncated: true}); verr != nil {
+					t.Fatalf("truncated trace (%d events):\n%v", rec.EventCount(), verr)
+				}
 			}
 
 			// The engine value is reusable state: a fresh run must be clean.
-			res, err := te.mk().Run(fib.New(12), adaptivetc.Options{Workers: 4, GrowableDeque: true})
+			res, err := e.Run(fib.New(12), adaptivetc.Options{Workers: 4, GrowableDeque: true})
 			if err != nil || res.Value != 144 {
 				t.Fatalf("run after cancel: value=%d err=%v, want 144", res.Value, err)
 			}
@@ -106,6 +115,25 @@ func TestCancelMidRunReal(t *testing.T) {
 	if res, err := h2.Result(); err != nil || res.Value != 92 {
 		t.Fatalf("pool job after cancel: value=%d err=%v, want 92", res.Value, err)
 	}
+}
+
+// TestCancelTascellDeadlineReal is Tascell's Real-platform case: a deadline
+// that expires mid-run aborts the run with the context's error, and no
+// worker goroutine outlives it.
+func TestCancelTascellDeadlineReal(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, e := range []adaptivetc.Engine{adaptivetc.NewTascell(), adaptivetc.NewTascellSingle()} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		// 14-queens is 27 M nodes: seconds of work, far past the deadline.
+		_, err := e.Run(nqueens.NewArray(14), adaptivetc.Options{
+			Workers: 4, Ctx: ctx, Platform: adaptivetc.NewRealPlatform(1),
+		})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want context.DeadlineExceeded", e.Name(), err)
+		}
+	}
+	waitForGoroutines(t, base)
 }
 
 // TestCancelSerial covers the serial reference engine, which observes

@@ -41,7 +41,7 @@ import (
 // surface. Mirrors the verdict contract of cmd/adaptivetc-chaos.
 func chaosAbortOK(err error) bool {
 	return errors.Is(err, sched.ErrDequeOverflow) ||
-		errors.Is(err, wsrt.ErrJobPanicked) ||
+		errors.Is(err, sched.ErrJobPanicked) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, wsrt.ErrPoolClosed)
@@ -58,29 +58,35 @@ type chaosOutcome struct {
 	Deques  [][]trace.DequeEvent
 }
 
-// runChaos executes one faulted case on the Sim platform. Injected program
-// panics propagate out of batch runs by design; they are recovered here
-// and folded into the returned error as wsrt.ErrJobPanicked.
+// recoverInjected calls run and folds an injected program panic, which a
+// batch run raises again by design, into an error wrapping
+// sched.ErrJobPanicked. Any other panic propagates.
+func recoverInjected(run func() (sched.Result, error)) (res sched.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pv, ok := r.(faults.PanicValue)
+			if !ok {
+				panic(r)
+			}
+			err = errors.Join(sched.ErrJobPanicked, errors.New(pv.String()))
+		}
+	}()
+	return run()
+}
+
+// runChaos executes one faulted case on the Sim platform, injected panics
+// folded by recoverInjected.
 func runChaos(e adaptivetc.Engine, p adaptivetc.Program, spec faults.Spec, workers int, seed int64) (*chaosOutcome, error) {
 	rec := trace.NewRecorder()
 	defer rec.Release()
-	res, runErr := func() (res sched.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(faults.PanicValue); ok {
-					err = errors.Join(wsrt.ErrJobPanicked, errors.New(r.(faults.PanicValue).String()))
-					return
-				}
-				panic(r)
-			}
-		}()
+	res, runErr := recoverInjected(func() (sched.Result, error) {
 		return e.Run(p, adaptivetc.Options{
 			Workers: workers,
 			Seed:    seed,
 			Tracer:  rec,
 			Faults:  faults.New(spec),
 		})
-	}()
+	})
 
 	out := &chaosOutcome{Value: res.Value}
 	if runErr != nil {
@@ -200,6 +206,58 @@ func TestChaosEngines(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// TestChaosTascell holds Tascell, which records no trace, to the value half
+// of the chaos contract: under the stall scenario every run completes with
+// the oracle value, and under the panic scenario a run either completes
+// with it or aborts with sched.ErrJobPanicked — the pinned seed must abort.
+// The Real rows stall or panic at every node. No case may leak a goroutine:
+// the stop flag a failed run fires must reach every worker, wherever it
+// waits.
+func TestChaosTascell(t *testing.T) {
+	p := nqueens.NewArray(6)
+	want := chaosOracle(t, p)
+	base := runtime.NumGoroutine()
+	// triggerSeed fires the 0.002-rate panic scenario mid-run for both
+	// Tascells (found by scan, deterministic on Sim).
+	const triggerSeed = 11
+	for _, e := range []adaptivetc.Engine{adaptivetc.NewTascell(), adaptivetc.NewTascellSingle()} {
+		for si, scen := range []string{"stall", "panic"} {
+			seeds := []int64{20100424 + int64(si*1009), 20100424 + int64(si*1009+101), triggerSeed}
+			for _, seed := range seeds {
+				spec, err := faults.Scenario(scen, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, runErr := recoverInjected(func() (sched.Result, error) {
+					return e.Run(p, adaptivetc.Options{Workers: 4, Seed: seed, Faults: faults.New(spec)})
+				})
+				tuple := fmt.Sprintf("sim/w4/%s/nqueens-array=6/%s/%d", e.Name(), scen, seed)
+				switch {
+				case runErr == nil && res.Value != want:
+					t.Errorf("%s: wrong value %d, want %d", tuple, res.Value, want)
+				case runErr != nil && (scen == "stall" || !errors.Is(runErr, sched.ErrJobPanicked)):
+					t.Errorf("%s: outside the chaos contract: %v", tuple, runErr)
+				case runErr == nil && scen == "panic" && seed == triggerSeed:
+					t.Errorf("%s: pinned trigger seed no longer panics; re-pin it", tuple)
+				}
+			}
+		}
+		real := adaptivetc.NewRealPlatform(1)
+		res, err := e.Run(p, adaptivetc.Options{Workers: 4, Platform: real,
+			Faults: faults.New(faults.Spec{Stall: 1, StallNS: 1000})})
+		if err != nil || res.Value != want {
+			t.Errorf("real/w4/%s/stall-every-node: value=%d err=%v, want %d", e.Name(), res.Value, err, want)
+		}
+		_, err = recoverInjected(func() (sched.Result, error) {
+			return e.Run(p, adaptivetc.Options{Workers: 4, Platform: real, Faults: faults.New(faults.Spec{Panic: 1})})
+		})
+		if !errors.Is(err, sched.ErrJobPanicked) {
+			t.Errorf("real/w4/%s/panic-every-node: err = %v, want ErrJobPanicked", e.Name(), err)
+		}
+	}
+	waitForGoroutines(t, base)
+}
+
 // TestChaosSeedReplay pins the seed-replay contract on the hardest path:
 // the SYNCHED engine (per-node workspace clones, the cross-job panic
 // surface) aborted mid-run by an injected worker panic. Two runs of the
@@ -223,7 +281,7 @@ func TestChaosSeedReplay(t *testing.T) {
 	}
 	o1, err1 := run()
 	o2, err2 := run()
-	if !errors.Is(err1, wsrt.ErrJobPanicked) {
+	if !errors.Is(err1, sched.ErrJobPanicked) {
 		t.Fatalf("pinned seed %d no longer triggers the injected panic (err=%v); re-pin the seed", seed, err1)
 	}
 	if (err2 == nil) != (err1 == nil) || (err2 != nil && err2.Error() != err1.Error()) {
@@ -288,7 +346,7 @@ func TestChaosPoolCrossJobPanic(t *testing.T) {
 		t.Fatalf("submit faulted job: %v", err)
 	}
 	_, runErr := h1.Result()
-	if !errors.Is(runErr, wsrt.ErrJobPanicked) {
+	if !errors.Is(runErr, sched.ErrJobPanicked) {
 		t.Fatalf("faulted SYNCHED job: got %v, want ErrJobPanicked", runErr)
 	}
 	if cerr := rec1.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
@@ -426,21 +484,12 @@ func TestChaosFirstSolution(t *testing.T) {
 	run := func(e adaptivetc.Engine, spec faults.Spec, seed int64) (int64, error) {
 		rec := trace.NewRecorder()
 		defer rec.Release()
-		res, runErr := func() (res sched.Result, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if pv, ok := r.(faults.PanicValue); ok {
-						err = errors.Join(wsrt.ErrJobPanicked, errors.New(pv.String()))
-						return
-					}
-					panic(r)
-				}
-			}()
+		res, runErr := recoverInjected(func() (sched.Result, error) {
 			return e.Run(p, adaptivetc.Options{
 				Workers: 4, Seed: seed, Tracer: rec,
 				Faults: faults.New(spec), FirstSolution: true,
 			})
-		}()
+		})
 		if runErr != nil && !chaosAbortOK(runErr) {
 			return res.Value, runErr
 		}

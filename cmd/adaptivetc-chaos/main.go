@@ -212,7 +212,7 @@ func (o *oracles) value(p progSpec) (int64, error) {
 // deadline or cancellation, pool shutdown.
 func knownAbort(err error) bool {
 	return errors.Is(err, sched.ErrDequeOverflow) ||
-		errors.Is(err, wsrt.ErrJobPanicked) ||
+		errors.Is(err, sched.ErrJobPanicked) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, wsrt.ErrPoolClosed)
@@ -265,7 +265,7 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(faults.PanicValue); ok {
-					err = fmt.Errorf("%w: %v", wsrt.ErrJobPanicked, r)
+					err = fmt.Errorf("%w: %v", sched.ErrJobPanicked, r)
 					return
 				}
 				err = fmt.Errorf("unexpected panic class: %v", r)

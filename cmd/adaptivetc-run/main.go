@@ -47,7 +47,7 @@ func main() {
 	cutoff := flag.Int("cutoff", 0, "cut-off depth (cutoff-programmer, or with -force-cutoff)")
 	forceCutoff := flag.Bool("force-cutoff", false, "pin AdaptiveTC's cutoff to -cutoff instead of ⌈log2 N⌉")
 	analyze := flag.Bool("analyze", false, "print the search-tree shape instead of running")
-	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = none; tascell does not observe it)")
+	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = none)")
 	flag.Parse()
 
 	if *list {

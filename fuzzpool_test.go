@@ -239,7 +239,7 @@ func FuzzPoolConcurrent(f *testing.F) {
 				if !chaosAbortOK(err) {
 					t.Errorf("job %d: unknown abort class: %v", i, err)
 				}
-				if errors.Is(err, wsrt.ErrJobPanicked) {
+				if errors.Is(err, sched.ErrJobPanicked) {
 					sawPanicked++
 				}
 				if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true, K: multiplicity}); cerr != nil {

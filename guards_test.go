@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,6 +75,89 @@ func TestGuards(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("one_node_site_every_engine_enters_a_node_through_Walker.Visit_which_alone_draws_node_faults", func(t *testing.T) {
+		// A second node entry lets a route skip the fault plane or the stop
+		// poll without a word (TestNodeFaultsOncePerNode).
+		for _, fd := range funcDecls(t, []string{"."}, true) {
+			if name := fd.decl.Name.Name; name == "BeginNode" || name == "injectNode" {
+				t.Errorf("%s: %s is declared again", fd.fset.Position(fd.decl.Pos()), name)
+			}
+		}
+		for _, fd := range funcDecls(t, []string{"."}, false) {
+			pos := fd.fset.Position(fd.decl.Pos())
+			inWalker := filepath.Dir(pos.Filename) == filepath.Join("internal", "sched") && strings.HasPrefix(fd.name, "Walker.")
+			walkCalls(fd.decl.Body, func(call *ast.CallExpr, _ []ast.Node) {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "StallNS" || sel.Sel.Name == "PanicNow") && !inWalker {
+					t.Errorf("%s: %s draws a node fault outside sched.Walker", fd.fset.Position(call.Pos()), fd.name)
+				}
+			})
+		}
+	})
+
+	t.Run("one_spawn_loop_the_engines_configure_wsrt.Fast_and_do_not_copy_it", func(t *testing.T) {
+		// Cilk, SYNCHED and the cut-offs are rows of internal/wsrt/strategy.go;
+		// internal/slaw keeps its help-first loop on purpose (its package
+		// comment).
+		copies := map[string]bool{"loop": true, "node": true, "fastLoop": true, "fastNode": true, "fast2Loop": true, "fast2Node": true}
+		for _, fd := range funcDecls(t, []string{"internal/core", "internal/wsrt/strategy.go"}, false) {
+			if recv, name, ok := strings.Cut(fd.name, "."); ok && recv == "exec" && copies[name] {
+				t.Errorf("%s: %s copies wsrt.Fast's spawn loop", fd.fset.Position(fd.decl.Pos()), fd.name)
+			}
+		}
+	})
+
+	t.Run("one_engine_table_the_second_registries_stay_deleted_and_Run_is_written_once", func(t *testing.T) {
+		gone := map[string]bool{"RegisterEngine": true, "engineMakers": true, "poolEngines": true}
+		for _, f := range goFiles(t, []string{"."}, true) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && gone[id.Name] {
+					t.Errorf("%s: %s is back", f.fset.Position(id.Pos()), id.Name)
+				}
+				return true
+			})
+		}
+		// The pool engines share wsrt.Run; Tascell brings its own runtime.
+		var runs []string
+		for _, fd := range funcDecls(t, []string{"internal/wsrt", "internal/core", "internal/slaw"}, false) {
+			if fd.decl.Recv != nil && fd.decl.Name.Name == "Run" && isEngineRun(fd.decl.Type) {
+				runs = append(runs, fd.fset.Position(fd.decl.Pos()).String())
+			}
+		}
+		if len(runs) != 1 {
+			t.Errorf("Run(p sched.Program, opt sched.Options) is declared %d times, want 1: %v", len(runs), runs)
+		}
+		for _, path := range []string{"internal/cilk", "internal/cutoff", "internal/serve/engines.go", "internal/experiments/programs.go"} {
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%s is back", path)
+			}
+		}
+	})
+
+	t.Run("one_clone_body_Worker.Clone's_pool_miss_arm_is_the_only_workspace_Clone_in_the_runtime", func(t *testing.T) {
+		// Tascell's per-request clone is the one exception: it leaves with
+		// the thief, so there is no not-stolen path to recycle it on.
+		sites := map[string]string{
+			"internal/wsrt internal/core internal/slaw": "Worker.Clone",
+			"internal/tascell":                          "tworker.respond",
+		}
+		for dirs, want := range sites {
+			n := 0
+			for _, fd := range funcDecls(t, strings.Fields(dirs), false) {
+				walkCalls(fd.decl.Body, func(call *ast.CallExpr, _ []ast.Node) {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Clone" && len(call.Args) == 0 {
+						n++
+						if fd.name != want {
+							t.Errorf("%s: %s clones a workspace; only %s may", fd.fset.Position(call.Pos()), fd.name, want)
+						}
+					}
+				})
+			}
+			if n != 1 {
+				t.Errorf("%s: %d workspace Clone calls, want 1 (in %s)", dirs, n, want)
+			}
+		}
+	})
 }
 
 type funcDecl struct {
@@ -81,12 +166,35 @@ type funcDecl struct {
 	decl *ast.FuncDecl
 }
 
-// funcDecls parses the Go files under dirs (recursively), test files only
-// when tests is set, and returns every function declaration with a body.
+type goFile struct {
+	fset *token.FileSet
+	file *ast.File
+}
+
+// funcDecls returns every function declaration with a body in goFiles(dirs,
+// tests).
 func funcDecls(t *testing.T, dirs []string, tests bool) []funcDecl {
 	t.Helper()
-	fset := token.NewFileSet()
 	var out []funcDecl
+	for _, f := range goFiles(t, dirs, tests) {
+		for _, decl := range f.file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, funcDecl{f.fset, declName(fd), fd})
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("no function declarations under %v", dirs)
+	}
+	return out
+}
+
+// goFiles parses the Go files under dirs (recursively; a dir may also name
+// one file), test files only when tests is set.
+func goFiles(t *testing.T, dirs []string, tests bool) []goFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var out []goFile
 	for _, dir := range dirs {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -105,19 +213,12 @@ func funcDecls(t *testing.T, dirs []string, tests bool) []funcDecl {
 			if err != nil {
 				return err
 			}
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					out = append(out, funcDecl{fset, declName(fd), fd})
-				}
-			}
+			out = append(out, goFile{fset, f})
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(out) == 0 {
-		t.Fatalf("no function declarations under %v", dirs)
 	}
 	return out
 }
@@ -241,4 +342,15 @@ func sinceFrom(call *ast.CallExpr) bool {
 	}
 	from, ok := sub.Y.(*ast.Ident)
 	return ok && from.Name == "from"
+}
+
+// isEngineRun reports the signature Run(p sched.Program, opt sched.Options).
+func isEngineRun(ft *ast.FuncType) bool {
+	var params []string
+	for _, f := range ft.Params.List {
+		for range max(len(f.Names), 1) {
+			params = append(params, types.ExprString(f.Type))
+		}
+	}
+	return len(params) == 2 && params[0] == "sched.Program" && params[1] == "sched.Options"
 }

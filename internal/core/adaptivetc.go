@@ -89,7 +89,7 @@ func (x *exec) Resume(w *wsrt.Worker, f *wsrt.Frame) (int64, bool) {
 // check version (fake task)
 
 func (x *exec) checkNode(w *wsrt.Worker, ws sched.Workspace, depth int) int64 {
-	w.BeginNode(ws, depth)
+	w.Visit(ws, depth)
 	w.Stats.FakeTasks++
 	prog := w.Prog()
 	if v, term := prog.Terminal(ws, depth); term {

@@ -2,12 +2,13 @@
 // work-stealing runtime: a seed-replayable source of adversarial scheduling
 // decisions — forced steal failures, worker stalls, delayed deposits,
 // injected deque overflows, injected program panics, admission rejections
-// and shard-allocator starvation — threaded through the deque, the wsrt
-// runtime, the pool dispatcher and the serve layer.
+// and shard-allocator starvation — threaded through the deque, the node
+// walker every engine shares (sched.Walker), the wsrt runtime, the pool
+// dispatcher and the serve layer.
 //
 // The plane follows the trace layer's contract: it is free when it is off.
-// Every injection site in the hot path is a single nil check (the runtime's
-// Worker holds a nil *Injector unless a Plan was attached to the run or
+// Every injection site in the hot path is a single nil check (a worker's
+// sched.Walker holds a nil *Injector unless a Plan was attached to the run or
 // job), so the zero-allocation deque/frame paths are untouched when no
 // faults are configured.
 //
@@ -55,8 +56,9 @@ type Spec struct {
 	// victim.
 	StealFailBurst int
 
-	// Stall is the per-node probability that a worker stalls at BeginNode
-	// for StallNS nanoseconds (virtual under Sim, wall-clock under Real).
+	// Stall is the per-node probability that a worker stalls at node entry
+	// (Walker.Visit) for StallNS nanoseconds (virtual under Sim, wall-clock
+	// under Real).
 	Stall float64
 	// StallNS is the stall duration. Default 20µs.
 	StallNS int64
@@ -69,9 +71,10 @@ type Spec struct {
 	// DepositDelayNS is the deposit delay duration. Default 5µs.
 	DepositDelayNS int64
 
-	// Panic is the per-node probability that a worker panics at BeginNode,
-	// simulating a buggy program mid-job. The panic is not a sched.Abort:
-	// it exercises the runtime's quarantine path, not cancellation.
+	// Panic is the per-node probability that a worker panics at node entry
+	// (Walker.Visit), simulating a buggy program mid-job. The panic is not a
+	// sched.Abort: it exercises the runtime's quarantine path, not
+	// cancellation.
 	Panic float64
 
 	// Overflow is the per-push probability that the push is failed as if
@@ -465,7 +468,8 @@ func (in *Injector) PartitionNS() int64 {
 // PanicValue is the value an injected program panic throws, so tests and
 // the chaos harness can tell an injected panic from a real program bug.
 type PanicValue struct {
-	// Worker is the shard-local id of the worker that panicked.
+	// Worker is the job-local id of the worker that panicked (on a pool,
+	// its shard-local index).
 	Worker int
 }
 

@@ -1,7 +1,7 @@
 // Cooperative cancellation: a run-scoped stop flag that workers poll at
-// their scheduling points (thief loop, node entry, special-task join wait)
-// and a panic sentinel that unwinds a worker's recursion back to its top
-// level, where the runtime converts it into the run's failure.
+// their scheduling points (node entry, idle loops, join waits) and a panic
+// sentinel that unwinds a worker's recursion back to its top level, where
+// Recovered converts it into the run's failure.
 //
 // The flag is deliberately dumb — one atomic bool plus a first-cause slot —
 // so that polling it costs a single predicted load on the zero-allocation
@@ -13,6 +13,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -87,6 +88,31 @@ func (a Abort) Error() string {
 		return "sched: run aborted"
 	}
 	return a.Err.Error()
+}
+
+// ErrJobPanicked tags run failures caused by a panic in the program or the
+// engine, as opposed to an Abort. A resident pool counts these as
+// quarantined jobs: the job fails, the shard heals, the service keeps running.
+var ErrJobPanicked = errors.New("sched: job panicked")
+
+// Recovered is every runtime's rule for r, recover()'s value at a worker's
+// top level. An Abort is an orderly unwind: fail gets its error, unless it
+// is a first-solution claim (ErrSolutionFound), whose run completed. Any
+// other panic — a bug in a program or an engine, or an injected
+// faults.PanicValue — fails the run as ErrJobPanicked, so co-workers unwind
+// either way, and a batch run (reraise) raises it again.
+func Recovered(r any, fail func(error), reraise bool) {
+	ab, ok := r.(Abort)
+	switch {
+	case r == nil, ok && errors.Is(ab.Err, ErrSolutionFound):
+	case ok:
+		fail(ab.Err)
+	default:
+		fail(fmt.Errorf("%w: %v", ErrJobPanicked, r))
+		if reraise {
+			panic(r)
+		}
+	}
 }
 
 // WatchContext connects ctx to stop: when ctx is cancelled or its deadline

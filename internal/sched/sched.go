@@ -128,11 +128,10 @@ type Options struct {
 	// Workers is the number of threads N. Zero means 1.
 	Workers int
 	// Ctx, when non-nil, cancels the run cooperatively: workers observe
-	// cancellation (or deadline expiry) at their poll points — the thief
-	// loop, node entry, sequential recursion, the special-task join wait —
-	// and the run aborts with the context's cause as its error. Nil means
-	// the run cannot be cancelled from outside. Cancellation is observed by
-	// the wsrt-based engines and the serial engine; Tascell ignores it.
+	// cancellation (or deadline expiry) at their poll points — node entry
+	// (Walker.Visit, on every engine), the idle loops, the join waits — and
+	// the run aborts with the context's cause as its error. Nil means
+	// the run cannot be cancelled from outside.
 	Ctx context.Context
 	// Platform executes the workers. Nil means a deterministic Sim.
 	Platform vtime.Platform
@@ -198,7 +197,7 @@ type Options struct {
 	// Sim platform the whole perturbed schedule is a pure function of the
 	// seeds and replays byte-identically. Nil (the default) keeps the
 	// zero-allocation hot path: every injection site is behind a single nil
-	// check, exactly like Tracer. Observed by the wsrt-based engines.
+	// check, exactly like Tracer.
 	Faults *faults.Plan
 	// FirstSolution switches the run to first-solution-wins semantics: the
 	// first worker to evaluate a terminal node with a nonzero value claims

@@ -173,7 +173,7 @@ func TestWalkerSequenceMatchesSerial(t *testing.T) {
 	var got int64
 	(&vtime.Sim{}).Run(1, func(proc vtime.Proc) {
 		w.Proc = proc
-		w.Start(p, &c, nil)
+		w.Start(p, &c, nil, nil)
 		got = w.Sequence(p.Root(), 0)
 	})
 	if got != 32 {

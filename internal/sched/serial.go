@@ -20,19 +20,14 @@ func (s Serial) Run(p Program, opt Options) (res Result, err error) {
 	release := WatchContext(opt.Ctx, stop)
 	defer release()
 	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(Abort)
-			if !ok {
-				panic(r)
-			}
-			res = Result{Workers: 1, Engine: s.Name(), Program: p.Name(), Stats: w.Stats}
-			err = ab.Err
-		}
+		Recovered(recover(), func(e error) {
+			res, err = Result{Workers: 1, Engine: s.Name(), Program: p.Name(), Stats: w.Stats}, e
+		}, true)
 	}()
 	plat := opt.PlatformOrDefault()
 	makespan := plat.Run(1, func(proc vtime.Proc) {
 		w.Proc = proc
-		w.Start(p, &costs, stop)
+		w.Start(p, &costs, stop, nil)
 		start := proc.Now()
 		if opt.FirstSolution {
 			value, _ = w.FirstSolution(p.Root(), 0)

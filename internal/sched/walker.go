@@ -1,31 +1,41 @@
 package sched
 
-import "adaptivetc/internal/vtime"
+import (
+	"adaptivetc/internal/faults"
+	"adaptivetc/internal/vtime"
+)
 
 // Walker is what every engine's worker charges through: the node visit, the
 // candidate moves and the sequence version's plain recursion. A worker embeds
-// it, so w.Proc, w.Stats, w.Prog() and w.ChargeMoves read the same in every
-// engine. Start binds it to one job's program, costs and stop flag.
+// it, so w.Proc, w.Stats, w.ID, w.Prog() and w.ChargeMoves read the same in
+// every engine. Start binds it to one job's program, costs, stop flag and
+// fault stream.
 type Walker struct {
 	Proc  vtime.Proc
 	Stats Stats
+	ID    int // job-local: a pool worker takes its shard-local index per job
 
 	prog  Program
 	extra Coster // prog's per-node cost hook, resolved once; may be nil
 	costs *Costs
-	stop  *Stop // may be nil (never stopped)
+	stop  *Stop            // may be nil (never stopped)
+	fi    *faults.Injector // may be nil (no worker-side faults)
 	// wall is set when Proc is the wall clock, whose Advance and Yield are
 	// empty (vtime.Charges). The zero value charges, like a Sim Proc.
 	wall bool
 }
 
-// Start binds the walker to the program view p, costs c and stop flag stop,
-// leaving the counters alone. Start(nil, nil, nil) drops the last job.
-func (w *Walker) Start(p Program, c *Costs, stop *Stop) {
-	w.prog, w.costs, w.stop = p, c, stop
+// Start binds the walker to the program view p, costs c, stop flag stop and
+// fault stream fi, leaving the counters alone. Start(nil, nil, nil, nil)
+// drops the last job.
+func (w *Walker) Start(p Program, c *Costs, stop *Stop, fi *faults.Injector) {
+	w.prog, w.costs, w.stop, w.fi = p, c, stop, fi
 	w.extra, _ = p.(Coster)
 	w.wall = !vtime.Charges(w.Proc)
 }
+
+// Faults returns the worker's fault stream; nil means no worker-side fault.
+func (w *Walker) Faults() *faults.Injector { return w.fi }
 
 // Prog returns the program under execution.
 func (w *Walker) Prog() Program { return w.prog }
@@ -47,10 +57,14 @@ func (w *Walker) Yield() {
 	}
 }
 
-// Visit accounts one node: cancellation poll, counter, modelled cost and a
-// scheduling point, in that order. The poll is a nil check plus one atomic
-// load and charges no virtual cost, so un-cancelled Sim runs do not move.
+// Visit, every engine's one node entry, accounts a node: its faults, the
+// cancellation poll, counter, modelled cost and a scheduling point, in that
+// order. Fault-free and un-cancelled, the first two cost two nil checks and
+// an atomic load and charge nothing, so such Sim runs do not move.
 func (w *Walker) Visit(ws Workspace, depth int) {
+	if w.fi != nil {
+		w.drawNodeFaults()
+	}
 	w.stop.Check()
 	w.Stats.Nodes++
 	if !w.wall { // skip the Coster call too
@@ -60,6 +74,20 @@ func (w *Walker) Visit(ws Workspace, depth int) {
 		}
 		w.Advance(cost)
 		w.Yield()
+	}
+}
+
+// drawNodeFaults draws this node's faults: a stall (virtual under Sim,
+// wall-clock under Real) and/or an injected program panic. Kept out of
+// Visit's body so the unfaulted hot path pays only the nil test.
+//
+//go:noinline
+func (w *Walker) drawNodeFaults() {
+	if d := w.fi.StallNS(); d > 0 {
+		w.Proc.Sleep(d)
+	}
+	if w.fi.PanicNow() {
+		panic(faults.PanicValue{Worker: w.ID})
 	}
 }
 

@@ -568,7 +568,7 @@ func TestServeQuarantineMetrics(t *testing.T) {
 		}
 		<-job.Done()
 		state, _, jerr := job.Snapshot()
-		if state != StateFailed || !errors.Is(jerr, wsrt.ErrJobPanicked) {
+		if state != StateFailed || !errors.Is(jerr, sched.ErrJobPanicked) {
 			t.Fatalf("job %d: state=%s err=%v, want failed/ErrJobPanicked", i, state, jerr)
 		}
 	}

@@ -80,7 +80,7 @@ func (x *exec) helpFirst(w *wsrt.Worker) bool {
 
 // node runs one task from scratch.
 func (x *exec) node(w *wsrt.Worker, parent *wsrt.Frame, ws sched.Workspace, depth int) (int64, bool) {
-	w.BeginNode(ws, depth)
+	w.Visit(ws, depth)
 	w.ChargeTask()
 	if v, term := w.Prog().Terminal(ws, depth); term {
 		return v, true
@@ -97,7 +97,7 @@ func (x *exec) node(w *wsrt.Worker, parent *wsrt.Frame, ws sched.Workspace, dept
 // charged when the frame was spawned (help-first pays the frame up front),
 // so only the node visit is charged here.
 func (x *exec) nodeFrame(w *wsrt.Worker, f *wsrt.Frame) (int64, bool) {
-	w.BeginNode(f.WS, f.Depth)
+	w.Visit(f.WS, f.Depth)
 	if v, term := w.Prog().Terminal(f.WS, f.Depth); term {
 		return v, true
 	}

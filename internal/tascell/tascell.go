@@ -51,7 +51,9 @@ func (e *Engine) Name() string {
 	return "tascell"
 }
 
-// Run implements sched.Engine.
+// Run implements sched.Engine; it ignores Options.FirstSolution. A worker's
+// panic fails the run by sched.Recovered's rule; one that is not a
+// sched.Abort is raised again from Run.
 func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	n := opt.WorkersOrDefault()
 	rt := &runtime{
@@ -61,23 +63,28 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 		mail:    make([]chan *request, n),
 		pending: make([]atomic.Int64, n),
 		profile: opt.Profile,
+		stop:    &sched.Stop{},
 	}
 	for i := range rt.mail {
 		rt.mail[i] = make(chan *request, n)
 	}
+	defer sched.WatchContext(opt.Ctx, rt.stop)()
 	workers := make([]*tworker, n)
 	makespan := opt.PlatformOrDefault().Run(n, func(proc vtime.Proc) {
-		tw := &tworker{Walker: sched.Walker{Proc: proc}, id: proc.ID(), rt: rt}
-		tw.Start(p, &rt.costs, nil)
-		workers[tw.id] = tw
+		tw := &tworker{Walker: sched.Walker{Proc: proc, ID: proc.ID()}, rt: rt}
+		tw.Start(p, &rt.costs, rt.stop, opt.Faults.Worker(tw.ID))
+		workers[tw.ID] = tw
 		start := proc.Now()
-		if tw.id == 0 {
+		defer func() {
+			tw.Stats.WorkerTime += proc.Now() - start
+			sched.Recovered(recover(), rt.fail, true)
+		}()
+		if tw.ID == 0 {
 			v := tw.exec(p.Root(), 0)
 			rt.value.Store(v)
 			rt.done.Store(true)
 		}
 		tw.idleLoop()
-		tw.Stats.WorkerTime += proc.Now() - start
 	})
 	var st sched.Stats
 	for _, tw := range workers {
@@ -88,14 +95,18 @@ func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	if opt.Profile {
 		st.DeriveWorkTime()
 	}
-	return sched.Result{
+	res := sched.Result{
 		Value:    rt.value.Load(),
 		Makespan: makespan,
 		Workers:  n,
 		Engine:   e.Name(),
 		Program:  p.Name(),
 		Stats:    st,
-	}, nil
+	}
+	if f := rt.failure.Load(); f != nil {
+		return res, *f
+	}
+	return res, nil
 }
 
 type runtime struct {
@@ -105,8 +116,18 @@ type runtime struct {
 	mail    []chan *request
 	pending []atomic.Int64 // requests in flight per victim mailbox
 	profile bool
+	stop    *sched.Stop
 	done    atomic.Bool
 	value   atomic.Int64
+	failure atomic.Pointer[error]
+}
+
+// fail records err as the run's failure (the first wins) and fires the stop
+// flag that the join and reply waits poll, so no worker waits forever.
+func (rt *runtime) fail(err error) {
+	rt.failure.CompareAndSwap(nil, &err)
+	rt.done.Store(true)
+	rt.stop.Signal(err)
 }
 
 // request is an idle thread's plea for work. The victim replies with a task
@@ -168,7 +189,6 @@ type level struct {
 // levelLoop charges its moves, taxed, through the Walker's Advance.
 type tworker struct {
 	sched.Walker
-	id int
 	rt *runtime
 
 	ws    sched.Workspace // workspace of the task being executed
@@ -255,7 +275,7 @@ func (tw *tworker) nodeTick() {
 		tw.Stats.DequeTime += c.NestedCall
 		tw.Stats.PollTime += c.Poll
 	}
-	if tw.rt.pending[tw.id].Load() == 0 {
+	if tw.rt.pending[tw.ID].Load() == 0 {
 		return
 	}
 	t0 := tw.now()
@@ -270,8 +290,8 @@ func (tw *tworker) nodeTick() {
 func (tw *tworker) drainRequests(canGive bool) {
 	for {
 		select {
-		case req := <-tw.rt.mail[tw.id]:
-			tw.rt.pending[tw.id].Add(-1)
+		case req := <-tw.rt.mail[tw.ID]:
+			tw.rt.pending[tw.ID].Add(-1)
 			if canGive {
 				tw.respond(req)
 			} else {
@@ -352,6 +372,7 @@ func (tw *tworker) waitJoin(j *join) int64 {
 		if v, done := j.drained(); done {
 			return v
 		}
+		tw.rt.stop.Check()
 		tw.drainRequests(true)
 		// Account the sleep tick itself, not the whole wall span: respond
 		// time spent answering requests mid-wait is tallied separately.
@@ -367,13 +388,14 @@ func (tw *tworker) idleLoop() {
 	rt := tw.rt
 	c := &rt.costs
 	for !rt.done.Load() {
+		rt.stop.Check()
 		tw.drainRequests(false)
 		if rt.n == 1 {
 			tw.Proc.Sleep(c.WaitTick)
 			continue
 		}
 		victim := tw.Proc.Rand().Intn(rt.n - 1)
-		if victim >= tw.id {
+		if victim >= tw.ID {
 			victim++
 		}
 		t0 := tw.now()
@@ -400,6 +422,7 @@ func (tw *tworker) idleLoop() {
 			if rt.done.Load() {
 				return
 			}
+			rt.stop.Check()
 			tw.drainRequests(false)
 			tw.Proc.Sleep(c.WaitTick)
 		}

@@ -1,10 +1,13 @@
 package tascell
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"adaptivetc/internal/sched"
+	"adaptivetc/internal/vtime"
 )
 
 // skewed is a two-child tree where the configured side holds almost all of
@@ -171,5 +174,42 @@ func TestSingleGrainVariant(t *testing.T) {
 	}
 	if NewSingle().Name() == New().Name() {
 		t.Fatal("variants share a name")
+	}
+}
+
+// TestStopReleasesWaits: the stop flag a failed run fires must release a
+// worker waiting at a join whose stolen child will never deposit, and a thief
+// waiting for a reply its victim will never send. Without the polls both
+// would sleep until the Sim's livelock guard panics.
+func TestStopReleasesWaits(t *testing.T) {
+	cause := errors.New("co-worker failed")
+	for _, tc := range []struct {
+		name string
+		wait func(tw *tworker)
+	}{
+		{"join", func(tw *tworker) { tw.waitJoin(&join{outstanding: 1}) }},
+		{"reply", func(tw *tworker) { tw.idleLoop() }},
+	} {
+		rt := &runtime{
+			costs:   sched.DefaultCosts(),
+			n:       2,
+			mail:    []chan *request{make(chan *request, 2), make(chan *request, 2)},
+			pending: make([]atomic.Int64, 2),
+			stop:    &sched.Stop{},
+		}
+		var got any
+		(&vtime.Sim{Limit: 1e9}).Run(2, func(proc vtime.Proc) {
+			if proc.ID() == 0 { // the failing co-worker, which answers nothing
+				proc.Sleep(1e6)
+				rt.stop.Signal(cause)
+				return
+			}
+			tw := &tworker{Walker: sched.Walker{Proc: proc, ID: 1}, rt: rt}
+			defer func() { got = recover() }()
+			tc.wait(tw)
+		})
+		if ab, ok := got.(sched.Abort); !ok || !errors.Is(ab.Err, cause) {
+			t.Errorf("%s: waiter ended with %v, want sched.Abort{%v}", tc.name, got, cause)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (k *Fast) Node(w *Worker, parent *Frame, ws sched.Workspace, depth, rel int
 	if k.Below != nil && rel >= k.Cutoff {
 		return k.Below(w, ws, depth), true
 	}
-	w.BeginNode(ws, depth)
+	w.Visit(ws, depth)
 	w.ChargeTask()
 	if v, term := w.Prog().Terminal(ws, depth); term {
 		return v, true
@@ -131,7 +131,7 @@ func (k *Fast) Loop(w *Worker, f *Frame, pc int, sum int64) (int64, bool) {
 // allocate-and-copy per child, because a library cut-off cannot know the
 // workspace could be shared and undone.
 func (w *Worker) sequenceCopying(ws sched.Workspace, depth int) int64 {
-	w.BeginNode(ws, depth)
+	w.Visit(ws, depth)
 	prog := w.Prog()
 	if v, term := prog.Terminal(ws, depth); term {
 		return v

@@ -56,7 +56,7 @@ type underMarker struct{ fast2 Fast }
 func (x *underMarker) Root(w *Worker) (int64, bool) {
 	prog := w.Prog()
 	ws := prog.Root()
-	w.BeginNode(ws, 0)
+	w.Visit(ws, 0)
 	if v, term := prog.Terminal(ws, 0); term {
 		return v, true
 	}

@@ -33,7 +33,7 @@ func parkFixture() (victim, thief *Worker) {
 	ws := make([]*Worker, len(deques))
 	for i := range ws {
 		deques[i].SetNeedTask(true)
-		ws[i] = &Worker{Walker: sched.Walker{Proc: procs[i]}, ID: i, Deque: deques[i], rt: rt}
+		ws[i] = &Worker{Walker: sched.Walker{Proc: procs[i], ID: i}, Deque: deques[i], rt: rt}
 	}
 	return ws[0], ws[1]
 }
@@ -335,7 +335,7 @@ func TestParkedThievesWokenByPanic(t *testing.T) {
 		defer p.Close()
 		start := time.Now()
 		close(gate.release)
-		if _, err := h.Result(); !errors.Is(err, ErrJobPanicked) {
+		if _, err := h.Result(); !errors.Is(err, sched.ErrJobPanicked) {
 			t.Fatalf("err = %v, want ErrJobPanicked", err)
 		}
 		return time.Since(start)

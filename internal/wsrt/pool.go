@@ -231,7 +231,7 @@ type Pool struct {
 	running     atomic.Int64 // jobs currently occupying a shard
 	busy        atomic.Int64 // workers currently bound to a job
 	served      atomic.Int64 // jobs finished (any outcome) since pool start
-	quarantined atomic.Int64 // jobs failed by a panic (ErrJobPanicked)
+	quarantined atomic.Int64 // jobs failed by a panic (sched.ErrJobPanicked)
 
 	// Pool-level fault streams (nil unless PoolConfig.Faults): admitFI is
 	// drawn under p.mu in Submit, shardFI only by the dispatcher.
@@ -266,7 +266,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
 		p.deques[i] = newDeque(opt)
-		p.workers[i] = &Worker{Walker: sched.Walker{Proc: procs[i]}, ID: i, Deque: p.deques[i]}
+		p.workers[i] = &Worker{Walker: sched.Walker{Proc: procs[i], ID: i}, Deque: p.deques[i]}
 		p.wake[i] = make(chan shardRun)
 	}
 	for k, shard := range shards.parts {
@@ -618,7 +618,7 @@ func (p *Pool) finishJob(job *poolJob) {
 		d.Reset()
 	}
 	res.Makespan = time.Since(job.started).Nanoseconds()
-	if errors.Is(err, ErrJobPanicked) {
+	if errors.Is(err, sched.ErrJobPanicked) {
 		// Panic quarantine: the job failed, its shard was reset above and
 		// heals by being freed like any other.
 		p.quarantined.Add(1)
@@ -640,7 +640,7 @@ func (p *Pool) workerLoop(i int) {
 		w.bind(job.rt, run.local)
 		w.runJob(true)
 		w.rt = nil
-		w.Start(nil, nil, nil) // drop the job's program, costs and stop flag
+		w.Start(nil, nil, nil, nil) // drop the job's program, costs, stop flag and fault stream
 		// The workspace pool holds program-typed workspaces; the next job
 		// bound to this worker may run a different program, and Clone
 		// must never hand it a leftover (CopyFrom would panic on the

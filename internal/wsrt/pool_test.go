@@ -447,7 +447,7 @@ func TestPoolQuarantineHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Result(); !errors.Is(err, wsrt.ErrJobPanicked) {
+	if _, err := h.Result(); !errors.Is(err, sched.ErrJobPanicked) {
 		t.Fatalf("faulted job: err = %v, want ErrJobPanicked", err)
 	}
 	if got := p.Quarantined(); got != 1 {
@@ -519,7 +519,7 @@ func TestPoolSplitAfterQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Result(); !errors.Is(err, wsrt.ErrJobPanicked) {
+	if _, err := h.Result(); !errors.Is(err, sched.ErrJobPanicked) {
 		t.Fatalf("faulted job: err = %v, want ErrJobPanicked", err)
 	}
 

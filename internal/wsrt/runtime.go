@@ -1,7 +1,6 @@
 package wsrt
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -12,12 +11,6 @@ import (
 	"adaptivetc/internal/trace"
 	"adaptivetc/internal/vtime"
 )
-
-// ErrJobPanicked tags job failures caused by a panic in the program or the
-// engine (as opposed to a sched.Abort, which is the runtime's own orderly
-// unwinding). A resident pool counts these as quarantined jobs: the job
-// fails, the shard heals, the service keeps running.
-var ErrJobPanicked = errors.New("wsrt: job panicked")
 
 // Engine is the per-strategy part of the runtime: how to execute the root
 // task and how to resume a stolen frame (the paper's slow version). Both
@@ -141,8 +134,9 @@ func (rt *Runtime) claimSolution(w *Worker, v int64) bool {
 // firstSolutionProg is the per-worker program view of a first-solution job:
 // Terminal is intercepted so a nonzero leaf claims the run instead of
 // contributing to a sum, and the claiming worker unwinds immediately via the
-// Abort path (runJob treats ErrSolutionFound as a clean finish). Everything
-// else forwards to the job's real program through the embedded interface.
+// Abort path (sched.Recovered treats ErrSolutionFound as a clean finish).
+// Everything else forwards to the job's real program through the embedded
+// interface.
 type firstSolutionProg struct {
 	sched.Program
 	w *Worker
@@ -184,7 +178,6 @@ const workerPoolCap = 64
 // by bind, visits nodes, charges moves, gates the clock and runs Sequence.
 type Worker struct {
 	sched.Walker
-	ID    int
 	Deque deque.WorkDeque
 
 	rt     *Runtime
@@ -195,12 +188,6 @@ type Worker struct {
 	// recording site below is a single nil check when tracing is off, so
 	// the zero-alloc hot path is untouched.
 	tr *trace.WorkerLog
-
-	// fi is this worker's private fault-injection stream; nil unless the
-	// run carries a fault plan with worker-side faults. Injection sites
-	// follow the tracing discipline: one nil check on the hot path, body
-	// out of line.
-	fi *faults.Injector
 
 	// thief is this worker's steal strategy for the current job (victim
 	// order and steal amount). Built per job from the resolved StealPolicy
@@ -252,7 +239,6 @@ func (w *Worker) bind(rt *Runtime, local int) {
 	if rt.tracer != nil {
 		w.tr = rt.tracer.WorkerLog(local)
 	}
-	w.fi = rt.faults.Worker(local)
 	w.thief = rt.stealPolicy.NewThief(local, rt.N, rt.stealSeed)
 	if w.retry == nil {
 		w.retry = w.trySteal
@@ -261,18 +247,7 @@ func (w *Worker) bind(rt *Runtime, local int) {
 	if rt.firstSolution {
 		prog = firstSolutionProg{Program: rt.Prog, w: w}
 	}
-	w.Start(prog, &rt.Costs, rt.stop)
-}
-
-// BeginNode is the fault hook plus the Walker's node visit. The visit is a
-// cancellation poll point: a stopped job unwinds there via sched.Abort, so
-// even a worker deep inside a task's recursion observes cancellation within
-// one node.
-func (w *Worker) BeginNode(ws sched.Workspace, depth int) {
-	if w.fi != nil {
-		w.injectNode()
-	}
-	w.Visit(ws, depth)
+	w.Start(prog, &rt.Costs, rt.stop, rt.faults.Worker(local))
 }
 
 // yieldIdle is Yield for a thief whose steal just failed: under Sim the core
@@ -280,20 +255,6 @@ func (w *Worker) BeginNode(ws sched.Workspace, depth int) {
 func (w *Worker) yieldIdle() {
 	if !w.Wall() {
 		vtime.YieldIdle(w.Proc, w.retry)
-	}
-}
-
-// injectNode draws this node's faults: a stall (virtual under Sim,
-// wall-clock under Real) and/or an injected program panic. Kept out of
-// BeginNode's body so the unfaulted hot path pays only the nil test.
-//
-//go:noinline
-func (w *Worker) injectNode() {
-	if d := w.fi.StallNS(); d > 0 {
-		w.Proc.Sleep(d)
-	}
-	if w.fi.PanicNow() {
-		panic(faults.PanicValue{Worker: w.ID})
 	}
 }
 
@@ -401,7 +362,7 @@ func (w *Worker) Push(f *Frame) {
 	t0 := w.now()
 	seq := f.seq // a thief may steal, finish, free and reuse f before Push returns
 	w.Advance(w.rt.Costs.Push)
-	if w.fi != nil && w.fi.ForceOverflow() {
+	if fi := w.Faults(); fi != nil && fi.ForceOverflow() {
 		panic(sched.Abort{Err: fmt.Errorf("%w (%w): worker %d, program %s",
 			sched.ErrDequeOverflow, faults.ErrInjected, w.ID, w.rt.Prog.Name())})
 	}
@@ -510,8 +471,8 @@ func (w *Worker) DropWorkspacePool() { w.pool = nil }
 // deposit, and children run on clones of their own), so after reading the
 // total and the parent link they go to the worker's free-list and pool.
 func (w *Worker) Deposit(parent *Frame, v int64) {
-	if w.fi != nil {
-		if d := w.fi.DepositDelayNS(); d > 0 {
+	if fi := w.Faults(); fi != nil {
+		if d := fi.DepositDelayNS(); d > 0 {
 			w.Proc.Sleep(d) // perturb the join/deposit race; no lock is held here
 		}
 	}
@@ -736,12 +697,13 @@ func (w *Worker) freeFinished(f *Frame) {
 }
 
 // runJob is one worker's whole share of a job: run the root (worker 0),
-// then steal until the job completes. A sched.Abort panic — overflow,
-// cancellation — is recovered here and recorded as the job's failure.
-// swallowPanics selects what happens to any *other* panic (a bug in a
+// then steal until the job completes. A panic is recovered here and
+// recorded as the job's failure by sched.Recovered's rule. swallowPanics
+// selects what happens to a panic that is not a sched.Abort (a bug in a
 // Program or an engine): batch runs propagate it to the caller, a resident
-// pool converts it into a job failure so one bad program cannot take the
-// service down with it.
+// pool keeps it a job failure so one bad program cannot take the service
+// down with it. Either way the failure fires the stop flag first, or a
+// batch run's panic would leave a special-task waiter spinning.
 func (w *Worker) runJob(swallowPanics bool) {
 	rt := w.rt
 	// A pool worker's intake can carry abandoned frames from an aborted
@@ -755,26 +717,7 @@ func (w *Worker) runJob(swallowPanics bool) {
 	start := w.Proc.Now()
 	defer func() {
 		w.Stats.WorkerTime += w.Proc.Now() - start
-		if r := recover(); r != nil {
-			if ae, ok := r.(sched.Abort); ok {
-				// A first-solution claim unwinds every worker through the
-				// Abort path, but the run completed: the winner already
-				// stored the value and set done. Not a failure.
-				if errors.Is(ae.Err, sched.ErrSolutionFound) {
-					return
-				}
-				rt.fail(ae.Err)
-				return
-			}
-			// Record the failure (and fire the stop flag) even when the
-			// panic propagates: co-workers must unwind either way, or a
-			// batch run's panic would leave a special-task waiter spinning
-			// behind the propagating goroutine.
-			rt.fail(fmt.Errorf("%w: %v", ErrJobPanicked, r))
-			if !swallowPanics {
-				panic(r)
-			}
-		}
+		sched.Recovered(recover(), rt.fail, !swallowPanics)
 	}()
 	if w.ID == 0 {
 		v, completed := rt.Eng.Root(w)

@@ -96,7 +96,7 @@ type leafEngine struct{}
 
 func (leafEngine) Root(w *Worker) (int64, bool) {
 	ws := w.Prog().Root()
-	w.BeginNode(ws, 0)
+	w.Visit(ws, 0)
 	v, _ := w.Prog().Terminal(ws, 0)
 	return v, true
 }
