@@ -564,3 +564,88 @@ func waitSettled(t *testing.T, p *wsrt.Pool) {
 	}
 	t.Fatalf("pool never settled: busy=%d running=%d", p.BusyWorkers(), p.RunningJobs())
 }
+
+// TestPoolStartOrderPinned pins where queued jobs start: ten gated jobs
+// submitted at once to two shards of two workers, released one at a time in
+// a fixed order. Each release frees one shard, and the oldest queued job
+// starts on it.
+func TestPoolStartOrderPinned(t *testing.T) {
+	p := wsrt.NewPool(wsrt.PoolConfig{Workers: 4, MaxConcurrentJobs: 2, QueueCapacity: 16})
+	defer p.Close()
+
+	const jobs = 10
+	gates := make([]chan struct{}, jobs)
+	hs := make([]*wsrt.JobHandle, jobs)
+	for i := range hs {
+		gates[i] = make(chan struct{})
+		h, err := p.Submit(wsrt.JobSpec{Prog: gateProg{gate: gates[i]}, Engine: atc()})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		hs[i] = h
+	}
+	released := make([]bool, jobs)
+	release := func(i int) {
+		if !released[i] {
+			released[i] = true
+			close(gates[i])
+		}
+	}
+	defer func() {
+		for i := range gates {
+			release(i)
+		}
+	}()
+
+	type start struct {
+		job   int
+		shard []int
+	}
+	want := []start{
+		{0, []int{0, 1}}, {1, []int{2, 3}},
+		{2, []int{2, 3}}, {3, []int{0, 1}}, {4, []int{0, 1}}, {5, []int{2, 3}},
+		{6, []int{2, 3}}, {7, []int{2, 3}}, {8, []int{0, 1}}, {9, []int{0, 1}},
+	}
+	releases := []int{1, 0, 3, 2, 5, 6, 4, 8, 7, 9}
+
+	var got []start
+	started := make([]bool, jobs)
+	// await waits until n jobs have started and records the new starts.
+	await := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for len(got) < n {
+			for i, h := range hs {
+				select {
+				case <-h.Started():
+					if !started[i] {
+						started[i] = true
+						got = append(got, start{i, h.Shard()})
+					}
+				default:
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d jobs started, want %d: %v", len(got), n, got)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if len(got) > n {
+			t.Fatalf("%d jobs started, want %d: %v", len(got), n, got)
+		}
+	}
+	await(2)
+	for _, r := range releases {
+		release(r)
+		if res, err := hs[r].Result(); err != nil || res.Value != 1 {
+			t.Fatalf("job %d: value=%d err=%v, want 1", r, res.Value, err)
+		}
+		await(min(len(got)+1, jobs))
+	}
+	for i := range want {
+		if got[i].job != want[i].job || !slices.Equal(got[i].shard, want[i].shard) {
+			t.Fatalf("start %d: job %d on %v, want job %d on %v (all starts %v)",
+				i, got[i].job, got[i].shard, want[i].job, want[i].shard, got)
+		}
+	}
+}
