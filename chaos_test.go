@@ -126,9 +126,9 @@ func chaosOracle(t *testing.T, p adaptivetc.Program) int64 {
 
 // TestChaosEngines drives all seven traced engines through the four core
 // fault scenarios with pinned seeds. Each cell must land in the contract
-// (completed-and-clean or known-abort-and-truncation-clean), and across
-// the table the panic and overflow scenarios must actually have fired —
-// a fault plane that never injects proves nothing.
+// (completed-and-clean or known-abort-and-truncation-clean), and each
+// engine's pinned panic and overflow seeds must actually abort — a fault
+// plane that never injects proves nothing.
 func TestChaosEngines(t *testing.T) {
 	p := nqueens.NewArray(6)
 	invariantOracleValue = chaosOracle(t, p)
@@ -160,8 +160,11 @@ func TestChaosEngines(t *testing.T) {
 				20100424 + int64(si*1009+101),
 				20100424 + int64(si*1009+202),
 			}
-			if s, ok := triggerSeeds[scen][eng.name]; ok {
-				seeds = append(seeds, s)
+			pin, pinned := triggerSeeds[scen][eng.name]
+			if pinned {
+				seeds = append(seeds, pin)
+			} else if triggerSeeds[scen] != nil {
+				t.Errorf("%s has no pinned %s trigger seed", eng.name, scen)
 			}
 			for _, seed := range seeds {
 				spec, err := faults.Scenario(scen, seed)
@@ -175,6 +178,9 @@ func TestChaosEngines(t *testing.T) {
 					if out.Value != invariantOracleValue {
 						t.Fatalf("%s: wrong value %d, want %d", tuple, out.Value, invariantOracleValue)
 					}
+					if pinned && seed == pin {
+						t.Errorf("%s: %s's pinned %s trigger seed completed; the injection or the pin has rotted", tuple, eng.name, scen)
+					}
 					completions[scen]++
 				case chaosAbortOK(runErr):
 					aborts[scen]++
@@ -185,15 +191,8 @@ func TestChaosEngines(t *testing.T) {
 		}
 	}
 
-	// The injection must have bitten: every engine's pinned trigger seed
-	// aborts its panic and overflow runs, while steal-burst and stall
-	// complete every run (they only perturb the schedule, never break it).
-	for _, scen := range []string{"panic", "overflow"} {
-		if aborts[scen] < len(tracedEngines) {
-			t.Errorf("%s scenario aborted %d runs, want >= %d (one per pinned trigger seed); injection or pin has rotted",
-				scen, aborts[scen], len(tracedEngines))
-		}
-	}
+	// Steal-burst and stall complete every run: they only perturb the
+	// schedule, never break it.
 	for _, scen := range []string{"steal-burst", "stall"} {
 		if aborts[scen] != 0 {
 			t.Errorf("%s scenario aborted %d runs; schedule perturbation must not break runs", scen, aborts[scen])
@@ -426,12 +425,15 @@ func TestChaosNewFamilies(t *testing.T) {
 	scenarios := []string{"steal-burst", "panic", "mixed"}
 	for _, fam := range families {
 		invariantOracleValue = chaosOracle(t, fam.p)
-		panicAborts := 0
 		for _, eng := range tracedEngines {
+			pin, pinned := fam.panicSeeds[eng.name]
+			if !pinned {
+				t.Errorf("%s: %s has no pinned panic seed", fam.name, eng.name)
+			}
 			for si, scen := range scenarios {
 				seeds := []int64{20100424 + int64(si*1009), 20100424 + int64(si*1009+101)}
-				if scen == "panic" {
-					seeds = append(seeds, fam.panicSeeds[eng.name])
+				if scen == "panic" && pinned {
+					seeds = append(seeds, pin)
 				}
 				for _, seed := range seeds {
 					spec, err := faults.Scenario(scen, seed)
@@ -445,25 +447,18 @@ func TestChaosNewFamilies(t *testing.T) {
 						if out.Value != invariantOracleValue {
 							t.Fatalf("%s: wrong value %d, want %d", tuple, out.Value, invariantOracleValue)
 						}
-						if scen == "steal-burst" {
-							continue
+						if scen == "panic" && seed == pin {
+							t.Errorf("%s: %s's pinned panic seed completed; the injection or the pin has rotted", tuple, eng.name)
 						}
 					case chaosAbortOK(runErr):
 						if scen == "steal-burst" {
 							t.Fatalf("%s: steal-burst only perturbs the schedule, must not abort: %v", tuple, runErr)
-						}
-						if scen == "panic" {
-							panicAborts++
 						}
 					default:
 						t.Fatalf("%s: outside the chaos contract: %v", tuple, runErr)
 					}
 				}
 			}
-		}
-		if panicAborts < len(tracedEngines) {
-			t.Errorf("%s: panic scenario aborted %d runs, want >= %d (one per pinned trigger seed); injection or pin has rotted",
-				fam.name, panicAborts, len(tracedEngines))
 		}
 	}
 	waitForGoroutines(t, base)
@@ -498,12 +493,15 @@ func TestChaosFirstSolution(t *testing.T) {
 		}
 		return res.Value, runErr
 	}
-	panicAborts := 0
 	for _, eng := range tracedEngines {
+		pin, pinned := panicSeeds[eng.name]
+		if !pinned {
+			t.Errorf("%s has no pinned panic seed", eng.name)
+		}
 		for si, scen := range []string{"steal-burst", "panic", "mixed"} {
 			seeds := []int64{20100424 + int64(si*1009), 20100424 + int64(si*1009+101)}
-			if scen == "panic" {
-				seeds = append(seeds, panicSeeds[eng.name])
+			if scen == "panic" && pinned {
+				seeds = append(seeds, pin)
 			}
 			for _, seed := range seeds {
 				spec, err := faults.Scenario(scen, seed)
@@ -517,22 +515,18 @@ func TestChaosFirstSolution(t *testing.T) {
 					if !p.Verify(v) {
 						t.Fatalf("%s: completed with invalid witness %d", tuple, v)
 					}
+					if scen == "panic" && seed == pin {
+						t.Errorf("%s: %s's pinned panic seed completed; the injection or the pin has rotted", tuple, eng.name)
+					}
 				case chaosAbortOK(runErr):
 					if scen == "steal-burst" {
 						t.Fatalf("%s: steal-burst must not abort: %v", tuple, runErr)
-					}
-					if scen == "panic" {
-						panicAborts++
 					}
 				default:
 					t.Fatalf("%s: outside the chaos contract: %v", tuple, runErr)
 				}
 			}
 		}
-	}
-	if panicAborts < len(tracedEngines) {
-		t.Errorf("panic scenario aborted %d first-solution runs, want >= %d; injection or pin has rotted",
-			panicAborts, len(tracedEngines))
 	}
 	waitForGoroutines(t, base)
 }

@@ -311,10 +311,11 @@ func classify(v *verdict, value, want int64, runErr error, rec *trace.Recorder) 
 }
 
 // runPoolCampaign drives one scenario against a sharded resident pool:
-// the scenario's plan injects at both levels (admission/shard starvation on
-// the pool, worker/deque faults per job — the same spec with the pool-level
-// rates cleared and the job's seed). Every job gets its own recorder and a
-// safety deadline so a wedge surfaces as an abort, not a hang.
+// the scenario's plan injects at both levels (admission rejection on the
+// pool, worker/deque faults per job — the same spec with the pool-level
+// rate cleared and the job's seed). Every job gets its own recorder and a
+// context with a safety timeout, so a wedge surfaces as an abort, not a
+// hang.
 func runPoolCampaign(scenario string, seed int64, engines []string, programs []progSpec,
 	workers, jobs int, orc *oracles) []verdict {
 	spec, err := faults.Scenario(scenario, seed)
@@ -334,9 +335,10 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 	})
 
 	type inflight struct {
-		c   caseSpec
-		h   *wsrt.JobHandle
-		rec *trace.Recorder
+		c      caseSpec
+		h      *wsrt.JobHandle
+		rec    *trace.Recorder
+		cancel context.CancelFunc
 	}
 	var verdicts []verdict
 	var running []inflight
@@ -360,16 +362,18 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			continue
 		}
 		jobSpec := spec
-		jobSpec.Seed, jobSpec.Reject, jobSpec.Starve = c.seed, 0, 0
+		jobSpec.Seed, jobSpec.Reject = c.seed, 0
 		rec := trace.NewRecorder()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		h, err := pool.Submit(wsrt.JobSpec{
-			Prog:     prog,
-			Engine:   eng,
-			Tracer:   rec,
-			Faults:   faults.New(jobSpec),
-			Deadline: 10 * time.Second,
+			Prog:   prog,
+			Engine: eng,
+			Ctx:    ctx,
+			Tracer: rec,
+			Faults: faults.New(jobSpec),
 		})
 		if err != nil {
+			cancel()
 			rec.Release()
 			v := verdict{c: c, class: "rejected"}
 			if !errors.Is(err, wsrt.ErrQueueFull) && !errors.Is(err, wsrt.ErrPoolClosed) {
@@ -378,10 +382,11 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			verdicts = append(verdicts, v)
 			continue
 		}
-		running = append(running, inflight{c: c, h: h, rec: rec})
+		running = append(running, inflight{c: c, h: h, rec: rec, cancel: cancel})
 	}
 	for _, f := range running {
 		res, runErr := f.h.Result()
+		f.cancel()
 		v := verdict{c: f.c}
 		if want, oerr := orc.value(f.c.prog); oerr != nil {
 			v.err = fmt.Errorf("serial oracle: %w", oerr)

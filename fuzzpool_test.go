@@ -85,16 +85,14 @@ func FuzzPoolConcurrent(f *testing.F) {
 		// lock-reduced variant; verdicts below then run the invariant
 		// checker in multiplicity-tolerant mode (k=2).
 		relaxed := ops[0] >= 128
-		// A high second byte arms mild pool-level faults: transient
-		// admission saturation and shard-allocator starvation. Both are
-		// liveness hazards, not correctness ones — submits may see
-		// ErrQueueFull, placement may be delayed, nothing else changes.
+		// A high second byte arms the mild pool-level fault: transient
+		// admission saturation. It is a liveness hazard, not a correctness
+		// one — submits may see ErrQueueFull, nothing else changes.
 		var poolPlan *faults.Plan
 		if ops[1] >= 128 {
 			poolPlan = faults.New(faults.Spec{
 				Seed:   int64(ops[0]) + 1,
 				Reject: 0.05,
-				Starve: 0.2, StarveBurst: 2,
 			})
 		}
 		pool := wsrt.NewPool(wsrt.PoolConfig{

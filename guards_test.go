@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -158,6 +159,131 @@ func TestGuards(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("serve_pump_waits_on_events_its_timed-retry_machinery_stays_deleted", func(t *testing.T) {
+		forbidIdents(t, []string{"internal/serve", "cmd"}, "AdmissionBackoff", "wakePump", "sleepOrWake")
+	})
+
+	t.Run("one_Sim_core_workers_are_coroutines_the_channel_handoff_stays_deleted", func(t *testing.T) {
+		for _, f := range goFiles(t, []string{"internal/vtime"}, true) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ChanType:
+					if id, ok := n.Value.(*ast.Ident); ok && id.Name == "int64" {
+						t.Errorf("%s: a chan int64 is back", f.fset.Position(n.Pos()))
+					}
+				case *ast.SendStmt:
+					if lastName(n.Chan) == "resume" {
+						t.Errorf("%s: a send on resume is back", f.fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("deque_slots_hold_entries_the_entry_box_and_its_free-list_stay_deleted", func(t *testing.T) {
+		forbidIdents(t, []string{"internal/deque"}, "entryBox")
+	})
+
+	t.Run("shards_are_a_fixed_partition_the_sizing_policies_the_SLO_advisor_and_the_external-queue_hook_stay_deleted", func(t *testing.T) {
+		forbidIdents(t, []string{"."}, "ShardPolicy", "ShardAdvisor", "SetExternalQueueDepth", "SLOTargetMS")
+		for _, f := range goFiles(t, []string{"."}, false) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "slo-target-ms") {
+					t.Errorf("%s: the slo-target-ms flag is back", f.fset.Position(lit.Pos()))
+				}
+				return true
+			})
+		}
+		n := 0
+		for _, fd := range funcDecls(t, []string{"internal/wsrt"}, false) {
+			if fd.name == "newShardAlloc" {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("newShardAlloc is declared %d times in internal/wsrt, want 1", n)
+		}
+	})
+
+	t.Run("no_evaluation_context_is_allocated_per_call", func(t *testing.T) {
+		for _, f := range goFiles(t, []string{"internal/lang/program.go"}, false) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					if lit, ok := u.X.(*ast.CompositeLit); ok && lastName(lit.Type) == "env" {
+						t.Errorf("%s: &env{…} allocates an evaluation context", f.fset.Position(u.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	})
+
+	t.Run("the_pool_is_its_workers_workerLoop_is_pool.go's_only_goroutine_and_the_dispatcher_finisher_and_starvation_fault_stay_deleted", func(t *testing.T) {
+		var gos []string
+		for _, f := range goFiles(t, []string{"internal/wsrt/pool.go"}, false) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					gos = append(gos, lastName(g.Call.Fun))
+				}
+				return true
+			})
+		}
+		if !slices.Equal(gos, []string{"workerLoop"}) {
+			t.Errorf("pool.go starts goroutines %v, want only workerLoop", gos)
+		}
+		gone := []string{"dispatch", "finishJob", "StarveShard", "ShardAlloc"}
+		for _, fd := range funcDecls(t, []string{"."}, true) {
+			if slices.Contains(gone, fd.decl.Name.Name) {
+				t.Errorf("%s: %s is declared again", fd.fset.Position(fd.decl.Pos()), fd.name)
+			}
+		}
+		for _, f := range goFiles(t, []string{"."}, true) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok || spec.Name.Name != "JobSpec" {
+					return true
+				}
+				if st, ok := spec.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "Deadline" {
+								t.Errorf("%s: JobSpec.Deadline is back; a job's deadline is its Ctx's", f.fset.Position(name.Pos()))
+							}
+						}
+					}
+				}
+				return false
+			})
+		}
+	})
+}
+
+// forbidIdents reports every identifier under dirs, test files included,
+// that is one of gone.
+func forbidIdents(t *testing.T, dirs []string, gone ...string) {
+	t.Helper()
+	for _, f := range goFiles(t, dirs, true) {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(gone, id.Name) {
+				t.Errorf("%s: %s is back", f.fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
+	}
+}
+
+// lastName returns the name an expression ends in: x for x and a.b.x, ""
+// for anything else.
+func lastName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
 }
 
 type funcDecl struct {

@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection plane of the
 // work-stealing runtime: a seed-replayable source of adversarial scheduling
 // decisions — forced steal failures, worker stalls, delayed deposits,
-// injected deque overflows, injected program panics, admission rejections
-// and shard-allocator starvation — threaded through the deque, the node
-// walker every engine shares (sched.Walker), the wsrt runtime, the pool
-// dispatcher and the serve layer.
+// injected deque overflows, injected program panics and admission
+// rejections — threaded through the deque, the node walker every engine
+// shares (sched.Walker), the wsrt runtime, the pool's Submit and the serve
+// layer.
 //
 // The plane follows the trace layer's contract: it is free when it is off.
 // Every injection site in the hot path is a single nil check (a worker's
@@ -24,10 +24,10 @@
 // keeps soak campaigns statistically repeatable.
 //
 // Streams never share state: worker i's node-level faults, deque i's
-// steal-failure hook (called under the deque's owner lock), the pool's
-// admission stream (called under the pool's submit lock) and the
-// dispatcher's shard-starvation stream are all independent generators, so
-// concurrent jobs on a sharded pool need no synchronisation to draw faults.
+// steal-failure hook (called under the deque's owner lock) and the pool's
+// admission stream (called under the pool's submit lock) are all
+// independent generators, so concurrent jobs on a sharded pool need no
+// synchronisation to draw faults.
 package faults
 
 import (
@@ -86,13 +86,6 @@ type Spec struct {
 	// queue reports saturation (ErrQueueFull) even though capacity remains.
 	Reject float64
 
-	// Starve is the per-allocation probability that the shard allocator
-	// reports no shard can be formed, delaying admitted jobs.
-	Starve float64
-	// StarveBurst is the number of consecutive starved allocations once
-	// Starve fires (default 1).
-	StarveBurst int
-
 	// Network fault roles, consumed by the cluster tier (internal/cluster):
 	// the Sim transport draws one decision per message from a per-link
 	// stream, so a whole N-node cluster soak replays byte-identically from
@@ -122,7 +115,7 @@ type Spec struct {
 // enabled reports whether any fault has a non-zero rate.
 func (s Spec) enabled() bool {
 	return s.StealFail > 0 || s.Stall > 0 || s.DepositDelay > 0 ||
-		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0 || s.Starve > 0 ||
+		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0 ||
 		s.netEnabled()
 }
 
@@ -140,7 +133,7 @@ func (s Spec) NetEnabled() bool { return s.netEnabled() }
 // skip scenarios that are network-only.
 func (s Spec) ProcessEnabled() bool {
 	return s.StealFail > 0 || s.Stall > 0 || s.DepositDelay > 0 ||
-		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0 || s.Starve > 0
+		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0
 }
 
 // Plan is an immutable, sharable fault configuration. One Plan may serve
@@ -159,9 +152,6 @@ func New(spec Spec) *Plan {
 	}
 	if spec.StealFailBurst <= 0 {
 		spec.StealFailBurst = 1
-	}
-	if spec.StarveBurst <= 0 {
-		spec.StarveBurst = 1
 	}
 	if spec.StallNS <= 0 {
 		spec.StallNS = 20_000
@@ -185,12 +175,14 @@ func (p *Plan) Spec() Spec { return p.spec }
 func (p *Plan) Enabled() bool { return p != nil && p.spec.enabled() }
 
 // Stream roles: each (role, slot) pair seeds an independent generator, so
-// worker-side and deque-side streams of the same slot never correlate.
+// worker-side and deque-side streams of the same slot never correlate. The
+// blank role keeps the later roles' values, and with them every recorded
+// cluster fault stream.
 const (
 	roleWorker = 0x9E37_79B9 + iota
 	roleDeque
 	roleAdmission
-	roleShard
+	_
 	roleLink
 	rolePartition
 )
@@ -233,15 +225,6 @@ func (p *Plan) Admission() *Injector {
 	return p.injector(roleAdmission, 0)
 }
 
-// ShardAlloc returns the dispatcher's shard-starvation stream (used only
-// by the pool's dispatcher goroutine), or nil when Starve is zero.
-func (p *Plan) ShardAlloc() *Injector {
-	if p == nil || p.spec.Starve <= 0 {
-		return nil
-	}
-	return p.injector(roleShard, 0)
-}
-
 // Link returns the per-link message-fault stream for directed link slot i
 // (the cluster tier keys it src*nodes+dst), or nil when no message fault
 // (drop/delay/duplicate) is configured. Each directed link owns a private
@@ -279,8 +262,6 @@ func (p *Plan) injector(role, slot int) *Injector {
 		panicTh:      threshold(s.Panic),
 		overflow:     threshold(s.Overflow),
 		reject:       threshold(s.Reject),
-		starve:       threshold(s.Starve),
-		starveBurst:  s.StarveBurst,
 		netDrop:      threshold(s.NetDrop),
 		netDelay:     threshold(s.NetDelay),
 		netDelayNS:   s.NetDelayNS,
@@ -346,7 +327,7 @@ func threshold(rate float64) uint64 {
 // Injector is one private fault decision stream. Each method is one
 // splitmix64 step plus a compare — no allocation, no locking — and must
 // only be called by the stream's owner (a worker goroutine, a deque under
-// its owner lock, the pool's submit path, or the dispatcher).
+// its owner lock, or the pool's submit path).
 type Injector struct {
 	rng Stream
 
@@ -363,10 +344,6 @@ type Injector struct {
 	panicTh  uint64
 	overflow uint64
 	reject   uint64
-
-	starve      uint64
-	starveBurst int
-	starveLeft  int
 
 	netDrop     uint64
 	netDelay    uint64
@@ -426,20 +403,6 @@ func (in *Injector) ForceOverflow() bool { return in.hit(in.overflow) }
 // the admission queue were full.
 func (in *Injector) RejectAdmission() bool { return in.hit(in.reject) }
 
-// StarveShard decides whether the current shard allocation is refused.
-// Once the rate fires, the next StarveBurst-1 allocations are refused too.
-func (in *Injector) StarveShard() bool {
-	if in.starveLeft > 0 {
-		in.starveLeft--
-		return true
-	}
-	if in.hit(in.starve) {
-		in.starveLeft = in.starveBurst - 1
-		return true
-	}
-	return false
-}
-
 // DropMessage decides whether the current message is lost in flight.
 func (in *Injector) DropMessage() bool { return in.hit(in.netDrop) }
 
@@ -491,13 +454,12 @@ var scenarios = map[string]Spec{
 	"overflow":      {Overflow: 0.001},
 	"deposit-delay": {DepositDelay: 0.25, DepositDelayNS: 20_000},
 	"reject":        {Reject: 0.3},
-	"starve":        {Starve: 0.5, StarveBurst: 4},
 	"mixed": {
 		StealFail: 0.2, StealFailBurst: 4,
 		Stall: 0.005, StallNS: 20_000,
 		DepositDelay: 0.1, DepositDelayNS: 10_000,
 		Panic: 0.0005, Overflow: 0.0002,
-		Reject: 0.05, Starve: 0.1, StarveBurst: 2,
+		Reject: 0.05,
 	},
 	// Network scenarios, consumed by the cluster campaigns. Rates are sized
 	// so a small Sim cluster both loses enough messages to exercise the

@@ -98,24 +98,12 @@ func TestBurstSemantics(t *testing.T) {
 	t.Fatal("steal-fail rate 0.05 never fired in 10k draws")
 }
 
-func TestStarveBurst(t *testing.T) {
-	in := New(Spec{Seed: 13, Starve: 1, StarveBurst: 3}).ShardAlloc()
-	if in == nil {
-		t.Fatal("starve plan returned nil shard injector")
-	}
-	for i := 0; i < 9; i++ {
-		if !in.StarveShard() {
-			t.Fatalf("draw %d: starve rate 1.0 did not fire", i)
-		}
-	}
-}
-
 // A nil plan and a zero spec must hand out nil hooks so the runtime's
 // nil-check fast path stays on.
 func TestOffMeansNil(t *testing.T) {
 	var nilPlan *Plan
 	if nilPlan.Worker(0) != nil || nilPlan.DequeHook(0) != nil ||
-		nilPlan.Admission() != nil || nilPlan.ShardAlloc() != nil {
+		nilPlan.Admission() != nil {
 		t.Fatal("nil plan handed out a non-nil hook")
 	}
 	if nilPlan.Enabled() {
@@ -126,7 +114,7 @@ func TestOffMeansNil(t *testing.T) {
 		t.Fatal("zero spec reports enabled")
 	}
 	if zero.Worker(0) != nil || zero.DequeHook(0) != nil ||
-		zero.Admission() != nil || zero.ShardAlloc() != nil {
+		zero.Admission() != nil {
 		t.Fatal("zero spec handed out a non-nil hook")
 	}
 	// A steal-only plan must not allocate worker injectors, and vice versa.
@@ -152,8 +140,8 @@ func TestDefaults(t *testing.T) {
 	if s.StallNS <= 0 || s.DepositDelayNS <= 0 {
 		t.Fatalf("durations not defaulted: stall=%d deposit=%d", s.StallNS, s.DepositDelayNS)
 	}
-	if s.StealFailBurst != 1 || s.StarveBurst != 1 {
-		t.Fatalf("bursts not defaulted: %d %d", s.StealFailBurst, s.StarveBurst)
+	if s.StealFailBurst != 1 {
+		t.Fatalf("burst not defaulted: %d", s.StealFailBurst)
 	}
 }
 
@@ -219,7 +207,7 @@ func TestNetStreams(t *testing.T) {
 	// Net-only faults must not wake the process-side hooks, and vice versa.
 	netOnly := New(Spec{Seed: 21, NetDrop: 0.5})
 	if netOnly.Worker(0) != nil || netOnly.DequeHook(0) != nil ||
-		netOnly.Admission() != nil || netOnly.ShardAlloc() != nil {
+		netOnly.Admission() != nil {
 		t.Fatal("net-only plan handed out a process-side hook")
 	}
 	if !netOnly.Enabled() || !netOnly.Spec().NetEnabled() || netOnly.Spec().ProcessEnabled() {

@@ -6,8 +6,8 @@
 // The flag is deliberately dumb — one atomic bool plus a first-cause slot —
 // so that polling it costs a single predicted load on the zero-allocation
 // hot path, and so that it works identically under the deterministic Sim
-// platform (where a context watcher goroutine lives outside virtual time)
-// and under Real goroutines.
+// platform (where a context callback runs outside virtual time) and under
+// Real goroutines.
 package sched
 
 import (
@@ -26,7 +26,7 @@ var ErrSolutionFound = errors.New("sched: first solution found")
 
 // Stop is a cooperative stop request shared by all workers of one run (or
 // one resident-pool job). Signal may be called from any goroutine — a
-// context watcher, a test, another worker — and is idempotent: the first
+// context callback, a test, another worker — and is idempotent: the first
 // cause wins. Workers observe it with Stopped/Check at their poll points.
 // All methods are safe on a nil receiver, which behaves as "never stopped".
 type Stop struct {
@@ -116,28 +116,21 @@ func Recovered(r any, fail func(error), reraise bool) {
 }
 
 // WatchContext connects ctx to stop: when ctx is cancelled or its deadline
-// expires, stop is signalled with the context's cause. It returns a release
-// function that must be called when the run finishes to reclaim the watcher
-// goroutine. A nil ctx, a ctx that can never be cancelled, or a nil stop
-// costs nothing and returns a no-op release.
+// expires, stop is signalled with the context's cause. It registers a
+// context.AfterFunc and returns a release function that must be called when
+// the run finishes to unregister it. A nil ctx, a ctx that can never be
+// cancelled, or a nil stop costs nothing and returns a no-op release.
 func WatchContext(ctx context.Context, stop *Stop) (release func()) {
 	if ctx == nil || ctx.Done() == nil || stop == nil {
 		return func() {}
 	}
 	// A context that is already done is signalled synchronously, so a run
 	// submitted with a dead context aborts at its very first poll point
-	// instead of racing the watcher goroutine against worker start-up.
+	// instead of racing the AfterFunc against worker start-up.
 	if ctx.Err() != nil {
 		stop.Signal(context.Cause(ctx))
 		return func() {}
 	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Signal(context.Cause(ctx))
-		case <-quit:
-		}
-	}()
-	return func() { close(quit) }
+	unregister := context.AfterFunc(ctx, func() { stop.Signal(context.Cause(ctx)) })
+	return func() { unregister() }
 }

@@ -135,8 +135,6 @@ type Options struct {
 	Ctx context.Context
 	// Platform executes the workers. Nil means a deterministic Sim.
 	Platform vtime.Platform
-	// Costs is the virtual cost model. The zero value means DefaultCosts.
-	Costs *Costs
 	// Cutoff overrides an engine's cutoff depth where meaningful
 	// (Cutoff-programmer takes it from here; AdaptiveTC and Cutoff-library
 	// compute ⌈log2 N⌉ themselves and ignore it unless ForceCutoff).
@@ -217,14 +215,6 @@ func (o Options) WorkersOrDefault() int {
 		return 1
 	}
 	return o.Workers
-}
-
-// CostsOrDefault returns the cost model, defaulting to DefaultCosts.
-func (o Options) CostsOrDefault() Costs {
-	if o.Costs != nil {
-		return *o.Costs
-	}
-	return DefaultCosts()
 }
 
 // MaxStolenNumOrDefault returns max_stolen_num, defaulting to the paper's 20.

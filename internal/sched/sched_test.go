@@ -54,9 +54,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.DequeCapacityOrDefault() != 8192 {
 		t.Error("default deque capacity != 8192")
 	}
-	if got := o.CostsOrDefault(); got != DefaultCosts() {
-		t.Error("default costs mismatch")
-	}
 	if o.CutoffFor(8) != 3 {
 		t.Error("CutoffFor(8) != 3")
 	}

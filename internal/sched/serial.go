@@ -13,7 +13,7 @@ func (Serial) Name() string { return "serial" }
 // Run implements Engine. Options.Ctx is honoured: cancellation aborts the
 // recursion at the next node visit and is reported as the run's error.
 func (s Serial) Run(p Program, opt Options) (res Result, err error) {
-	costs := opt.CostsOrDefault()
+	costs := DefaultCosts()
 	var w Walker
 	var value int64
 	stop := &Stop{}

@@ -41,8 +41,8 @@ type startOrder struct {
 }
 
 // probeEngine wraps a pool engine and records its job's start: the pool
-// dispatcher calls NewExec exactly once per job, at start, from a single
-// goroutine, so the recorded order is the true start order.
+// calls NewExec exactly once per job, at start, under its lock, so the
+// recorded order is the true start order.
 type probeEngine struct {
 	inner wsrt.PoolEngine
 	id    int

@@ -57,7 +57,7 @@ func (e *Engine) Name() string {
 func (e *Engine) Run(p sched.Program, opt sched.Options) (sched.Result, error) {
 	n := opt.WorkersOrDefault()
 	rt := &runtime{
-		costs:   opt.CostsOrDefault(),
+		costs:   sched.DefaultCosts(),
 		n:       n,
 		single:  e.single,
 		mail:    make([]chan *request, n),

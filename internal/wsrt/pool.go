@@ -5,25 +5,28 @@
 // a channel instead of exiting, so a job's cost is one wake/barrier cycle,
 // not deque construction, goroutine spawning and free-list warm-up.
 //
-// Admission is controlled by a bounded queue: Submit never blocks, and a
-// full queue is reported as ErrQueueFull (backpressure) rather than letting
-// callers pile up behind a busy pool. Up to MaxConcurrentJobs jobs run at
-// once, each bound to its own shard — one of the disjoint groups of workers
-// the pool is cut into at start (shard.go). Work-stealing parallelism is
-// *within* a shard; a job's runtime is built over the shard's deques only,
-// so steals are confined to the shard's victim set, one job's need_task
-// starvation signal cannot re-open another job's subtree, and every
-// scheduler invariant of the batch runtime holds per job exactly as it
-// does for a whole-pool run. A per-job tracer therefore still observes its
-// job in isolation, and the memory of a misbehaving job is bounded to one
-// shard's worth of deques.
+// The pool is its workers; no goroutine coordinates them. Submit never
+// blocks: it starts a job on the lowest-numbered free shard — one of the
+// disjoint groups of workers the pool is cut into at start (shard.go) — or
+// appends it to a bounded FIFO, and a full FIFO is reported as ErrQueueFull
+// (backpressure) rather than letting callers pile up behind a busy pool.
+// The last of a job's workers to leave it finalises it, frees the shard and
+// starts the oldest queued job there. Work-stealing parallelism is *within*
+// a shard; a job's runtime is built over the shard's deques only, so steals
+// are confined to the shard's victim set, one job's need_task starvation
+// signal cannot re-open another job's subtree, and every scheduler
+// invariant of the batch runtime holds per job exactly as it does for a
+// whole-pool run. A per-job tracer therefore still observes its job in
+// isolation, and the memory of a misbehaving job is bounded to one shard's
+// worth of deques.
 //
 // Every job gets its own Runtime (value, failure, stats, tracer) and its
-// own cooperative stop flag wired to the submitter's context, checked at
-// the runtime's poll points; a cancelled or expired job unwinds through the
-// sched.Abort path, and the finisher then resets the shard's deques — and
-// only the shard's — so leftover frames cannot poison the next job while
-// neighbouring shards keep running untouched.
+// own cooperative stop flag, checked at the runtime's poll points. One
+// context.AfterFunc on the submitter's context retires the job while it is
+// queued and fires its stop flag while it runs; a cancelled or expired job
+// unwinds through the sched.Abort path, and its last worker then resets the
+// shard's deques — and only the shard's — so leftover frames cannot poison
+// the next job while neighbouring shards keep running untouched.
 package wsrt
 
 import (
@@ -77,16 +80,15 @@ type PoolConfig struct {
 	// means the classic single-job pool (one shard spanning every worker);
 	// values above Workers are clamped to Workers.
 	MaxConcurrentJobs int
-	// Options supplies the pool-wide scheduling parameters: cost model,
-	// deque capacity and growability, max_stolen_num, seed. Platform, Ctx
+	// Options supplies the pool-wide scheduling parameters: deque capacity
+	// and growability, max_stolen_num, steal policy, seed. Platform, Ctx
 	// and Tracer are ignored — the pool is always Real-platform, and
 	// context/tracer are per-job (see JobSpec).
 	Options sched.Options
-	// Faults, when non-nil, injects pool-level faults: admission-queue
-	// saturation (Submit reports ErrQueueFull though capacity remains) and
-	// shard-allocator starvation (the dispatcher briefly cannot take a free
-	// shard). Worker-level faults are per-job (see JobSpec.Faults). Nil —
-	// the default — costs nothing anywhere.
+	// Faults, when non-nil, injects the pool-level fault: admission-queue
+	// saturation (Submit reports ErrQueueFull though capacity remains).
+	// Worker-level faults are per-job (see JobSpec.Faults). Nil — the
+	// default — costs nothing anywhere.
 	Faults *faults.Plan
 }
 
@@ -105,8 +107,9 @@ type JobSpec struct {
 	// Engine is the scheduling strategy for this job.
 	Engine PoolEngine
 	// Ctx, when non-nil, cancels the job cooperatively — while it is still
-	// queued (it then never starts) or mid-run (it aborts at the next poll
-	// point). Nil means the job cannot be cancelled.
+	// queued (it then settles at once and never starts) or mid-run (it
+	// aborts at the next poll point). A deadline on Ctx bounds the job's
+	// time from submission. Nil means the job cannot be cancelled.
 	Ctx context.Context
 	// Tracer, when non-nil, records the job's scheduler events. The pool
 	// Inits it at job start with the job's shard width; the recorder must
@@ -120,12 +123,6 @@ type JobSpec struct {
 	// derived per shard-local worker, so the same plan on the same seed
 	// draws the same decisions whichever shard hosts the job.
 	Faults *faults.Plan
-	// Deadline, when positive, bounds the job's run time (counted from the
-	// moment its shard workers wake, not from submission). On expiry the
-	// job's cooperative stop flag fires and the job aborts at the next poll
-	// point with an error wrapping context.DeadlineExceeded — converting a
-	// stalled worker into an orderly abort instead of a wedged shard.
-	Deadline time.Duration
 	// StealPolicy overrides the pool-wide steal strategy
 	// (PoolConfig.Options.StealPolicy) for this job: "random",
 	// "steal-half", "richest-first" or "shard-local". Empty means the pool
@@ -150,8 +147,8 @@ type JobHandle struct {
 	err     error
 }
 
-// Started is closed when the job leaves the queue and its shard's workers
-// begin.
+// Started is closed when the job is bound to its shard and the shard's
+// workers begin.
 func (h *JobHandle) Started() <-chan struct{} { return h.started }
 
 // Done is closed when the job has finished (completed, failed, cancelled,
@@ -164,7 +161,7 @@ func (h *JobHandle) Shard() []int { return h.shard }
 
 // Interval returns the window during which the job held its shard
 // exclusively: start is stamped before the shard's workers wake, end after
-// the last worker hit the barrier and the shard's deques were reset, but
+// the job's last worker left it and the shard's deques were reset, but
 // before the shard returns to the free set. Valid after Done; both zero
 // for a job that never started.
 func (h *JobHandle) Interval() (start, end time.Time) { return h.startAt, h.endAt }
@@ -182,20 +179,22 @@ func (h *JobHandle) Result() (sched.Result, error) {
 type poolJob struct {
 	spec      JobSpec
 	name      string
-	rt        *Runtime
+	rt        *Runtime // set under Pool.mu when the job starts
 	submitted time.Time
 	started   time.Time
 	part      int               // index of the shard in the pool's partition
 	shard     []int             // global worker ids, shard-local order (a copy)
 	deques    []deque.WorkDeque // the shard's deques, indexed by local id
 	workers   []*Worker         // the shard's workers, indexed by local id
-	release   func()            // context watcher release
-	deadline  *time.Timer       // run-deadline timer; nil unless JobSpec.Deadline
-	wg        sync.WaitGroup    // shard workers still running this job
+	left      atomic.Int32      // shard workers still running the job
+	unwatch   func() bool       // stops the context.AfterFunc; nil without a Ctx
 	h         *JobHandle
 }
 
-func (j *poolJob) finish(res sched.Result, err error) {
+func (j *poolJob) settle(res sched.Result, err error) {
+	if j.unwatch != nil {
+		j.unwatch()
+	}
 	j.h.res, j.h.err = res, err
 	close(j.h.done)
 }
@@ -217,15 +216,16 @@ type Pool struct {
 	deques   []deque.WorkDeque
 	workers  []*Worker
 	shards   *shardAlloc
-	wake     []chan shardRun
+	wake     []chan shardRun // one slot each: a shard runs one job at a time, so no send blocks
 	idleWake []chan struct{} // per shard, a slot per worker (a token per parked thief); its job's runtime borrows it
-	queue    chan *poolJob
-	finished chan *poolJob // finishers hand shards back to the dispatcher
-	quit     chan struct{}
-	joined   sync.WaitGroup // dispatcher + workers
+	queueCap int
+	jobs     sync.WaitGroup // started jobs not yet finished
+	joined   sync.WaitGroup // workers
+	wakeOnce sync.Once      // Close closes the wake channels once
 
-	mu     sync.Mutex // guards Submit/Close handshake
+	mu     sync.Mutex // guards closed, queue and the shards' busy flags
 	closed bool
+	queue  []*poolJob // FIFO; non-empty only while every shard is busy
 
 	inflight    atomic.Int64 // jobs submitted and not yet finished
 	running     atomic.Int64 // jobs currently occupying a shard
@@ -233,10 +233,7 @@ type Pool struct {
 	served      atomic.Int64 // jobs finished (any outcome) since pool start
 	quarantined atomic.Int64 // jobs failed by a panic (sched.ErrJobPanicked)
 
-	// Pool-level fault streams (nil unless PoolConfig.Faults): admitFI is
-	// drawn under p.mu in Submit, shardFI only by the dispatcher.
-	admitFI *faults.Injector
-	shardFI *faults.Injector
+	admitFI *faults.Injector // nil unless PoolConfig.Faults; drawn under mu in Submit
 }
 
 // NewPool builds a resident pool and starts its workers; they park until
@@ -248,7 +245,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 	n := opt.WorkersOrDefault()
 	shards := newShardAlloc(n, cfg.MaxConcurrentJobs)
-	maxJobs := len(shards.parts)
 	p := &Pool{
 		n:        n,
 		opt:      opt,
@@ -256,27 +252,23 @@ func NewPool(cfg PoolConfig) *Pool {
 		workers:  make([]*Worker, n),
 		shards:   shards,
 		wake:     make([]chan shardRun, n),
-		idleWake: make([]chan struct{}, maxJobs),
-		queue:    make(chan *poolJob, cfg.queueCapacityOrDefault()),
-		finished: make(chan *poolJob, maxJobs),
-		quit:     make(chan struct{}),
+		idleWake: make([]chan struct{}, len(shards.parts)),
+		queueCap: cfg.queueCapacityOrDefault(),
 		admitFI:  cfg.Faults.Admission(),
-		shardFI:  cfg.Faults.ShardAlloc(),
 	}
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
 		p.deques[i] = newDeque(opt)
 		p.workers[i] = &Worker{Walker: sched.Walker{Proc: procs[i], ID: i}, Deque: p.deques[i]}
-		p.wake[i] = make(chan shardRun)
+		p.wake[i] = make(chan shardRun, 1)
 	}
 	for k, shard := range shards.parts {
 		p.idleWake[k] = make(chan struct{}, len(shard))
 	}
-	p.joined.Add(n + 1)
+	p.joined.Add(n)
 	for i := 0; i < n; i++ {
 		go p.workerLoop(i)
 	}
-	go p.dispatch()
 	return p
 }
 
@@ -287,10 +279,14 @@ func (p *Pool) Workers() int { return p.n }
 func (p *Pool) MaxConcurrentJobs() int { return len(p.shards.parts) }
 
 // QueueDepth returns the number of jobs waiting for admission right now.
-func (p *Pool) QueueDepth() int { return len(p.queue) }
+func (p *Pool) QueueDepth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
 
 // QueueCapacity returns the admission queue bound.
-func (p *Pool) QueueCapacity() int { return cap(p.queue) }
+func (p *Pool) QueueCapacity() int { return p.queueCap }
 
 // InFlight returns the number of submitted jobs that have not finished
 // (queued + running).
@@ -311,19 +307,23 @@ func (p *Pool) Served() int64 { return p.served.Load() }
 // LiveShards returns the worker groups currently bound to running jobs,
 // sorted by their first (lowest) global worker id so the view is stable
 // across scrapes. Each inner slice is a copy.
-func (p *Pool) LiveShards() [][]int { return p.shards.live() }
+func (p *Pool) LiveShards() [][]int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.shards.live()
+}
 
 // Quarantined returns the number of jobs that failed by a panic in their
 // program or engine. Each such job was contained to its own shard: the
 // shard's deques were reset and the shard freed, and the pool kept serving.
 func (p *Pool) Quarantined() int64 { return p.quarantined.Load() }
 
-// Submit enqueues a job without blocking. It returns ErrQueueFull when the
-// admission queue is at capacity and ErrPoolClosed after Close. The
-// closed check and the enqueue happen under one lock, ordered against
-// Close's closed store: once Close has begun, Submit deterministically
-// returns ErrPoolClosed, and a job enqueued before that point is either
-// run or — if the dispatcher observes the shutdown first — deterministically
+// Submit starts a job on the lowest-numbered free shard, or queues it
+// behind the running ones, without blocking. It returns ErrQueueFull when
+// the admission queue is at capacity and ErrPoolClosed after Close. A job
+// whose Ctx is already done settles at once and never starts. Submit and
+// Close order on one lock: once Close has begun, Submit returns
+// ErrPoolClosed, and a job queued before that point either starts or is
 // drained with ErrPoolClosed, never both.
 func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 	if spec.Prog == nil || spec.Engine == nil {
@@ -349,201 +349,81 @@ func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 		// stream is drawn under p.mu, which serialises it.
 		return nil, ErrQueueFull
 	}
-	select {
-	case p.queue <- job:
-		p.inflight.Add(1)
+	ctx := spec.Ctx
+	if ctx != nil && ctx.Err() != nil {
+		p.retire(job, context.Cause(ctx))
 		return job.h, nil
-	default:
+	}
+	k := p.shards.grab()
+	if k < 0 && len(p.queue) == p.queueCap {
 		return nil, ErrQueueFull
 	}
+	p.inflight.Add(1)
+	if ctx != nil {
+		job.unwatch = context.AfterFunc(ctx, func() { p.cancel(job) })
+	}
+	if k < 0 {
+		p.queue = append(p.queue, job)
+	} else {
+		p.start(job, k)
+	}
+	return job.h, nil
 }
 
-// Close shuts the pool down: running jobs finish, every job still queued
-// is failed with ErrPoolClosed, and the workers exit. Close blocks until
-// all goroutines have joined; it is idempotent.
+// Close shuts the pool down: every job still queued is failed with
+// ErrPoolClosed, running jobs finish, and the workers exit. Close blocks
+// until the workers have joined; it is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.joined.Wait()
-		return
-	}
-	// Close quit under the same lock that orders Submit's closed check:
-	// any Submit that observes closed (and any outside observer it
-	// unblocks) is guaranteed the dispatcher's shutdown signal is already
-	// raised, so a job still queued at that point can only drain.
 	p.closed = true
-	close(p.quit)
+	for _, job := range p.queue {
+		p.retire(job, ErrPoolClosed)
+	}
+	p.inflight.Add(-int64(len(p.queue)))
+	p.queue = nil
 	p.mu.Unlock()
-	p.joined.Wait()
-}
-
-// dispatch is the pool's coordinator goroutine: it admits jobs while a
-// shard is free, binds each admitted job to a shard, and reclaims shards as
-// jobs finish. Jobs it cannot place yet stay in the bounded queue (at most
-// one, already received, waits in the deferred slot), so admission
-// backpressure is never weakened by an internal unbounded buffer.
-func (p *Pool) dispatch() {
-	defer func() {
+	p.jobs.Wait()
+	p.wakeOnce.Do(func() {
 		for _, c := range p.wake {
 			close(c)
 		}
-		p.joined.Done()
-	}()
-	var deferred *poolJob // received from the queue, waiting for a shard
-	for {
-		// Prefer shutdown over further admissions once quit is closed.
-		select {
-		case <-p.quit:
-			p.shutdown(deferred)
-			return
-		default:
-		}
-		if deferred != nil {
-			if !p.tryStart(deferred) {
-				// Without fault injection a deferred job can only be
-				// unblocked by a finishing job (or shutdown). Injected
-				// allocator starvation can refuse a shard with nothing
-				// running at all, so the fault plane adds a retry tick —
-				// otherwise the dispatcher would wait forever on a finish
-				// that cannot come. Nil channel (no faults): zero cost.
-				var retry <-chan time.Time
-				var retryT *time.Timer
-				if p.shardFI != nil {
-					retryT = time.NewTimer(100 * time.Microsecond)
-					retry = retryT.C
-				}
-				// A deferred job can also die where it stands: watching its
-				// context here retires a cancelled job immediately instead
-				// of holding it hostage until some other job finishes.
-				var ctxDone <-chan struct{}
-				if ctx := deferred.spec.Ctx; ctx != nil {
-					ctxDone = ctx.Done()
-				}
-				select {
-				case <-p.quit:
-					if retryT != nil {
-						retryT.Stop()
-					}
-					p.shutdown(deferred)
-					return
-				case job := <-p.finished:
-					p.reclaim(job)
-				case <-ctxDone:
-					p.retire(deferred, context.Cause(deferred.spec.Ctx))
-					deferred = nil
-				case <-retry:
-				}
-				if retryT != nil {
-					retryT.Stop()
-				}
-				continue
-			}
-			deferred = nil
-			continue
-		}
-		// Receive from the queue only while a shard slot is open; otherwise
-		// jobs stay queued and Submit's backpressure stays honest.
-		var queueCh chan *poolJob
-		if p.running.Load() < int64(len(p.shards.parts)) {
-			queueCh = p.queue
-		}
-		select {
-		case <-p.quit:
-			p.shutdown(nil)
-			return
-		case job := <-queueCh:
-			// quit and queue can be ready together and select picks
-			// arbitrarily; re-checking quit here makes Close deterministic —
-			// a job picked up after quit closed is drained, never run.
-			select {
-			case <-p.quit:
-				p.retire(job, ErrPoolClosed)
-				p.shutdown(nil)
-				return
-			default:
-			}
-			if !p.tryStart(job) {
-				deferred = job
-			}
-		case job := <-p.finished:
-			p.reclaim(job)
-		}
+	})
+	p.joined.Wait()
+}
+
+// cancel is a job's context.AfterFunc: a queued job is retired where it
+// stands, a running one has its stop flag fired. A job that has finished
+// has left the queue, so its stop flag is all it can touch.
+func (p *Pool) cancel(job *poolJob) {
+	cause := context.Cause(job.spec.Ctx)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i := slices.Index(p.queue, job); i >= 0 {
+		p.queue = slices.Delete(p.queue, i, i+1)
+		p.inflight.Add(-1)
+		p.retire(job, cause)
+	} else if job.rt != nil {
+		job.rt.stop.Signal(cause)
 	}
 }
 
-// tryStart binds job to the lowest-numbered free shard, or retires it
-// immediately if its context was cancelled while it waited. It reports
-// false when no shard is free.
-func (p *Pool) tryStart(job *poolJob) bool {
-	if ctx := job.spec.Ctx; ctx != nil {
-		if ctx.Err() != nil {
-			// Cancelled while queued: never starts, costs the pool nothing.
-			p.retire(job, context.Cause(ctx))
-			return true
-		}
-	}
-	if p.shardFI != nil && p.shardFI.StarveShard() {
-		// Injected allocator starvation: the dispatcher behaves exactly as
-		// if no shard could be formed and retries on its fault tick.
-		return false
-	}
-	k := p.shards.grab()
-	if k < 0 {
-		return false
-	}
-	p.startJob(job, k)
-	return true
-}
-
-// retire finishes a job that never ran (drained at shutdown, or cancelled
-// while queued).
+// retire settles a job that never started (cancelled, or drained by
+// Close). The caller holds p.mu.
 func (p *Pool) retire(job *poolJob, err error) {
 	res := sched.Result{Engine: job.name, Program: job.spec.Prog.Name()}
 	res.Stats.QueueWait = time.Since(job.submitted).Nanoseconds()
-	job.finish(res, err)
-	p.inflight.Add(-1)
 	p.served.Add(1)
+	job.settle(res, err)
 }
 
-// reclaim frees a finished job's shard. The served counter already ticked
-// in finishJob, before the job's handle resolved, so Served() never lags a
-// Result() return.
-func (p *Pool) reclaim(job *poolJob) {
-	p.shards.release(job.part)
-	p.busy.Add(-int64(len(job.shard)))
-	p.running.Add(-1)
-	p.inflight.Add(-1)
-}
-
-// shutdown drains the pool: the deferred job and every job still queued
-// fail with ErrPoolClosed, running jobs finish and their shards are
-// reclaimed. No new queue sends can begin once Close has set closed, so
-// the drain loop terminates.
-func (p *Pool) shutdown(deferred *poolJob) {
-	if deferred != nil {
-		p.retire(deferred, ErrPoolClosed)
-	}
-	for {
-		select {
-		case job := <-p.queue:
-			p.retire(job, ErrPoolClosed)
-			continue
-		default:
-		}
-		if p.running.Load() == 0 {
-			return
-		}
-		p.reclaim(<-p.finished)
-	}
-}
-
-// startJob builds the job's shard-scoped runtime and wakes the shard's
-// workers. The runtime's deque slice is exactly the shard's deques, so the
-// thief loop's victim set — and with it the need_task/stolen_num
-// starvation machinery living in those deques — is confined to the shard
-// by construction.
-func (p *Pool) startJob(job *poolJob, k int) {
+// start binds job to shard k, which the caller has marked busy, builds the
+// job's shard-scoped runtime and wakes the shard's first worker. The caller
+// holds p.mu, so a cancel sees either the queued job or its runtime.
+// The runtime's deque slice is exactly the shard's deques, so the thief
+// loop's victim set — and with it the need_task/stolen_num starvation
+// machinery living in those deques — is confined to the shard by
+// construction.
+func (p *Pool) start(job *poolJob, k int) {
 	// The handle and the result get a copy: the partition is the pool's.
 	shard := slices.Clone(p.shards.parts[k])
 	width := len(shard)
@@ -568,38 +448,26 @@ func (p *Pool) startJob(job *poolJob, k int) {
 	if rt.tracer != nil {
 		rt.tracer.SetScope(fmt.Sprintf("%s/%s shard %v", job.name, job.spec.Prog.Name(), shard))
 	}
-	job.release = sched.WatchContext(job.spec.Ctx, rt.stop)
-	if d := job.spec.Deadline; d > 0 {
-		job.deadline = time.AfterFunc(d, func() {
-			rt.stop.Signal(fmt.Errorf("wsrt: job exceeded its %v run deadline: %w",
-				d, context.DeadlineExceeded))
-		})
-	}
 	job.rt = rt
-	job.wg.Add(width)
+	job.left.Store(int32(width))
+	p.jobs.Add(1)
 	p.running.Add(1)
 	p.busy.Add(int64(width))
 	job.h.shard = shard
 	job.h.startAt = job.started
 	close(job.h.started)
-	for li, gi := range shard {
-		p.wake[gi] <- shardRun{job: job, local: li}
-	}
-	go p.finishJob(job)
+	p.wake[shard[0]] <- shardRun{job: job}
 }
 
-// finishJob waits for the job's shard workers to hit the barrier,
-// finalises the result, and hands the shard back to the dispatcher. The
-// deque reset is confined to the finishing job's shard — neighbouring
-// shards are live and must not be touched — and happens before the shard
-// returns to the free set, so the next job bound to these workers starts
-// from the same state a fresh deque would.
-func (p *Pool) finishJob(job *poolJob) {
-	job.wg.Wait()
-	job.release()
-	if job.deadline != nil {
-		job.deadline.Stop()
-	}
+// finish is run by the last of a job's workers to leave it: it finalises
+// the result, resets the shard's deques, frees the shard and starts the
+// oldest queued job on it. The deque reset is confined to the finishing
+// job's shard — neighbouring shards are live and must not be touched — and
+// happens before the shard returns to the free set, so the next job bound
+// to these workers starts from the same state a fresh deque would. The
+// queue is non-empty only while every shard is busy, so the shard freed
+// here is the lowest free one.
+func (p *Pool) finish(job *poolJob) {
 	rt := job.rt
 	res, err := rt.result(job.name, job.workers)
 	res.Stats.QueueWait = job.started.Sub(job.submitted).Nanoseconds()
@@ -624,19 +492,40 @@ func (p *Pool) finishJob(job *poolJob) {
 		p.quarantined.Add(1)
 	}
 	job.h.endAt = time.Now()
+	p.mu.Lock()
+	p.shards.release(job.part)
+	p.busy.Add(-int64(len(job.shard)))
+	p.running.Add(-1)
+	p.inflight.Add(-1)
 	p.served.Add(1)
-	job.finish(res, err)
-	p.finished <- job
+	if len(p.queue) > 0 {
+		next := p.queue[0]
+		p.queue = slices.Delete(p.queue, 0, 1)
+		p.start(next, p.shards.grab())
+	}
+	p.mu.Unlock()
+	job.settle(res, err)
+	p.jobs.Done()
 }
 
 // workerLoop is one resident worker: park on the wake channel, run the
-// job, hit the barrier, park again. This is the thief loop's "park between
-// jobs instead of exiting".
+// job, leave it, park again. This is the thief loop's "park between jobs
+// instead of exiting".
 func (p *Pool) workerLoop(i int) {
 	defer p.joined.Done()
 	w := p.workers[i]
 	for run := range p.wake[i] {
 		job := run.job
+		if run.local == 0 {
+			// start wakes only the root's worker, which wakes the rest of
+			// its shard before it runs the root. A thief woken ahead of it
+			// can take the waker's next-to-run slot, fail its steals on an
+			// empty deque and raise need_task before the root has pushed
+			// anything (DESIGN §11.3).
+			for li, gi := range job.shard[1:] {
+				p.wake[gi] <- shardRun{job: job, local: li + 1}
+			}
+		}
 		w.bind(job.rt, run.local)
 		w.runJob(true)
 		w.rt = nil
@@ -647,6 +536,8 @@ func (p *Pool) workerLoop(i int) {
 		// type mismatch). Frames are program-agnostic — their
 		// free-list stays resident across jobs.
 		w.DropWorkspacePool()
-		job.wg.Done()
+		if job.left.Add(-1) == 0 {
+			p.finish(job)
+		}
 	}
 }

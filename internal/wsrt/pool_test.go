@@ -225,12 +225,8 @@ func TestPoolConcurrentJobs(t *testing.T) {
 		t.Fatal("job A finished before its gate opened — B did not run concurrently")
 	default:
 	}
-	// B's shard is reclaimed by the dispatcher shortly after its handle
-	// resolves; wait for the count to settle at just job A.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.RunningJobs() != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// B's last worker frees B's shard before B's handle resolves, so the
+	// count is already just job A.
 	if got := p.RunningJobs(); got != 1 {
 		t.Fatalf("RunningJobs while A blocked = %d, want 1", got)
 	}
@@ -248,8 +244,8 @@ func TestPoolConcurrentJobs(t *testing.T) {
 }
 
 // TestPoolShardedRace runs 4 concurrent 8-queens jobs on 2 shards — the
-// race-detector workload for the sharded dispatcher, shard-confined
-// stealing and per-shard deque reset. Each job must find the classic 92
+// race-detector workload for start-on-arrival, finish-by-last-worker,
+// shard-confined stealing and per-shard deque reset. Each job must find the classic 92
 // solutions.
 func TestPoolShardedRace(t *testing.T) {
 	p := wsrt.NewPool(wsrt.PoolConfig{
@@ -647,5 +643,43 @@ func TestPoolStartOrderPinned(t *testing.T) {
 			t.Fatalf("start %d: job %d on %v, want job %d on %v (all starts %v)",
 				i, got[i].job, got[i].shard, want[i].job, want[i].shard, got)
 		}
+	}
+}
+
+// TestPoolQueuedCancelSettlesAtOnce: a queued job whose context is cancelled
+// settles with context.Canceled at once, never starts, and does not wait for
+// the job ahead of it to free the shard.
+func TestPoolQueuedCancelSettlesAtOnce(t *testing.T) {
+	p := wsrt.NewPool(wsrt.PoolConfig{Workers: 1, QueueCapacity: 4})
+	defer p.Close()
+	gate := make(chan struct{})
+	defer close(gate)
+
+	blocker, err := p.Submit(wsrt.JobSpec{Prog: gateProg{gate: gate}, Engine: atc()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-blocker.Started()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued, err := p.Submit(wsrt.JobSpec{Prog: fib.New(5), Engine: atc(), Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case <-queued.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("the cancelled queued job was still pending after 2s behind a running job")
+	}
+	if _, err := queued.Result(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued job: err = %v, want context.Canceled", err)
+	}
+	select {
+	case <-queued.Started():
+		t.Fatal("the cancelled queued job started")
+	case <-blocker.Done():
+		t.Fatal("the blocker finished before its gate opened")
+	default:
 	}
 }

@@ -784,7 +784,7 @@ func newDeque(opt sched.Options) deque.WorkDeque {
 func newRuntime(prog sched.Program, eng Engine, deques []deque.WorkDeque, opt sched.Options) *Runtime {
 	rt := &Runtime{
 		Prog:        prog,
-		Costs:       opt.CostsOrDefault(),
+		Costs:       sched.DefaultCosts(),
 		N:           len(deques),
 		Deques:      deques,
 		Eng:         eng,

@@ -1,28 +1,22 @@
 // The shard table: the piece of the multi-job pool that decides which
 // workers serve which job. NewPool cuts its workers once into fixed shards —
-// disjoint groups of consecutive workers — and a job admitted by the
-// dispatcher is bound to the lowest-numbered free shard. Its runtime's victim
-// set is the shard's deques, and the shard is free again when the job
-// finishes. Because every per-job structure — the Runtime, the engine
+// disjoint groups of consecutive workers — and a job starts on the
+// lowest-numbered free shard. Its runtime's victim set is the shard's
+// deques, and the shard is free again when the job finishes. Because every per-job structure — the Runtime, the engine
 // instance, the deque slice, the starvation signals living inside those
 // deques — is built over the shard, steal confinement and per-shard
 // need_task/stolen_num state need no extra machinery: a worker in one shard
 // cannot even name another shard's deques.
 package wsrt
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // shardAlloc is the pool's fixed partition of its workers and one busy flag
-// per shard. Only the dispatcher goroutine grabs and releases; LiveShards
-// reads the flags from any goroutine, hence the lock.
+// per shard. It has no lock of its own: the pool calls grab, release and
+// live under Pool.mu.
 type shardAlloc struct {
 	parts [][]int // parts[k]: shard k's global worker ids, ascending
-
-	mu   sync.Mutex
-	busy []bool // busy[k]: shard k is bound to a running job
+	busy  []bool  // busy[k]: shard k is bound to a running job
 }
 
 // newShardAlloc cuts workers 0..n-1 into min(maxJobs, n) shards (at least
@@ -46,8 +40,6 @@ func newShardAlloc(n, maxJobs int) *shardAlloc {
 // grab marks the lowest-numbered free shard busy and returns its index, or
 // -1 when every shard is bound to a job.
 func (a *shardAlloc) grab() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	k := slices.Index(a.busy, false)
 	if k >= 0 {
 		a.busy[k] = true
@@ -56,17 +48,11 @@ func (a *shardAlloc) grab() int {
 }
 
 // release marks shard k free.
-func (a *shardAlloc) release(k int) {
-	a.mu.Lock()
-	a.busy[k] = false
-	a.mu.Unlock()
-}
+func (a *shardAlloc) release(k int) { a.busy[k] = false }
 
 // live returns a copy of every busy shard, in shard order — which is the
 // order of their first (lowest) worker id.
 func (a *shardAlloc) live() [][]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var out [][]int
 	for k, busy := range a.busy {
 		if busy {
