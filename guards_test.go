@@ -109,15 +109,7 @@ func TestGuards(t *testing.T) {
 	})
 
 	t.Run("one_engine_table_the_second_registries_stay_deleted_and_Run_is_written_once", func(t *testing.T) {
-		gone := map[string]bool{"RegisterEngine": true, "engineMakers": true, "poolEngines": true}
-		for _, f := range goFiles(t, []string{"."}, true) {
-			ast.Inspect(f.file, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && gone[id.Name] {
-					t.Errorf("%s: %s is back", f.fset.Position(id.Pos()), id.Name)
-				}
-				return true
-			})
-		}
+		forbidIdents(t, []string{"."}, "RegisterEngine", "engineMakers", "poolEngines")
 		// The pool engines share wsrt.Run; Tascell brings its own runtime.
 		var runs []string
 		for _, fd := range funcDecls(t, []string{"internal/wsrt", "internal/core", "internal/slaw"}, false) {
@@ -395,13 +387,7 @@ func isClockCall(call *ast.CallExpr) bool {
 	}
 	switch sel.Sel.Name {
 	case "Advance", "Yield":
-		name := ""
-		switch x := sel.X.(type) {
-		case *ast.Ident:
-			name = x.Name
-		case *ast.SelectorExpr:
-			name = x.Sel.Name
-		}
+		name := lastName(sel.X)
 		return name == "Proc" || name == "proc"
 	case "YieldIdle":
 		pkg, ok := sel.X.(*ast.Ident)
