@@ -311,18 +311,15 @@ func classify(v *verdict, value, want int64, runErr error, rec *trace.Recorder) 
 }
 
 // runPoolCampaign drives one scenario against a sharded resident pool:
-// the scenario's plan injects at both levels (admission rejection on the
-// pool, worker/deque faults per job — the same spec with the pool-level
-// rate cleared and the job's seed). Every job gets its own recorder and a
-// context with a safety timeout, so a wedge surfaces as an abort, not a
-// hang.
+// every job carries the scenario's worker/deque faults under its own seed,
+// its own recorder and a context with a safety timeout, so a wedge
+// surfaces as an abort, not a hang.
 func runPoolCampaign(scenario string, seed int64, engines []string, programs []progSpec,
 	workers, jobs int, orc *oracles) []verdict {
 	spec, err := faults.Scenario(scenario, seed)
 	if err != nil {
 		return []verdict{{c: caseSpec{mode: "pool", scenario: scenario, seed: seed}, err: err}}
 	}
-	plan := faults.New(spec)
 	maxJobs := 2
 	if workers < 2 {
 		maxJobs = 1
@@ -331,7 +328,6 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 		Workers:           workers,
 		MaxConcurrentJobs: maxJobs,
 		Options:           sched.Options{Seed: seed},
-		Faults:            plan,
 	})
 
 	type inflight struct {
@@ -362,7 +358,7 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			continue
 		}
 		jobSpec := spec
-		jobSpec.Seed, jobSpec.Reject = c.seed, 0
+		jobSpec.Seed = c.seed
 		rec := trace.NewRecorder()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		h, err := pool.Submit(wsrt.JobSpec{

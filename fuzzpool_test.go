@@ -24,9 +24,8 @@ import (
 // invariants, every cancelled, drained or fault-killed job must surface a
 // known abort class and leave a consistent truncated trace, the pool's
 // quarantine counter must agree with the observed panic deaths, and no
-// two jobs may ever hold the same worker at the same time. A high second
-// byte additionally arms pool-level admission/shard-allocator faults; a
-// high first byte switches the pool to the lock-reduced deque variant
+// two jobs may ever hold the same worker at the same time. A high first
+// byte switches the pool to the lock-reduced deque variant
 // (audited with the k=2 multiplicity-tolerant checker), and each job's
 // steal policy is drawn from its op byte. Submitted programs are drawn
 // from five families — classic search (fib, n-queens), the shared-state
@@ -41,7 +40,7 @@ func FuzzPoolConcurrent(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 0, 0, 0, 3, 3, 2, 2, 0, 0, 13, 8})
 	f.Add([]byte{2, 2, 4, 0, 4, 0, 4, 0, 4, 0})       // panic-quarantine then heal
 	f.Add([]byte{2, 2, 5, 1, 5, 1, 5, 1, 5, 1})       // forced-overflow aborts
-	f.Add([]byte{3, 0x82, 0, 4, 5, 2, 3, 0, 4, 5, 2}) // pool-level faults armed
+	f.Add([]byte{3, 0x82, 0, 4, 5, 2, 3, 0, 4, 5, 2}) // fault-plan jobs on two shards
 	// Relaxed-deque probes (high first byte): one seed cycles all four
 	// steal policies (op/6 picks the policy), and the steal-half probes mix
 	// panic quarantine (op 10) and overflow+steal-fail noise (op 11) with
@@ -85,20 +84,9 @@ func FuzzPoolConcurrent(f *testing.F) {
 		// lock-reduced variant; verdicts below then run the invariant
 		// checker in multiplicity-tolerant mode (k=2).
 		relaxed := ops[0] >= 128
-		// A high second byte arms the mild pool-level fault: transient
-		// admission saturation. It is a liveness hazard, not a correctness
-		// one — submits may see ErrQueueFull, nothing else changes.
-		var poolPlan *faults.Plan
-		if ops[1] >= 128 {
-			poolPlan = faults.New(faults.Spec{
-				Seed:   int64(ops[0]) + 1,
-				Reject: 0.05,
-			})
-		}
 		pool := wsrt.NewPool(wsrt.PoolConfig{
 			Workers: workers, MaxConcurrentJobs: maxJobs, QueueCapacity: 8,
 			Options: sched.Options{GrowableDeque: true, RelaxedDeque: relaxed},
-			Faults:  poolPlan,
 		})
 		closed := false
 		defer func() {

@@ -154,6 +154,70 @@ func TestGuards(t *testing.T) {
 
 	t.Run("serve_pump_waits_on_events_its_timed-retry_machinery_stays_deleted", func(t *testing.T) {
 		forbidIdents(t, []string{"internal/serve", "cmd"}, "AdmissionBackoff", "wakePump", "sleepOrWake")
+		// The service has no pump: feed starts a watcher per job the pool
+		// takes, followRemote a waiter per forwarded job, and nothing else in
+		// internal/serve starts a goroutine.
+		var gos []string
+		for _, f := range goFiles(t, []string{"internal/serve"}, false) {
+			for _, decl := range f.file.Decls {
+				where := "package scope"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					where = declName(fd)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						started := "a func literal"
+						if name := lastName(g.Call.Fun); name != "" {
+							started = name
+						}
+						gos = append(gos, where+" starts "+started)
+					}
+					return true
+				})
+			}
+		}
+		slices.Sort(gos)
+		if want := []string{"Service.feed starts watch", "Service.followRemote starts a func literal"}; !slices.Equal(gos, want) {
+			t.Errorf("internal/serve starts goroutines %q, want only %q", gos, want)
+		}
+		gone := []string{"pump", "stagingRetryPause", "RejectAdmission", "AdmissionRetries"}
+		for _, f := range goFiles(t, []string{"."}, true) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				var names []*ast.Ident
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					names = []*ast.Ident{n.Name}
+				case *ast.TypeSpec:
+					names = []*ast.Ident{n.Name}
+				case *ast.ValueSpec:
+					names = n.Names
+				case *ast.Field:
+					names = n.Names
+				}
+				for _, id := range names {
+					if slices.Contains(gone, id.Name) {
+						t.Errorf("%s: %s is declared again", f.fset.Position(id.Pos()), id.Name)
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range goFiles(t, []string{"internal/wsrt"}, false) {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				spec, ok := n.(*ast.TypeSpec)
+				if !ok || spec.Name.Name != "PoolConfig" {
+					return true
+				}
+				for _, field := range spec.Type.(*ast.StructType).Fields.List {
+					for _, name := range field.Names {
+						if name.Name == "Faults" {
+							t.Errorf("%s: PoolConfig.Faults is back; faults are per job", f.fset.Position(name.Pos()))
+						}
+					}
+				}
+				return false
+			})
+		}
 	})
 
 	t.Run("one_Sim_core_workers_are_coroutines_the_channel_handoff_stays_deleted", func(t *testing.T) {

@@ -238,8 +238,8 @@ func (t memTransport) Cancel(_ context.Context, peer, jobID string) error {
 
 // hotPair builds nodes "a" and "b" on a memNet, loops not started. Node a
 // is hot: its one worker is pinned by a blocker, one job is staged behind
-// it, and its queue holds, head to tail, a pad job (the pump may hold the
-// head for a moment, so no assertion leans on it), two local jobs, a
+// it, and its queue holds, head to tail, a pad job (no assertion leans on
+// it), two local jobs, a
 // forwarded-in job one hop short of the limit and two at the limit — the
 // tail being exactly where the next shed looks first. Node b is idle. The
 // returned tokens are what a forward of each movable job carries, in shed

@@ -1,10 +1,9 @@
 // Package faults is the deterministic fault-injection plane of the
 // work-stealing runtime: a seed-replayable source of adversarial scheduling
 // decisions — forced steal failures, worker stalls, delayed deposits,
-// injected deque overflows, injected program panics and admission
-// rejections — threaded through the deque, the node walker every engine
-// shares (sched.Walker), the wsrt runtime, the pool's Submit and the serve
-// layer.
+// injected deque overflows and injected program panics — threaded through
+// the deque, the node walker every engine shares (sched.Walker), the wsrt
+// runtime and the pool's jobs.
 //
 // The plane follows the trace layer's contract: it is free when it is off.
 // Every injection site in the hot path is a single nil check (a worker's
@@ -23,11 +22,10 @@
 // still seed-reproducible even though goroutine interleaving is not, which
 // keeps soak campaigns statistically repeatable.
 //
-// Streams never share state: worker i's node-level faults, deque i's
-// steal-failure hook (called under the deque's owner lock) and the pool's
-// admission stream (called under the pool's submit lock) are all
-// independent generators, so concurrent jobs on a sharded pool need no
-// synchronisation to draw faults.
+// Streams never share state: worker i's node-level faults and deque i's
+// steal-failure hook (called under the deque's owner lock) are independent
+// generators, so concurrent jobs on a sharded pool need no synchronisation
+// to draw faults.
 package faults
 
 import (
@@ -82,10 +80,6 @@ type Spec struct {
 	// regardless of the deque's real capacity or growability.
 	Overflow float64
 
-	// Reject is the per-submission probability that the pool's admission
-	// queue reports saturation (ErrQueueFull) even though capacity remains.
-	Reject float64
-
 	// Network fault roles, consumed by the cluster tier (internal/cluster):
 	// the Sim transport draws one decision per message from a per-link
 	// stream, so a whole N-node cluster soak replays byte-identically from
@@ -115,8 +109,7 @@ type Spec struct {
 // enabled reports whether any fault has a non-zero rate.
 func (s Spec) enabled() bool {
 	return s.StealFail > 0 || s.Stall > 0 || s.DepositDelay > 0 ||
-		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0 ||
-		s.netEnabled()
+		s.Panic > 0 || s.Overflow > 0 || s.netEnabled()
 }
 
 // netEnabled reports whether any network fault has a non-zero rate.
@@ -133,7 +126,7 @@ func (s Spec) NetEnabled() bool { return s.netEnabled() }
 // skip scenarios that are network-only.
 func (s Spec) ProcessEnabled() bool {
 	return s.StealFail > 0 || s.Stall > 0 || s.DepositDelay > 0 ||
-		s.Panic > 0 || s.Overflow > 0 || s.Reject > 0
+		s.Panic > 0 || s.Overflow > 0
 }
 
 // Plan is an immutable, sharable fault configuration. One Plan may serve
@@ -176,12 +169,12 @@ func (p *Plan) Enabled() bool { return p != nil && p.spec.enabled() }
 
 // Stream roles: each (role, slot) pair seeds an independent generator, so
 // worker-side and deque-side streams of the same slot never correlate. The
-// blank role keeps the later roles' values, and with them every recorded
+// blank roles keep the later roles' values, and with them every recorded
 // cluster fault stream.
 const (
 	roleWorker = 0x9E37_79B9 + iota
 	roleDeque
-	roleAdmission
+	_
 	_
 	roleLink
 	rolePartition
@@ -214,15 +207,6 @@ func (p *Plan) DequeHook(i int) func() bool {
 	}
 	in := p.injector(roleDeque, i)
 	return in.FailSteal
-}
-
-// Admission returns the pool-level admission-rejection stream (used under
-// the pool's submit lock), or nil when Reject is zero.
-func (p *Plan) Admission() *Injector {
-	if p == nil || p.spec.Reject <= 0 {
-		return nil
-	}
-	return p.injector(roleAdmission, 0)
 }
 
 // Link returns the per-link message-fault stream for directed link slot i
@@ -261,7 +245,6 @@ func (p *Plan) injector(role, slot int) *Injector {
 		depositNS:    s.DepositDelayNS,
 		panicTh:      threshold(s.Panic),
 		overflow:     threshold(s.Overflow),
-		reject:       threshold(s.Reject),
 		netDrop:      threshold(s.NetDrop),
 		netDelay:     threshold(s.NetDelay),
 		netDelayNS:   s.NetDelayNS,
@@ -327,7 +310,7 @@ func threshold(rate float64) uint64 {
 // Injector is one private fault decision stream. Each method is one
 // splitmix64 step plus a compare — no allocation, no locking — and must
 // only be called by the stream's owner (a worker goroutine, a deque under
-// its owner lock, or the pool's submit path).
+// its owner lock, or a cluster Sim's link or node).
 type Injector struct {
 	rng Stream
 
@@ -343,7 +326,6 @@ type Injector struct {
 
 	panicTh  uint64
 	overflow uint64
-	reject   uint64
 
 	netDrop     uint64
 	netDelay    uint64
@@ -399,10 +381,6 @@ func (in *Injector) PanicNow() bool { return in.hit(in.panicTh) }
 // overflow.
 func (in *Injector) ForceOverflow() bool { return in.hit(in.overflow) }
 
-// RejectAdmission decides whether the current submission is rejected as if
-// the admission queue were full.
-func (in *Injector) RejectAdmission() bool { return in.hit(in.reject) }
-
 // DropMessage decides whether the current message is lost in flight.
 func (in *Injector) DropMessage() bool { return in.hit(in.netDrop) }
 
@@ -453,13 +431,11 @@ var scenarios = map[string]Spec{
 	"panic":         {Panic: 0.002},
 	"overflow":      {Overflow: 0.001},
 	"deposit-delay": {DepositDelay: 0.25, DepositDelayNS: 20_000},
-	"reject":        {Reject: 0.3},
 	"mixed": {
 		StealFail: 0.2, StealFailBurst: 4,
 		Stall: 0.005, StallNS: 20_000,
 		DepositDelay: 0.1, DepositDelayNS: 10_000,
 		Panic: 0.0005, Overflow: 0.0002,
-		Reject: 0.05,
 	},
 	// Network scenarios, consumed by the cluster campaigns. Rates are sized
 	// so a small Sim cluster both loses enough messages to exercise the

@@ -102,8 +102,7 @@ func TestBurstSemantics(t *testing.T) {
 // nil-check fast path stays on.
 func TestOffMeansNil(t *testing.T) {
 	var nilPlan *Plan
-	if nilPlan.Worker(0) != nil || nilPlan.DequeHook(0) != nil ||
-		nilPlan.Admission() != nil {
+	if nilPlan.Worker(0) != nil || nilPlan.DequeHook(0) != nil {
 		t.Fatal("nil plan handed out a non-nil hook")
 	}
 	if nilPlan.Enabled() {
@@ -113,8 +112,7 @@ func TestOffMeansNil(t *testing.T) {
 	if zero.Enabled() {
 		t.Fatal("zero spec reports enabled")
 	}
-	if zero.Worker(0) != nil || zero.DequeHook(0) != nil ||
-		zero.Admission() != nil {
+	if zero.Worker(0) != nil || zero.DequeHook(0) != nil {
 		t.Fatal("zero spec handed out a non-nil hook")
 	}
 	// A steal-only plan must not allocate worker injectors, and vice versa.
@@ -206,8 +204,7 @@ func TestNetStreams(t *testing.T) {
 	}
 	// Net-only faults must not wake the process-side hooks, and vice versa.
 	netOnly := New(Spec{Seed: 21, NetDrop: 0.5})
-	if netOnly.Worker(0) != nil || netOnly.DequeHook(0) != nil ||
-		netOnly.Admission() != nil {
+	if netOnly.Worker(0) != nil || netOnly.DequeHook(0) != nil {
 		t.Fatal("net-only plan handed out a process-side hook")
 	}
 	if !netOnly.Enabled() || !netOnly.Spec().NetEnabled() || netOnly.Spec().ProcessEnabled() {

@@ -4,13 +4,14 @@
 //
 // Admission is two-stage. Submit performs the synchronous, caller-visible
 // checks (rate limit, quota, global capacity — each a 429 with its own
-// Retry-After) and enqueues the job into the weighted-fair queue; the
-// service's pump goroutine then drains that queue in QoS order, staging
-// one job at a time into the pool's own (capacity-1) queue. Keeping the
-// pool-side buffer minimal is what makes the weights matter: every job
-// that is not literally next waits where priority is still mutable, so a
-// late-arriving interactive job overtakes queued batch work instead of
-// sitting behind it in a FIFO.
+// Retry-After) and enqueues the job into the weighted-fair queue; feed
+// then hands jobs to the pool in QoS order, never more than the pool has
+// shards plus the one job staged in its own (capacity-1) queue. No
+// goroutine coordinates this: Submit feeds, and so does every job that
+// finishes on the pool. Keeping the pool-side buffer minimal is what makes
+// the weights matter: every job that is not literally next waits where
+// priority is still mutable, so a late-arriving interactive job overtakes
+// queued batch work instead of sitting behind it in a FIFO.
 package serve
 
 import (
@@ -146,11 +147,26 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// admItem is one queued submission: the job record plus everything the
-// pump needs to hand it to the pool.
+// admItem is one queued submission: the job record plus everything feed
+// needs to hand it to the pool.
 type admItem struct {
 	job  *Job
 	spec wsrt.JobSpec
+
+	// Guarded by wfq.mu: whether the item is in the queue, and the stop
+	// function of its cancel hook (see Service.enqueue), nil if it has none.
+	queued bool
+	unhook func() bool
+}
+
+// leave marks the item out of the queue and stops its cancel hook. The
+// caller holds wfq.mu.
+func (it *admItem) leave() {
+	it.queued = false
+	if it.unhook != nil {
+		it.unhook()
+		it.unhook = nil
+	}
 }
 
 // wfqTenant is one tenant's FIFO within a class.
@@ -188,8 +204,8 @@ func (c *wfqClass) push(it *admItem) {
 }
 
 // pushFront returns an item to the head of its tenant's FIFO — a job an
-// extractor hands back (RemoteJob.Requeue) or an injected admission fault
-// bounced off the pool — so per-tenant FIFO order survives the round trip.
+// extractor hands back (RemoteJob.Requeue) — so per-tenant FIFO order
+// survives the round trip.
 func (c *wfqClass) pushFront(it *admItem) {
 	t := c.tenant(it.job.tenant)
 	t.items = append([]*admItem{it}, t.items...)
@@ -226,14 +242,12 @@ func (c *wfqClass) pop() *admItem {
 }
 
 // wfq is the weighted-fair admission queue: one wfqClass per priority,
-// drained by smooth weighted round-robin. Producers are the Submit path;
-// the single consumer is the service pump.
+// drained by smooth weighted round-robin. push, pushFront, pop and remove
+// run under mu, which their caller holds; extractBack and depth take it.
 type wfq struct {
-	mu       sync.Mutex
-	nonEmpty *sync.Cond
-	classes  map[Priority]*wfqClass
-	size     int
-	closed   bool
+	mu      sync.Mutex
+	classes map[Priority]*wfqClass
+	size    int
 }
 
 func newWFQ() *wfq {
@@ -241,37 +255,25 @@ func newWFQ() *wfq {
 	for _, p := range priorityOrder {
 		q.classes[p] = &wfqClass{weight: priorityWeights[p], tens: make(map[string]*wfqTenant)}
 	}
-	q.nonEmpty = sync.NewCond(&q.mu)
 	return q
 }
 
 func (q *wfq) push(it *admItem) {
-	q.mu.Lock()
 	q.classes[it.job.prio].push(it)
 	q.size++
-	q.mu.Unlock()
-	q.nonEmpty.Signal()
+	it.queued = true
 }
 
 func (q *wfq) pushFront(it *admItem) {
-	q.mu.Lock()
 	q.classes[it.job.prio].pushFront(it)
 	q.size++
-	q.mu.Unlock()
-	q.nonEmpty.Signal()
+	it.queued = true
 }
 
-// pop blocks until an item is available and returns it, choosing the
-// class by smooth weighted round-robin and the tenant within it by plain
-// round-robin. After close it keeps returning queued items until the
-// queue is empty, then reports ok == false — the pump drains the backlog
-// (retiring each job) before exiting.
+// pop removes and returns the next item, choosing the class by smooth
+// weighted round-robin and the tenant within it by plain round-robin; ok
+// is false when the queue is empty.
 func (q *wfq) pop() (it *admItem, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size == 0 && !q.closed {
-		q.nonEmpty.Wait()
-	}
 	if q.size == 0 {
 		return nil, false
 	}
@@ -290,7 +292,16 @@ func (q *wfq) pop() (it *admItem, ok bool) {
 	}
 	best.credit -= total
 	q.size--
-	return best.pop(), true
+	it = best.pop()
+	it.leave()
+	return it, true
+}
+
+// remove takes it out of the queue, wherever it stands.
+func (q *wfq) remove(it *admItem) {
+	q.classes[it.job.prio].popBack(func(x *admItem) bool { return x == it })
+	q.size--
+	it.leave()
 }
 
 // popBack removes the movable item that would be served last: scanning
@@ -338,6 +349,7 @@ func (q *wfq) extractBack(max int, movable func(*admItem) bool) []*admItem {
 				break
 			}
 			q.size--
+			it.leave()
 			out = append(out, it)
 		}
 	}
@@ -349,12 +361,4 @@ func (q *wfq) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.size
-}
-
-// close wakes the consumer; pop then drains the remaining items.
-func (q *wfq) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.nonEmpty.Broadcast()
 }

@@ -107,19 +107,13 @@ func (s *Service) followRemote(it *admItem, placed *Forwarded) {
 	if rec := it.spec.Tracer; rec != nil {
 		rec.Release() // the peer audits the run; the local recorder never sees it
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		wctx, stop := context.WithCancelCause(it.spec.Ctx)
-		go func() {
-			defer s.wg.Done()
-			select {
-			case <-s.quit:
-				stop(wsrt.ErrPoolClosed)
-			case <-wctx.Done():
-			}
-		}()
+		unhook := context.AfterFunc(s.quit, func() { stop(wsrt.ErrPoolClosed) })
 		res, err := placed.Wait(wctx)
+		unhook()
 		stop(nil)
 		s.finalize(job, nil, res, err)
 	}()
@@ -145,10 +139,10 @@ func (r *RemoteJob) Hops() int { return r.it.job.hops }
 func (r *RemoteJob) Request() Request { return r.it.job.Req }
 
 // Requeue returns the job to the head of its tenant queue (forward failed
-// or no peer wanted it). Queue-slot accounting never moved, so this is
-// position-only.
+// or no peer wanted it) and feeds the pool. Queue-slot accounting never
+// moved, so this is position-only.
 func (r *RemoteJob) Requeue() {
-	r.s.q.pushFront(r.it)
+	r.s.enqueue(r.it, true)
 }
 
 // Placed commits the forward: the peer at node accepted the job as

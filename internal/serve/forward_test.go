@@ -148,6 +148,11 @@ func TestExtractQueuedOrderAndLifecycle(t *testing.T) {
 		t.Fatalf("blocker: %v", err)
 	}
 	waitForState(t, blocker, StateRunning)
+	// A pad takes the pool's staging slot, so every job below stays in the
+	// queue, where extraction can reach it.
+	if _, err := s.Submit(Request{Program: "fib", N: 10, TimeoutMS: 30000}); err != nil {
+		t.Fatalf("pad: %v", err)
+	}
 
 	inter, err := s.Submit(Request{Program: "fib", N: 10, Priority: "interactive", TimeoutMS: 30000})
 	if err != nil {

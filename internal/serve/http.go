@@ -319,8 +319,7 @@ func parseWait(r *http.Request) (time.Duration, error) {
 // the request until job is terminal, wait has elapsed or the client has
 // gone. There is no shutdown case because none is needed: Drain returns
 // only once every job has settled and Close settles every job it finds
-// (queued ones through the pump, running ones through the pool, forwarded
-// ones through their watcher), and finalize closes Done for each — so a
+// (queued ones itself, the rest through their watchers), and finalize closes Done for each — so a
 // waiter never outlives its job, and never outlives wait.
 func (s *Service) awaitJob(r *http.Request, job *Job, wait time.Duration) {
 	if wait <= 0 {

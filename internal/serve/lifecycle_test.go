@@ -1,6 +1,6 @@
 // Tests for the lifecycle owner: the one transition step and its gauge
-// table, checked against a census of the job records themselves, and the
-// event-driven pump, which must never find the pool's staging slot full.
+// table, checked against a census of the job records themselves, and feed,
+// which must never find the pool's staging slot full.
 package serve
 
 import (
@@ -8,9 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
+	"adaptivetc/internal/jobstore"
 	"adaptivetc/internal/sched"
+	"adaptivetc/internal/wsrt"
 )
 
 // gaugeSet is every lifecycle gauge the service keeps.
@@ -252,9 +256,9 @@ func lifecycleCensus(t *testing.T, seed int64) {
 }
 
 // TestBurstNoAdmissionRetries: 400 jobs arriving at once never bounce off
-// the pool's one staging slot — the pump waits for the slot instead — so
-// admission_retries, which counts re-stagings, stays 0 without injected
-// faults (the sleeping pump this replaced read 776 here).
+// the pool's one staging slot — feed holds at most one job per shard plus
+// the staged one on the pool — so every job completes and the gauges
+// return to zero.
 func TestBurstNoAdmissionRetries(t *testing.T) {
 	s := New(Config{Workers: 2, QueueCapacity: 400})
 	t.Cleanup(s.Close)
@@ -273,10 +277,110 @@ func TestBurstNoAdmissionRetries(t *testing.T) {
 		}
 	}
 	m := s.Snapshot()
-	if m.AdmissionRetries != 0 {
-		t.Fatalf("admission_retries=%d, want 0 without injected faults", m.AdmissionRetries)
-	}
 	if m.Completed != 400 || m.QueueDepth != 0 || m.InFlight != 0 {
 		t.Fatalf("completed=%d queue_depth=%d in_flight=%d, want 400/0/0", m.Completed, m.QueueDepth, m.InFlight)
+	}
+}
+
+// TestServeQueuedCancelSettlesAtOnce: on one worker, behind a running
+// blocker and a staged pad, a queued job cancelled by Cancel and a queued
+// job whose 30 ms deadline expires each settle cancelled at once — while
+// the blocker still runs — and leave queue_depth.
+func TestServeQueuedCancelSettlesAtOnce(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCapacity: 8})
+	t.Cleanup(s.Close)
+	submit := func(req Request) *Job {
+		t.Helper()
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	blocker := submit(Request{Program: "nqueens-array", N: 14, TimeoutMS: 600000})
+	t.Cleanup(func() { blocker.Cancel(ErrCancelled) })
+	waitForState(t, blocker, StateRunning)
+	pad := submit(Request{Program: "fib", N: 10})
+	waitFor(t, "the pad to be staged", func() bool { return s.pool.QueueDepth() == 1 })
+	cancelled := submit(Request{Program: "fib", N: 10})
+	expiring := submit(Request{Program: "fib", N: 10, TimeoutMS: 30})
+	if d := s.Snapshot().QueueDepth; d != 3 {
+		t.Fatalf("queue_depth=%d with a staged pad and two queued jobs, want 3", d)
+	}
+
+	s.Cancel(cancelled.ID)
+	for _, j := range []*Job{cancelled, expiring} {
+		select {
+		case <-j.Done():
+		case <-time.After(2 * time.Second):
+			st, _, _ := j.Snapshot()
+			t.Fatalf("job %s still %s 2s after it was cancelled in the queue", j.ID, st)
+		}
+		if st, _, err := j.Snapshot(); st != StateCancelled {
+			t.Fatalf("job %s ended %s (%v), want cancelled", j.ID, st, err)
+		}
+	}
+	if st, _, _ := blocker.Snapshot(); st != StateRunning {
+		t.Fatalf("blocker is %s: the queued jobs must settle while it runs", st)
+	}
+	if d := s.Snapshot().QueueDepth; d != 1 {
+		t.Fatalf("queue_depth=%d after both queued jobs settled, want 1 (the pad)", d)
+	}
+	blocker.Cancel(ErrCancelled)
+	<-pad.Done()
+	if st, res, err := pad.Snapshot(); st != StateDone || res.Value != 55 {
+		t.Fatalf("pad ended %s value=%d (%v), want done/55", st, res.Value, err)
+	}
+}
+
+// TestServeCloseSettlesEveryAccepted: eight submitters race Close on a
+// journaled service. Every job Submit accepted must be Done within 2 s of
+// Close returning — none may be left in a queue that nobody drains. The
+// backlog bound is far above what 5 ms of submitting fills, so Close meets
+// admissions in flight rather than submitters bouncing off a full queue.
+func TestServeCloseSettlesEveryAccepted(t *testing.T) {
+	js, rec, err := jobstore.Open(t.TempDir(), jobstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	s := New(Config{Workers: 1, QueueCapacity: 4096, Journal: js, Recovered: rec})
+
+	var (
+		mu       sync.Mutex
+		accepted []*Job
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j, err := s.Submit(Request{Program: "fib", N: 10})
+				if errors.Is(err, wsrt.ErrPoolClosed) {
+					return
+				}
+				if err == nil {
+					mu.Lock()
+					accepted = append(accepted, j)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	time.Sleep(5 * time.Millisecond)
+	s.Close()
+	deadline := time.After(2 * time.Second)
+	wg.Wait()
+	if len(accepted) == 0 {
+		t.Fatal("no submission was accepted before Close")
+	}
+	for _, j := range accepted {
+		select {
+		case <-j.Done():
+		case <-deadline:
+			st, _, _ := j.Snapshot()
+			t.Fatalf("accepted job %s still %s 2s after Close returned", j.ID, st)
+		}
 	}
 }

@@ -204,7 +204,6 @@ type Metrics struct {
 	Rejected            int64     `json:"rejected"`
 	RateLimited         int64     `json:"rate_limited"`
 	QuotaRejected       int64     `json:"quota_rejected"`
-	AdmissionRetries    int64     `json:"admission_retries"`
 	QuarantinedJobs     int64     `json:"quarantined_jobs"`
 	IdleParks           int64     `json:"idle_parks"` // times a starved thief blocked, over finished jobs
 	IdleWakes           int64     `json:"idle_wakes"` // wake-ups busy workers sent from Push

@@ -20,7 +20,7 @@ import (
 )
 
 // waitForState polls until the job reaches want (the submit→running edge
-// is asynchronous: the pump stages the job, the pool starts it).
+// is asynchronous: the job's watcher marks the start the pool announces).
 func waitForState(t *testing.T, j *Job, want State) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -61,7 +61,7 @@ func (e *probeEngine) NewExec(n int, opt sched.Options) wsrt.Engine {
 // TestWeightedFairOrdering is the contention test for the admission
 // queue: with the single worker held by a blocker, four background jobs
 // submitted *before* four interactive jobs must still start *after* them
-// — all but the one background job the pump had already staged into the
+// — all but the one background job feed had already staged into the
 // pool's capacity-1 queue before the interactive jobs arrived.
 func TestWeightedFairOrdering(t *testing.T) {
 	ord := &startOrder{}
@@ -478,8 +478,8 @@ func TestMetricsBreakdowns(t *testing.T) {
 // TestServeGoroutineHygiene: after a service that ran completed, cancelled
 // and deadline-expired jobs, had a job cancelled while it sat staged in the
 // pool's queue, and was closed with another one staged, every goroutine it
-// spawned — the pump, blocked on the staged job both times, and the
-// watchers — is gone.
+// spawned — the job watchers, the staged job's among them both times — is
+// gone.
 func TestServeGoroutineHygiene(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, QueueCapacity: 8, Check: true, Options: sched.Options{GrowableDeque: true}})
@@ -501,7 +501,7 @@ func TestServeGoroutineHygiene(t *testing.T) {
 	}
 
 	// stageBehindBlocker leaves one job running on the whole pool and a
-	// second in the pool's one-slot queue, with the pump waiting on it.
+	// second in the pool's one-slot queue, with its watcher waiting on it.
 	stageBehindBlocker := func() (blocker, staged *Job) {
 		t.Helper()
 		blocker, err := s.Submit(Request{Program: "nqueens-array", N: 14, TimeoutMS: 600000})
@@ -513,12 +513,12 @@ func TestServeGoroutineHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the pump to stage the job", func() bool { return s.pool.QueueDepth() == 1 })
+		waitFor(t, "feed to stage the job", func() bool { return s.pool.QueueDepth() == 1 })
 		return blocker, staged
 	}
 
-	// Cancelled while staged: the pool settles it when the shard frees, and
-	// that releases the pump, which must then serve the next job.
+	// Cancelled while staged: the pool settles it, its watcher feeds the
+	// pool, and the service must then serve the next job.
 	blocker, staged := stageBehindBlocker()
 	staged.Cancel(ErrCancelled)
 	blocker.Cancel(ErrCancelled)
@@ -532,10 +532,10 @@ func TestServeGoroutineHygiene(t *testing.T) {
 	}
 	<-next.Done()
 	if st, _, _ := next.Snapshot(); st != StateDone {
-		t.Fatalf("job after the cancelled staged one ended %s: the pump did not come back", st)
+		t.Fatalf("job after the cancelled staged one ended %s: feed did not come back", st)
 	}
 
-	// Close with one job staged: the pool drains it, which releases the pump.
+	// Close with one job staged: the pool drains it, which ends its watcher.
 	blocker, staged = stageBehindBlocker()
 	closed := make(chan struct{})
 	go func() {

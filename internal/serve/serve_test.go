@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -662,72 +661,4 @@ func ringCount(l *latencyRing) int {
 		return len(l.buf)
 	}
 	return l.next
-}
-
-// TestServeAdmissionRetryTransient checks that Submit absorbs a transient
-// injected admission rejection: the first attempt is refused, the retry is
-// admitted, the job completes, and the retry — not a rejection — is what
-// the metrics record.
-func TestServeAdmissionRetryTransient(t *testing.T) {
-	// Find a seed whose admission stream rejects the first draw and admits
-	// the second at rate 0.5. The scan runs on a probe plan; the service
-	// gets a fresh plan with the same spec, hence the same stream.
-	spec := faults.Spec{Reject: 0.5}
-	for seed := int64(1); ; seed++ {
-		spec.Seed = seed
-		fi := faults.New(spec).Admission()
-		if fi.RejectAdmission() && !fi.RejectAdmission() {
-			break
-		}
-		if seed > 1000 {
-			t.Fatal("no reject-then-admit seed below 1000")
-		}
-	}
-	s := New(Config{
-		Workers:       1,
-		QueueCapacity: 4,
-		Faults:        faults.New(spec),
-	})
-	t.Cleanup(s.Close)
-
-	job, err := s.Submit(Request{Program: "fib", N: 10})
-	if err != nil {
-		t.Fatalf("submit with transient rejection: %v", err)
-	}
-	<-job.Done()
-	if state, res, jerr := job.Snapshot(); state != StateDone || jerr != nil || res.Value != 55 {
-		t.Fatalf("retried job: state=%s value=%d err=%v, want done/55", state, res.Value, jerr)
-	}
-	m := s.Snapshot()
-	if m.AdmissionRetries != 1 || m.Rejected != 0 {
-		t.Fatalf("retries=%d rejected=%d, want 1/0", m.AdmissionRetries, m.Rejected)
-	}
-}
-
-// TestServeAdmissionSustainedRejection checks the other side of the
-// contract: an accepted job is never spuriously failed by staging
-// pressure. Under a fault plan that rejects every pool submission, the
-// pump parks the job and retries with backoff until the job's own
-// deadline retires it as cancelled — the caller saw an accept, not a
-// rejection, and the pump survives to serve the next job.
-func TestServeAdmissionSustainedRejection(t *testing.T) {
-	s := New(Config{
-		Workers:       1,
-		QueueCapacity: 4,
-		Faults:        faults.New(faults.Spec{Seed: 1, Reject: 1}),
-	})
-	t.Cleanup(s.Close)
-
-	job, err := s.Submit(Request{Program: "fib", N: 10, TimeoutMS: 50})
-	if err != nil {
-		t.Fatalf("submit under sustained staging rejection: %v", err)
-	}
-	<-job.Done()
-	if state, _, jerr := job.Snapshot(); state != StateCancelled || !errors.Is(jerr, context.DeadlineExceeded) {
-		t.Fatalf("parked job: state=%s err=%v, want cancelled by deadline", state, jerr)
-	}
-	m := s.Snapshot()
-	if m.AdmissionRetries < 1 || m.Rejected != 0 || m.Cancelled != 1 {
-		t.Fatalf("retries=%d rejected=%d cancelled=%d, want >=1/0/1", m.AdmissionRetries, m.Rejected, m.Cancelled)
-	}
 }

@@ -175,9 +175,9 @@ type Config struct {
 	// GET /jobs/{id}; zero means 1024. Oldest terminal records are evicted
 	// first; live jobs are never evicted.
 	RetainJobs int
-	// Faults, when non-nil, threads the fault plan through the service:
-	// pool-level admission/shard faults plus per-job worker and deque
-	// faults. Chaos soaks use it; production leaves it nil (free).
+	// Faults, when non-nil, injects the fault plan's worker and deque
+	// faults into every job. Chaos soaks use it; production leaves it nil
+	// (free).
 	Faults *faults.Plan
 	// Journal, when non-nil, persists job submissions, state transitions,
 	// results and DSL program registrations to the append-only store, so a
@@ -186,8 +186,8 @@ type Config struct {
 	Journal *jobstore.Store
 	// Recovered is the state Journal's Open reconstructed; New materializes
 	// it (terminal results served, never-started jobs re-queued, mid-run
-	// jobs marked aborted-by-restart, DSL programs re-compiled) before the
-	// admission pump starts.
+	// jobs marked aborted-by-restart, DSL programs re-compiled) before it
+	// returns.
 	Recovered *jobstore.Recovery
 	// ProgramCache bounds the DSL compile cache (POST /programs). Zero
 	// values take the progstore defaults.
@@ -202,9 +202,12 @@ type Service struct {
 	started time.Time
 	nextID  atomic.Int64
 
-	q    *wfq
-	quit chan struct{} // closed by Close
-	idle chan struct{} // capacity 1; a token says inflight reached zero (Drain)
+	q      *wfq
+	onPool int           // jobs handed to the pool whose handle is not yet seen Done; guarded by q.mu
+	idle   chan struct{} // capacity 1; a token says inflight reached zero (Drain)
+
+	quit    context.Context // cancelled by Close
+	endQuit context.CancelFunc
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -215,7 +218,6 @@ type Service struct {
 	waiting  atomic.Int64 // accepted, not yet running (WFQ + staged)
 	inflight atomic.Int64 // accepted, not yet terminal
 
-	retried    atomic.Int64
 	checked    atomic.Int64
 	violations atomic.Int64
 	idleParks  atomic.Int64 // Σ Stats.Parks over finished jobs
@@ -244,10 +246,12 @@ type Service struct {
 	enginesMu sync.Mutex
 	engines   map[string]*groupStat
 
-	wg sync.WaitGroup // pump + job watcher goroutines
+	// Job and remote watchers, admissions in progress and queued jobs the
+	// cancel hook is retiring: Close waits for all of them.
+	wg sync.WaitGroup
 }
 
-// New builds the service and starts its pool and admission pump.
+// New builds the service and starts its pool.
 func New(cfg Config) *Service {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 1024
@@ -264,11 +268,9 @@ func New(cfg Config) *Service {
 			QueueCapacity:     1,
 			MaxConcurrentJobs: cfg.MaxConcurrentJobs,
 			Options:           cfg.Options,
-			Faults:            cfg.Faults,
 		}),
 		started:   time.Now(),
 		q:         newWFQ(),
-		quit:      make(chan struct{}),
 		idle:      make(chan struct{}, 1),
 		jobs:      make(map[string]*Job),
 		latencies: newLatencyRing(4096),
@@ -280,14 +282,13 @@ func New(cfg Config) *Service {
 	for _, p := range priorityOrder {
 		s.classes[p] = newGroupStat()
 	}
+	s.quit, s.endQuit = context.WithCancel(context.Background())
 	s.programs = progstore.New(cfg.ProgramCache)
 	s.journal = cfg.Journal
-	// Materialize recovered journal state before the pump starts, so
-	// re-queued jobs are first in line and terminal records answer GETs
-	// from the first request on.
+	// Materialize recovered journal state before New returns, so re-queued
+	// jobs are first in line and terminal records answer GETs from the
+	// first request on.
 	s.recover(cfg.Recovered)
-	s.wg.Add(1)
-	go s.pump()
 	return s
 }
 
@@ -460,7 +461,10 @@ type entry struct {
 
 // admit is the one way into the weighted-fair queue: build the job, run
 // the checks its source calls for, register the record, give it its first
-// lifecycle state, count it, journal it, queue it.
+// lifecycle state, count it, journal it, queue it. The admission holds a
+// wg slot from its checks to its enqueue, so Close, which refuses
+// admissions from the moment it begins, waits for the ones already past
+// the checks.
 func (s *Service) admit(req Request, e entry) (*Job, error) {
 	it, err := s.buildJob(req)
 	if err != nil {
@@ -486,7 +490,9 @@ func (s *Service) admit(req Request, e entry) (*Job, error) {
 	}
 	s.jobs[job.ID] = job
 	s.transition(job, StateQueued, nil)
+	s.wg.Add(1)
 	s.mu.Unlock()
+	defer s.wg.Done()
 
 	if e.from != fromJournal {
 		job.ts.submitted.Add(1)
@@ -496,7 +502,7 @@ func (s *Service) admit(req Request, e entry) (*Job, error) {
 	if e.from == fromPeer {
 		s.forwardedIn.Add(1)
 	}
-	s.q.push(it)
+	s.enqueue(it, false)
 	return job, nil
 }
 
@@ -537,9 +543,8 @@ func (s *Service) refusal(job *Job, from source) error {
 }
 
 // phase orders the live states; every state not listed here is terminal,
-// the last phase. A job only ever moves to a later phase, and that one rule
-// settles the race between the pump marking a start and the watcher
-// finalizing the same job: whichever comes second finds nothing to do.
+// the last phase. A job only ever moves to a later phase: a step that finds
+// the job already that far along does nothing.
 var phase = map[State]int{
 	"":           -3, // built, not yet admitted
 	StateQueued:  -2,
@@ -608,69 +613,96 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 	return j, true
 }
 
-// stagingRetryPause is how long the pump waits before it offers a job to
-// the pool again after an injected admission fault refused it.
-const stagingRetryPause = time.Millisecond
+// enqueue queues a job, at the head of its tenant's FIFO when front, and
+// feeds the pool. A job still left waiting gets a hook on its context that
+// takes it out of the queue and retires it the moment it is cancelled; a
+// job handed straight to the pool needs none, since the pool retires a
+// cancelled job it holds. A job that arrives after Close drained the queue
+// is retired here.
+func (s *Service) enqueue(it *admItem, front bool) {
+	s.q.mu.Lock()
+	if s.closed.Load() {
+		s.q.mu.Unlock()
+		s.retireQueued(it, wsrt.ErrPoolClosed)
+		return
+	}
+	if front {
+		s.q.pushFront(it)
+	} else {
+		s.q.push(it)
+	}
+	s.feed()
+	if it.queued {
+		it.unhook = context.AfterFunc(it.spec.Ctx, func() { s.unqueue(it) })
+	}
+	s.q.mu.Unlock()
+}
 
-// pump is the admission pump: the single consumer of the weighted-fair
-// queue. It stages one job into the pool's one-slot queue, then waits for
-// that job to leave the slot — started, or settled without starting
-// (cancelled where it stood, drained by Close) — before it pops the next.
-// The pool announces both on the job's handle, so the pump never finds the
-// slot full, and every job that is not literally next stays in the queue
-// where a later, more important arrival can still overtake it.
-func (s *Service) pump() {
-	defer s.wg.Done()
-	for {
+// feed hands queued jobs to the pool in QoS order while the service holds
+// fewer than one job per shard plus one there. The pool queues a job only
+// while every shard is busy, so at most one waits in its one-slot queue —
+// the staged job, which starts on the worker that frees its shard — and the
+// pool has no cause to refuse one (a job it refused would be retired). Each
+// job the pool takes gets a watcher. The caller holds q.mu, so jobs reach
+// the pool in the order they were popped (lock order q.mu, then Pool.mu;
+// the pool never calls back), and a watcher's wg slot is taken before Close
+// drains the queue or not at all.
+func (s *Service) feed() {
+	for !s.closed.Load() && s.onPool <= s.pool.MaxConcurrentJobs() {
 		it, ok := s.q.pop()
 		if !ok {
 			return
 		}
-		if ctx := it.spec.Ctx; ctx != nil && ctx.Err() != nil {
-			// Cancelled while queued: never reaches the pool.
-			s.retireQueued(it, context.Cause(ctx))
-			continue
-		}
-		if s.closed.Load() {
-			s.retireQueued(it, wsrt.ErrPoolClosed)
-			continue
-		}
 		h, err := s.pool.Submit(it.spec)
-		switch {
-		case err == nil:
-			// The pump holds its own wg slot while adding the watcher's, so
-			// the counter cannot be at zero concurrently with Close's Wait.
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				res, err := h.Result()
-				s.finalize(it.job, it.spec.Tracer, res, err)
-			}()
-			select {
-			case <-h.Started():
-				if s.transition(it.job, StateRunning, nil) {
-					s.journalStart(it.job)
-				}
-			case <-h.Done():
-			}
-		case errors.Is(err, wsrt.ErrQueueFull):
-			// Only fault injection (faults.Spec.Reject) gets here. Not a
-			// rejection — the job was accepted at Submit — so it goes back
-			// to the head of its queue and is offered again after a pause.
-			s.q.pushFront(it)
-			s.retried.Add(1)
-			select {
-			case <-time.After(stagingRetryPause):
-			case <-s.quit:
-			}
-		default:
+		if err != nil {
 			s.retireQueued(it, err)
+			continue
 		}
+		s.onPool++
+		s.wg.Add(1)
+		go s.watch(it, h)
 	}
 }
 
+// watch follows one job on the pool: it marks the start, and once the job
+// is done it frees the job's place, feeds the pool and settles the record.
+func (s *Service) watch(it *admItem, h *wsrt.JobHandle) {
+	defer s.wg.Done()
+	select {
+	case <-h.Started():
+		if s.transition(it.job, StateRunning, nil) {
+			s.journalStart(it.job)
+		}
+	case <-h.Done():
+	}
+	res, err := h.Result()
+	s.q.mu.Lock()
+	s.onPool--
+	s.feed()
+	s.q.mu.Unlock()
+	s.finalize(it.job, it.spec.Tracer, res, err)
+}
+
+// unqueue is a waiting job's cancel hook: it takes the job out of the queue
+// and retires it at once, so a job cancelled in the queue neither waits for
+// a shard nor holds its capacity. A job that has left the queue is the
+// pool's or an extractor's to settle, and once Close has begun the queue is
+// Close's to drain.
+func (s *Service) unqueue(it *admItem) {
+	s.q.mu.Lock()
+	if !it.queued || s.closed.Load() {
+		s.q.mu.Unlock()
+		return
+	}
+	s.q.remove(it)
+	s.wg.Add(1)
+	s.q.mu.Unlock()
+	defer s.wg.Done()
+	s.retireQueued(it, context.Cause(it.spec.Ctx))
+}
+
 // retireQueued finishes a job that never reached the pool (cancelled in
-// the queue, service closed, or the pool refused it terminally).
+// the queue, service closed, or the pool refused it).
 func (s *Service) retireQueued(it *admItem, err error) {
 	res := sched.Result{Engine: it.spec.Engine.Name(), Program: it.job.Req.Program}
 	res.Stats.QueueWait = time.Since(it.job.Created).Nanoseconds()
@@ -861,7 +893,6 @@ func (s *Service) Snapshot() Metrics {
 		ForwardedIn:         s.forwardedIn.Load(),
 		ForwardRejected:     s.forwardRej.Load(),
 		ForwardedNow:        s.forwardedNow.Load(),
-		AdmissionRetries:    s.retried.Load(),
 		QuarantinedJobs:     s.pool.Quarantined(),
 		IdleParks:           s.idleParks.Load(),
 		IdleWakes:           s.idleWakes.Load(),
@@ -951,8 +982,12 @@ func (s *Service) Close() {
 	if already {
 		return
 	}
-	close(s.quit)
-	s.q.close() // the pump drains the backlog, retiring every queued job
+	s.endQuit()
+	s.q.mu.Lock()
+	for it, ok := s.q.pop(); ok; it, ok = s.q.pop() {
+		s.retireQueued(it, wsrt.ErrPoolClosed)
+	}
+	s.q.mu.Unlock()
 	s.pool.Close()
 	s.wg.Wait()
 }

@@ -143,7 +143,7 @@ type simCore struct {
 	heap     []*simProc // paused runnable workers, min-ordered by (clock, id)
 	next     *simProc   // the worker granted the next slice; nil once all have finished
 	makespan int64
-	panicked *panicBox // the first panic a body raised
+	panicked *panicBox // the panic Run re-raises (see retire)
 }
 
 // less orders the heap by clock, ties broken by worker ID — the same total
@@ -247,10 +247,12 @@ func (c *simCore) handoff(p *simProc) {
 // then ends, which returns control to the driver. A body that neither
 // returned nor panicked called runtime.Goexit: Run is unwinding, nobody is
 // resumed again, and so nobody is granted, lest an idle worker's retries
-// run on into the unwinding.
+// run on into the unwinding. The first panic is kept, except that a worker
+// whose clock passed Limit replaces it: a co-worker that livelocks after a
+// panic is a wedged engine, and the first panic must not hide it.
 func (c *simCore) retire(p *simProc) {
 	r := recover()
-	if r != nil && c.panicked == nil {
+	if r != nil && (c.panicked == nil || p.limit > 0 && p.clock > p.limit) {
 		c.panicked = &panicBox{val: r}
 	}
 	c.makespan = max(c.makespan, p.clock)

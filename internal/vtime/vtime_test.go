@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,6 +108,28 @@ func TestSimLimitPanics(t *testing.T) {
 	sim.Run(1, func(p Proc) {
 		for {
 			p.Sleep(500)
+		}
+	})
+}
+
+// TestSimLimitPanicOutranksEarlierPanic: worker 0 panics first, worker 1
+// then spins past Limit. Run must raise the limit panic; a wedged engine
+// must not pass as the first worker's failure.
+func TestSimLimitPanicOutranksEarlierPanic(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "exceeded virtual time limit") {
+			t.Fatalf("Run raised %v, want the virtual time limit panic", r)
+		}
+	}()
+	sim := &Sim{Limit: 1000}
+	sim.Run(2, func(p Proc) {
+		if p.ID() == 0 {
+			panic("boom")
+		}
+		for {
+			p.Advance(100)
+			p.Yield()
 		}
 	})
 }

@@ -83,13 +83,9 @@ type PoolConfig struct {
 	// Options supplies the pool-wide scheduling parameters: deque capacity
 	// and growability, max_stolen_num, steal policy, seed. Platform, Ctx
 	// and Tracer are ignored — the pool is always Real-platform, and
-	// context/tracer are per-job (see JobSpec).
+	// context/tracer are per-job (see JobSpec). Faults are per-job too
+	// (JobSpec.Faults).
 	Options sched.Options
-	// Faults, when non-nil, injects the pool-level fault: admission-queue
-	// saturation (Submit reports ErrQueueFull though capacity remains).
-	// Worker-level faults are per-job (see JobSpec.Faults). Nil — the
-	// default — costs nothing anywhere.
-	Faults *faults.Plan
 }
 
 // queueCapacityOrDefault returns the admission queue bound.
@@ -227,13 +223,10 @@ type Pool struct {
 	closed bool
 	queue  []*poolJob // FIFO; non-empty only while every shard is busy
 
-	inflight    atomic.Int64 // jobs submitted and not yet finished
 	running     atomic.Int64 // jobs currently occupying a shard
 	busy        atomic.Int64 // workers currently bound to a job
 	served      atomic.Int64 // jobs finished (any outcome) since pool start
 	quarantined atomic.Int64 // jobs failed by a panic (sched.ErrJobPanicked)
-
-	admitFI *faults.Injector // nil unless PoolConfig.Faults; drawn under mu in Submit
 }
 
 // NewPool builds a resident pool and starts its workers; they park until
@@ -254,7 +247,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		wake:     make([]chan shardRun, n),
 		idleWake: make([]chan struct{}, len(shards.parts)),
 		queueCap: cfg.queueCapacityOrDefault(),
-		admitFI:  cfg.Faults.Admission(),
 	}
 	procs := vtime.NewRealProcs(n, opt.Seed)
 	for i := 0; i < n; i++ {
@@ -284,16 +276,6 @@ func (p *Pool) QueueDepth() int {
 	defer p.mu.Unlock()
 	return len(p.queue)
 }
-
-// QueueCapacity returns the admission queue bound.
-func (p *Pool) QueueCapacity() int { return p.queueCap }
-
-// InFlight returns the number of submitted jobs that have not finished
-// (queued + running).
-func (p *Pool) InFlight() int64 { return p.inflight.Load() }
-
-// Running reports whether any job currently occupies workers.
-func (p *Pool) Running() bool { return p.running.Load() != 0 }
 
 // RunningJobs returns the number of jobs currently bound to shards.
 func (p *Pool) RunningJobs() int64 { return p.running.Load() }
@@ -343,12 +325,6 @@ func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 	if p.closed {
 		return nil, ErrPoolClosed
 	}
-	if p.admitFI != nil && p.admitFI.RejectAdmission() {
-		// Injected admission saturation: indistinguishable from a full
-		// queue, so callers exercise their backpressure handling. The
-		// stream is drawn under p.mu, which serialises it.
-		return nil, ErrQueueFull
-	}
 	ctx := spec.Ctx
 	if ctx != nil && ctx.Err() != nil {
 		p.retire(job, context.Cause(ctx))
@@ -358,7 +334,6 @@ func (p *Pool) Submit(spec JobSpec) (*JobHandle, error) {
 	if k < 0 && len(p.queue) == p.queueCap {
 		return nil, ErrQueueFull
 	}
-	p.inflight.Add(1)
 	if ctx != nil {
 		job.unwatch = context.AfterFunc(ctx, func() { p.cancel(job) })
 	}
@@ -379,7 +354,6 @@ func (p *Pool) Close() {
 	for _, job := range p.queue {
 		p.retire(job, ErrPoolClosed)
 	}
-	p.inflight.Add(-int64(len(p.queue)))
 	p.queue = nil
 	p.mu.Unlock()
 	p.jobs.Wait()
@@ -400,7 +374,6 @@ func (p *Pool) cancel(job *poolJob) {
 	defer p.mu.Unlock()
 	if i := slices.Index(p.queue, job); i >= 0 {
 		p.queue = slices.Delete(p.queue, i, i+1)
-		p.inflight.Add(-1)
 		p.retire(job, cause)
 	} else if job.rt != nil {
 		job.rt.stop.Signal(cause)
@@ -496,7 +469,6 @@ func (p *Pool) finish(job *poolJob) {
 	p.shards.release(job.part)
 	p.busy.Add(-int64(len(job.shard)))
 	p.running.Add(-1)
-	p.inflight.Add(-1)
 	p.served.Add(1)
 	if len(p.queue) > 0 {
 		next := p.queue[0]
