@@ -670,10 +670,16 @@ func (s *Service) watch(it *admItem, h *wsrt.JobHandle) {
 	defer s.wg.Done()
 	select {
 	case <-h.Started():
+	case <-h.Done():
+	}
+	// A job that started is marked so even when its watcher first looks
+	// after it is done, where one select would pick a channel at random.
+	select {
+	case <-h.Started():
 		if s.transition(it.job, StateRunning, nil) {
 			s.journalStart(it.job)
 		}
-	case <-h.Done():
+	default:
 	}
 	res, err := h.Result()
 	s.q.mu.Lock()
