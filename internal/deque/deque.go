@@ -72,6 +72,8 @@ type WorkDeque interface {
 	Cap() int
 	// Size returns the owner-visible entry count.
 	Size() int
+	// Stealable reports whether a steal attempt could take an entry now.
+	Stealable() bool
 }
 
 // TraceOp labels a thief-side deque transition for the optional trace
@@ -152,6 +154,12 @@ type Deque struct {
 	// maxDepth is the owner-observed high-water mark of T-H.
 	maxDepth int64
 
+	// loneMarkerT is the T at which a steal last failed on a special marker
+	// with no child above it, or 0. The marker leaves only through
+	// PopSpecial, which clears it, so while T still equals it and one entry
+	// is in the deque, that entry is the marker (Stealable).
+	loneMarkerT atomic.Int64
+
 	// trace, when non-nil, observes thief-side FSM transitions under the
 	// owner lock. The owner's Push/Pop fast path never consults it.
 	trace TraceFn
@@ -213,6 +221,17 @@ func (d *Deque) Size() int {
 		return 0
 	}
 	return int(n)
+}
+
+// Stealable reports whether a steal attempt could take an entry now. It is
+// false for an empty deque, and for one whose only entry is a special marker
+// on which a steal has already failed ("the marker has no child in the
+// deque"): a lone marker no thief has tried yet reads as stealable. Like
+// Size it is a snapshot, and it takes no lock.
+func (d *Deque) Stealable() bool {
+	t := d.t.Load()
+	n := t - d.h.Load()
+	return n > 1 || n == 1 && d.loneMarkerT.Load() != t
 }
 
 // MaxDepth returns the owner-observed high-water mark of the deque size.
@@ -335,6 +354,7 @@ func (d *Deque) take(i int64) Entry {
 // PopSpecial while its marker is the tail entry.
 func (d *Deque) PopSpecial() (stolen bool) {
 	d.mu.Lock()
+	d.loneMarkerT.Store(0)
 	t := d.t.Load() - 1
 	d.t.Store(t)
 	if d.h.Load() > t {
@@ -465,6 +485,7 @@ func (d *Deque) claimLocked(dst []Entry) (int, TraceOp) {
 		d.h.Store(h + 2)
 		if h+2 > d.t.Load() {
 			d.h.Store(h) // the marker has no child in the deque
+			d.loneMarkerT.Store(h + 1)
 			break
 		}
 		dst[0] = d.buf[(h+1)&d.mask]
@@ -489,6 +510,7 @@ func (d *Deque) Reset() {
 	d.t.Store(0)
 	d.stolenNum.Store(0)
 	d.needTask.Store(false)
+	d.loneMarkerT.Store(0)
 	d.maxDepth = 0
 	d.mu.Unlock()
 }

@@ -551,3 +551,68 @@ func TestGrowableSetFailSteal(t *testing.T) {
 		t.Fatal("steal failed after uninstalling the hook")
 	}
 }
+
+// TestStealable: a deque is stealable when a steal would take an entry, as
+// far as a lock-free read can tell. A lone special marker reads as stealable
+// until a steal has failed on it (steal_specialtask finds no child), and
+// again once the owner has removed it, even if the owner then pushes an
+// ordinary entry into the same slot. A marker with a child above it and a
+// lone ordinary entry are stealable; the check moves neither H nor T.
+func TestStealable(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		mk   func() WorkDeque
+	}{
+		{"the", func() WorkDeque { return New(8, 20) }},
+		{"growable", func() WorkDeque { return NewGrowable(8, 20) }},
+		{"relaxed", func() WorkDeque { return NewRelaxed(8, 20) }},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			d := k.mk()
+			check := func(when string, want bool, size int) {
+				t.Helper()
+				if got := d.Stealable(); got != want {
+					t.Errorf("%s: Stealable = %v, want %v", when, got, want)
+				}
+				if d.Size() != size {
+					t.Errorf("%s: Size = %d after Stealable, want %d", when, d.Size(), size)
+				}
+			}
+			check("empty", false, 0)
+			d.Push(item(1))
+			check("lone ordinary entry", true, 1)
+			d.Pop()
+			d.Push(specialItem(2))
+			check("lone special marker, not tried", true, 1)
+			if _, ok := d.Steal(); ok {
+				t.Fatal("stole a lone special marker")
+			}
+			check("lone special marker, a steal failed on it", false, 1)
+			d.Push(item(3))
+			check("marker with a child", true, 2)
+			d.Pop()
+			check("marker alone again", false, 1)
+			d.PopSpecial()
+			check("marker removed", false, 0)
+			d.Push(item(4))
+			check("ordinary entry in the marker's slot", true, 1)
+			d.Pop()
+			d.Push(specialItem(5))
+			d.Steal()
+			d.Push(item(6))
+			if _, ok := d.Steal(); !ok {
+				t.Fatal("steal_specialtask failed with a child present")
+			}
+			check("child stolen over the marker", false, 0)
+			d.PopSpecial()
+			d.Push(item(7))
+			check("ordinary entry after a stolen-over marker", true, 1)
+			d.Reset()
+			d.Push(specialItem(8))
+			d.Steal()
+			d.Reset()
+			d.Push(item(9))
+			check("ordinary entry after Reset", true, 1)
+		})
+	}
+}

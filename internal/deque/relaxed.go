@@ -111,6 +111,7 @@ func (r *Relaxed) Pop() (Entry, bool) {
 func (r *Relaxed) PopSpecial() (stolen bool) {
 	d := r.Deque
 	d.mu.Lock()
+	d.loneMarkerT.Store(0)
 	t := d.t.Load() - 1
 	d.t.Store(t)
 	r.bottom = t

@@ -14,15 +14,21 @@ import (
 // serve-http benchmark's smallest job. Allocations per op are the number
 // to watch (ROADMAP 1(c)); DESIGN §19 records the baseline.
 
-func benchService(b *testing.B) *Service {
-	s := New(Config{Workers: 2, QueueCapacity: 64, Options: sched.Options{GrowableDeque: true}})
+func benchService(b *testing.B, check bool) *Service {
+	s := New(Config{Workers: 2, QueueCapacity: 64, Check: check, Options: sched.Options{GrowableDeque: true}})
 	b.Cleanup(s.Close)
 	return s
 }
 
 // BenchmarkSubmitDone is Submit followed by a receive on Done.
-func BenchmarkSubmitDone(b *testing.B) {
-	s := benchService(b)
+func BenchmarkSubmitDone(b *testing.B) { benchSubmitDone(b, benchService(b, false)) }
+
+// BenchmarkSubmitDoneChecked is the same round trip with Config.Check on:
+// every job is traced on the wall clock and audited by the invariant
+// checker before it is done, as serve-durable runs it.
+func BenchmarkSubmitDoneChecked(b *testing.B) { benchSubmitDone(b, benchService(b, true)) }
+
+func benchSubmitDone(b *testing.B, s *Service) {
 	req := Request{Program: "fib", N: 12}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,7 +47,7 @@ func BenchmarkSubmitDone(b *testing.B) {
 // BenchmarkHTTPSubmitWait is the same job as one POST /jobs?wait= over a
 // kept-alive loopback connection: request, long-poll and JSON answer.
 func BenchmarkHTTPSubmitWait(b *testing.B) {
-	srv := httptest.NewServer(NewMux(benchService(b)))
+	srv := httptest.NewServer(NewMux(benchService(b, false)))
 	b.Cleanup(srv.Close)
 	client := srv.Client()
 	const body = `{"program":"fib","n":12}`

@@ -13,7 +13,8 @@ import (
 
 // WriteChrome writes the current run's worker events as Chrome trace_event
 // JSON. The deque FSM logs carry no timestamps (they are ordered by lock
-// acquisition, not by a clock) and are not exported.
+// acquisition, not by a clock) and are not exported. A run on the wall
+// clock stamps no event, so its events export with "ts" 0 in log order.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {

@@ -23,11 +23,13 @@
 //     turns "the run produced the right number" into "every task was
 //     consumed exactly once and every deposit was owed".
 //
-// Event timestamps come from vtime.Proc.Now(): virtual nanoseconds under
-// Sim, wall nanoseconds since run start under Real. Per worker they are
-// monotone; across workers they are comparable but carry no ordering
-// guarantee, which is why the FSM invariant is checked against the
-// lock-ordered deque log rather than against timestamps.
+// Event timestamps are the worker's virtual nanoseconds under Sim: per
+// worker they are monotone; across workers they are comparable but carry no
+// ordering guarantee, which is why the FSM invariant is checked against the
+// lock-ordered deque log rather than against timestamps. On the wall clock
+// (Real) every event is stamped 0: the checker never reads a timestamp, the
+// Chrome export runs on the Sim, and a clock read per event would be most
+// of what a traced Real run costs.
 package trace
 
 import (
@@ -105,7 +107,7 @@ func (o Op) String() string {
 // about (0 = none / the run root); A and B are per-Op operands documented
 // on the Op constants.
 type Event struct {
-	TS   int64 // nanoseconds in the run's time base
+	TS   int64 // virtual nanoseconds under Sim; 0 on the wall clock
 	Task uint64
 	A, B int64
 	Op   Op

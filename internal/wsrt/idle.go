@@ -4,8 +4,12 @@
 // Push wakes one parked thief.
 //
 // A thief may park only when it has nothing left to signal: after announcing
-// itself in Runtime.sleepers it re-checks that every other deque of its
-// runtime is empty and already has need_task raised. The paper's
+// itself in Runtime.sleepers it re-checks that no other deque of its runtime
+// holds a stealable entry and that every one already has need_task raised.
+// A deque whose only entry is a special marker counts as empty once a steal
+// has failed on it (deque.Stealable): a steal fails there until the owner
+// pushes the marker's next child, and that Push wakes a sleeper like any
+// other. The paper's
 // stolen_num/max_stolen_num protocol (Figure 3(d)/(e)) is therefore
 // untouched — a thief keeps failing, and so keeps bumping stolen_num, until
 // every victim that could create work for it has been told to — and no
@@ -90,11 +94,14 @@ func (w *Worker) park() bool {
 	return true
 }
 
-// starved reports whether every deque but self's is empty and has need_task
-// raised: nothing to steal, and nobody left to ask.
+// starved reports whether no deque but self's holds a stealable entry and
+// every one has need_task raised: nothing to steal, and nobody left to ask.
+// A victim descheduled with a lone special marker in its deque leaves its
+// thief nothing to take until it runs again; counting that deque as
+// non-empty kept the thief failing steals at wall-clock rate meanwhile.
 func (rt *Runtime) starved(self int) bool {
 	for i, d := range rt.Deques[:rt.N] {
-		if i != self && (d.Size() != 0 || !d.NeedTask()) {
+		if i != self && (d.Stealable() || !d.NeedTask()) {
 			return false
 		}
 	}

@@ -388,3 +388,55 @@ func TestPoolCloseWithParkedWorkers(t *testing.T) {
 		return time.Since(start)
 	})
 }
+
+// markerEngine holds its root worker with a lone special marker in its
+// deque: the state of an AdaptiveTC victim that has popped the last child
+// under its marker and is descheduled before its PopSpecial. A steal fails
+// on that deque until the owner runs again. The root holds until its thief
+// has failed more than maxFails steals on it, or for hold, whichever comes
+// first, then removes the marker and completes the job.
+type markerEngine struct {
+	maxFails int64
+	hold     time.Duration
+}
+
+func (e *markerEngine) Root(w *Worker) (int64, bool) {
+	s := w.NewFrame(nil, w.Prog().Root(), 0, 0, KindSpecial)
+	w.Push(s)
+	for deadline := time.Now().Add(e.hold); w.Deque.StolenNum() <= e.maxFails && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Microsecond)
+	}
+	if w.PopSpecial(s) {
+		panic("markerEngine: a thief took a child of a childless marker")
+	}
+	return 1, true
+}
+
+func (e *markerEngine) Resume(*Worker, *Frame) (int64, bool) {
+	panic("markerEngine: a lone marker has nothing to steal")
+}
+
+// TestThiefParksBesideLoneMarker is the deterministic reproducer of an idle
+// thief that spun while its victim was descheduled: the victim's deque held
+// only a special marker, which the park re-check counted as work. The thief
+// must park at its first failure past both the spin budget and
+// max_stolen_num (need_task must be raised before it may park), plus one
+// failure if the victim's Push of the marker woke it from an earlier park —
+// however long the victim holds. Parks are unbounded, so the thief then
+// sleeps until the job's completion wakes it.
+func TestThiefParksBesideLoneMarker(t *testing.T) {
+	stretchParks(t)
+	const maxStolenNum = 20
+	bound := max(spinFails, maxStolenNum) + 2
+	eng := &markerEngine{maxFails: int64(bound), hold: 100 * time.Millisecond}
+	res, err := Run(leafProg{}, sched.Options{Workers: 2, MaxStolenNum: maxStolenNum, Platform: &vtime.Real{Seed: 1}}, eng, "marker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.StealFails > int64(bound) {
+		t.Errorf("StealFails = %d, want at most %d: the thief spun beside a deque holding only a special marker", res.Stats.StealFails, bound)
+	}
+	if res.Stats.Parks == 0 {
+		t.Errorf("Parks = 0, want the thief parked")
+	}
+}

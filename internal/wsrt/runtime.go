@@ -124,7 +124,7 @@ func (rt *Runtime) claimSolution(w *Worker, v int64) bool {
 	rt.value.Store(v)
 	rt.done.Store(true)
 	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpComplete, 0, v, 0)
+		w.tr.Add(w.stamp(), trace.OpComplete, 0, v, 0)
 	}
 	rt.stop.Signal(sched.ErrSolutionFound)
 	rt.wakeAll()
@@ -334,13 +334,13 @@ func (w *Worker) NewFrame(parent *Frame, ws sched.Workspace, depth, rel int, kin
 
 // traceSpawn assigns f its trace identity and records the spawn. Kept out
 // of NewFrame's body so the untraced hot path pays only the nil test — the
-// inlined event construction otherwise costs NewFrame ~25% (see
-// BenchmarkFrameRecycle against BENCH_hotpath.json).
+// inlined event construction otherwise costs NewFrame ~25%
+// (BenchmarkFrameRecycle).
 //
 //go:noinline
 func (w *Worker) traceSpawn(f *Frame, depth int, kind Kind) {
 	f.seq = w.tr.NextSeq()
-	w.tr.Add(w.Proc.Now(), trace.OpSpawn, f.seq, int64(depth), int64(kind))
+	w.tr.Add(w.stamp(), trace.OpSpawn, f.seq, int64(depth), int64(kind))
 }
 
 // FreeFrame returns a dead frame to the worker's free-list for reuse by a
@@ -371,7 +371,7 @@ func (w *Worker) Push(f *Frame) {
 			sched.ErrDequeOverflow, w.ID, w.Deque.Cap(), w.rt.Prog.Name())})
 	}
 	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpPush, seq, 0, 0)
+		w.tr.Add(w.stamp(), trace.OpPush, seq, 0, 0)
 	}
 	w.addDeque(t0)
 	if w.rt.sleepers.Load() != 0 {
@@ -386,9 +386,9 @@ func (w *Worker) Pop() (deque.Entry, bool) {
 	e, ok := w.Deque.Pop()
 	if w.tr != nil {
 		if ok {
-			w.tr.Add(w.Proc.Now(), trace.OpPop, e.(*Frame).seq, 0, 0)
+			w.tr.Add(w.stamp(), trace.OpPop, e.(*Frame).seq, 0, 0)
 		} else {
-			w.tr.Add(w.Proc.Now(), trace.OpPopEmpty, 0, 0, 0)
+			w.tr.Add(w.stamp(), trace.OpPopEmpty, 0, 0, 0)
 		}
 	}
 	w.addDeque(t0)
@@ -406,7 +406,7 @@ func (w *Worker) PopSpecial(f *Frame) (stolen bool) {
 		if stolen {
 			a = 1
 		}
-		w.tr.Add(w.Proc.Now(), trace.OpPopSpecial, f.seq, a, 0)
+		w.tr.Add(w.stamp(), trace.OpPopSpecial, f.seq, a, 0)
 	}
 	w.addDeque(t0)
 	return stolen
@@ -480,7 +480,7 @@ func (w *Worker) Deposit(parent *Frame, v int64) {
 		if parent == nil {
 			completed := w.rt.complete(v)
 			if w.tr != nil {
-				ts := w.Proc.Now()
+				ts := w.stamp()
 				w.tr.Add(ts, trace.OpDeposit, 0, v, 0)
 				if completed {
 					w.tr.Add(ts, trace.OpComplete, 0, v, 0)
@@ -489,14 +489,14 @@ func (w *Worker) Deposit(parent *Frame, v int64) {
 			return
 		}
 		if w.tr != nil {
-			w.tr.Add(w.Proc.Now(), trace.OpDeposit, parent.seq, v, 0)
+			w.tr.Add(w.stamp(), trace.OpDeposit, parent.seq, v, 0)
 		}
 		total, finalise := parent.deposit(v)
 		if !finalise {
 			return
 		}
 		if w.tr != nil {
-			w.tr.Add(w.Proc.Now(), trace.OpFinalize, parent.seq, total, 0)
+			w.tr.Add(w.stamp(), trace.OpFinalize, parent.seq, total, 0)
 		}
 		next := parent.Parent
 		w.freeFinished(parent)
@@ -510,7 +510,7 @@ func (w *Worker) Deposit(parent *Frame, v int64) {
 // every registered debt.
 func (w *Worker) ExpectDeposit(f *Frame) {
 	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpExpect, f.seq, 0, 0)
+		w.tr.Add(w.stamp(), trace.OpExpect, f.seq, 0, 0)
 	}
 	f.ExpectDeposit()
 }
@@ -519,7 +519,7 @@ func (w *Worker) ExpectDeposit(f *Frame) {
 // Frame.CancelExpected), recording it in the trace.
 func (w *Worker) CancelExpected(f *Frame) {
 	if w.tr != nil {
-		w.tr.Add(w.Proc.Now(), trace.OpCancel, f.seq, 0, 0)
+		w.tr.Add(w.stamp(), trace.OpCancel, f.seq, 0, 0)
 	}
 	f.CancelExpected()
 }
@@ -536,11 +536,23 @@ func (w *Worker) Sync(f *Frame, localSum int64) (int64, bool) {
 	if out == SyncSuspended {
 		w.Stats.Suspends++
 		if w.tr != nil {
-			w.tr.Add(w.Proc.Now(), trace.OpSuspend, seq, 0, 0)
+			w.tr.Add(w.stamp(), trace.OpSuspend, seq, 0, 0)
 		}
 		return 0, false
 	}
 	return total, true
+}
+
+// stamp is a trace event's timestamp: the virtual clock under the Sim, where
+// reading it is a field load and the Chrome export shows it, and 0 on the
+// wall clock, where a read costs a clock call per event and nothing reads
+// the result (the invariant checker orders events by log position and the
+// deque logs, never by time). Profiling times itself through now instead.
+func (w *Worker) stamp() int64 {
+	if w.Wall() {
+		return 0
+	}
+	return w.Proc.Now()
 }
 
 func (w *Worker) now() int64 {
@@ -635,7 +647,7 @@ func (w *Worker) trySteal() bool {
 	if n == 0 {
 		w.Stats.StealFails++
 		if w.tr != nil {
-			w.tr.Add(w.Proc.Now(), trace.OpStealFail, 0, int64(victim), 0)
+			w.tr.Add(w.stamp(), trace.OpStealFail, 0, int64(victim), 0)
 		}
 		return true
 	}
@@ -663,7 +675,7 @@ func (w *Worker) noteStolen(f *Frame, victim int) {
 		if f.Kind == KindChild && f.Parent != nil {
 			credit = f.Parent
 		}
-		w.tr.Add(w.Proc.Now(), trace.OpSteal, f.seq, int64(victim), int64(credit.seq))
+		w.tr.Add(w.stamp(), trace.OpSteal, f.seq, int64(victim), int64(credit.seq))
 	}
 }
 
@@ -722,7 +734,7 @@ func (w *Worker) runJob(swallowPanics bool) {
 	if w.ID == 0 {
 		v, completed := rt.Eng.Root(w)
 		if completed && rt.complete(v) && w.tr != nil {
-			w.tr.Add(w.Proc.Now(), trace.OpComplete, 0, v, 0)
+			w.tr.Add(w.stamp(), trace.OpComplete, 0, v, 0)
 		}
 	}
 	w.thiefLoop()

@@ -110,6 +110,53 @@ func TestInvariantStressReal(t *testing.T) {
 	}
 }
 
+// TestTraceStamps pins what a trace event's timestamp is on each platform.
+// On the wall clock nothing reads one — the checker orders events by log
+// position and the deque logs — so the runtime records 0 and reads no clock
+// per event; under the Sim the stamp is the worker's virtual clock, which the
+// Chrome export shows: per worker it never goes back, and the run advances it.
+// The runs must pass the checker either way.
+func TestTraceStamps(t *testing.T) {
+	p := nqueens.NewArray(8)
+	want := invariantOracle(t, p)
+	rec := trace.NewRecorder()
+	defer rec.Release()
+	for _, eng := range []struct {
+		name string
+		mk   func() adaptivetc.Engine
+	}{{"cilk", adaptivetc.NewCilk}, {"adaptivetc", adaptivetc.NewAdaptiveTC}} {
+		for _, real := range []bool{true, false} {
+			opt := adaptivetc.Options{Workers: 2, Seed: 7}
+			platform := "sim"
+			if real {
+				opt.Platform, platform = adaptivetc.NewRealPlatform(7), "real"
+			}
+			t.Run(eng.name+"/"+platform, func(t *testing.T) {
+				runChecked(t, rec, eng.name, eng.mk(), p, opt, want)
+				stamped := 0
+				for i := 0; i < rec.Workers(); i++ {
+					last := int64(0)
+					for _, ev := range rec.WorkerLog(i).Events() {
+						switch {
+						case real && ev.TS != 0:
+							t.Fatalf("worker %d: %s event stamped %d on the wall clock, want 0", i, ev.Op, ev.TS)
+						case ev.TS < last:
+							t.Fatalf("worker %d: %s event stamped %d after %d: virtual time went back", i, ev.Op, ev.TS, last)
+						}
+						if ev.TS != 0 {
+							stamped++
+						}
+						last = ev.TS
+					}
+				}
+				if !real && stamped == 0 {
+					t.Errorf("every one of %d Sim events is stamped 0, want virtual time", rec.EventCount())
+				}
+			})
+		}
+	}
+}
+
 // FuzzInvariant lets the fuzzer pick the (seed, workers, cutoff) tuple,
 // running every traced engine on the Real platform under the checker. The
 // corpus entries double as regression anchors in plain `go test` runs.
