@@ -21,15 +21,24 @@ func benchService(b *testing.B, check bool) *Service {
 }
 
 // BenchmarkSubmitDone is Submit followed by a receive on Done.
-func BenchmarkSubmitDone(b *testing.B) { benchSubmitDone(b, benchService(b, false)) }
+func BenchmarkSubmitDone(b *testing.B) {
+	benchSubmitDone(b, benchService(b, false), Request{Program: "fib", N: 12})
+}
 
 // BenchmarkSubmitDoneChecked is the same round trip with Config.Check on:
 // every job is traced on the wall clock and audited by the invariant
-// checker before it is done, as serve-durable runs it.
-func BenchmarkSubmitDoneChecked(b *testing.B) { benchSubmitDone(b, benchService(b, true)) }
+// checker before it is done, as serve-durable runs it. The default engine
+// records few events (a fake task records none); Cilk records a handful per
+// spawn.
+func BenchmarkSubmitDoneChecked(b *testing.B) {
+	for _, engine := range []string{"adaptivetc", "cilk"} {
+		b.Run(engine, func(b *testing.B) {
+			benchSubmitDone(b, benchService(b, true), Request{Program: "fib", N: 12, Engine: engine})
+		})
+	}
+}
 
-func benchSubmitDone(b *testing.B, s *Service) {
-	req := Request{Program: "fib", N: 12}
+func benchSubmitDone(b *testing.B, s *Service, req Request) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
