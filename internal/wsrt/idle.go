@@ -9,13 +9,12 @@
 // A deque whose only entry is a special marker counts as empty once a steal
 // has failed on it (deque.Stealable): a steal fails there until the owner
 // pushes the marker's next child, and that Push wakes a sleeper like any
-// other. The paper's
-// stolen_num/max_stolen_num protocol (Figure 3(d)/(e)) is therefore
-// untouched — a thief keeps failing, and so keeps bumping stolen_num, until
-// every victim that could create work for it has been told to — and no
-// wake-up is lost: the announcement precedes the re-check, Push publishes its
-// entry before it loads sleepers, so either the thief sees the entry or the
-// pusher sees the thief. A park also ends after parkMax, and the thief then
+// other. The paper's stolen_num/max_stolen_num protocol (Figure 3(d)/(e)) is
+// therefore untouched — a thief keeps failing, and so keeps bumping
+// stolen_num, until every victim that could create work for it has been told
+// to — and no wake-up is lost: the announcement precedes the re-check, Push
+// publishes its entry before it loads sleepers, so either the thief sees the
+// entry or the pusher sees the thief. A park also ends after parkMax, and the thief then
 // makes one more steal attempt before it may park again: a victim whose
 // need_task was cleared by somebody else's steal gets signalled again, and a
 // stop that no worker reports (fail, complete and claimSolution wake
@@ -96,9 +95,9 @@ func (w *Worker) park() bool {
 
 // starved reports whether no deque but self's holds a stealable entry and
 // every one has need_task raised: nothing to steal, and nobody left to ask.
-// A victim descheduled with a lone special marker in its deque leaves its
-// thief nothing to take until it runs again; counting that deque as
-// non-empty kept the thief failing steals at wall-clock rate meanwhile.
+// Stealable rather than Size: a victim descheduled with a lone special marker
+// in its deque leaves its thief nothing to take until it runs again, however
+// many steals the thief fails meanwhile.
 func (rt *Runtime) starved(self int) bool {
 	for i, d := range rt.Deques[:rt.N] {
 		if i != self && (d.Stealable() || !d.NeedTask()) {

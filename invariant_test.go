@@ -125,10 +125,10 @@ func TestTraceStamps(t *testing.T) {
 		name string
 		mk   func() adaptivetc.Engine
 	}{{"cilk", adaptivetc.NewCilk}, {"adaptivetc", adaptivetc.NewAdaptiveTC}} {
-		for _, real := range []bool{true, false} {
+		for _, wall := range []bool{true, false} {
 			opt := adaptivetc.Options{Workers: 2, Seed: 7}
 			platform := "sim"
-			if real {
+			if wall {
 				opt.Platform, platform = adaptivetc.NewRealPlatform(7), "real"
 			}
 			t.Run(eng.name+"/"+platform, func(t *testing.T) {
@@ -138,7 +138,7 @@ func TestTraceStamps(t *testing.T) {
 					last := int64(0)
 					for _, ev := range rec.WorkerLog(i).Events() {
 						switch {
-						case real && ev.TS != 0:
+						case wall && ev.TS != 0:
 							t.Fatalf("worker %d: %s event stamped %d on the wall clock, want 0", i, ev.Op, ev.TS)
 						case ev.TS < last:
 							t.Fatalf("worker %d: %s event stamped %d after %d: virtual time went back", i, ev.Op, ev.TS, last)
@@ -149,7 +149,7 @@ func TestTraceStamps(t *testing.T) {
 						last = ev.TS
 					}
 				}
-				if !real && stamped == 0 {
+				if !wall && stamped == 0 {
 					t.Errorf("every one of %d Sim events is stamped 0, want virtual time", rec.EventCount())
 				}
 			})
