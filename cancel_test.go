@@ -161,3 +161,18 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Fatalf("pre-cancelled run still visited %d nodes", res.Stats.Nodes)
 	}
 }
+
+// waitForGoroutines asserts the goroutine count settles back to within a
+// small slack of base: a cancelled run must not leak its workers.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	var n int
+	for i := 0; i < 100; i++ {
+		n = runtime.NumGoroutine()
+		if n <= base+2 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Errorf("goroutine leak: %d now vs %d at start", n, base)
+}

@@ -27,10 +27,14 @@
 // Verdicts per case: "completed" runs must produce the serial oracle's
 // value and an invariant-clean trace (trace.Recorder.Check); "aborted"
 // runs — injected panic, forced overflow, deadline — must surface a known
-// abort class and a truncation-clean trace (trace.Laws{Truncated: true}); "rejected"
-// submissions must surface ErrQueueFull. Anything else (wrong value,
-// invariant violation, unexpected panic class, leaked goroutines) fails
-// the process with exit status 1.
+// abort class (wsrt.KnownAbort) and a truncation-clean trace
+// (trace.Laws{Truncated: true}); "rejected" submissions must surface
+// ErrQueueFull. A registry first-* family runs first-solution-wins, as
+// serve runs it, so its completed runs need a verified witness instead
+// (truncation laws). Engines that record no trace (Tascell) are held to
+// the value half. Anything else (wrong value, invariant violation,
+// unexpected panic class, leaked goroutines) fails the process with exit
+// status 1. The package tests are rows of this same runner.
 package main
 
 import (
@@ -57,20 +61,18 @@ import (
 	"adaptivetc/problems/registry"
 )
 
-// chaosEngine is the intersection the campaigns need: batch Run for Sim
-// cases and NewExec for resident-pool jobs.
-type chaosEngine interface {
-	sched.Engine
-	wsrt.PoolEngine
-}
-
-// engineByName resolves a row of the engine table that can do both.
-func engineByName(name string) (chaosEngine, error) {
-	e, _ := adaptivetc.EngineByName(name)
-	if ce, ok := e.(chaosEngine); ok {
-		return ce, nil
+// engineByName resolves a row of the engine table for a campaign mode.
+// Sim and cluster cases run any engine; pool cases (and the "all" soak,
+// which includes them) need one that runs resident jobs.
+func engineByName(name, mode string) (sched.Engine, error) {
+	e, err := adaptivetc.EngineByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("engine %q is unknown or not pool-capable (have %v)", name, adaptivetc.PoolEngineNames())
+	if _, ok := e.(wsrt.PoolEngine); !ok && (mode == "pool" || mode == "all") {
+		return nil, fmt.Errorf("engine %q is not pool-capable (have %v)", name, adaptivetc.PoolEngineNames())
+	}
+	return e, nil
 }
 
 // progSpec is one "name=N" program instance.
@@ -157,7 +159,7 @@ func parseTuple(s string) (caseSpec, error) {
 	}
 	c.workers = w
 	c.engine = parts[2]
-	if _, err := engineByName(c.engine); err != nil {
+	if _, err := engineByName(c.engine, c.mode); err != nil {
 		return c, err
 	}
 	progs, err := parsePrograms(parts[3])
@@ -207,17 +209,6 @@ func (o *oracles) value(p progSpec) (int64, error) {
 	return res.Value, nil
 }
 
-// knownAbort reports whether err is an abort class chaos is allowed to
-// surface: injected/organic overflow, injected/organic panic quarantine,
-// deadline or cancellation, pool shutdown.
-func knownAbort(err error) bool {
-	return errors.Is(err, sched.ErrDequeOverflow) ||
-		errors.Is(err, sched.ErrJobPanicked) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, wsrt.ErrPoolClosed)
-}
-
 // simOutcome captures everything observable about one Sim case, for the
 // byte-identical replay comparison.
 type simOutcome struct {
@@ -227,13 +218,28 @@ type simOutcome struct {
 	Deques  [][]trace.DequeEvent
 }
 
+// foldPanic calls run and folds an injected program panic, which a batch
+// run raises again by design, into an error wrapping sched.ErrJobPanicked.
+// Any other panic becomes an error outside the contract, so the case fails
+// with its tuple instead of crashing the soak.
+func foldPanic(run func() (sched.Result, error)) (res sched.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(faults.PanicValue); ok {
+				err = fmt.Errorf("%w: %v", sched.ErrJobPanicked, r)
+				return
+			}
+			err = fmt.Errorf("unexpected panic class: %v", r)
+		}
+	}()
+	return run()
+}
+
 // runSim executes one case on the Sim platform with a fresh recorder and
-// returns its verdict plus the full observable outcome. A panic escaping
-// the batch runtime (the injected program-panic fault propagates on batch
-// runs by design) is recovered here and classified.
+// returns its verdict plus the full observable outcome.
 func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 	v := verdict{c: c}
-	eng, err := engineByName(c.engine)
+	eng, err := engineByName(c.engine, c.mode)
 	if err != nil {
 		v.err = err
 		return v, nil
@@ -255,24 +261,15 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 	}
 	rec := trace.NewRecorder()
 	defer rec.Release()
-	opt := sched.Options{
-		Workers: c.workers,
-		Seed:    c.seed,
-		Tracer:  rec,
-		Faults:  faults.New(spec),
-	}
-	res, runErr := func() (res sched.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(faults.PanicValue); ok {
-					err = fmt.Errorf("%w: %v", sched.ErrJobPanicked, r)
-					return
-				}
-				err = fmt.Errorf("unexpected panic class: %v", r)
-			}
-		}()
-		return eng.Run(prog, opt)
-	}()
+	res, runErr := foldPanic(func() (sched.Result, error) {
+		return eng.Run(prog, sched.Options{
+			Workers:       c.workers,
+			Seed:          c.seed,
+			Tracer:        rec,
+			Faults:        faults.New(spec),
+			FirstSolution: registry.FirstSolution(c.prog.name),
+		})
+	})
 
 	out := &simOutcome{Value: res.Value}
 	if runErr != nil {
@@ -283,30 +280,55 @@ func runSim(c caseSpec, orc *oracles) (verdict, *simOutcome) {
 		out.Deques = append(out.Deques, append([]trace.DequeEvent(nil), rec.DequeLog(i).Events()...))
 	}
 
+	// Only the engines that run on the wsrt deques record a trace.
+	if _, traced := eng.(wsrt.PoolEngine); !traced {
+		rec = nil
+	}
 	classify(&v, res.Value, want, runErr, rec)
 	return v, out
 }
 
+// replaySim runs one Sim case twice and reports whether the two runs were
+// byte-identical: same value, same error, same per-worker event streams,
+// same per-deque FSM transitions.
+func replaySim(c caseSpec, orc *oracles) (verdict, *simOutcome, bool) {
+	v, o1 := runSim(c, orc)
+	_, o2 := runSim(c, orc)
+	return v, o1, reflect.DeepEqual(o1, o2)
+}
+
 // classify sets how a run ended and whether that is within contract: a
-// completed run must carry the serial oracle's value and an invariant-clean
-// trace, an aborted one a known abort class and a truncation-clean trace.
+// completed run must carry the serial oracle's value (a first-solution run
+// a verified witness) and an invariant-clean trace, an aborted one a known
+// abort class and a truncation-clean trace. A nil rec is an engine that
+// records no trace; only the value half applies to it.
 func classify(v *verdict, value, want int64, runErr error, rec *trace.Recorder) {
-	switch {
+	laws := trace.Laws{Final: value, Want: want}
+	switch p := v.c.prog; {
+	case runErr == nil && registry.FirstSolution(p.name):
+		// The schedule picks the witness, and its claim unwinds the losing
+		// workers mid-tree. Zero is right only when no solution exists.
+		v.class = "completed"
+		laws.Truncated = true
+		if ok, _ := registry.VerifyWitness(p.name, registry.Params{N: p.n}, value); !ok && (value != 0 || want != 0) {
+			v.err = fmt.Errorf("invalid first-solution witness %d", value)
+		}
 	case runErr == nil:
 		v.class = "completed"
 		if value != want {
 			v.err = fmt.Errorf("wrong value: got %d, serial oracle %d", value, want)
-		} else if cerr := rec.Check(value, want); cerr != nil {
-			v.err = fmt.Errorf("invariant violation: %w", cerr)
 		}
-	case knownAbort(runErr):
+	case wsrt.KnownAbort(runErr):
 		v.class = "aborted"
-		if cerr := rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
-			v.err = fmt.Errorf("invariant violation in aborted run (%v): %w", runErr, cerr)
-		}
+		laws.Truncated = true
 	default:
 		v.class = "aborted"
 		v.err = fmt.Errorf("unknown abort class: %w", runErr)
+	}
+	if v.err == nil && rec != nil {
+		if cerr := rec.CheckLaws(laws); cerr != nil {
+			v.err = fmt.Errorf("invariant violation in %s run: %w", v.class, cerr)
+		}
 	}
 }
 
@@ -347,7 +369,7 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 			scenario: scenario,
 			seed:     seed + int64(i),
 		}
-		eng, err := engineByName(c.engine)
+		eng, err := engineByName(c.engine, c.mode)
 		if err != nil {
 			verdicts = append(verdicts, verdict{c: c, err: err})
 			continue
@@ -362,11 +384,12 @@ func runPoolCampaign(scenario string, seed int64, engines []string, programs []p
 		rec := trace.NewRecorder()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		h, err := pool.Submit(wsrt.JobSpec{
-			Prog:   prog,
-			Engine: eng,
-			Ctx:    ctx,
-			Tracer: rec,
-			Faults: faults.New(jobSpec),
+			Prog:          prog,
+			Engine:        eng.(wsrt.PoolEngine),
+			Ctx:           ctx,
+			Tracer:        rec,
+			Faults:        faults.New(jobSpec),
+			FirstSolution: registry.FirstSolution(c.prog.name),
 		})
 		if err != nil {
 			cancel()
@@ -417,7 +440,7 @@ func (cc *clusterCosts) get(engine string, p progSpec, orc *oracles) (costEntry,
 	if err != nil {
 		return costEntry{}, err
 	}
-	eng, err := engineByName(engine)
+	eng, err := engineByName(engine, "cluster")
 	if err != nil {
 		return costEntry{}, err
 	}
@@ -441,12 +464,10 @@ func (cc *clusterCosts) get(engine string, p progSpec, orc *oracles) (costEntry,
 	return e, nil
 }
 
-// clusterJobs builds the skewed deterministic job set for one cluster
-// case: 80% of arrivals land on node 0, the rest round-robin over the
-// colder nodes, and the aggregate arrival rate is 4 jobs per service time
-// — well past one node's capacity, so forwarding and stealing must fire
-// for the run to finish in bounded virtual time.
-func clusterJobs(nodes, count int, e costEntry) []cluster.SimJob {
+// clusterJobs builds a skewed deterministic job set: 80% of arrivals land
+// on node 0, the rest round-robin over the colder nodes, at an aggregate
+// rate of num/den jobs per service time.
+func clusterJobs(nodes, count int, e costEntry, num, den int64) []cluster.SimJob {
 	jobs := make([]cluster.SimJob, count)
 	for i := range jobs {
 		node := 0
@@ -456,7 +477,7 @@ func clusterJobs(nodes, count int, e costEntry) []cluster.SimJob {
 		jobs[i] = cluster.SimJob{
 			ID:        i,
 			Node:      node,
-			ArriveNS:  int64(i) * e.svcNS / 4,
+			ArriveNS:  int64(i) * e.svcNS * den / num,
 			ServiceNS: e.svcNS,
 			Value:     e.value,
 		}
@@ -464,36 +485,47 @@ func clusterJobs(nodes, count int, e costEntry) []cluster.SimJob {
 	return jobs
 }
 
-// runCluster executes one cluster case twice and verifies the two event
-// logs are byte-identical — so every soak case doubles as a replay check
-// — then applies the contract: zero invariant violations, every job
-// completed, every first completion carrying the oracle value.
+// simConfig is a cluster whose network timing scales with the service
+// time, so gossip, forwarding and stealing fire within the workload's
+// virtual lifetime — engine makespans span orders of magnitude across
+// programs.
+func simConfig(nodes int, seed int64, e costEntry) cluster.SimConfig {
+	return cluster.SimConfig{
+		Nodes:         nodes,
+		Seed:          seed,
+		BaseLatencyNS: e.svcNS/16 + 1,
+		JitterNS:      e.svcNS/64 + 1,
+		GossipEveryNS: e.svcNS/2 + 1,
+	}
+}
+
+// runCluster runs one cluster tuple under its scenario's network faults.
 func runCluster(c caseSpec, orc *oracles, costs *clusterCosts) (verdict, *cluster.SimReport) {
-	v := verdict{c: c}
 	spec, err := faults.Scenario(c.scenario, c.seed)
 	if err != nil {
-		v.err = err
-		return v, nil
+		return verdict{c: c, err: err}, nil
 	}
+	return clusterCase(c, spec, orc, costs)
+}
+
+// clusterCase executes one cluster case twice under spec (the zero Spec
+// injects no faults), so every case doubles as a replay check, and judges
+// the two runs.
+func clusterCase(c caseSpec, spec faults.Spec, orc *oracles, costs *clusterCosts) (verdict, *cluster.SimReport) {
+	v := verdict{c: c}
 	e, err := costs.get(c.engine, c.prog, orc)
 	if err != nil {
 		v.err = err
 		return v, nil
 	}
-	jobs := clusterJobs(c.workers, 24, e)
+	// Four jobs per service time: well past one node's capacity, so
+	// forwarding and stealing must fire for the run to finish in bounded
+	// virtual time.
+	jobs := clusterJobs(c.workers, 24, e, 4, 1)
 	run := func() (*cluster.SimReport, error) {
-		// Fresh Plan per run: the fault streams are stateful. Network
-		// timing scales with the service time so gossip, forwarding and
-		// stealing actually fire within the workload's virtual lifetime —
-		// engine makespans span orders of magnitude across programs.
-		return cluster.RunSim(cluster.SimConfig{
-			Nodes:         c.workers,
-			Seed:          c.seed,
-			BaseLatencyNS: e.svcNS/16 + 1,
-			JitterNS:      e.svcNS/64 + 1,
-			GossipEveryNS: e.svcNS/2 + 1,
-			Faults:        faults.New(spec),
-		}, jobs)
+		cfg := simConfig(c.workers, c.seed, e)
+		cfg.Faults = faults.New(spec) // fresh per run: the fault streams are stateful
+		return cluster.RunSim(cfg, jobs)
 	}
 	rep1, err1 := run()
 	rep2, err2 := run()
@@ -501,23 +533,30 @@ func runCluster(c caseSpec, orc *oracles, costs *clusterCosts) (verdict, *cluste
 		v.err = errors.Join(err1, err2)
 		return v, rep1
 	}
+	judgeCluster(&v, rep1, rep2, len(jobs), e.value)
+	return v, rep1
+}
+
+// judgeCluster applies the cluster contract to two runs of one case: the
+// event logs are byte-identical, no invariant is violated, every job
+// completed, and every first completion carries the oracle value.
+func judgeCluster(v *verdict, rep1, rep2 *cluster.SimReport, jobs int, want int64) {
 	v.class = "completed"
 	switch {
 	case !reflect.DeepEqual(rep1.Events, rep2.Events):
 		v.err = fmt.Errorf("replay diverged: %d vs %d events", len(rep1.Events), len(rep2.Events))
 	case len(rep1.Violations) > 0:
 		v.err = fmt.Errorf("invariant violation: %s", strings.Join(rep1.Violations, "; "))
-	case rep1.Completed != len(jobs):
-		v.err = fmt.Errorf("%d of %d jobs completed", rep1.Completed, len(jobs))
+	case rep1.Completed != jobs:
+		v.err = fmt.Errorf("%d of %d jobs completed", rep1.Completed, jobs)
 	default:
 		for id, got := range rep1.Values {
-			if got != e.value {
-				v.err = fmt.Errorf("job %d: wrong value %d, serial oracle %d", id, got, e.value)
+			if got != want {
+				v.err = fmt.Errorf("job %d: wrong value %d, serial oracle %d", id, got, want)
 				break
 			}
 		}
 	}
-	return v, rep1
 }
 
 // benchSide is one arm of the forwarding on/off comparison, in virtual
@@ -549,26 +588,9 @@ func benchCluster(seed int64, orc *oracles, costs *clusterCosts) int {
 		return 1
 	}
 	const count = 200
-	jobs := make([]cluster.SimJob, count)
-	for i := range jobs {
-		node := 0
-		if i%5 == 4 {
-			node = 1
-		}
-		jobs[i] = cluster.SimJob{
-			ID: i, Node: node,
-			ArriveNS:  int64(i) * e.svcNS * 5 / 8, // aggregate 1.6 jobs per service time
-			ServiceNS: e.svcNS,
-			Value:     e.value,
-		}
-	}
+	jobs := clusterJobs(2, count, e, 8, 5) // 1.6 jobs per service time
 	run := func(forwarding bool) (*benchSide, error) {
-		cfg := cluster.SimConfig{
-			Nodes: 2, Seed: seed,
-			BaseLatencyNS: e.svcNS/16 + 1,
-			JitterNS:      e.svcNS/64 + 1,
-			GossipEveryNS: e.svcNS/2 + 1,
-		}
+		cfg := simConfig(2, seed, e)
 		if !forwarding {
 			// Gap and victim-load thresholds no backlog can reach: the
 			// nodes still gossip, but never shed or steal.
@@ -692,19 +714,32 @@ func replay(c caseSpec, orc *oracles) int {
 		}
 		return 0
 	}
-	v1, o1 := runSim(c, orc)
-	v2, o2 := runSim(c, orc)
-	fmt.Printf("%s: %s\n", c.tuple(), verdictString(v1))
-	if !reflect.DeepEqual(o1, o2) {
+	v, o, same := replaySim(c, orc)
+	fmt.Printf("%s: %s\n", c.tuple(), verdictString(v))
+	if !same {
 		fmt.Printf("REPLAY DIVERGED: two runs of %s produced different schedules\n", c.tuple())
 		return 1
 	}
 	fmt.Printf("replayed byte-identically: value=%d err=%q events=%d\n",
-		o1.Value, o1.Err, countEvents(o1))
-	if v1.err != nil || v2.err != nil {
+		o.Value, o.Err, countEvents(o))
+	if v.err != nil {
 		return 1
 	}
 	return 0
+}
+
+// leakedGoroutines gives exiting goroutines up to a second and returns how
+// many are still running beyond base, with a slack of two for the
+// runtime's own.
+func leakedGoroutines(base int) int {
+	leaked := 0
+	for i := 0; i < 50; i++ {
+		if leaked = runtime.NumGoroutine() - base; leaked <= 2 {
+			return 0
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return leaked
 }
 
 func countEvents(o *simOutcome) int {
@@ -761,7 +796,7 @@ func main() {
 		if e == "" {
 			continue
 		}
-		if _, err := engineByName(e); err != nil {
+		if _, err := engineByName(e, *mode); err != nil {
 			fmt.Fprintf(os.Stderr, "adaptivetc-chaos: %v\n", err)
 			os.Exit(2)
 		}
@@ -849,17 +884,8 @@ func main() {
 		}
 	}
 
-	// Leak check: every pool campaign closed its pool; give exiting
-	// goroutines a moment before declaring a leak.
-	leaked := 0
-	for i := 0; i < 50; i++ {
-		leaked = runtime.NumGoroutine() - baseGoroutines
-		if leaked <= 2 {
-			leaked = 0
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Leak check: every pool campaign closed its pool.
+	leaked := leakedGoroutines(baseGoroutines)
 
 	fmt.Printf("\nchaos soak: %d cases, seed %d\n", cases, *seed)
 	for _, scen := range scenarios {

@@ -128,7 +128,7 @@ func main() {
 	check := flag.Bool("check", false, "verify scheduler invariants on every job's trace")
 	seed := flag.Int64("seed", 1, "victim-selection seed")
 	growable := flag.Bool("growable-deque", true, "use growable deques (fixed deques can overflow on deep jobs)")
-	relaxed := flag.Bool("relaxed-deque", false, "use the lock-reduced deque variant (implies growable; invariant checks run in multiplicity-tolerant mode)")
+	relaxed := flag.Bool("relaxed-deque", false, "use the lock-reduced deque variant (implies growable)")
 	stealPolicy := flag.String("steal-policy", "random",
 		fmt.Sprintf("default steal strategy for jobs that do not set one: %v", wsrt.StealPolicyNames()))
 	tenantQuota := flag.Int("tenant-quota", 0, "default per-tenant in-flight job cap (0 = unlimited)")

@@ -1,12 +1,10 @@
 package adaptivetc_test
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
 	"adaptivetc"
-	"adaptivetc/internal/cluster"
 	"adaptivetc/internal/lang"
 	"adaptivetc/internal/progstore"
 	"adaptivetc/internal/sched"
@@ -164,85 +162,6 @@ func TestDifferentialStealPolicies(t *testing.T) {
 							eng.Name(), name, policy, relaxed, a.Makespan, b.Makespan)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestDifferentialCluster runs a representative program slice through 2-
-// and 3-node deterministic Sim clusters under skewed load: every job's
-// first completion must carry the serial oracle's value, the model's
-// conservation invariants must hold, and identically-seeded runs must
-// produce byte-identical event logs. The per-job service time is the
-// engine's deterministic Sim makespan, so the cluster rows exercise the
-// same work distribution the batch rows measure, one level up.
-func TestDifferentialCluster(t *testing.T) {
-	progs := diffCorpus(t)
-	slice := []string{"fib", "nqueens-array", "tree3", "knight"}
-	for _, name := range slice {
-		p, ok := progs[name]
-		if !ok {
-			t.Fatalf("program %q missing from the corpus", name)
-		}
-		oracle, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
-		if err != nil {
-			t.Fatalf("serial/%s: %v", name, err)
-		}
-		cost, err := adaptivetc.NewAdaptiveTC().Run(p, adaptivetc.Options{Workers: 3, Seed: 7})
-		if err != nil {
-			t.Fatalf("cost run %s: %v", name, err)
-		}
-		if cost.Value != oracle.Value {
-			t.Fatalf("%s: engine value %d, serial says %d", name, cost.Value, oracle.Value)
-		}
-		svc := int64(cost.Makespan)
-		if svc <= 0 {
-			svc = 1_000_000
-		}
-		for _, nodes := range []int{2, 3} {
-			jobs := make([]cluster.SimJob, 16)
-			for i := range jobs {
-				node := 0
-				if i%5 == 4 {
-					node = 1 + (i/5)%(nodes-1)
-				}
-				jobs[i] = cluster.SimJob{
-					ID: i, Node: node, ArriveNS: int64(i) * svc / 4,
-					ServiceNS: svc, Value: oracle.Value,
-				}
-			}
-			run := func() *cluster.SimReport {
-				rep, err := cluster.RunSim(cluster.SimConfig{
-					Nodes: nodes, Seed: 7,
-					BaseLatencyNS: svc/16 + 1, JitterNS: svc/64 + 1, GossipEveryNS: svc/2 + 1,
-				}, jobs)
-				if err != nil {
-					t.Fatalf("cluster/%s/n%d: %v", name, nodes, err)
-				}
-				return rep
-			}
-			a, b := run(), run()
-			if !reflect.DeepEqual(a.Events, b.Events) {
-				t.Errorf("cluster/%s/n%d: identically-seeded runs diverged (%d vs %d events)",
-					name, nodes, len(a.Events), len(b.Events))
-			}
-			if len(a.Violations) > 0 {
-				t.Errorf("cluster/%s/n%d: violations: %v", name, nodes, a.Violations)
-			}
-			if a.Completed != len(jobs) {
-				t.Errorf("cluster/%s/n%d: %d of %d jobs completed", name, nodes, a.Completed, len(jobs))
-			}
-			for id, v := range a.Values {
-				if v != oracle.Value {
-					t.Errorf("cluster/%s/n%d: job %d value %d, serial says %d", name, nodes, id, v, oracle.Value)
-				}
-			}
-			moved := 0
-			for _, st := range a.PerNode {
-				moved += st.ForwardedIn
-			}
-			if moved == 0 {
-				t.Errorf("cluster/%s/n%d: no job ever moved — the rows don't exercise forwarding", name, nodes)
 			}
 		}
 	}

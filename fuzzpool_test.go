@@ -25,12 +25,11 @@ import (
 // known abort class and leave a consistent truncated trace, the pool's
 // quarantine counter must agree with the observed panic deaths, and no
 // two jobs may ever hold the same worker at the same time. A high first
-// byte switches the pool to the lock-reduced deque variant
-// (audited with the k=2 multiplicity-tolerant checker), and each job's
-// steal policy is drawn from its op byte. Submitted programs are drawn
-// from five families — classic search (fib, n-queens), the shared-state
-// families (dataflow DAG, branch-and-bound knapsack) and first-solution
-// SAT, whose jobs race the fuzzer's cancellations and are judged by a
+// byte switches the pool to the lock-reduced deque variant, audited under
+// the same laws, and each job's steal policy is drawn from its op byte.
+// Submitted programs are drawn from five families — classic search (fib,
+// n-queens), the shared-state families (dataflow DAG, branch-and-bound
+// knapsack) and first-solution SAT, whose jobs race the fuzzer's cancellations and are judged by a
 // witness predicate under truncation laws rather than a fixed value. The
 // seed corpus doubles as a regression suite in plain `go test` runs.
 func FuzzPoolConcurrent(f *testing.F) {
@@ -81,8 +80,7 @@ func FuzzPoolConcurrent(f *testing.F) {
 		workers := 2 + int(ops[0]%3) // 2..4 resident workers
 		maxJobs := 1 + int(ops[1]%3) // 1..3 shards
 		// A high first byte switches every deque in the pool to the
-		// lock-reduced variant; verdicts below then run the invariant
-		// checker in multiplicity-tolerant mode (k=2).
+		// lock-reduced variant, held to the same laws as the THE deque.
 		relaxed := ops[0] >= 128
 		pool := wsrt.NewPool(wsrt.PoolConfig{
 			Workers: workers, MaxConcurrentJobs: maxJobs, QueueCapacity: 8,
@@ -190,10 +188,6 @@ func FuzzPoolConcurrent(f *testing.F) {
 			t.Fatalf("submit after close: err = %v, want ErrPoolClosed", err)
 		}
 
-		multiplicity := 1
-		if relaxed {
-			multiplicity = 2
-		}
 		var sawPanicked int64
 		for i, j := range jobs {
 			res, err := j.h.Result()
@@ -210,25 +204,25 @@ func FuzzPoolConcurrent(f *testing.F) {
 					if !j.verify(res.Value) {
 						t.Errorf("job %d: invalid first-solution witness %d", i, res.Value)
 					}
-					if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true, K: multiplicity}); cerr != nil {
+					if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 						t.Errorf("job %d first-solution invariants: %v", i, cerr)
 					}
 				} else {
 					if res.Value != j.want {
 						t.Errorf("job %d: value %d, want %d", i, res.Value, j.want)
 					}
-					if cerr := j.rec.CheckLaws(trace.Laws{Final: res.Value, Want: j.want, K: multiplicity}); cerr != nil {
+					if cerr := j.rec.CheckLaws(trace.Laws{Final: res.Value, Want: j.want}); cerr != nil {
 						t.Errorf("job %d invariants: %v", i, cerr)
 					}
 				}
 			} else {
-				if !chaosAbortOK(err) {
+				if !wsrt.KnownAbort(err) {
 					t.Errorf("job %d: unknown abort class: %v", i, err)
 				}
 				if errors.Is(err, sched.ErrJobPanicked) {
 					sawPanicked++
 				}
-				if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true, K: multiplicity}); cerr != nil {
+				if cerr := j.rec.CheckLaws(trace.Laws{Truncated: true}); cerr != nil {
 					t.Errorf("job %d (failed with %v) truncated-trace invariants: %v", i, err, cerr)
 				}
 			}

@@ -24,10 +24,8 @@ package deque
 // The owner fast path is therefore one atomic store per Push and one store
 // plus one load per Pop, against the THE deque's three and three. Nothing
 // here admits multiplicity: ownership of every entry is still linearised by
-// the claim protocol, so the variant targets k = 1 under the
-// multiplicity-tolerant checker (trace.Laws.K) that guards it —
-// the checker's k ≥ 2 allowance is headroom for genuinely fence-free
-// descendants, not a licence this implementation uses.
+// the claim protocol, so its runs are held to the strict invariant laws
+// (internal/trace), like the THE deque's.
 //
 // Like Growable it has no capacity limit: a full ring doubles on the owner's
 // Push under the owner lock, and Push never reports overflow.

@@ -397,14 +397,6 @@ func (s *Store) Program(hash string, overrides map[string]int64) (sched.Program,
 	return prog, nil
 }
 
-// Restore re-inserts a program recovered from the persistent journal:
-// like Put, but src is already canonical and failures are not negatively
-// cached (they are counted by the caller's recovery stats instead).
-func (s *Store) Restore(name, canonical string) (Meta, error) {
-	m, _, err := s.Put(name, canonical)
-	return m, err
-}
-
 // List returns the cached programs, most recently used first.
 func (s *Store) List() []Meta {
 	s.mu.Lock()

@@ -162,9 +162,8 @@ type Options struct {
 	// RelaxedDeque replaces the THE deque with the lock-reduced variant
 	// whose owner Push/Pop avoid the owner lock outside the conflict window
 	// (after Castañeda & Piña's relaxed work-stealing queues). Implies a
-	// growable buffer; takes precedence over GrowableDeque. Runs using it
-	// should be checked with the multiplicity-tolerant invariant checker
-	// (trace.Laws.K) rather than the strict one.
+	// growable buffer; takes precedence over GrowableDeque. Its runs are
+	// held to the same invariant laws as the THE deque's.
 	RelaxedDeque bool
 	// StealPolicy names the victim-selection/steal-amount strategy of the
 	// thief loop: "random" (default), "steal-half", "richest-first" or

@@ -116,7 +116,7 @@ func (s *Service) recover(rec *jobstore.Recovery) {
 		return
 	}
 	for _, p := range rec.Programs {
-		if _, err := s.programs.Restore(p.Name, p.Source); err == nil {
+		if _, _, err := s.programs.Put(p.Name, p.Source); err == nil {
 			s.recoveredPrograms.Add(1)
 		}
 	}

@@ -33,8 +33,9 @@ func newTestService(t *testing.T, workers, queue int, check bool) *Service {
 
 // TestServeConcurrentMixedJobs is the tentpole acceptance test: one
 // resident pool serves >= 100 concurrently submitted jobs mixing three
-// programs across three engines, and every result is correct. Run with
-// -race in CI.
+// program families across all seven pool engines, and every result is
+// correct. Run with -race in CI, so every job stays small: no row walks
+// more than about 100k nodes.
 func TestServeConcurrentMixedJobs(t *testing.T) {
 	s := newTestService(t, 2, 128, false)
 
@@ -45,7 +46,7 @@ func TestServeConcurrentMixedJobs(t *testing.T) {
 	kinds := []kind{
 		{Request{Program: "nqueens-array", N: 6, Engine: "adaptivetc"}, 4},
 		{Request{Program: "fib", N: 15, Engine: "cilk"}, 610},
-		{Request{Program: "knight", N: 5, Engine: "slaw"}, 304},
+		{Request{Program: "nqueens-array", N: 8, Engine: "slaw"}, 92},
 		{Request{Program: "nqueens-array", N: 7, Engine: "cilk-synched"}, 40},
 		{Request{Program: "fib", N: 12, Engine: "helpfirst"}, 144},
 		{Request{Program: "knight", N: 4, Engine: "cutoff-library"}, 0},
@@ -352,7 +353,7 @@ func TestServeRejectsUnknowns(t *testing.T) {
 
 // TestServeStealPolicies runs one checked job per steal policy on a
 // relaxed-deque service: the value must be right and the job's trace must
-// pass the (multiplicity-tolerant) invariant audit.
+// pass the invariant audit.
 func TestServeStealPolicies(t *testing.T) {
 	s := New(Config{
 		Workers:       4,

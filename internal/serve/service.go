@@ -788,15 +788,7 @@ func (s *Service) finalize(job *Job, rec *trace.Recorder, res sched.Result, err 
 		// serial run. Aborted jobs — and completed first-solution jobs,
 		// whose losing workers are cancelled mid-tree by design — are
 		// audited under the truncation laws instead.
-		laws := trace.Laws{Final: res.Value, Want: res.Value, Truncated: state != StateDone || job.firstSol}
-		if s.cfg.Options.RelaxedDeque {
-			// Bounded multiplicity: the lock-reduced owner path is allowed
-			// (by construction, never observed) to hand an entry to up to
-			// 2 consumers, so the strict exactly-once ceilings would
-			// mislabel it.
-			laws.K = 2
-		}
-		viol = rec.CheckLaws(laws)
+		viol = rec.CheckLaws(trace.Laws{Final: res.Value, Want: res.Value, Truncated: state != StateDone || job.firstSol})
 		s.checked.Add(1)
 		if viol != nil {
 			s.violations.Add(1)

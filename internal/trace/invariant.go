@@ -30,13 +30,11 @@
 //	                  value matches the reported result, and the result
 //	                  matches the serial oracle.
 //
-// Two orthogonal relaxations compose with the catalogue, both fields of
-// Laws. Truncated drops the "at least once" floors — an aborted run may
-// abandon pushed tasks, owed deposits and suspended frames. K raises the
-// "at most once" ceilings to k — a relaxed deque may hand the same entry to
-// up to k consumers, so every exactly-once law becomes at-least-once,
-// at-most-k-times. Neither relaxation ever forgives lost work, unowed
-// deposits, wandering special markers, or a corrupted need_task FSM.
+// One relaxation composes with the catalogue: Laws.Truncated drops the
+// "at least once" floors — an aborted run may abandon pushed tasks, owed
+// deposits and suspended frames. It never forgives duplicated or unowed
+// work, wandering special markers, or a corrupted need_task FSM. Every
+// deque variant, the relaxed one included, is held to the same ceilings.
 package trace
 
 import (
@@ -213,26 +211,12 @@ func (r *Recorder) violationError(violations []error) error {
 	return fmt.Errorf("trace: %d invariant violation(s):\n%w", len(violations), errors.Join(violations...))
 }
 
-// Laws selects which form of the catalogue a run is held to. The zero
-// relaxations — K ≤ 1, Truncated false — are the strict laws of a run that
-// finished on a THE deque.
+// Laws selects which form of the catalogue a run is held to. Truncated
+// false is the strict form, for a run that finished.
 type Laws struct {
 	// Final is the run's reported result and Want the serial oracle's.
 	// Both are ignored when Truncated: an aborted run reports no value.
 	Final, Want int64
-	// K is the bounded-multiplicity allowance: every "exactly once" law
-	// relaxes to "at least once, at most K times", the shape a relaxed
-	// deque (Castañeda & Piña) is allowed to bend the protocol into.
-	// K < 1 means 1. What K relaxes: spawn-unique (a re-extracted frame
-	// re-runs its spawn), conservation (a push may be consumed up to K
-	// times), deposit-owed (each duplicated steal duplicates its credit's
-	// deposit), suspend-once, single-completion and the special-marker
-	// PopSpecial matching. What K does NOT relax: consumption without a
-	// push, payment without a debt, markers leaving through the steal or
-	// ordinary-pop path, the per-deque need_task FSM replay and
-	// steal-symmetry — losing work or corrupting the starvation signal is
-	// a violation at any multiplicity.
-	K int
 	// Truncated holds the trace of an aborted run — cancelled, timed out,
 	// failed, or a first-solution search whose losers were unwound — to
 	// the laws that survive truncation. An abort unwinds workers at
@@ -259,7 +243,6 @@ func (r *Recorder) Check(finalValue, wantValue int64) error {
 // CheckLaws replays the recorded run and returns an error describing every
 // violated invariant (capped), or nil if the run upheld all of l.
 func (r *Recorder) CheckLaws(l Laws) error {
-	k := max(l.K, 1)
 	var violations []error
 	addf := func(format string, args ...any) {
 		if len(violations) < maxViolations {
@@ -278,7 +261,7 @@ func (r *Recorder) CheckLaws(l Laws) error {
 			addf("single-completion: run value %d != serial value %d", l.Final, l.Want)
 		}
 		if rp.completions < 1 {
-			addf("single-completion: no root completion recorded, want 1..%d", k)
+			addf("single-completion: no root completion recorded")
 		}
 		for _, v := range rp.completed {
 			if v != l.Final {
@@ -286,32 +269,31 @@ func (r *Recorder) CheckLaws(l Laws) error {
 			}
 		}
 	}
-	if rp.completions > k {
-		addf("single-completion: %d root completions recorded, want at most %d", rp.completions, k)
+	if rp.completions > 1 {
+		addf("single-completion: %d root completions recorded, want at most 1", rp.completions)
 	}
-	if rp.rootDeposits > k {
-		addf("single-completion: %d deposits to the run root, want at most %d", rp.rootDeposits, k)
+	if rp.rootDeposits > 1 {
+		addf("single-completion: %d deposits to the run root, want at most 1", rp.rootDeposits)
 	}
 
-	r.checkTasks(rp, addf, k, l.Truncated)
+	r.checkTasks(rp, addf, l.Truncated)
 	r.checkDeques(rp, addf)
 	return r.violationError(violations)
 }
 
-// checkTasks replays the per-task laws. k is the multiplicity allowance;
-// truncated drops the "at least once" floors (an aborted run may abandon
+// checkTasks replays the per-task laws. truncated drops the "at least once" floors (an aborted run may abandon
 // work at any point).
-func (r *Recorder) checkTasks(rp *replay, addf func(string, ...any), k int, truncated bool) {
+func (r *Recorder) checkTasks(rp *replay, addf func(string, ...any), truncated bool) {
 	for w := range r.workers {
 		for i := rp.base[w]; i < rp.base[w+1]; i++ {
 			// A seq that was allocated but appears in no event breaks no law.
 			if t := &rp.tasks[i]; *t != (taskState{}) {
-				checkTask(packSeq(w, uint64(i-rp.base[w]+1)), t, addf, k, truncated)
+				checkTask(packSeq(w, uint64(i-rp.base[w]+1)), t, addf, truncated)
 			}
 		}
 	}
 	for seq, t := range rp.strays {
-		checkTask(seq, t, addf, k, truncated)
+		checkTask(seq, t, addf, truncated)
 	}
 }
 
@@ -321,10 +303,10 @@ type seqName uint64
 
 func (s seqName) String() string { return FormatSeq(uint64(s)) }
 
-func checkTask(seq uint64, t *taskState, addf func(string, ...any), k int, truncated bool) {
+func checkTask(seq uint64, t *taskState, addf func(string, ...any), truncated bool) {
 	name := seqName(seq)
-	if t.spawns < 1 || t.spawns > k {
-		addf("spawn-unique: task %s spawned %d times, want 1..%d", name, t.spawns, k)
+	if t.spawns != 1 {
+		addf("spawn-unique: task %s spawned %d times, want 1", name, t.spawns)
 		return // counts below are meaningless without a unique identity
 	}
 	if t.kind == KindSpecial {
@@ -334,9 +316,9 @@ func checkTask(seq uint64, t *taskState, addf func(string, ...any), k int, trunc
 		if t.pops != 0 {
 			addf("special-pinned: special marker %s left through the ordinary pop %d times", name, t.pops)
 		}
-		if t.popSpecials > k*t.pushes || (!truncated && t.popSpecials < t.pushes) {
-			addf("special-pinned: special marker %s pushed %d times but removed by PopSpecial %d times (multiplicity %d)",
-				name, t.pushes, t.popSpecials, k)
+		if t.popSpecials > t.pushes || (!truncated && t.popSpecials < t.pushes) {
+			addf("special-pinned: special marker %s pushed %d times but removed by PopSpecial %d times",
+				name, t.pushes, t.popSpecials)
 		}
 		if t.suspends != 0 || t.finalizes != 0 {
 			addf("suspend-once: special marker %s suspends=%d finalizes=%d, want 0/0", name, t.suspends, t.finalizes)
@@ -345,27 +327,22 @@ func checkTask(seq uint64, t *taskState, addf func(string, ...any), k int, trunc
 		if t.popSpecials != 0 {
 			addf("special-pinned: ordinary task %s removed via PopSpecial %d times", name, t.popSpecials)
 		}
-		// Consumption without a push is a hard violation at any k
-		// (k * 0 pushes is still 0); losing a push is only legal on a
-		// truncated run.
-		if consumed := t.pops + t.steals; consumed > k*t.pushes || (!truncated && consumed < t.pushes) {
-			addf("conservation: task %s pushed %d times, consumed %d times (%d pops + %d steals, multiplicity %d)",
-				name, t.pushes, consumed, t.pops, t.steals, k)
+		// Consuming more than was pushed is a violation on any run;
+		// losing a push is only legal on a truncated run.
+		if consumed := t.pops + t.steals; consumed > t.pushes || (!truncated && consumed < t.pushes) {
+			addf("conservation: task %s pushed %d times, consumed %d times (%d pops + %d steals)",
+				name, t.pushes, consumed, t.pops, t.steals)
 		}
-		if t.suspends > k {
-			addf("suspend-once: task %s suspended %d times, want at most %d", name, t.suspends, k)
+		if t.suspends > 1 {
+			addf("suspend-once: task %s suspended %d times, want at most 1", name, t.suspends)
 		}
 		if t.finalizes > t.suspends {
 			addf("suspend-once: task %s finalised %d times but suspended %d times", name, t.finalizes, t.suspends)
 		}
 	}
 	owed := t.credits + t.expects - t.cancels
-	hi := k * owed
-	if hi < owed {
-		hi = owed // owed < 0 is itself nonsense; let the bound report it
-	}
-	if t.deposits > hi || (!truncated && t.deposits < owed) {
-		addf("deposit-owed: task %s received %d deposits but was owed %d (%d steal credits + %d expects - %d cancels, multiplicity %d)",
-			name, t.deposits, owed, t.credits, t.expects, t.cancels, k)
+	if t.deposits > owed || (!truncated && t.deposits < owed) {
+		addf("deposit-owed: task %s received %d deposits but was owed %d (%d steal credits + %d expects - %d cancels)",
+			name, t.deposits, owed, t.credits, t.expects, t.cancels)
 	}
 }

@@ -91,7 +91,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "spawn-unique",
-			text:  "spawn-unique: task w0#1 spawned 2 times, want 1..1",
+			text:  "spawn-unique: task w0#1 spawned 2 times, want 1",
 		},
 		{
 			name: "push never consumed",
@@ -100,7 +100,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "conservation",
-			text:  "conservation: task w0#1 pushed 2 times, consumed 1 times (0 pops + 1 steals, multiplicity 1)",
+			text:  "conservation: task w0#1 pushed 2 times, consumed 1 times (0 pops + 1 steals)",
 		},
 		{
 			name: "special marker stolen",
@@ -127,7 +127,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "deposit-owed",
-			text:  "deposit-owed: task w0#1 received 2 deposits but was owed 1 (1 steal credits + 0 expects - 0 cancels, multiplicity 1)",
+			text:  "deposit-owed: task w0#1 received 2 deposits but was owed 1 (1 steal credits + 0 expects - 0 cancels)",
 		},
 		{
 			name: "finalize without suspend",
@@ -196,7 +196,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			final: 10,
 			want:  "special-pinned",
 			text: "special-pinned: special marker w0#2 left through the ordinary pop 1 times\n" +
-				"special-pinned: special marker w0#2 pushed 1 times but removed by PopSpecial 0 times (multiplicity 1)\n" +
+				"special-pinned: special marker w0#2 pushed 1 times but removed by PopSpecial 0 times\n" +
 				"suspend-once: special marker w0#2 suspends=1 finalizes=0, want 0/0",
 		},
 		{
@@ -219,7 +219,7 @@ func TestCheckCatchesViolations(t *testing.T) {
 			},
 			final: 10,
 			want:  "spawn-unique",
-			text:  "spawn-unique: task w5#9 spawned 0 times, want 1..1",
+			text:  "spawn-unique: task w5#9 spawned 0 times, want 1",
 		},
 	}
 	for _, c := range cases {
@@ -242,11 +242,11 @@ func TestCheckCatchesViolations(t *testing.T) {
 	}
 }
 
-// duplicateSteal seeds the bounded-multiplicity shape into the clean run:
-// t1's single push is stolen a second time (deque log and worker log agree,
-// so steal-symmetry and the FSM replay stay exact), and the duplicated
-// steal's credit is paid by a second deposit, with the second executor
-// suspending again before it.
+// duplicateSteal seeds a duplicated consumption into the clean run: t1's
+// single push is stolen a second time (deque log and worker log agree, so
+// steal-symmetry and the FSM replay stay exact), and the duplicated steal's
+// credit is paid by a second deposit, with the second executor suspending
+// again before it.
 func duplicateSteal(r *Recorder, t1 uint64) {
 	w1 := r.WorkerLog(1)
 	r.DequeHook(0)(deque.TraceStealOK, 0, false)
@@ -258,51 +258,30 @@ func duplicateSteal(r *Recorder, t1 uint64) {
 // TestCheckLaws runs one trace shape per row against a choice of Laws.
 // want names the law the verdict must cite; empty means the run passes.
 func TestCheckLaws(t *testing.T) {
-	times := func(n int) func(*Recorder, uint64) {
-		return func(r *Recorder, t1 uint64) {
-			for i := 0; i < n; i++ {
-				duplicateSteal(r, t1)
-			}
-		}
-	}
-	abandonedPush := func(r *Recorder, t1 uint64) {
-		duplicateSteal(r, t1)
-		r.WorkerLog(0).Add(80, OpPush, t1, 0, 0)
-	}
+	clean := func(*Recorder, uint64) {}
 	lostPush := func(r *Recorder, t1 uint64) {
 		r.WorkerLog(0).Add(80, OpPush, t1, 0, 0)
 	}
 	strict := Laws{Final: 10, Want: 10}
-	k := func(k int) Laws { return Laws{Final: 10, Want: 10, K: k} }
 	cases := []struct {
 		name string
 		seed func(*Recorder, uint64)
 		laws Laws
 		want string
 	}{
-		{"clean run, strict", times(0), strict, ""},
-		{"clean run, k=1 is strict", times(0), k(1), ""},
-		// The strict laws reject the duplicated consumption...
-		{"twice consumed, strict", times(1), strict, "conservation"},
-		// ...k = 2 absorbs it: consumed twice, suspended twice, deposited
-		// per credit, all within the multiplicity bound.
-		{"twice consumed, k=2", times(1), k(2), ""},
-		// k below 1 clamps to 1 instead of vacuously passing everything.
-		{"twice consumed, k=0 clamps to strict", times(1), k(0), "conservation"},
-		{"thrice consumed, k=2", times(2), k(2), "conservation"},
-		{"thrice consumed, k=3", times(2), k(3), ""},
-		// Truncation keeps the duplication ceiling...
-		{"twice consumed, truncated strict", times(1), Laws{Truncated: true}, "conservation"},
-		{"twice consumed, truncated k=2", times(1), Laws{Truncated: true, K: 2}, ""},
-		// ...and drops the floors even under multiplicity: an abandoned
-		// push (never consumed) plus the duplication is fine at k=2. The
-		// same push is lost work for a run that claims to have finished.
-		{"abandoned push, truncated k=2", abandonedPush, Laws{Truncated: true, K: 2}, ""},
+		{"clean run, strict", clean, strict, ""},
+		// An entry handed out twice breaks conservation on every run,
+		// whichever deque variant produced it...
+		{"twice consumed, strict", duplicateSteal, strict, "conservation"},
+		// ...truncated runs included: truncation drops floors, not ceilings.
+		{"twice consumed, truncated strict", duplicateSteal, Laws{Truncated: true}, "conservation"},
+		// An abandoned push is fine for an aborted run and lost work for a
+		// run that claims to have finished.
 		{"abandoned push, truncated strict", lostPush, Laws{Truncated: true}, ""},
 		{"abandoned push, finished", lostPush, strict, "conservation"},
 		// A truncated run reports no value: Final and Want are not compared.
-		{"truncated ignores the value", times(0), Laws{Final: 1, Want: 2, Truncated: true}, ""},
-		{"finished compares the value", times(0), Laws{Final: 10, Want: 11}, "single-completion"},
+		{"truncated ignores the value", clean, Laws{Final: 1, Want: 2, Truncated: true}, ""},
+		{"finished compares the value", clean, Laws{Final: 10, Want: 11}, "single-completion"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -322,10 +301,11 @@ func TestCheckLaws(t *testing.T) {
 	}
 }
 
-// TestCheckLawsHardLaws pins what no k may forgive: consumption without a
-// push, deposits nobody owed, and a worker/deque steal count mismatch.
+// TestCheckLawsHardLaws pins what truncation never forgives: consumption
+// without a push, deposits nobody owed, and a worker/deque steal count
+// mismatch.
 func TestCheckLawsHardLaws(t *testing.T) {
-	k4 := Laws{Final: 10, Want: 10, K: 4}
+	truncated := Laws{Truncated: true}
 	t.Run("steal without push", func(t *testing.T) {
 		r, _ := cleanRun(2)
 		defer r.Release()
@@ -335,14 +315,14 @@ func TestCheckLawsHardLaws(t *testing.T) {
 		r.DequeHook(0)(deque.TraceStealOK, 0, false)
 		w1.Add(61, OpSteal, s, 0, int64(s))
 		w1.Add(62, OpDeposit, s, 0, 0) // balance the credit: only conservation trips
-		err := r.CheckLaws(k4)
+		err := r.CheckLaws(truncated)
 		if err == nil || !strings.Contains(err.Error(), "conservation") {
-			t.Fatalf("k=4 forgave consumption without a push: %v", err)
+			t.Fatalf("truncation forgave consumption without a push: %v", err)
 		}
 	})
 	t.Run("deposit nobody owed", func(t *testing.T) {
-		// k scales a debt, never invents one: a task with zero credits and
-		// zero expects (owed = 0) may receive no deposit at any k.
+		// A task with zero credits and zero expects (owed = 0) may
+		// receive no deposit, even on an aborted run.
 		r, _ := cleanRun(2)
 		defer r.Release()
 		w0 := r.WorkerLog(0)
@@ -351,18 +331,18 @@ func TestCheckLawsHardLaws(t *testing.T) {
 		w0.Add(61, OpPush, s, 0, 0)
 		w0.Add(62, OpPop, s, 0, 0)
 		r.WorkerLog(1).Add(63, OpDeposit, s, 4, 0)
-		err := r.CheckLaws(k4)
+		err := r.CheckLaws(truncated)
 		if err == nil || !strings.Contains(err.Error(), "deposit-owed") {
-			t.Fatalf("k=4 forgave an unowed deposit: %v", err)
+			t.Fatalf("truncation forgave an unowed deposit: %v", err)
 		}
 	})
 	t.Run("steal-symmetry", func(t *testing.T) {
 		r, _ := cleanRun(2)
 		defer r.Release()
 		r.WorkerLog(1).Add(60, OpStealFail, 0, 0, 0)
-		err := r.CheckLaws(k4)
+		err := r.CheckLaws(truncated)
 		if err == nil || !strings.Contains(err.Error(), "steal-symmetry") {
-			t.Fatalf("k=4 forgave a steal-symmetry break: %v", err)
+			t.Fatalf("truncation forgave a steal-symmetry break: %v", err)
 		}
 	})
 }

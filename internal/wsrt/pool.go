@@ -68,6 +68,17 @@ var (
 	ErrPoolClosed = errors.New("wsrt: pool closed")
 )
 
+// KnownAbort reports whether err is a way a job may fail without a bug: a
+// deque overflow, a panic quarantined as sched.ErrJobPanicked, a deadline
+// or cancellation, or pool shutdown.
+func KnownAbort(err error) bool {
+	return errors.Is(err, sched.ErrDequeOverflow) ||
+		errors.Is(err, sched.ErrJobPanicked) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, ErrPoolClosed)
+}
+
 // PoolConfig configures NewPool.
 type PoolConfig struct {
 	// Workers is the worker count; zero means 1.
