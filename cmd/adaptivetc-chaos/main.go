@@ -32,7 +32,8 @@
 // ErrQueueFull. A registry first-* family runs first-solution-wins, as
 // serve runs it, so its completed runs need a verified witness instead
 // (truncation laws). Engines that record no trace (Tascell) are held to
-// the value half. Anything else (wrong value, invariant violation,
+// the value half, and run no first-* family on Sim: they cannot stop at
+// the first solution. Anything else (wrong value, invariant violation,
 // unexpected panic class, leaked goroutines) fails the process with exit
 // status 1. The package tests are rows of this same runner.
 package main
@@ -73,6 +74,19 @@ func engineByName(name, mode string) (sched.Engine, error) {
 		return nil, fmt.Errorf("engine %q is not pool-capable (have %v)", name, adaptivetc.PoolEngineNames())
 	}
 	return e, nil
+}
+
+// pairable is engineByName plus one refusal: a registry first-* family on
+// a Sim engine that cannot stop at the first solution (Tascell ignores
+// Options.FirstSolution, and the sum of every witness is no witness).
+// Cluster cases run every program to completion, so any engine serves.
+func pairable(engine, mode string, p progSpec) error {
+	e, err := engineByName(engine, mode)
+	if _, ok := e.(wsrt.PoolEngine); err == nil && !ok && mode == "sim" && registry.FirstSolution(p.name) {
+		err = fmt.Errorf("engine %q cannot run first-solution program %s (have %v)",
+			engine, p, adaptivetc.PoolEngineNames())
+	}
+	return err
 }
 
 // progSpec is one "name=N" program instance.
@@ -159,14 +173,14 @@ func parseTuple(s string) (caseSpec, error) {
 	}
 	c.workers = w
 	c.engine = parts[2]
-	if _, err := engineByName(c.engine, c.mode); err != nil {
-		return c, err
-	}
 	progs, err := parsePrograms(parts[3])
 	if err != nil {
 		return c, err
 	}
 	c.prog = progs[0]
+	if err := pairable(c.engine, c.mode, c.prog); err != nil {
+		return c, err
+	}
 	c.scenario = parts[4]
 	if _, err := faults.Scenario(c.scenario, 1); err != nil {
 		return c, err
@@ -612,13 +626,7 @@ func benchCluster(seed int64, orc *oracles, costs *clusterCosts) int {
 		}
 		sort.Slice(soj, func(i, j int) bool { return soj[i] < soj[j] })
 		pct := func(q float64) float64 {
-			idx := int(q*float64(len(soj))+0.5) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(soj) {
-				idx = len(soj) - 1
-			}
+			idx := min(max(int(q*float64(len(soj))+0.5)-1, 0), len(soj)-1)
 			return float64(soj[idx]) / 1e6
 		}
 		side := &benchSide{
@@ -691,28 +699,22 @@ func replay(c caseSpec, orc *oracles) int {
 	if c.mode == "cluster" {
 		v, rep := runCluster(c, orc, &clusterCosts{})
 		fmt.Printf("%s: %s\n", c.tuple(), verdictString(v))
-		if rep != nil && v.err == nil {
-			fmt.Printf("replayed byte-identically: %d jobs completed, %d duplicates, %d events, makespan %.2fms virtual\n",
-				rep.Completed, rep.Duplicates, len(rep.Events), float64(rep.MakespanNS)/1e6)
-		}
 		if v.err != nil {
 			return 1
 		}
+		fmt.Printf("replayed byte-identically: %d jobs completed, %d duplicates, %d events, makespan %.2fms virtual\n",
+			rep.Completed, rep.Duplicates, len(rep.Events), float64(rep.MakespanNS)/1e6)
 		return 0
 	}
 	if c.mode == "pool" {
-		vs := runPoolCampaign(c.scenario, c.seed, []string{c.engine}, []progSpec{c.prog}, c.workers, 1, orc)
-		bad := 0
-		for _, v := range vs {
+		code := 0
+		for _, v := range runPoolCampaign(c.scenario, c.seed, []string{c.engine}, []progSpec{c.prog}, c.workers, 1, orc) {
 			fmt.Printf("%s: %s\n", v.c.tuple(), verdictString(v))
 			if v.err != nil {
-				bad++
+				code = 1
 			}
 		}
-		if bad > 0 {
-			return 1
-		}
-		return 0
+		return code
 	}
 	v, o, same := replaySim(c, orc)
 	fmt.Printf("%s: %s\n", c.tuple(), verdictString(v))
@@ -796,9 +798,11 @@ func main() {
 		if e == "" {
 			continue
 		}
-		if _, err := engineByName(e, *mode); err != nil {
-			fmt.Fprintf(os.Stderr, "adaptivetc-chaos: %v\n", err)
-			os.Exit(2)
+		for _, p := range programs {
+			if err := pairable(e, *mode, p); err != nil {
+				fmt.Fprintf(os.Stderr, "adaptivetc-chaos: %v\n", err)
+				os.Exit(2)
+			}
 		}
 		engines = append(engines, e)
 	}

@@ -168,16 +168,19 @@ func TestChaosTascell(t *testing.T) {
 
 // replays runs tuple twice, as -replay does: the two runs must be
 // byte-identical (value, error text, per-worker events, deque FSM
-// transitions) and end as class.
-func replays(t *testing.T, tuple, class string) {
+// transitions) and end as class, with an error text containing wantErr.
+func replays(t *testing.T, tuple, class, wantErr string) {
 	t.Helper()
 	c, err := parseTuple(tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, o, same := replaySim(c, &oracles{})
-	if v.err != nil || v.class != class {
-		t.Fatalf("%s: %s (%v), want %s; re-pin the seed", tuple, v.class, v.err, class)
+	if v.err != nil {
+		t.Fatalf("%s: %v", tuple, v.err)
+	}
+	if v.class != class || !strings.Contains(o.Err, wantErr) {
+		t.Fatalf("%s: %s with %q, want %s with %q; re-pin the seed", tuple, v.class, o.Err, class, wantErr)
 	}
 	if !same {
 		t.Fatalf("%s: replay diverged (%d worker streams, err %q)", tuple, len(o.Workers), o.Err)
@@ -188,13 +191,13 @@ func replays(t *testing.T, tuple, class string) {
 // the SYNCHED engine (per-node workspace clones, the cross-job panic
 // surface) aborted mid-run by an injected worker panic.
 func TestChaosSeedReplay(t *testing.T) {
-	replays(t, "sim/w4/cilk-synched/nqueens-array=6/panic/7", "aborted")
+	replays(t, "sim/w4/cilk-synched/nqueens-array=6/panic/7", "aborted", sched.ErrJobPanicked.Error())
 }
 
 // TestChaosSeedReplayCompleted is the complementary pin: a steal-burst
 // case that completes despite forced steal failures.
 func TestChaosSeedReplayCompleted(t *testing.T) {
-	replays(t, "sim/w4/adaptivetc/nqueens-array=6/steal-burst/7", "completed")
+	replays(t, "sim/w4/adaptivetc/nqueens-array=6/steal-burst/7", "completed", "")
 }
 
 // TestChaosPoolCrossJobPanic is the cross-job regression the fault plane
@@ -430,8 +433,9 @@ func TestDifferentialCluster(t *testing.T) {
 
 // TestReplay builds the command and replays tuples: a Sim tuple runs twice
 // and must come back byte-identical with exit status 0 and the verdict the
-// chaos tests pin, and a malformed tuple, or a pool tuple whose engine
-// cannot run resident jobs, is refused with exit status 2 and a message
+// chaos tests pin, and a malformed tuple, a pool tuple whose engine cannot
+// run resident jobs, or a first-solution program on an engine that cannot
+// stop at the first solution is refused with exit status 2 and a message
 // saying why.
 func TestReplay(t *testing.T) {
 	if testing.Short() {
@@ -447,9 +451,10 @@ func TestReplay(t *testing.T) {
 		want  string // must appear on stdout or stderr
 	}{
 		{"sim/w4/adaptivetc/nqueens-array=6/steal-burst/7", 0, "replayed byte-identically"},
-		{"sim/w4/cilk-synched/nqueens-array=6/panic/7", 0, "panic/7: aborted"},
-		{"sim/w4/tascell/nqueens-array=6/panic/11", 0, "panic/11: aborted"},
+		{"sim/w4/cilk-synched/nqueens-array=6/panic/7", 0, `err="sched: job panicked: faults: injected panic`},
+		{"sim/w4/tascell/nqueens-array=6/panic/11", 0, `err="sched: job panicked: faults: injected panic`},
 		{"pool/w4/tascell/nqueens-array=6/panic/11", 2, `engine "tascell" is not pool-capable`},
+		{"sim/w4/tascell/first-sat=12/steal-burst/20100424", 2, `engine "tascell" cannot run first-solution program first-sat=12`},
 		{"sim/w4/adaptivetc/nqueens-array=6/7", 2, "replay tuple needs 6 '/'-separated fields"},
 		{"sim/w4/adaptivetc/nqueens-array=6/earthquake/7", 2, `unknown scenario "earthquake"`},
 	} {
