@@ -3,23 +3,16 @@ package main
 import (
 	"errors"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestBadFlagsExit2 builds the command and runs it with each flag value the
+// TestBadFlagsExit2 runs the command with each flag value the
 // start-up checks must refuse: exit status 2 and a message naming what would
 // have been accepted, before anything listens or opens a store. The
 // -shard-policy flag is gone: shards are a fixed partition.
 func TestBadFlagsExit2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the command")
-	}
-	bin := filepath.Join(t.TempDir(), "adaptivetc-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := binary(t, "adaptivetc-serve")
 	for _, tc := range []struct {
 		args []string
 		want string // must appear on stderr

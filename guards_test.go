@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -312,6 +313,29 @@ func TestGuards(t *testing.T) {
 				}
 				return false
 			})
+		}
+	})
+
+	t.Run("ci_starts_no_background_process_and_needs_no_curl_or_python3", func(t *testing.T) {
+		// The shipped binaries are driven by cmd/adaptivetc-serve/e2e_test.go,
+		// which tier-1 runs and which reaps every process it starts; a shell
+		// step that starts a server is a second harness tier-1 never runs.
+		blob, err := os.ReadFile(".github/workflows/ci.yml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tool := regexp.MustCompile(`\b(curl|python3?)\b`)
+		background := regexp.MustCompile(`(^|[^&<>|])&([^&>]|$)`) // not &&, 2>&1, &> or |&
+		for i, line := range strings.Split(string(blob), "\n") {
+			if c := strings.Index(line, "#"); c == 0 || c > 0 && line[c-1] == ' ' {
+				line = line[:c]
+			}
+			if m := tool.FindString(line); m != "" {
+				t.Errorf("ci.yml:%d: runs %s", i+1, m)
+			}
+			if background.MatchString(line) {
+				t.Errorf("ci.yml:%d: starts a background process: %s", i+1, strings.TrimSpace(line))
+			}
 		}
 	})
 }

@@ -17,29 +17,41 @@ const nqueens8Solutions = 92
 // run (`go test -race -run TestEngineRace`) pinpoints the faulty engine by
 // name. Each subtest solves 8-queens with 4 workers and checks the known
 // count, exercising the THE-protocol deque, the frame deposit path and the
-// frame/box free-lists under genuine parallelism.
+// frame/box free-lists under genuine parallelism. AdaptiveTC runs again
+// under the batch and the victim-choosing steal policies, on the THE and on
+// the relaxed deque.
 func TestEngineRace(t *testing.T) {
-	engines := []adaptivetc.Engine{
+	type row struct {
+		name string
+		e    adaptivetc.Engine
+		opt  adaptivetc.Options
+	}
+	var rows []row
+	for _, e := range []adaptivetc.Engine{
 		adaptivetc.NewCilk(),
 		adaptivetc.NewCutoffProgrammer(),
 		adaptivetc.NewAdaptiveTC(),
 		adaptivetc.NewSLAW(),
 		adaptivetc.NewTascell(),
+	} {
+		rows = append(rows, row{e.Name(), e, adaptivetc.Options{}})
 	}
-	for _, e := range engines {
-		e := e
-		t.Run(e.Name(), func(t *testing.T) {
+	for _, policy := range []string{"steal-half", "richest-first"} {
+		for deque, relaxed := range map[string]bool{"THE": false, "relaxed": true} {
+			rows = append(rows, row{"adaptivetc/" + policy + "/" + deque, adaptivetc.NewAdaptiveTC(),
+				adaptivetc.Options{StealPolicy: policy, RelaxedDeque: relaxed}})
+		}
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			p := nqueens.NewArray(8)
-			res, err := e.Run(p, adaptivetc.Options{
-				Workers:  4,
-				Platform: adaptivetc.NewRealPlatform(7),
-			})
+			r.opt.Workers, r.opt.Platform = 4, adaptivetc.NewRealPlatform(7)
+			res, err := r.e.Run(nqueens.NewArray(8), r.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Value != nqueens8Solutions {
-				t.Errorf("%s found %d solutions for 8-queens, want %d", e.Name(), res.Value, nqueens8Solutions)
+				t.Errorf("%s found %d solutions for 8-queens, want %d", r.name, res.Value, nqueens8Solutions)
 			}
 		})
 	}
