@@ -45,8 +45,7 @@ func TestRunCommand(t *testing.T) {
 		code int
 		want string // must appear on stderr
 	}{
-		// The registry's error names the program only; -list has the rest.
-		{[]string{"-prog", "nqueens-arrray"}, 2, `adaptivetc-run: unknown program "nqueens-arrray"`},
+		{[]string{"-prog", "nqueens-arrray"}, 2, fmt.Sprintf(`adaptivetc-run: unknown program "nqueens-arrray" (have %v)`, registry.Names())},
 		{[]string{"-engine", "cilk2"}, 2, fmt.Sprintf(`unknown engine "cilk2" (have %v)`, adaptivetc.EngineNames())},
 		{[]string{"-steal-policy", "round-robin"}, 2, fmt.Sprintf(`unknown -steal-policy "round-robin" (have %v)`, wsrt.StealPolicyNames())},
 		{[]string{"-prog", "nqueens-array", "-n", "16", "-timeout", "1ms"}, 1, "adaptivetc-run: run aborted: exceeded -timeout 1ms"},

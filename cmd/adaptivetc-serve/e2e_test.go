@@ -199,6 +199,9 @@ func TestE2ELoad(t *testing.T) {
 					slices.Max(m.LatencyHistogram.Counts) > 0
 			}},
 		// -retain-jobs 1 evicts terminal records at once; 150/s × 1 s = 30/s × 5 s.
+		// Every submit long-polls (?wait=), so no poll meets an evicted
+		// record: loadgen's 404 rule is TestRunOnePollTerminalStatuses'
+		// (cmd/adaptivetc-loadgen), not this row's.
 		{"open_loop_evicting", "-workers 4 -queue 64 -retain-jobs 1",
 			"-mode open -arrival poisson -rate 150 -duration 1s -programs fib -n 20 -engines adaptivetc -seed 3",
 			func(_ serve.Metrics, r loadReport) bool {

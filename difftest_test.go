@@ -1,7 +1,7 @@
 package adaptivetc_test
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"adaptivetc"
@@ -9,29 +9,30 @@ import (
 	"adaptivetc/internal/progstore"
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/wsrt"
+	"adaptivetc/problems/knight"
 	"adaptivetc/problems/registry"
 )
 
-// diffSizes fixes one small instance per registry family — every name in
-// problems/registry must appear here, so adding a benchmark without wiring
-// it into the differential harness is a test failure, not a silent gap.
+// diffSizes fixes one instance per registry family — every name in
+// problems/registry must appear here or in diffBuilds, so adding a benchmark
+// without wiring it into the differential harness is a test failure, not a
+// silent gap. Each instance is sized into the node band (diffMinNodes).
 var diffSizes = map[string]registry.Params{
-	"nqueens-array":   {N: 6},
-	"nqueens-compute": {N: 6},
-	"sudoku-balanced": {N: 12},
-	"sudoku-input1":   {N: 12},
-	"sudoku-input2":   {N: 12},
+	"nqueens-array":   {N: 8},
+	"nqueens-compute": {N: 8},
+	"sudoku-balanced": {N: 40},
+	"sudoku-input1":   {N: 46},
+	"sudoku-input2":   {N: 40},
 	"sudoku-empty4":   {},
-	"strimko":         {N: 5},
-	"knight":          {N: 5},
-	"pentomino":       {N: 4},
+	"strimko":         {N: 12},
+	"pentomino":       {N: 6},
 	"fib":             {N: 14},
-	"comp":            {N: 64},
+	"comp":            {N: 4000},
 	"tree1":           {Size: 2048},
 	"tree2":           {Size: 2048},
 	"tree3":           {Size: 2048},
-	"atc-nqueens":     {N: 6},
-	"atc-fib":         {N: 12},
+	"atc-nqueens":     {N: 8},
+	"atc-fib":         {N: 14},
 	"atc-latin":       {N: 4},
 	"atc-knight":      {N: 4},
 	// Dataflow DAGs and branch-and-bound communicate through shared per-run
@@ -41,13 +42,47 @@ var diffSizes = map[string]registry.Params{
 	// families run here in normal mode, where Value is the order-independent
 	// sum of all solution witnesses; their first-solution semantics get
 	// dedicated rows in TestDifferentialFirstSolution.
-	"dag-layered":   {N: 4, M: 3},
-	"dag-stencil":   {N: 4, M: 5},
+	"dag-layered":   {N: 16, M: 32},
+	"dag-stencil":   {N: 16, M: 16},
 	"bnb-knapsack":  {N: 12},
-	"bnb-tsp":       {N: 6},
-	"first-nqueens": {N: 6},
-	"first-sat":     {N: 10},
+	"bnb-tsp":       {N: 7},
+	"first-nqueens": {N: 8},
+	"first-sat":     {N: 12},
 }
+
+// diffBuilds builds the registry families that no registry size puts in the
+// band: the registry's knight boards are square, and 4×4 has no tour while
+// 5×5 is 1.7 M nodes, so the row is a 5×4 board (35 661 nodes, 32 tours).
+var diffBuilds = map[string]func() sched.Program{
+	"knight": func() sched.Program { return knight.NewRect(5, 4, 0, 0) },
+}
+
+// dslDiffSizes sizes the shipped DSL examples, matching the atc-* rows in
+// diffSizes so the cached-program path is checked at the same sizes the
+// registry mirrors are.
+var dslDiffSizes = map[string]map[string]int64{
+	"nqueens": {"n": 8},
+	"fib":     {"n": 14},
+	"latin":   {"n": 4},
+	"knight":  {"n": 4},
+}
+
+// diffMinNodes and diffMaxNodes bound every row's tree, by sched.Analyze. A
+// smaller tree gives thieves nothing to steal (comp 64 was one node, and no
+// engine stole on it); a larger one costs more than the rest of the matrix
+// (strimko with 5 givens, 4.1 M nodes, took 15 of its 22 s, and the matrix
+// took 458 s under -race).
+const diffMinNodes, diffMaxNodes = 500, 40_000
+
+// diffZero names the rows whose serial oracle is 0, each with the reason no
+// instance in the band has a nonzero one. Any other row needs a nonzero
+// oracle: at 0, an engine that loses a subtree still matches.
+var diffZero = map[string]string{
+	"atc-knight": squareKnight,
+	"dsl:knight": squareKnight,
+}
+
+const squareKnight = "the DSL board is square: 4×4 has no tour and 5×5 is 1.7 M nodes; TestATCMatchesNativePrograms checks 5×5"
 
 // diffEngines are the seven pool-capable schedulers: every engine the
 // serving path can host, each built fresh per use (Tascell and Serial are
@@ -64,57 +99,147 @@ func diffEngines() []func() adaptivetc.Engine {
 	}
 }
 
-// diffCorpus builds the instance of every registered family, failing if
-// the registry and diffSizes ever drift apart.
-func diffCorpus(t *testing.T) map[string]sched.Program {
+// diffRow is one instance of the differential matrix and its serial answer.
+type diffRow struct {
+	name   string // the registry name, or "dsl:" and the example's name
+	prog   sched.Program
+	oracle int64
+}
+
+// newDiffRow runs the serial oracle on p. It fails unless p's tree is in the
+// node band and the oracle is nonzero, or diffZero says why it cannot be.
+func newDiffRow(t *testing.T, name string, p sched.Program) diffRow {
 	t.Helper()
-	progs := make(map[string]sched.Program)
+	if st := sched.Analyze(p, diffMaxNodes); st.Truncated || st.Nodes < diffMinNodes {
+		t.Fatalf("%s: %d nodes (truncated %v), want %d to %d — resize the row", name, st.Nodes, st.Truncated, diffMinNodes, diffMaxNodes)
+	}
+	res, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
+	if err != nil {
+		t.Fatalf("serial/%s: %v", name, err)
+	}
+	switch reason := diffZero[name]; {
+	case res.Value == 0 && reason == "":
+		t.Fatalf("%s: serial value 0, so a lost subtree cannot show — resize the row or give the reason in diffZero", name)
+	case res.Value != 0 && reason != "":
+		t.Fatalf("%s: serial value %d, yet diffZero says %q — drop the entry", name, res.Value, reason)
+	}
+	return diffRow{name: name, prog: p, oracle: res.Value}
+}
+
+// diffCorpus builds the row of every registered family, sorted by name,
+// failing if the registry and diffSizes / diffBuilds ever drift apart.
+func diffCorpus(t *testing.T) []diffRow {
+	t.Helper()
+	var rows []diffRow
 	for _, name := range registry.Names() {
-		params, ok := diffSizes[name]
-		if !ok {
+		var p sched.Program
+		if build, ok := diffBuilds[name]; ok {
+			p = build()
+		} else if params, ok := diffSizes[name]; ok {
+			var err error
+			if p, err = registry.Build(name, params); err != nil {
+				t.Fatalf("build %s: %v", name, err)
+			}
+		} else {
 			t.Fatalf("registry program %q has no differential-test size — add it to diffSizes", name)
 		}
-		p, err := registry.Build(name, params)
+		rows = append(rows, newDiffRow(t, name, p))
+	}
+	if n := len(diffSizes) + len(diffBuilds); n != len(rows) {
+		t.Fatalf("diffSizes and diffBuilds have %d entries but the registry has %d — remove the stale names", n, len(rows))
+	}
+	return rows
+}
+
+// checkSim runs r on all seven pool engines on the Sim under opt, twice
+// each: every value must match the serial oracle, and each engine's two
+// identically-seeded runs must report identical makespans.
+func checkSim(t *testing.T, r diffRow, opt adaptivetc.Options) {
+	t.Helper()
+	for _, mk := range diffEngines() {
+		eng := mk()
+		a, err := eng.Run(r.prog, opt)
 		if err != nil {
-			t.Fatalf("build %s: %v", name, err)
+			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		progs[name] = p
+		if a.Value != r.oracle {
+			t.Errorf("%s: value %d, serial says %d", eng.Name(), a.Value, r.oracle)
+		}
+		b, err := mk().Run(r.prog, opt)
+		if err != nil {
+			t.Fatalf("%s rerun: %v", eng.Name(), err)
+		}
+		if a.Makespan != b.Makespan {
+			t.Errorf("%s: identically-seeded Sim makespans differ: %d vs %d", eng.Name(), a.Makespan, b.Makespan)
+		}
 	}
-	if len(diffSizes) != len(progs) {
-		t.Fatalf("diffSizes has %d entries but the registry has %d — remove the stale names", len(diffSizes), len(progs))
+}
+
+// checkPools pushes every row through all seven pool engines on resident
+// pools over four workers — the serving path — and checks every value
+// against the serial oracle. Rows alternate between a one-slot pool, where
+// every job gets all four workers, and a two-slot pool, where two jobs run
+// side by side on the fixed shards [0 1] and [2 3]; up to two jobs are in
+// flight at a time.
+func checkPools(t *testing.T, rows []diffRow) {
+	t.Helper()
+	var pools []*wsrt.Pool
+	for _, slots := range []int{1, 2} {
+		p := wsrt.NewPool(wsrt.PoolConfig{
+			Workers: 4, MaxConcurrentJobs: slots,
+			QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
+		})
+		t.Cleanup(p.Close)
+		pools = append(pools, p)
 	}
-	return progs
+	type pending struct {
+		row    diffRow
+		engine string
+		width  int
+		h      *wsrt.JobHandle
+	}
+	var window []pending
+	drain := func(keep int) {
+		for len(window) > keep {
+			job := window[0]
+			window = window[1:]
+			res, err := job.h.Result()
+			if err != nil {
+				t.Fatalf("pool %s/%s: %v", job.engine, job.row.name, err)
+			}
+			if res.Value != job.row.oracle {
+				t.Errorf("pool %s/%s: value %d, serial says %d", job.engine, job.row.name, res.Value, job.row.oracle)
+			}
+			if len(res.Shard) != job.width {
+				t.Errorf("pool %s/%s: ran on shard %v, want width %d", job.engine, job.row.name, res.Shard, job.width)
+			}
+		}
+	}
+	for i, r := range rows {
+		pool := pools[i%len(pools)]
+		for _, mk := range diffEngines() {
+			eng := mk()
+			pe, ok := eng.(wsrt.PoolEngine)
+			if !ok {
+				t.Fatalf("%s does not implement wsrt.PoolEngine", eng.Name())
+			}
+			h, err := pool.Submit(wsrt.JobSpec{Prog: r.prog, Engine: pe})
+			if err != nil {
+				t.Fatalf("submit %s/%s: %v", eng.Name(), r.name, err)
+			}
+			width := pool.Workers() / pool.MaxConcurrentJobs()
+			window = append(window, pending{row: r, engine: eng.Name(), width: width, h: h})
+			drain(2) // leave the in-flight jobs cooking, reap the rest
+		}
+	}
+	drain(0)
 }
 
 // TestDifferentialBatch runs every registry program through all seven
-// pool-capable engines on the deterministic simulator: values must match
-// the serial oracle, and each engine's two identically-seeded runs must
-// report identical makespans.
+// pool-capable engines on the deterministic simulator (checkSim).
 func TestDifferentialBatch(t *testing.T) {
-	for name, p := range diffCorpus(t) {
-		oracle, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
-		if err != nil {
-			t.Fatalf("serial/%s: %v", name, err)
-		}
-		for _, mk := range diffEngines() {
-			eng := mk()
-			opt := adaptivetc.Options{Workers: 3, Seed: 7}
-			a, err := eng.Run(p, opt)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", eng.Name(), name, err)
-			}
-			if a.Value != oracle.Value {
-				t.Errorf("%s/%s: value %d, serial says %d", eng.Name(), name, a.Value, oracle.Value)
-			}
-			b, err := mk().Run(p, opt)
-			if err != nil {
-				t.Fatalf("%s/%s rerun: %v", eng.Name(), name, err)
-			}
-			if a.Makespan != b.Makespan {
-				t.Errorf("%s/%s: identically-seeded Sim makespans differ: %d vs %d",
-					eng.Name(), name, a.Makespan, b.Makespan)
-			}
-		}
+	for _, r := range diffCorpus(t) {
+		t.Run(r.name, func(t *testing.T) { checkSim(t, r, adaptivetc.Options{Workers: 3, Seed: 7}) })
 	}
 }
 
@@ -125,155 +250,38 @@ func TestDifferentialBatch(t *testing.T) {
 // victim sequence is part of the schedule, so nondeterminism here means a
 // thief PRNG leaked shared state.
 func TestDifferentialStealPolicies(t *testing.T) {
-	progs := diffCorpus(t)
 	slice := []string{"fib", "nqueens-array", "sudoku-input1", "tree3"}
-	for _, name := range slice {
-		p, ok := progs[name]
-		if !ok {
-			t.Fatalf("program %q missing from the corpus", name)
+	for _, r := range diffCorpus(t) {
+		if !slices.Contains(slice, r.name) {
+			continue
 		}
-		oracle, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
-		if err != nil {
-			t.Fatalf("serial/%s: %v", name, err)
-		}
-		for _, relaxed := range []bool{false, true} {
+		for deque, relaxed := range map[string]bool{"THE": false, "relaxed": true} {
 			for _, policy := range wsrt.StealPolicyNames() {
-				for _, mk := range diffEngines() {
-					eng := mk()
-					opt := adaptivetc.Options{
-						Workers: 3, Seed: 7,
-						StealPolicy:  policy,
-						RelaxedDeque: relaxed,
-					}
-					a, err := eng.Run(p, opt)
-					if err != nil {
-						t.Fatalf("%s/%s policy=%s relaxed=%v: %v", eng.Name(), name, policy, relaxed, err)
-					}
-					if a.Value != oracle.Value {
-						t.Errorf("%s/%s policy=%s relaxed=%v: value %d, serial says %d",
-							eng.Name(), name, policy, relaxed, a.Value, oracle.Value)
-					}
-					b, err := mk().Run(p, opt)
-					if err != nil {
-						t.Fatalf("%s/%s policy=%s relaxed=%v rerun: %v", eng.Name(), name, policy, relaxed, err)
-					}
-					if a.Makespan != b.Makespan {
-						t.Errorf("%s/%s policy=%s relaxed=%v: identically-seeded Sim makespans differ: %d vs %d",
-							eng.Name(), name, policy, relaxed, a.Makespan, b.Makespan)
-					}
-				}
+				t.Run(r.name+"/"+policy+"/"+deque, func(t *testing.T) {
+					checkSim(t, r, adaptivetc.Options{Workers: 3, Seed: 7, StealPolicy: policy, RelaxedDeque: relaxed})
+				})
 			}
 		}
 	}
 }
 
-// diffPools returns the two shapes a serving pool takes over four workers:
-// one slot, where every job gets all four, and two, where two jobs run side
-// by side on the fixed shards [0 1] and [2 3].
-func diffPools(t *testing.T) []*wsrt.Pool {
-	var pools []*wsrt.Pool
-	for _, slots := range []int{1, 2} {
-		p := wsrt.NewPool(wsrt.PoolConfig{
-			Workers: 4, MaxConcurrentJobs: slots,
-			QueueCapacity: 16, Options: sched.Options{GrowableDeque: true},
-		})
-		t.Cleanup(p.Close)
-		pools = append(pools, p)
-	}
-	return pools
-}
-
-// TestDifferentialShardedPool pushes the same program×engine matrix
-// through resident pools — the serving path, with up to two jobs in flight,
-// on the whole pool or on disjoint shards (diffPools; programs alternate
-// between the two) — and checks every value against the serial oracle.
+// TestDifferentialShardedPool pushes every registry program through the
+// resident pools (checkPools).
 func TestDifferentialShardedPool(t *testing.T) {
-	progs := diffCorpus(t)
-	oracles := make(map[string]int64, len(progs))
-	names := make([]string, 0, len(progs))
-	for name, p := range progs {
-		res, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
-		if err != nil {
-			t.Fatalf("serial/%s: %v", name, err)
-		}
-		oracles[name] = res.Value
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	pools := diffPools(t)
-
-	type pending struct {
-		name, engine string
-		width        int
-		h            *wsrt.JobHandle
-	}
-	var window []pending
-	drain := func(all bool) {
-		keep := 0
-		if !all {
-			keep = 2 // leave the in-flight jobs cooking, reap the rest
-		}
-		for len(window) > keep {
-			job := window[0]
-			window = window[1:]
-			res, err := job.h.Result()
-			if err != nil {
-				t.Fatalf("pool %s/%s: %v", job.engine, job.name, err)
-			}
-			if res.Value != oracles[job.name] {
-				t.Errorf("pool %s/%s: value %d, serial says %d",
-					job.engine, job.name, res.Value, oracles[job.name])
-			}
-			if len(res.Shard) != job.width {
-				t.Errorf("pool %s/%s: ran on shard %v, want width %d", job.engine, job.name, res.Shard, job.width)
-			}
-		}
-	}
-	for i, name := range names {
-		pool := pools[i%len(pools)]
-		for _, mk := range diffEngines() {
-			eng := mk()
-			pe, ok := eng.(wsrt.PoolEngine)
-			if !ok {
-				t.Fatalf("%s does not implement wsrt.PoolEngine", eng.Name())
-			}
-			h, err := pool.Submit(wsrt.JobSpec{Prog: progs[name], Engine: pe})
-			if err != nil {
-				t.Fatalf("submit %s/%s: %v", eng.Name(), name, err)
-			}
-			width := pool.Workers() / pool.MaxConcurrentJobs()
-			window = append(window, pending{name: name, engine: eng.Name(), width: width, h: h})
-			drain(false)
-		}
-	}
-	drain(true)
-}
-
-// dslDiffSizes shrinks the shipped DSL examples to differential-test
-// instances, matching the atc-* rows in diffSizes so the cached-program
-// path is checked at the same sizes the registry mirrors are.
-var dslDiffSizes = map[string]map[string]int64{
-	"nqueens": {"n": 6},
-	"fib":     {"n": 12},
-	"latin":   {"n": 4},
-	"knight":  {"n": 4},
+	checkPools(t, diffCorpus(t))
 }
 
 // TestDifferentialDSL runs every shipped DSL example through the
 // content-addressed compile cache — the same Put/Program path that backs
 // POST /programs and program_hash job submission — and pushes each cached
-// instance through all seven pool engines and the resident sharded pool,
-// checking values against a serial oracle run on the very same Program.
-// Along the way it pins content addressing: the canonical form of a source
-// must land on the hash the original did, never a second cache entry.
+// instance through checkSim and checkPools, where up to two jobs in flight
+// share one cached Program instance: the serving-path concurrency a compile
+// cache must survive. Along the way it pins content addressing: the
+// canonical form of a source must land on the hash the original did, never
+// a second cache entry.
 func TestDifferentialDSL(t *testing.T) {
 	store := progstore.New(progstore.Config{})
-	type row struct {
-		name, hash string
-		prog       sched.Program
-		oracle     int64
-	}
-	var rows []row
+	var rows []diffRow
 	for name, src := range lang.Sources() {
 		sizes, ok := dslDiffSizes[name]
 		if !ok {
@@ -302,85 +310,14 @@ func TestDifferentialDSL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %s: %v", name, err)
 		}
-		oracle, err := adaptivetc.NewSerial().Run(p, adaptivetc.Options{})
-		if err != nil {
-			t.Fatalf("serial/%s: %v", name, err)
-		}
-		rows = append(rows, row{name: name, hash: meta.Hash, prog: p, oracle: oracle.Value})
+		rows = append(rows, newDiffRow(t, "dsl:"+name, p))
 	}
 	if len(rows) != len(dslDiffSizes) {
 		t.Fatalf("dslDiffSizes has %d entries but lang ships %d examples — remove the stale names",
 			len(dslDiffSizes), len(rows))
 	}
-
-	// Batch rows: each engine on the shared cached instance, plus the
-	// seeded-makespan determinism check every other family gets.
 	for _, r := range rows {
-		for _, mk := range diffEngines() {
-			eng := mk()
-			opt := adaptivetc.Options{Workers: 3, Seed: 7}
-			a, err := eng.Run(r.prog, opt)
-			if err != nil {
-				t.Fatalf("%s/dsl:%s: %v", eng.Name(), r.name, err)
-			}
-			if a.Value != r.oracle {
-				t.Errorf("%s/dsl:%s: value %d, serial says %d", eng.Name(), r.name, a.Value, r.oracle)
-			}
-			b, err := mk().Run(r.prog, opt)
-			if err != nil {
-				t.Fatalf("%s/dsl:%s rerun: %v", eng.Name(), r.name, err)
-			}
-			if a.Makespan != b.Makespan {
-				t.Errorf("%s/dsl:%s: identically-seeded Sim makespans differ: %d vs %d",
-					eng.Name(), r.name, a.Makespan, b.Makespan)
-			}
-		}
+		t.Run(r.name, func(t *testing.T) { checkSim(t, r, adaptivetc.Options{Workers: 3, Seed: 7}) })
 	}
-
-	// Sharded-pool rows: up to two jobs in flight share one cached Program
-	// instance — the serving-path concurrency a compile cache must survive —
-	// on the whole pool or on disjoint shards, rows alternating (diffPools).
-	pools := diffPools(t)
-
-	type pending struct {
-		name, engine string
-		oracle       int64
-		h            *wsrt.JobHandle
-	}
-	var window []pending
-	drain := func(all bool) {
-		keep := 0
-		if !all {
-			keep = 2
-		}
-		for len(window) > keep {
-			job := window[0]
-			window = window[1:]
-			res, err := job.h.Result()
-			if err != nil {
-				t.Fatalf("pool %s/dsl:%s: %v", job.engine, job.name, err)
-			}
-			if res.Value != job.oracle {
-				t.Errorf("pool %s/dsl:%s: value %d, serial says %d",
-					job.engine, job.name, res.Value, job.oracle)
-			}
-		}
-	}
-	for i, r := range rows {
-		pool := pools[i%len(pools)]
-		for _, mk := range diffEngines() {
-			eng := mk()
-			pe, ok := eng.(wsrt.PoolEngine)
-			if !ok {
-				t.Fatalf("%s does not implement wsrt.PoolEngine", eng.Name())
-			}
-			h, err := pool.Submit(wsrt.JobSpec{Prog: r.prog, Engine: pe})
-			if err != nil {
-				t.Fatalf("submit %s/dsl:%s: %v", eng.Name(), r.name, err)
-			}
-			window = append(window, pending{name: r.name, engine: eng.Name(), oracle: r.oracle, h: h})
-			drain(false)
-		}
-	}
-	drain(true)
+	checkPools(t, rows)
 }

@@ -320,16 +320,9 @@ func TestGuards(t *testing.T) {
 		// The shipped binaries are driven by cmd/adaptivetc-serve/e2e_test.go,
 		// which tier-1 runs and which reaps every process it starts; a shell
 		// step that starts a server is a second harness tier-1 never runs.
-		blob, err := os.ReadFile(".github/workflows/ci.yml")
-		if err != nil {
-			t.Fatal(err)
-		}
 		tool := regexp.MustCompile(`\b(curl|python3?)\b`)
 		background := regexp.MustCompile(`(^|[^&<>|])&([^&>]|$)`) // not &&, 2>&1, &> or |&
-		for i, line := range strings.Split(string(blob), "\n") {
-			if c := strings.Index(line, "#"); c == 0 || c > 0 && line[c-1] == ' ' {
-				line = line[:c]
-			}
+		for i, line := range ciLines(t) {
 			if m := tool.FindString(line); m != "" {
 				t.Errorf("ci.yml:%d: runs %s", i+1, m)
 			}
@@ -338,6 +331,51 @@ func TestGuards(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("ci_races_the_whole_module_in_one_command_and_repeats_only_stress_tests", func(t *testing.T) {
+		// A -race command on a package list or a -run pattern is a choice of
+		// tests to race, and a choice leaves the rest unraced. One command
+		// races ./... whole; any other -race command repeats (-count >= 2)
+		// stress tests that the one command already ran once.
+		sep := regexp.MustCompile(`&&|\|\||;`)
+		raceTest := regexp.MustCompile(`\bgo test\b.*\s-race\b`)
+		repeats := regexp.MustCompile(`\s-count[= ]([2-9]|[1-9]\d+)\b`) // -count >= 2
+		whole := 0
+		for i, line := range ciLines(t) {
+			for _, cmd := range sep.Split(line, -1) {
+				if !raceTest.MatchString(cmd) {
+					continue
+				}
+				fields := strings.Fields(cmd)
+				if slices.Contains(fields, "./...") && !slices.ContainsFunc(fields, func(f string) bool { return strings.HasPrefix(f, "-run") }) {
+					whole++
+					continue
+				}
+				if !repeats.MatchString(cmd) {
+					t.Errorf("ci.yml:%d: races a chosen set of tests without repeating them (-count >= 2): %s", i+1, strings.TrimSpace(cmd))
+				}
+			}
+		}
+		if whole != 1 {
+			t.Errorf("ci.yml has %d `go test -race ./...` commands without -run, want exactly 1", whole)
+		}
+	})
+}
+
+// ciLines returns ci.yml's lines with their comments cut off.
+func ciLines(t *testing.T) []string {
+	t.Helper()
+	blob, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(blob), "\n")
+	for i, line := range lines {
+		if c := strings.Index(line, "#"); c == 0 || c > 0 && line[c-1] == ' ' {
+			lines[i] = line[:c]
+		}
+	}
+	return lines
 }
 
 // forbidIdents reports every identifier under dirs, test files included,

@@ -339,6 +339,8 @@ func TestServeRejectsUnknowns(t *testing.T) {
 	s := newTestService(t, 1, 4, false)
 	if _, err := s.Submit(Request{Program: "no-such"}); err == nil {
 		t.Fatal("unknown program accepted")
+	} else if !strings.Contains(err.Error(), fmt.Sprint(registry.Names())) {
+		t.Errorf("unknown program: %q does not list the registry's names", err)
 	}
 	if _, err := s.Submit(Request{Program: "fib", Engine: "tascell"}); err == nil {
 		t.Fatal("non-pool engine accepted")

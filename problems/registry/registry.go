@@ -180,7 +180,7 @@ func (e entry) resolve(name string, p Params) (Params, error) {
 func Build(name string, p Params) (sched.Program, error) {
 	e, ok := table[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown program %q", name)
+		return nil, fmt.Errorf("unknown program %q (have %v)", name, Names())
 	}
 	p, err := e.resolve(name, p)
 	if err != nil {

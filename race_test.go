@@ -19,7 +19,9 @@ const nqueens8Solutions = 92
 // count, exercising the THE-protocol deque, the frame deposit path and the
 // frame/box free-lists under genuine parallelism. AdaptiveTC runs again
 // under the batch and the victim-choosing steal policies, on the THE and on
-// the relaxed deque.
+// the relaxed deque. Its deques stay too shallow for steal-half to take more
+// than one entry, so Cilk, which pushes at every spawn, runs the batch steal
+// on both deques as well.
 func TestEngineRace(t *testing.T) {
 	type row struct {
 		name string
@@ -36,10 +38,18 @@ func TestEngineRace(t *testing.T) {
 	} {
 		rows = append(rows, row{e.Name(), e, adaptivetc.Options{}})
 	}
-	for _, policy := range []string{"steal-half", "richest-first"} {
+	for _, p := range []struct {
+		mk     func() adaptivetc.Engine
+		policy string
+	}{
+		{adaptivetc.NewAdaptiveTC, "steal-half"},
+		{adaptivetc.NewAdaptiveTC, "richest-first"},
+		{adaptivetc.NewCilk, "steal-half"},
+	} {
 		for deque, relaxed := range map[string]bool{"THE": false, "relaxed": true} {
-			rows = append(rows, row{"adaptivetc/" + policy + "/" + deque, adaptivetc.NewAdaptiveTC(),
-				adaptivetc.Options{StealPolicy: policy, RelaxedDeque: relaxed}})
+			e := p.mk()
+			rows = append(rows, row{e.Name() + "/" + p.policy + "/" + deque, e,
+				adaptivetc.Options{StealPolicy: p.policy, RelaxedDeque: relaxed}})
 		}
 	}
 	for _, r := range rows {
