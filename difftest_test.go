@@ -71,7 +71,7 @@ var dslDiffSizes = map[string]map[string]int64{
 // smaller tree gives thieves nothing to steal (comp 64 was one node, and no
 // engine stole on it); a larger one costs more than the rest of the matrix
 // (strimko with 5 givens, 4.1 M nodes, took 15 of its 22 s, and the matrix
-// took 458 s under -race).
+// took 458 s and 523 s in two -race runs on a 2-CPU host).
 const diffMinNodes, diffMaxNodes = 500, 40_000
 
 // diffZero names the rows whose serial oracle is 0, each with the reason no
@@ -250,11 +250,13 @@ func TestDifferentialBatch(t *testing.T) {
 // victim sequence is part of the schedule, so nondeterminism here means a
 // thief PRNG leaked shared state.
 func TestDifferentialStealPolicies(t *testing.T) {
-	slice := []string{"fib", "nqueens-array", "sudoku-input1", "tree3"}
-	for _, r := range diffCorpus(t) {
-		if !slices.Contains(slice, r.name) {
-			continue
+	corpus := diffCorpus(t)
+	for _, name := range []string{"fib", "nqueens-array", "sudoku-input1", "tree3"} {
+		i := slices.IndexFunc(corpus, func(r diffRow) bool { return r.name == name })
+		if i < 0 {
+			t.Fatalf("program %q missing from the corpus", name)
 		}
+		r := corpus[i]
 		for deque, relaxed := range map[string]bool{"THE": false, "relaxed": true} {
 			for _, policy := range wsrt.StealPolicyNames() {
 				t.Run(r.name+"/"+policy+"/"+deque, func(t *testing.T) {

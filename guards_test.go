@@ -1,6 +1,7 @@
 package adaptivetc_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -333,33 +334,65 @@ func TestGuards(t *testing.T) {
 	})
 
 	t.Run("ci_races_the_whole_module_in_one_command_and_repeats_only_stress_tests", func(t *testing.T) {
-		// A -race command on a package list or a -run pattern is a choice of
-		// tests to race, and a choice leaves the rest unraced. One command
-		// races ./... whole; any other -race command repeats (-count >= 2)
-		// stress tests that the one command already ran once.
-		sep := regexp.MustCompile(`&&|\|\||;`)
-		raceTest := regexp.MustCompile(`\bgo test\b.*\s-race\b`)
-		repeats := regexp.MustCompile(`\s-count[= ]([2-9]|[1-9]\d+)\b`) // -count >= 2
-		whole := 0
-		for i, line := range ciLines(t) {
-			for _, cmd := range sep.Split(line, -1) {
-				if !raceTest.MatchString(cmd) {
-					continue
-				}
-				fields := strings.Fields(cmd)
-				if slices.Contains(fields, "./...") && !slices.ContainsFunc(fields, func(f string) bool { return strings.HasPrefix(f, "-run") }) {
-					whole++
-					continue
-				}
-				if !repeats.MatchString(cmd) {
-					t.Errorf("ci.yml:%d: races a chosen set of tests without repeating them (-count >= 2): %s", i+1, strings.TrimSpace(cmd))
-				}
+		lines := ciLines(t)
+		for _, msg := range ciRaceChoices(lines) {
+			t.Error(msg)
+		}
+		// Each mutant chooses the tests it races and must be caught.
+		whole := "go test -race ./..."
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasSuffix(strings.TrimSpace(l), whole) })
+		if i < 0 {
+			t.Fatalf("ci.yml has no line ending in %q", whole)
+		}
+		for _, mutant := range []string{
+			"go test -race ./... && go test -race ./internal/lang/ ./internal/progstore/",
+			"go test -race ./internal/...",
+			"go test -race -short ./...",
+			"go test -race -skip TestDifferentialBatch ./...",
+			"go test -race -run=. ./...",
+		} {
+			mut := slices.Clone(lines)
+			mut[i] = strings.Replace(mut[i], whole, mutant, 1)
+			if len(ciRaceChoices(mut)) == 0 {
+				t.Errorf("the guard passes ci.yml with %q", mutant)
 			}
 		}
-		if whole != 1 {
-			t.Errorf("ci.yml has %d `go test -race ./...` commands without -run, want exactly 1", whole)
-		}
 	})
+}
+
+// ciRaceChoices reports each go test -race command in lines that races a
+// chosen set of tests once. A package list, -run, -skip or -short is a
+// choice of tests, and a choice leaves the rest unraced: exactly one command
+// races ./... whole, and any other repeats (-count >= 2) stress tests that
+// the one command already ran once.
+func ciRaceChoices(lines []string) []string {
+	sep := regexp.MustCompile(`&&|\|\||;`)
+	raceTest := regexp.MustCompile(`\bgo test\b.*\s-race\b`)
+	repeats := regexp.MustCompile(`\s-count[= ]([2-9]|[1-9]\d+)\b`) // -count >= 2
+	chooses := func(f string) bool {
+		return slices.ContainsFunc([]string{"-run", "-skip", "-short"}, func(p string) bool { return strings.HasPrefix(f, p) })
+	}
+	var msgs []string
+	whole := 0
+	for i, line := range lines {
+		for _, cmd := range sep.Split(line, -1) {
+			if !raceTest.MatchString(cmd) {
+				continue
+			}
+			fields := strings.Fields(cmd)
+			if slices.Contains(fields, "./...") && !slices.ContainsFunc(fields, chooses) {
+				whole++
+				continue
+			}
+			if !repeats.MatchString(cmd) {
+				msgs = append(msgs, fmt.Sprintf("ci.yml:%d: races a chosen set of tests without repeating them (-count >= 2): %s", i+1, strings.TrimSpace(cmd)))
+			}
+		}
+	}
+	if whole != 1 {
+		msgs = append(msgs, fmt.Sprintf("ci.yml has %d `go test -race ./...` commands without -run, -skip or -short, want exactly 1", whole))
+	}
+	return msgs
 }
 
 // ciLines returns ci.yml's lines with their comments cut off.
