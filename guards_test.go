@@ -24,7 +24,7 @@ var walkerPkgs = []string{"internal/sched", "internal/wsrt", "internal/tascell",
 func TestGuards(t *testing.T) {
 	t.Run("wall_clock_Advance_Yield_and_YieldIdle_only_behind_the_wall_gate", func(t *testing.T) {
 		// The wall clock's Advance and Yield are empty; a call costs an
-		// interface dispatch per node on Real for nothing (DESIGN §28.2).
+		// interface dispatch per node on Real for nothing (DESIGN §6.4).
 		gates := map[string]int{"Walker.Advance": 0, "Walker.Yield": 0, "Worker.yieldIdle": 0}
 		for _, fd := range funcDecls(t, walkerPkgs, false) {
 			walkCalls(fd.decl.Body, func(call *ast.CallExpr, stack []ast.Node) {

@@ -195,7 +195,7 @@ func TestMoveChargesBatched(t *testing.T) {
 // TestRealIdleThievesPark pins the idle path's effect in the paper's own
 // quantities: on the lopsided tree3 a second worker used to fail about
 // 57 000 steals per run (one Gosched each) for a handful of successes. A
-// thief that parks once it has raised need_task is held to DESIGN §18.2's
+// thief that parks once it has raised need_task is held to DESIGN §6.7's
 // bound for one victim, counted on the run itself. A thief's failed steals
 // come in streaks, each ended by its own successful steal or by the end of
 // the job. In a streak it raises its victim's flag by failure

@@ -66,7 +66,7 @@ type Action struct {
 	N    int
 }
 
-// Decide is the per-tick rule set (DESIGN.md §15.1). A node's load is its
+// Decide is the per-tick rule set (DESIGN.md §12.2). A node's load is its
 // backlog plus its busy executors (serve.Service.LoadScore on the real
 // node, queue + running in the Sim).
 //

@@ -136,7 +136,7 @@ type Deque struct {
 	// Slots are plain memory: the owner writes a slot before the atomic T
 	// store that publishes it, and a thief reads a slot only after its claim
 	// has seen that store, so the T publication orders every slot access
-	// that could conflict (DESIGN §27.1). buf, mask and room change only in
+	// that could conflict (DESIGN §5.3). buf, mask and room change only in
 	// growLocked, under mu, which thieves hold whenever they read them.
 	buf  []Entry
 	mask int64

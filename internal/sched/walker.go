@@ -96,7 +96,7 @@ func (w *Walker) drawNodeFaults() {
 // and calls ChargeMoves(m+1-from) right after Apply(m) succeeds and
 // ChargeMoves(n-from) once at its end, so a rejected move costs one Apply
 // and nothing else. Sim sees the same clock: nothing between two Applys
-// reads the clock or yields (DESIGN §26).
+// reads the clock or yields (DESIGN §6.4).
 func (w *Walker) ChargeMoves(k int) {
 	if k > 0 {
 		w.Advance(int64(k) * w.costs.Move)

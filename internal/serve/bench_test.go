@@ -12,7 +12,7 @@ import (
 
 // The package's submit→done round trip, in process and over HTTP, on the
 // serve-http benchmark's smallest job. Allocations per op are the number
-// to watch (ROADMAP 1(c)); DESIGN §19 records the baseline.
+// to watch (ROADMAP 1(c)); CHANGES.md's PR 17 entry records the baseline.
 
 func benchService(b *testing.B, check bool) *Service {
 	s := New(Config{Workers: 2, QueueCapacity: 64, Check: check, Options: sched.Options{GrowableDeque: true}})

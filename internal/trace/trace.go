@@ -244,9 +244,6 @@ func (r *Recorder) Release() {
 // run's scope); the empty string (the default) leaves reports unprefixed.
 func (r *Recorder) SetScope(scope string) { r.scope = scope }
 
-// Scope returns the current run's report label.
-func (r *Recorder) Scope() string { return r.scope }
-
 // Workers returns the number of worker logs of the current run.
 func (r *Recorder) Workers() int { return len(r.workers) }
 

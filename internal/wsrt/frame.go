@@ -202,14 +202,6 @@ func (f *Frame) DrainedAfter(localSum int64) (total int64, done bool) {
 	return total, true
 }
 
-// MarkWaited flags the frame as a polled join (special task), so deposits
-// never try to finalise it even when they drain pending to zero.
-func (f *Frame) MarkWaited() {
-	f.mu.Lock()
-	f.waited = true
-	f.mu.Unlock()
-}
-
 // deposit adds v to the frame and reports whether the caller must finalise
 // it (it was suspended and this was the last expected deposit). When it
 // returns true the caller owns the frame's total.

@@ -122,8 +122,6 @@ type JobSpec struct {
 	// Inits it at job start with the job's shard width; the recorder must
 	// not be shared with another in-flight job.
 	Tracer *trace.Recorder
-	// Profile enables the per-phase time breakdown for this job.
-	Profile bool
 	// Faults, when non-nil, injects the plan's worker- and deque-level
 	// faults into this job only: stalls and panics at node entry, delayed
 	// deposits, forced overflows, forced steal failures. Streams are
@@ -420,7 +418,7 @@ func (p *Pool) start(job *poolJob, k int) {
 		job.workers[li] = p.workers[gi]
 	}
 	opt := p.opt
-	opt.Profile, opt.Tracer, opt.Faults = job.spec.Profile, job.spec.Tracer, job.spec.Faults
+	opt.Tracer, opt.Faults = job.spec.Tracer, job.spec.Faults
 	opt.FirstSolution = opt.FirstSolution || job.spec.FirstSolution
 	if job.spec.StealPolicy != "" {
 		opt.StealPolicy = job.spec.StealPolicy
@@ -504,7 +502,7 @@ func (p *Pool) workerLoop(i int) {
 			// its shard before it runs the root. A thief woken ahead of it
 			// can take the waker's next-to-run slot, fail its steals on an
 			// empty deque and raise need_task before the root has pushed
-			// anything (DESIGN §11.3).
+			// anything (DESIGN §8.4).
 			for li, gi := range job.shard[1:] {
 				p.wake[gi] <- shardRun{job: job, local: li + 1}
 			}

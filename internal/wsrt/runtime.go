@@ -636,7 +636,7 @@ func (w *Worker) trySteal() bool {
 	w.Advance(rt.Costs.Steal)
 	// Under Sim nothing else runs during the attempt, so an empty victim
 	// fails it without its lock (deque.FailEmpty). A wall-clock thief keeps
-	// the locked path: how fast it fails decides when it parks (DESIGN §8.2).
+	// the locked path: how fast it fails decides when it parks (DESIGN §7.4).
 	d, n := rt.Deques[victim], 0
 	if w.Wall() || !d.FailEmpty() {
 		n = d.StealN(w.stealBuf[:min(max(amount, 1), MaxStealBatch)])
