@@ -40,6 +40,7 @@ type env struct {
 }
 
 type evalFn func(*env) int64
+type condFn func(*env) bool // a condition, evaluated without the 0/1 detour
 type execFn func(*env) bool // false = stop (a reject fired)
 
 // symKind classifies resolved names.
@@ -70,19 +71,21 @@ type Compiled struct {
 	cells        int     // taskprivate cells per workspace
 	sharedProto  []int64 // built by init; referenced read-only by all runs
 	initStmts    execFn
-	terminalCond evalFn
+	terminalCond condFn
 	terminalVal  evalFn
 	movesExpr    evalFn
 	applyStmts   execFn
 	undoStmts    execFn
+	// applyLogs is true when some reject in apply can run after a write
+	// there (rejectCanFollowWrite); only then does Apply keep a rollback log.
+	applyLogs bool
 }
 
 type compiler struct {
-	syms      map[string]*symbol
-	inInit    bool
-	inApply   bool
-	locals    []string // lexical stack of for-loop variables
-	maxLocals int
+	syms    map[string]*symbol
+	inInit  bool
+	inApply bool
+	locals  []string // lexical stack of for-loop variables
 }
 
 // MaxStateCells bounds the total declared state of one program — scalars
@@ -172,15 +175,18 @@ func Compile(name, src string, overrides map[string]int64) (*Compiled, error) {
 	c.inInit = false
 	out.initStmts = initFn
 
-	if out.terminalCond, err = c.compileExpr(f.terminal.cond); err != nil {
+	cond, err := c.compileOperand(f.terminal.cond)
+	if err != nil {
 		return nil, err
 	}
+	out.terminalCond = cond.truth()
 	if out.terminalVal, err = c.compileExpr(f.terminal.value); err != nil {
 		return nil, err
 	}
 	if out.movesExpr, err = c.compileExpr(f.moves); err != nil {
 		return nil, err
 	}
+	out.applyLogs, _ = rejectCanFollowWrite(f.apply, false)
 	c.inApply = true
 	if out.applyStmts, err = c.compileBlock(f.apply); err != nil {
 		return nil, err
@@ -218,7 +224,8 @@ func (p *Compiled) Params() map[string]int64 {
 func (p *Compiled) StateCells() int64 { return int64(p.cells + len(p.sharedProto)) }
 
 // constEval evaluates an expression over parameters only (array sizes,
-// parameter initialisers).
+// parameter initialisers). Run-time expressions fold the same subtrees
+// bottom-up in compileOperand.
 func (c *compiler) constEval(e expr) (int64, *Error) {
 	switch v := e.(type) {
 	case *numLit:
@@ -297,108 +304,370 @@ func applyBin(op kind, l, r int64, line, col int) (int64, *Error) {
 	return 0, errf(line, col, "bad operator")
 }
 
+// operand is a compiled expression and what the compiler knows of its
+// value. fn is always set. konst: the value is k, folded at compile time,
+// which happens only where evaluating the subtree cannot fault (applyBin
+// succeeds), so `x / 0` still panics at run time. affine: the value is
+// cd·depth + cm·m + k, and an index of that shape is read from ev.depth and
+// ev.m directly; a constant is affine with cd = cm = 0. The arithmetic is
+// mod 2⁶⁴ like Go's, so the reassociated form gives identical values even
+// on overflow. cond, when set, evaluates a comparison, &&, || or ! as a
+// truth value without the 0/1 detour. cell, when set, is a taskprivate
+// array read at an affine index, which a test against a constant fuses
+// into one closure.
+type operand struct {
+	fn        evalFn
+	cond      condFn
+	cell      *cellRead
+	konst     bool
+	affine    bool
+	cd, cm, k int64
+}
+
+// cellRead is ws[slot + cd·depth + cm·m + k], bounds-checked against size.
+type cellRead struct {
+	slot      int
+	size      int64
+	cd, cm, k int64
+	line, col int
+}
+
+func constant(k int64) operand {
+	return operand{fn: func(*env) int64 { return k }, konst: true, affine: true, k: k}
+}
+
+func affine(cd, cm, k int64) operand {
+	if cd == 0 && cm == 0 {
+		return constant(k)
+	}
+	o := operand{affine: true, cd: cd, cm: cm, k: k}
+	switch {
+	case cd == 1 && cm == 0:
+		o.fn = func(ev *env) int64 { return ev.depth + k }
+	case cd == 0 && cm == 1:
+		o.fn = func(ev *env) int64 { return ev.m + k }
+	default:
+		o.fn = func(ev *env) int64 { return cd*ev.depth + cm*ev.m + k }
+	}
+	return o
+}
+
+func boolean(cond condFn) operand {
+	return operand{fn: func(ev *env) int64 { return b2i(cond(ev)) }, cond: cond}
+}
+
+// truth returns o as a condition: nonzero is true.
+func (o operand) truth() condFn {
+	switch {
+	case o.cond != nil:
+		return o.cond
+	case o.konst:
+		b := o.k != 0
+		return func(*env) bool { return b }
+	}
+	fn := o.fn
+	return func(ev *env) bool { return fn(ev) != 0 }
+}
+
+// outOfRange is the positioned fault of an index outside [0,size).
+func outOfRange(line, col int, i, size int64) *Error {
+	return errf(line, col, "index %d out of range [0,%d)", i, size)
+}
+
 // compileExpr resolves names and returns an evaluator closure.
 func (c *compiler) compileExpr(e expr) (evalFn, *Error) {
+	o, err := c.compileOperand(e)
+	return o.fn, err
+}
+
+// compileOperand compiles e bottom-up, returning the closure specialised to
+// e's shape: a constant, an affine form, a direct cell read, or one closure
+// per operator with a variant for a constant right operand.
+func (c *compiler) compileOperand(e expr) (operand, *Error) {
 	switch v := e.(type) {
 	case *numLit:
-		n := v.v
-		return func(*env) int64 { return n }, nil
+		return constant(v.v), nil
 	case *ident:
 		switch v.name {
 		case "depth":
-			return func(ev *env) int64 { return ev.depth }, nil
+			return affine(1, 0, 0), nil
 		case "m":
-			return func(ev *env) int64 { return ev.m }, nil
+			return affine(0, 1, 0), nil
 		}
 		for i := len(c.locals) - 1; i >= 0; i-- {
 			if c.locals[i] == v.name {
 				slot := i
-				return func(ev *env) int64 { return ev.locals[slot] }, nil
+				return operand{fn: func(ev *env) int64 { return ev.locals[slot] }}, nil
 			}
 		}
 		s, ok := c.syms[v.name]
 		if !ok {
-			return nil, errf(v.line, v.col, "undefined name %q", v.name)
+			return operand{}, errf(v.line, v.col, "undefined name %q", v.name)
 		}
 		slot := s.slot
 		switch s.kind {
 		case symParam:
-			n := s.val
-			return func(*env) int64 { return n }, nil
+			return constant(s.val), nil
 		case symScalar:
-			return func(ev *env) int64 { return ev.ws[slot] }, nil
+			return operand{fn: func(ev *env) int64 { return ev.ws[slot] }}, nil
 		case symSharedScalar:
-			return func(ev *env) int64 { return ev.shared[slot] }, nil
+			return operand{fn: func(ev *env) int64 { return ev.shared[slot] }}, nil
 		default:
-			return nil, errf(v.line, v.col, "array %q used without an index", v.name)
+			return operand{}, errf(v.line, v.col, "array %q used without an index", v.name)
 		}
 	case *indexExpr:
-		s, ok := c.syms[v.name]
-		if !ok {
-			return nil, errf(v.line, v.col, "undefined name %q", v.name)
-		}
-		idx, err := c.compileExpr(v.index)
-		if err != nil {
-			return nil, err
-		}
-		slot, size := s.slot, int64(s.size)
-		line, col := v.line, v.col
-		switch s.kind {
-		case symArray:
-			return func(ev *env) int64 {
-				i := idx(ev)
-				if i < 0 || i >= size {
-					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
-				}
-				return ev.ws[slot+int(i)]
-			}, nil
-		case symSharedArray:
-			return func(ev *env) int64 {
-				i := idx(ev)
-				if i < 0 || i >= size {
-					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
-				}
-				return ev.shared[slot+int(i)]
-			}, nil
-		default:
-			return nil, errf(v.line, v.col, "%q is not an array", v.name)
-		}
+		return c.compileIndex(v)
 	case *unaryExpr:
-		sub, err := c.compileExpr(v.operand)
+		sub, err := c.compileOperand(v.operand)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
 		if v.op == tokMinus {
-			return func(ev *env) int64 { return -sub(ev) }, nil
+			if sub.affine {
+				return affine(-sub.cd, -sub.cm, -sub.k), nil
+			}
+			fn := sub.fn
+			return operand{fn: func(ev *env) int64 { return -fn(ev) }}, nil
 		}
-		return func(ev *env) int64 { return b2i(sub(ev) == 0) }, nil
+		if sub.konst {
+			return constant(b2i(sub.k == 0)), nil
+		}
+		cond := sub.truth()
+		return boolean(func(ev *env) bool { return !cond(ev) }), nil
 	case *binExpr:
-		l, err := c.compileExpr(v.left)
+		l, err := c.compileOperand(v.left)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		r, err := c.compileExpr(v.right)
+		r, err := c.compileOperand(v.right)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		op, line, col := v.op, v.line, v.col
-		switch op {
-		case tokAnd:
-			return func(ev *env) int64 { return b2i(l(ev) != 0 && r(ev) != 0) }, nil
-		case tokOr:
-			return func(ev *env) int64 { return b2i(l(ev) != 0 || r(ev) != 0) }, nil
-		default:
-			return func(ev *env) int64 {
-				out, err := applyBin(op, l(ev), r(ev), line, col)
-				if err != nil {
-					panic(err)
-				}
-				return out
-			}, nil
-		}
+		return binary(v.op, l, r, v.line, v.col), nil
 	}
 	line, col := e.pos()
-	return nil, errf(line, col, "unsupported expression")
+	return operand{}, errf(line, col, "unsupported expression")
+}
+
+// binary combines two compiled operands under op.
+func binary(op kind, l, r operand, line, col int) operand {
+	if l.konst && r.konst {
+		if k, err := applyBin(op, l.k, r.k, line, col); err == nil {
+			return constant(k)
+		}
+	}
+	switch op {
+	case tokPlus:
+		if l.affine && r.affine {
+			return affine(l.cd+r.cd, l.cm+r.cm, l.k+r.k)
+		}
+	case tokMinus:
+		if l.affine && r.affine {
+			return affine(l.cd-r.cd, l.cm-r.cm, l.k-r.k)
+		}
+	case tokStar:
+		if l.konst && r.affine {
+			return affine(l.k*r.cd, l.k*r.cm, l.k*r.k)
+		}
+		if r.konst && l.affine {
+			return affine(r.k*l.cd, r.k*l.cm, r.k*l.k)
+		}
+	case tokAnd:
+		a, b := l.truth(), r.truth()
+		return boolean(func(ev *env) bool { return a(ev) && b(ev) })
+	case tokOr:
+		a, b := l.truth(), r.truth()
+		return boolean(func(ev *env) bool { return a(ev) || b(ev) })
+	case tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:
+		return boolean(compare(op, l, r))
+	}
+	return operand{fn: arith(op, l, r, line, col)}
+}
+
+// mirror is the comparison that holds with its operands swapped.
+var mirror = map[kind]kind{tokEq: tokEq, tokNeq: tokNeq, tokLt: tokGt, tokLe: tokGe, tokGt: tokLt, tokGe: tokLe}
+
+// compare is one closure per comparison, with a variant for a constant
+// operand (a constant left one is mirrored to the right: it cannot fault,
+// so evaluation order does not matter).
+func compare(op kind, l, r operand) condFn {
+	if l.konst && !r.konst {
+		op, l, r = mirror[op], r, l
+	}
+	a, b := l.fn, r.fn
+	if c := l.cell; c != nil && r.konst && (op == tokEq || op == tokNeq) {
+		slot, size, cd, cm, k, line, col := c.slot, c.size, c.cd, c.cm, c.k, c.line, c.col
+		want, eq := r.k, op == tokEq
+		return func(ev *env) bool {
+			i := cd*ev.depth + cm*ev.m + k
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			return (ev.ws[slot+int(i)] == want) == eq
+		}
+	}
+	if r.konst {
+		k := r.k
+		switch op {
+		case tokEq:
+			return func(ev *env) bool { return a(ev) == k }
+		case tokNeq:
+			return func(ev *env) bool { return a(ev) != k }
+		case tokLt:
+			return func(ev *env) bool { return a(ev) < k }
+		case tokLe:
+			return func(ev *env) bool { return a(ev) <= k }
+		case tokGt:
+			return func(ev *env) bool { return a(ev) > k }
+		default:
+			return func(ev *env) bool { return a(ev) >= k }
+		}
+	}
+	switch op {
+	case tokEq:
+		return func(ev *env) bool { return a(ev) == b(ev) }
+	case tokNeq:
+		return func(ev *env) bool { return a(ev) != b(ev) }
+	case tokLt:
+		return func(ev *env) bool { return a(ev) < b(ev) }
+	case tokLe:
+		return func(ev *env) bool { return a(ev) <= b(ev) }
+	case tokGt:
+		return func(ev *env) bool { return a(ev) > b(ev) }
+	default:
+		return func(ev *env) bool { return a(ev) >= b(ev) }
+	}
+}
+
+// arith is one closure per arithmetic operator. A constant right operand
+// gets its own variant; / and % by a nonzero constant skip the zero test.
+// Both operands are evaluated, left first, before the zero test, as the
+// fault order of the source requires.
+func arith(op kind, l, r operand, line, col int) evalFn {
+	a, b := l.fn, r.fn
+	if r.konst && r.k != 0 {
+		k := r.k
+		switch op {
+		case tokPlus:
+			return func(ev *env) int64 { return a(ev) + k }
+		case tokMinus:
+			return func(ev *env) int64 { return a(ev) - k }
+		case tokStar:
+			return func(ev *env) int64 { return a(ev) * k }
+		case tokSlash:
+			return func(ev *env) int64 { return a(ev) / k }
+		case tokPercent:
+			return func(ev *env) int64 { return a(ev) % k }
+		}
+	}
+	switch op {
+	case tokPlus:
+		return func(ev *env) int64 { return a(ev) + b(ev) }
+	case tokMinus:
+		return func(ev *env) int64 { return a(ev) - b(ev) }
+	case tokStar:
+		return func(ev *env) int64 { return a(ev) * b(ev) }
+	case tokSlash:
+		return func(ev *env) int64 {
+			x, y := a(ev), b(ev)
+			if y == 0 {
+				panic(errf(line, col, "division by zero"))
+			}
+			return x / y
+		}
+	default: // tokPercent
+		return func(ev *env) int64 {
+			x, y := a(ev), b(ev)
+			if y == 0 {
+				panic(errf(line, col, "modulo by zero"))
+			}
+			return x % y
+		}
+	}
+}
+
+// compileIndex compiles an array read. An affine index is computed from
+// ev.depth and ev.m in the read itself; any other index is one call.
+func (c *compiler) compileIndex(v *indexExpr) (operand, *Error) {
+	s, ok := c.syms[v.name]
+	if !ok {
+		return operand{}, errf(v.line, v.col, "undefined name %q", v.name)
+	}
+	idx, err := c.compileOperand(v.index)
+	if err != nil {
+		return operand{}, err
+	}
+	slot, size := s.slot, int64(s.size)
+	line, col := v.line, v.col
+	cd, cm, k, fn := idx.cd, idx.cm, idx.k, idx.fn
+	switch {
+	case s.kind == symArray && idx.affine:
+		return operand{fn: func(ev *env) int64 {
+			i := cd*ev.depth + cm*ev.m + k
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			return ev.ws[slot+int(i)]
+		}, cell: &cellRead{slot, size, cd, cm, k, line, col}}, nil
+	case s.kind == symArray:
+		return operand{fn: func(ev *env) int64 {
+			i := fn(ev)
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			return ev.ws[slot+int(i)]
+		}}, nil
+	case s.kind == symSharedArray && idx.affine:
+		return operand{fn: func(ev *env) int64 {
+			i := cd*ev.depth + cm*ev.m + k
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			return ev.shared[slot+int(i)]
+		}}, nil
+	case s.kind == symSharedArray:
+		return operand{fn: func(ev *env) int64 {
+			i := fn(ev)
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			return ev.shared[slot+int(i)]
+		}}, nil
+	}
+	return operand{}, errf(v.line, v.col, "%q is not an array", v.name)
+}
+
+// rejectCanFollowWrite reports whether running body can execute a reject
+// after an assignment, given whether one may already have run (wrote), and
+// whether one may have run by the end of body. A loop body is walked twice:
+// the second pass sees the writes of an earlier iteration. Only such a
+// reject has anything to roll back, so only then does Apply log its writes.
+func rejectCanFollowWrite(body []stmt, wrote bool) (bool, bool) {
+	for _, s := range body {
+		switch v := s.(type) {
+		case *assignStmt:
+			wrote = true
+		case *rejectStmt:
+			if wrote {
+				return true, true
+			}
+		case *ifStmt:
+			nt, wt := rejectCanFollowWrite(v.then, wrote)
+			na, wa := rejectCanFollowWrite(v.alt, wrote)
+			if nt || na {
+				return true, true
+			}
+			wrote = wt || wa
+		case *forStmt:
+			n1, w1 := rejectCanFollowWrite(v.body, wrote)
+			n2, _ := rejectCanFollowWrite(v.body, w1)
+			if n1 || n2 {
+				return true, true
+			}
+			wrote = w1
+		}
+	}
+	return false, wrote
 }
 
 // compileBlock compiles statements; the returned closure reports false when
@@ -411,6 +680,15 @@ func (c *compiler) compileBlock(body []stmt) (execFn, *Error) {
 			return nil, err
 		}
 		fns = append(fns, fn)
+	}
+	switch len(fns) {
+	case 0:
+		return func(*env) bool { return true }, nil
+	case 1:
+		return fns[0], nil
+	case 2:
+		a, b := fns[0], fns[1]
+		return func(ev *env) bool { return a(ev) && b(ev) }, nil
 	}
 	return func(ev *env) bool {
 		for _, fn := range fns {
@@ -433,7 +711,7 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 			return false
 		}, nil
 	case *ifStmt:
-		cond, err := c.compileExpr(v.cond)
+		cond, err := c.compileOperand(v.cond)
 		if err != nil {
 			return nil, err
 		}
@@ -445,8 +723,17 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 		if err != nil {
 			return nil, err
 		}
+		test := cond.truth()
+		if len(v.alt) == 0 {
+			return func(ev *env) bool {
+				if test(ev) {
+					return then(ev)
+				}
+				return true
+			}, nil
+		}
 		return func(ev *env) bool {
-			if cond(ev) != 0 {
+			if test(ev) {
 				return then(ev)
 			}
 			return alt(ev)
@@ -470,9 +757,6 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 		}
 		slot := len(c.locals)
 		c.locals = append(c.locals, v.varName)
-		if len(c.locals) > c.maxLocals {
-			c.maxLocals = len(c.locals)
-		}
 		body, err := c.compileBlock(v.body)
 		c.locals = c.locals[:len(c.locals)-1]
 		if err != nil {
@@ -497,74 +781,104 @@ func (c *compiler) compileStmt(s stmt) (execFn, *Error) {
 			return true
 		}, nil
 	case *assignStmt:
-		for _, name := range c.locals {
-			if name == v.target {
-				return nil, errf(v.line, v.col, "cannot assign to loop variable %q", v.target)
-			}
-		}
-		sym, ok := c.syms[v.target]
-		if !ok {
-			if v.target == "depth" || v.target == "m" {
-				return nil, errf(v.line, v.col, "cannot assign to builtin %q", v.target)
-			}
-			return nil, errf(v.line, v.col, "undefined name %q", v.target)
-		}
-		if sym.kind == symParam {
-			return nil, errf(v.line, v.col, "cannot assign to param %q", v.target)
-		}
-		shared := sym.kind == symSharedScalar || sym.kind == symSharedArray
-		if shared && !c.inInit {
-			return nil, errf(v.line, v.col, "shared state %q may only be written in init (it is not cloned for tasks)", v.target)
-		}
-		val, err := c.compileExpr(v.value)
-		if err != nil {
-			return nil, err
-		}
-		slot := sym.slot
-		switch sym.kind {
-		case symScalar, symSharedScalar:
-			if v.index != nil {
-				return nil, errf(v.line, v.col, "%q is a scalar, not an array", v.target)
-			}
-			return func(ev *env) bool {
-				st := ev.ws
-				if shared {
-					st = ev.shared
-				}
-				if ev.logging {
-					ev.log = append(ev.log, writeRec{cell: slot, old: st[slot]})
-				}
-				st[slot] = val(ev)
-				return true
-			}, nil
-		case symArray, symSharedArray:
-			if v.index == nil {
-				return nil, errf(v.line, v.col, "array %q assigned without an index", v.target)
-			}
-			idx, err := c.compileExpr(v.index)
-			if err != nil {
-				return nil, err
-			}
-			size := int64(sym.size)
-			line, col := v.line, v.col
-			return func(ev *env) bool {
-				st := ev.ws
-				if shared {
-					st = ev.shared
-				}
-				i := idx(ev)
-				if i < 0 || i >= size {
-					panic(errf(line, col, "index %d out of range [0,%d)", i, size))
-				}
-				cell := slot + int(i)
-				if ev.logging {
-					ev.log = append(ev.log, writeRec{cell: cell, old: st[cell]})
-				}
-				st[cell] = val(ev)
-				return true
-			}, nil
-		}
+		return c.compileAssign(v)
 	}
 	line, col := s.stmtPos()
 	return nil, errf(line, col, "unsupported statement")
+}
+
+// compileAssign splits writes at compile time: shared state (init only,
+// never logged) and taskprivate state, whose writes log the old value while
+// ev.logging is set. A taskprivate array write with an affine index
+// computes the cell from ev.depth and ev.m itself. The index is evaluated
+// and bounds-checked before the value, as in the source's fault order.
+func (c *compiler) compileAssign(v *assignStmt) (execFn, *Error) {
+	for _, name := range c.locals {
+		if name == v.target {
+			return nil, errf(v.line, v.col, "cannot assign to loop variable %q", v.target)
+		}
+	}
+	sym, ok := c.syms[v.target]
+	if !ok {
+		if v.target == "depth" || v.target == "m" {
+			return nil, errf(v.line, v.col, "cannot assign to builtin %q", v.target)
+		}
+		return nil, errf(v.line, v.col, "undefined name %q", v.target)
+	}
+	if sym.kind == symParam {
+		return nil, errf(v.line, v.col, "cannot assign to param %q", v.target)
+	}
+	shared := sym.kind == symSharedScalar || sym.kind == symSharedArray
+	if shared && !c.inInit {
+		return nil, errf(v.line, v.col, "shared state %q may only be written in init (it is not cloned for tasks)", v.target)
+	}
+	val, err := c.compileExpr(v.value)
+	if err != nil {
+		return nil, err
+	}
+	slot := sym.slot
+	if sym.kind == symScalar || sym.kind == symSharedScalar {
+		if v.index != nil {
+			return nil, errf(v.line, v.col, "%q is a scalar, not an array", v.target)
+		}
+		if shared {
+			return func(ev *env) bool {
+				ev.shared[slot] = val(ev)
+				return true
+			}, nil
+		}
+		return func(ev *env) bool {
+			if ev.logging {
+				ev.log = append(ev.log, writeRec{cell: slot, old: ev.ws[slot]})
+			}
+			ev.ws[slot] = val(ev)
+			return true
+		}, nil
+	}
+	if v.index == nil {
+		return nil, errf(v.line, v.col, "array %q assigned without an index", v.target)
+	}
+	idx, err := c.compileOperand(v.index)
+	if err != nil {
+		return nil, err
+	}
+	size := int64(sym.size)
+	line, col := v.line, v.col
+	cd, cm, k, fn := idx.cd, idx.cm, idx.k, idx.fn
+	switch {
+	case shared:
+		return func(ev *env) bool {
+			i := fn(ev)
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			ev.shared[slot+int(i)] = val(ev)
+			return true
+		}, nil
+	case idx.affine:
+		return func(ev *env) bool {
+			i := cd*ev.depth + cm*ev.m + k
+			if uint64(i) >= uint64(size) {
+				panic(outOfRange(line, col, i, size))
+			}
+			cell := slot + int(i)
+			if ev.logging {
+				ev.log = append(ev.log, writeRec{cell: cell, old: ev.ws[cell]})
+			}
+			ev.ws[cell] = val(ev)
+			return true
+		}, nil
+	}
+	return func(ev *env) bool {
+		i := fn(ev)
+		if uint64(i) >= uint64(size) {
+			panic(outOfRange(line, col, i, size))
+		}
+		cell := slot + int(i)
+		if ev.logging {
+			ev.log = append(ev.log, writeRec{cell: cell, old: ev.ws[cell]})
+		}
+		ev.ws[cell] = val(ev)
+		return true
+	}, nil
 }

@@ -59,5 +59,7 @@
 // The compiler is a classical small pipeline: lexer → recursive-descent
 // parser → AST → name resolution and constant folding → closure
 // compilation (each expression and statement becomes a Go closure over a
-// slot-indexed store, so the hot path does no map lookups or AST walks).
+// slot-indexed store, chosen for its shape — a folded constant, an affine
+// index, a boolean condition — so the hot path does no map lookups, AST
+// walks or operator switches).
 package lang

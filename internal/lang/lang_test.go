@@ -157,10 +157,8 @@ func TestConformance(t *testing.T) {
 	progtest.Conformance(t, compileT(t, permSrc, nil)) // a for loop, rejecting from inside it
 }
 
-func TestRejectRollsBack(t *testing.T) {
-	// The apply block writes before rejecting; a failed Apply must leave
-	// the workspace untouched (the sched.Program contract).
-	src := `
+// rollbackSrc writes before it rejects, so its apply keeps a rollback log.
+const rollbackSrc = `
 state a[4]
 terminal depth == 2 -> 1
 moves 4
@@ -171,18 +169,93 @@ apply {
 }
 undo { a[m] = a[m] - 1 }
 `
-	p := compileT(t, src, nil)
+
+func TestRejectRollsBack(t *testing.T) {
+	// The apply block writes before rejecting; a failed Apply must leave
+	// the workspace untouched (the sched.Program contract).
+	p := compileT(t, rollbackSrc, nil)
 	ws := p.Root()
 	if p.Apply(ws, 0, 3) {
 		t.Fatal("move 3 should be rejected")
 	}
-	// The write a[3]=1 must have been rolled back: applying again behaves
-	// identically.
+	// The write a[3]=1 must have been rolled back: the cells are as before,
+	// and applying again behaves identically.
+	if got := ws.(*workspace).ev.ws; got[3] != 0 {
+		t.Fatalf("cells after the rejected apply = %v, want all 0", got)
+	}
 	if p.Apply(ws, 0, 3) {
 		t.Fatal("rollback failed: second apply of move 3 accepted")
 	}
 	if !p.Apply(ws, 0, 0) {
 		t.Fatal("legal move refused")
+	}
+}
+
+// logCases are apply blocks and whether a reject can follow a write in
+// them; FuzzLangEval runs each as a program too.
+var logCases = []struct {
+	apply string
+	logs  bool
+}{
+	{"if m == 0 { reject } a[m] = 1", false},
+	{"a[m] = 1", false},
+	{"for i = 0 to 2 { if i == m { reject } } a[0] = 1", false},
+	{"a[m] = 1 if m == 2 { reject }", true},
+	{"if m == 0 { a[1] = 1 } if m < 2 { reject }", true},
+	{"if m == 0 { } else { a[1] = 1 } if m == 1 { reject }", true},
+	{"for i = 0 to 2 { if i == 1 { reject } a[i] = m + 1 }", true},
+	{"for i = 0 to 2 { a[i] = 1 } for i = 0 to 2 { if i == m { reject } }", true},
+}
+
+// logCaseSrc is a program around one of logCases' apply blocks.
+func logCaseSrc(apply string) string {
+	return "state a[4]\nterminal depth == 3 -> a[0] + a[1]\nmoves 3\napply { " + apply + " }\nundo { a[m] = 0 }\n"
+}
+
+// TestRollbackLogOnlyWhereNeeded pins the log-elision predicate: the four
+// shipped sources reject before they write, so no Apply of theirs appends
+// to the log, while rollbackSrc's apply still logs and rolls back.
+func TestRollbackLogOnlyWhereNeeded(t *testing.T) {
+	for _, lc := range logCases {
+		if got := compileT(t, logCaseSrc(lc.apply), nil).c.applyLogs; got != lc.logs {
+			t.Errorf("apply { %s }: logs %v, want %v", lc.apply, got, lc.logs)
+		}
+	}
+	for name, src := range Sources() {
+		p := compileT(t, src, map[string]int64{"n": 4})
+		if p.c.applyLogs {
+			t.Errorf("%s: apply keeps a rollback log, but no reject follows a write", name)
+		}
+		ws := p.Root()
+		ev := &ws.(*workspace).ev
+		var walk func(depth int)
+		walk = func(depth int) {
+			if _, term := p.Terminal(ws, depth); term || depth == 6 {
+				return
+			}
+			for m := 0; m < p.Moves(ws, depth); m++ {
+				ok := p.Apply(ws, depth, m)
+				if cap(ev.log) != 0 {
+					t.Fatalf("%s: Apply(depth %d, m %d) appended to the log", name, depth, m)
+				}
+				if ok {
+					walk(depth + 1)
+					p.Undo(ws, depth, m)
+				}
+			}
+		}
+		walk(0)
+	}
+	p := compileT(t, rollbackSrc, nil)
+	if !p.c.applyLogs {
+		t.Fatal("rollbackSrc: a reject follows a write, but apply keeps no log")
+	}
+	ws := p.Root()
+	if p.Apply(ws, 0, 3) {
+		t.Fatal("move 3 should be rejected")
+	}
+	if ev := &ws.(*workspace).ev; len(ev.log) == 0 || ev.ws[3] != 0 {
+		t.Fatalf("rejected apply: %d log records, a[3] = %d; want a record and a[3] rolled back to 0", len(ev.log), ev.ws[3])
 	}
 }
 

@@ -117,7 +117,7 @@ func (p *Program) envFor(w sched.Workspace, depth, m int) *env {
 // Terminal implements sched.Program.
 func (p *Program) Terminal(w sched.Workspace, depth int) (int64, bool) {
 	ev := p.envFor(w, depth, 0)
-	if p.c.terminalCond(ev) == 0 {
+	if !p.c.terminalCond(ev) {
 		return 0, false
 	}
 	return p.c.terminalVal(ev), true
@@ -133,11 +133,13 @@ func (p *Program) Moves(w sched.Workspace, depth int) int {
 	return int(n)
 }
 
-// Apply implements sched.Program: run the apply block with a rollback log;
-// a reject restores every write and reports the move illegal.
+// Apply implements sched.Program: run the apply block; a reject restores
+// every write and reports the move illegal. The rollback log is kept only
+// when a reject can follow a write (Compiled.applyLogs): otherwise a reject
+// always finds the cells untouched.
 func (p *Program) Apply(w sched.Workspace, depth, m int) bool {
 	ev := p.envFor(w, depth, m)
-	ev.logging = true
+	ev.logging = p.c.applyLogs
 	p.c.applyStmts(ev)
 	if !ev.rejected {
 		return true

@@ -176,7 +176,9 @@ func (j *join) drained() (int64, bool) {
 }
 
 // level is one frame of the spine: the state of the move loop of one node
-// of the current task's recursion.
+// of the current task's recursion. The spine is a slab of levels, reused
+// from node to node; growth moves it, so a level is held by its index and
+// re-indexed after every child.
 type level struct {
 	depth   int
 	m       int // current candidate index; -1 before the loop starts
@@ -192,7 +194,7 @@ type tworker struct {
 	rt *runtime
 
 	ws    sched.Workspace // workspace of the task being executed
-	spine []*level
+	spine []level
 }
 
 // exec runs the node reached by tw.ws at depth and returns its subtree
@@ -205,17 +207,23 @@ func (tw *tworker) exec(ws sched.Workspace, depth int) int64 {
 	if v, term := prog.Terminal(ws, depth); term {
 		return v
 	}
-	lvl := &level{depth: depth, m: -1, limit: prog.Moves(ws, depth)}
+	return tw.pushLevel(level{depth: depth, m: -1, limit: prog.Moves(ws, depth)}, 0)
+}
+
+// pushLevel runs lvl from mStart on top of the spine and pops it.
+func (tw *tworker) pushLevel(lvl level, mStart int) int64 {
 	tw.spine = append(tw.spine, lvl)
-	sum := tw.levelLoop(lvl, 0)
+	sum := tw.levelLoop(len(tw.spine)-1, mStart)
 	tw.spine = tw.spine[:len(tw.spine)-1]
 	return sum
 }
 
-// levelLoop runs lvl's iterations from mStart, joining stolen children at
-// the end. The limit is re-read every iteration because respond may shrink
-// it while we are deep in a child.
-func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
+// levelLoop runs the iterations of spine level i from mStart, joining
+// stolen children at the end. The limit is re-read every iteration because
+// respond may shrink it while we are deep in a child, and the level is
+// re-indexed after every child because the child's levels may have grown
+// the slab.
+func (tw *tworker) levelLoop(i int, mStart int) int64 {
 	prog := tw.Prog()
 	c := &tw.rt.costs
 	var sum int64
@@ -228,7 +236,7 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 		nestedPerMove = c.TascellMove
 	}
 	// Moves are charged as in sched.Walker.ChargeMoves: from is the first
-	// attempt not charged yet. respond may shrink lvl.limit while a child
+	// attempt not charged yet. respond may shrink the limit while a child
 	// runs, but never below the attempt after that child's move, which is
 	// from, so the final charge is never negative.
 	from := mStart
@@ -243,18 +251,20 @@ func (tw *tworker) levelLoop(lvl *level, mStart int) int64 {
 			tw.Stats.DequeTime += int64(k) * nestedPerMove
 		}
 	}
-	for mm := mStart; mm < lvl.limit; mm++ {
-		lvl.m = mm
-		if !prog.Apply(tw.ws, lvl.depth, mm) {
+	depth := tw.spine[i].depth
+	for mm := mStart; mm < tw.spine[i].limit; mm++ {
+		tw.spine[i].m = mm
+		if !prog.Apply(tw.ws, depth, mm) {
 			continue
 		}
 		charge(mm + 1 - from)
 		from = mm + 1
-		lvl.inChild = true
-		sum += tw.exec(tw.ws, lvl.depth+1)
-		lvl.inChild = false
-		prog.Undo(tw.ws, lvl.depth, mm)
+		tw.spine[i].inChild = true
+		sum += tw.exec(tw.ws, depth+1)
+		tw.spine[i].inChild = false
+		prog.Undo(tw.ws, depth, mm)
 	}
+	lvl := &tw.spine[i] // no child runs from here on
 	charge(lvl.limit - from)
 	lvl.m = lvl.limit
 	if lvl.join != nil {
@@ -311,8 +321,8 @@ func (tw *tworker) respond(req *request) {
 	prog := tw.Prog()
 	c := &tw.rt.costs
 	victim := -1
-	for i, lvl := range tw.spine {
-		if lvl.m+1 < lvl.limit {
+	for i := range tw.spine {
+		if lvl := &tw.spine[i]; lvl.m+1 < lvl.limit {
 			victim = i
 			break
 		}
@@ -326,11 +336,11 @@ func (tw *tworker) respond(req *request) {
 	// Temporary backtracking: undo from the deepest level down to the
 	// chosen one, inclusive.
 	for i := len(tw.spine) - 1; i >= victim; i-- {
-		if lvl := tw.spine[i]; lvl.inChild {
+		if lvl := &tw.spine[i]; lvl.inChild {
 			prog.Undo(tw.ws, lvl.depth, lvl.m)
 		}
 	}
-	lvl := tw.spine[victim]
+	lvl := &tw.spine[victim] // respond never grows the spine
 	if b := tw.ws.Bytes(); b > 0 {
 		tw.Advance(c.CopyBase + int64(b)/c.CopyBytesPerNs)
 		tw.Stats.WorkspaceCopies++
@@ -351,7 +361,7 @@ func (tw *tworker) respond(req *request) {
 	lvl.limit = split
 	// Restore: re-apply the undone moves from the chosen level back down.
 	for i := victim; i < len(tw.spine); i++ {
-		if l := tw.spine[i]; l.inChild {
+		if l := &tw.spine[i]; l.inChild {
 			if !prog.Apply(tw.ws, l.depth, l.m) {
 				panic(fmt.Sprintf("tascell: re-applying move %d at depth %d failed during restore", l.m, l.depth))
 			}
@@ -432,11 +442,7 @@ func (tw *tworker) idleLoop() {
 // runTask executes a stolen iteration range and deposits its total.
 func (tw *tworker) runTask(t *task) {
 	tw.ws = t.ws
-	lvl := &level{depth: t.depth, m: t.mStart - 1, limit: t.mEnd}
-	tw.spine = append(tw.spine, lvl)
-	sum := tw.levelLoop(lvl, t.mStart)
-	tw.spine = tw.spine[:len(tw.spine)-1]
-	t.join.deposit(sum)
+	t.join.deposit(tw.pushLevel(level{depth: t.depth, m: t.mStart - 1, limit: t.mEnd}, t.mStart))
 }
 
 func (tw *tworker) now() int64 {

@@ -3,11 +3,13 @@ package tascell
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 
 	"adaptivetc/internal/sched"
 	"adaptivetc/internal/vtime"
+	"adaptivetc/problems/nqueens"
 )
 
 // skewed is a two-child tree where the configured side holds almost all of
@@ -211,5 +213,27 @@ func TestStopReleasesWaits(t *testing.T) {
 		if ab, ok := got.(sched.Abort); !ok || !errors.Is(ab.Err, cause) {
 			t.Errorf("%s: waiter ended with %v, want sched.Abort{%v}", tc.name, got, cause)
 		}
+	}
+}
+
+// TestSpineAllocBudget: the spine is a slab of levels, reused from node to
+// node, so once it has grown to the tree's depth a node allocates nothing.
+// A one-worker Sim run of 9-queens (no thief, so no clone and no join)
+// must stay under the TestRecycleAllocBudget-style per-node budget; one
+// level allocated per node is a whole allocation per node.
+func TestSpineAllocBudget(t *testing.T) {
+	const budget = 0.01 // heap objects per node
+	p := nqueens.NewArray(9)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	res, err := New().Run(p, sched.Options{Workers: 1})
+	goruntime.ReadMemStats(&after)
+	if err != nil || res.Value != 352 {
+		t.Fatalf("9-queens = %d, %v", res.Value, err)
+	}
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(res.Stats.Nodes)
+	t.Logf("%d allocations over %d nodes", after.Mallocs-before.Mallocs, res.Stats.Nodes)
+	if perNode > budget {
+		t.Errorf("%.3f allocations per node over %d nodes, budget %v", perNode, res.Stats.Nodes, budget)
 	}
 }

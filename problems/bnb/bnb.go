@@ -81,8 +81,10 @@ type knapWS struct {
 	value  int64
 }
 
+// Clone keeps the capacity Root allocates, so the clone's first Apply does
+// not reallocate (DESIGN §4.1).
 func (w *knapWS) Clone() sched.Workspace {
-	c := &knapWS{inc: w.inc, taken: make([]bool, len(w.taken)), weight: w.weight, value: w.value}
+	c := &knapWS{inc: w.inc, taken: make([]bool, len(w.taken), cap(w.taken)), weight: w.weight, value: w.value}
 	copy(c.taken, w.taken)
 	return c
 }
@@ -208,8 +210,9 @@ type tspWS struct {
 	cost    int64
 }
 
+// Clone keeps the capacity Root allocates, as knapWS.Clone does.
 func (w *tspWS) Clone() sched.Workspace {
-	c := &tspWS{inc: w.inc, perm: make([]int32, len(w.perm)), visited: w.visited, cost: w.cost}
+	c := &tspWS{inc: w.inc, perm: make([]int32, len(w.perm), cap(w.perm)), visited: w.visited, cost: w.cost}
 	copy(c.perm, w.perm)
 	return c
 }
@@ -253,11 +256,12 @@ func NewTSP(n int, seed int64) *TSP {
 // Name implements sched.Program.
 func (t *TSP) Name() string { return t.name }
 
-// Root implements sched.Program: the tour starts at city 0.
+// Root implements sched.Program: the tour starts at city 0, in a path with
+// room for every city.
 func (t *TSP) Root() sched.Workspace {
 	inc := &incumbent{}
 	t.lastInc.Store(inc)
-	return &tspWS{inc: inc, perm: []int32{0}, visited: 1}
+	return &tspWS{inc: inc, perm: make([]int32, 1, t.n), visited: 1}
 }
 
 // Terminal implements sched.Program: a complete permutation closes the tour

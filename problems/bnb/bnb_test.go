@@ -97,3 +97,39 @@ func TestTelescopingDeltas(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudget: an Apply on a fresh Clone allocates nothing, because
+// Clone keeps the capacity Root allocates; a clone of the exact length
+// reallocated its path on its first Apply. The clones are taken deep
+// enough that the path is past the tiny allocator, whose allocations
+// ReadMemStats may not count yet.
+func TestAllocBudget(t *testing.T) {
+	const depth = 10
+	for _, c := range []struct {
+		p    sched.Program
+		move func(depth int) int // a legal move at each depth of the walk
+	}{
+		{NewKnapsack(24, 0, 1), func(int) int { return 0 }}, // skip every item
+		{NewTSP(12, 1), func(d int) int { return d }},       // visit the cities in order
+	} {
+		ws := c.p.Root()
+		for d := 0; d < depth; d++ {
+			if !c.p.Apply(ws, d, c.move(d)) {
+				t.Fatalf("%s: move %d at depth %d refused", c.p.Name(), c.move(d), d)
+			}
+		}
+		const runs = 100
+		clones := make([]sched.Workspace, runs+1) // AllocsPerRun warms up once
+		for i := range clones {
+			clones[i] = ws.Clone()
+		}
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			c.p.Apply(clones[i], depth, c.move(depth))
+			i++
+		})
+		if got != 0 {
+			t.Errorf("%s: Apply on a fresh Clone: %v allocs, want 0", c.p.Name(), got)
+		}
+	}
+}
